@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonPositiveDepth, SingularIntrinsics
+from .errors import InputError, NonPositiveDepth, SingularIntrinsics
 
 
 @dataclass(frozen=True)
@@ -111,17 +111,19 @@ class PointCloud:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        if not np.all(np.isfinite(pts)):
+            raise InputError("point cloud contains non-finite coordinates")
         self.points = pts
         n = pts.shape[0]
         if self.attributes is not None:
             a = np.asarray(self.attributes, dtype=np.float64)
             if a.shape[0] != n:
-                raise ValueError(f"attributes rows {a.shape[0]} != point count {n}")
+                raise InputError(f"attributes rows {a.shape[0]} != point count {n}")
             self.attributes = a
         if self.pixel_origin is not None:
             p = np.asarray(self.pixel_origin)
             if p.shape != (n, 2):
-                raise ValueError(f"pixel_origin must be ({n}, 2), got {p.shape}")
+                raise InputError(f"pixel_origin must be ({n}, 2), got {p.shape}")
             self.pixel_origin = p
 
     def __len__(self) -> int:
@@ -242,16 +244,16 @@ def _read_ascii_ply(path):
     """Parse an ASCII PLY vertex table into (property names, float rows)."""
     with open(path) as f:
         if f.readline().strip() != "ply":
-            raise ValueError("not a PLY file")
+            raise InputError("not a PLY file")
         names = []
         n_vertex = 0
         for line in f:
             tok = line.split()
             if tok[0] == "format" and tok[1] != "ascii":
-                raise ValueError("only ASCII PLY is supported")
+                raise InputError("only ASCII PLY is supported")
             elif tok[0] == "element":
                 if tok[1] != "vertex":
-                    raise ValueError("only vertex-element PLY files are supported")
+                    raise InputError("only vertex-element PLY files are supported")
                 n_vertex = int(tok[2])
             elif tok[0] == "property":
                 names.append(tok[2])
@@ -259,7 +261,7 @@ def _read_ascii_ply(path):
                 break
         rows = np.loadtxt(f, dtype=np.float64, max_rows=n_vertex, ndmin=2)
     if n_vertex and rows.shape != (n_vertex, len(names)):
-        raise ValueError("PLY vertex table has unexpected shape")
+        raise InputError("PLY vertex table has unexpected shape")
     if n_vertex == 0:
         rows = np.zeros((0, len(names)))
     return names, rows

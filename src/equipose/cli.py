@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ConfigInvalid, EquiposeError, NonFiniteLoss, RegistryMiss
+from .errors import ConfigInvalid, EquiposeError, InputError, NonFiniteLoss, RegistryMiss
 from .geometry import (
     load_correspondences_json,
     fit_rigid_least_squares,
@@ -28,10 +28,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-class InputError(EquiposeError):
-    """Missing or malformed input file/flag."""
 
 
 class CheckFailed(EquiposeError):

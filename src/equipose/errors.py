@@ -5,6 +5,10 @@ class EquiposeError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(EquiposeError, ValueError):
+    """Input data, file or flag breaks its documented contract (bad input)."""
+
+
 class DegenerateConfiguration(EquiposeError):
     """Point configuration does not determine a unique rigid transform."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfiguration
+from .errors import DegenerateConfiguration, InputError
 
 ORTHONORMAL_TOL = 1e-9
 
@@ -144,19 +144,19 @@ class Correspondences:
         src = np.asarray(self.source, dtype=np.float64)
         dst = np.asarray(self.target, dtype=np.float64)
         if src.ndim != 2 or src.shape[1] != 3:
-            raise ValueError(f"source must be (M, 3), got {src.shape}")
+            raise InputError(f"source must be (M, 3), got {src.shape}")
         if dst.shape != src.shape:
-            raise ValueError(f"source/target shapes differ: {src.shape} vs {dst.shape}")
+            raise InputError(f"source/target shapes differ: {src.shape} vs {dst.shape}")
         if src.shape[0] < 3:
-            raise ValueError("at least 3 correspondences required")
+            raise InputError("at least 3 correspondences required")
         if self.weights is None:
             w = np.ones(src.shape[0])
         else:
             w = _as_array(self.weights, (src.shape[0],))
             if np.any(w < 0.0):
-                raise ValueError("weights must be non-negative")
+                raise InputError("weights must be non-negative")
             if w.sum() <= 0.0:
-                raise ValueError("weights must not sum to zero")
+                raise InputError("weights must not sum to zero")
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", dst)
         object.__setattr__(self, "weights", w)

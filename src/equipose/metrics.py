@@ -7,7 +7,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import EmptyInput
 from .geometry import RigidTransform
@@ -65,13 +65,22 @@ def auc(distances, max_threshold: float = 0.1) -> float:
     return float(100.0 * mass.sum() / (d.size * max_threshold))
 
 
-def model_diameter(model_or_vertices, chunk: int = 512) -> float:
-    """Exact max pairwise vertex distance, O(m^2)."""
+def model_diameter(model_or_vertices) -> float:
+    """Exact max pairwise vertex distance.
+
+    The farthest pair lies on the convex hull, so only the hull's vertices
+    and the points Qhull set aside as coplanar with a facet are compared. A
+    flat or too-small vertex set has no 3-D hull and compares every vertex.
+    """
     verts = _vertices(model_or_vertices)
+    try:
+        hull = ConvexHull(verts)
+        verts = verts[np.union1d(hull.vertices, hull.coplanar[:, 0])]
+    except QhullError:
+        pass
     best = 0.0
-    for start in range(0, len(verts), chunk):
-        block = verts[start : start + chunk]
-        d2 = ((block[:, None, :] - verts[None, :, :]) ** 2).sum(axis=-1)
+    for start in range(0, len(verts), 512):  # rows per block bound the memory
+        d2 = ((verts[start : start + 512, None, :] - verts[None, :, :]) ** 2).sum(axis=-1)
         best = max(best, float(d2.max()))
     return float(np.sqrt(best))
 

@@ -40,40 +40,48 @@ def mean_shift_modes(
     """Flat-kernel mode seeking over points x (n, d).
 
     Seeds are the points themselves, strided down to at most max_seeds so the
-    result is deterministic. Converged seeds are merged within one bandwidth,
-    densest first. Returns (modes (k, d), counts (k,)) ordered by decreasing
-    support, count being the number of points within one bandwidth of the mode.
+    result is deterministic. A seed's update depends only on its position, so
+    seeds that reach one position move together for good: each iteration
+    advances only the distinct positions, and each seed keeps the index of its
+    own. Converged positions are merged within one bandwidth, densest first,
+    ties going to the one holding the lowest seed index. Returns (modes (k, d),
+    counts (k,)) ordered by decreasing support, count being the number of
+    points within one bandwidth of the mode. This matches iterating every seed
+    separately, up to BLAS rounding in the weighted mean.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n == 0:
         return np.zeros((0, x.shape[1] if x.ndim == 2 else 0)), np.zeros(0, dtype=int)
     stride = max(1, int(np.ceil(n / max_seeds)))
-    modes = x[::stride].copy()
+    modes, seed_at = np.unique(x[::stride], axis=0, return_inverse=True)
     h2 = bandwidth * bandwidth
+
+    def sq_dist(a, b):
+        diff = a[:, None, :] - b[None, :, :]
+        return np.einsum("ijd,ijd->ij", diff, diff)
+
     for _ in range(max_iter):
-        d2 = ((modes[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
-        within = d2 <= h2
+        within = sq_dist(modes, x) <= h2
         counts = within.sum(axis=1)
-        counts = np.maximum(counts, 1)  # isolated seed keeps its own position
-        new_modes = (within @ x) / counts[:, None]
-        empty = ~within.any(axis=1)
-        if empty.any():
-            new_modes[empty] = modes[empty]
+        new_modes = (within @ x) / np.maximum(counts, 1)[:, None]
+        empty = counts == 0  # an isolated position stays put
+        new_modes[empty] = modes[empty]
         shift = np.linalg.norm(new_modes - modes, axis=1).max()
-        modes = new_modes
+        modes, step = np.unique(new_modes, axis=0, return_inverse=True)
+        seed_at = step[seed_at]
         if shift < tol:
             break
-    d2 = ((modes[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
-    counts = (d2 <= h2).sum(axis=1)
-    order = np.lexsort((np.arange(len(modes)), -counts))
-    kept = []
-    kept_counts = []
-    for i in order:
-        if all(np.sum((modes[i] - modes[j]) ** 2) > h2 for j in kept):
-            kept.append(i)
-            kept_counts.append(counts[i])
-    return modes[kept], np.asarray(kept_counts, dtype=int)
+    counts = (sq_dist(modes, x) <= h2).sum(axis=1)
+    _, first_seed = np.unique(seed_at, return_index=True)
+    order = np.lexsort((first_seed, -counts))
+    modes, counts = modes[order], counts[order]
+    apart = sq_dist(modes, modes) > h2
+    keep = np.ones(len(modes), dtype=bool)
+    for i in range(len(modes)):
+        if keep[i]:
+            keep[i + 1 :] &= apart[i, i + 1 :]
+    return modes[keep], counts[keep]
 
 
 def mean_shift_cluster(x: np.ndarray, bandwidth: float, **kw):

@@ -14,7 +14,7 @@ from equipose.backproject import (
     write_pgm_depth,
     write_ply_cloud,
 )
-from equipose.errors import NonPositiveDepth, SingularIntrinsics
+from equipose.errors import InputError, NonPositiveDepth, SingularIntrinsics
 
 
 def random_intrinsics(rng) -> CameraIntrinsics:
@@ -147,6 +147,24 @@ class TestFileFormats:
         loaded = read_ply_cloud(path)
         np.testing.assert_array_equal(loaded.points, cloud.points)
         assert loaded.attributes is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_cloud_rejects_non_finite_points(self, bad):
+        with pytest.raises(InputError):
+            PointCloud(points=[[0.1, 0.2, 0.3], [bad, 0.0, 1.0]])
+
+    def test_ply_with_nan_coordinate_rejected(self, tmp_path):
+        path = tmp_path / "nan.ply"
+        write_ply_cloud(path, PointCloud(points=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        path.write_text(path.read_text().replace("4 5 6", "4 nan 6"))
+        with pytest.raises(InputError):
+            read_ply_cloud(path)
+
+    def test_ply_with_face_element_rejected(self, tmp_path):
+        path = tmp_path / "mesh.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement face 1\nend_header\n3 0 1 2\n")
+        with pytest.raises(InputError):
+            read_ply_cloud(path)
 
     def test_intrinsics_json_roundtrip(self, tmp_path):
         intr = CameraIntrinsics(fx=525.5, fy=524.0, cx=319.5, cy=239.5, skew=0.25)

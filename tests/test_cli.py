@@ -1,6 +1,7 @@
 """Tests for the command-line interface: artifacts, exit codes, manifests."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -52,6 +53,13 @@ class TestFitPose:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         code = main(["fit-pose", "--input", str(bad), "--out", str(tmp_path / "p.json")])
+        assert code == EXIT_BAD_INPUT
+
+    def test_two_correspondences_exit_2(self, tmp_path):
+        corr = tmp_path / "corr.json"
+        pts = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
+        corr.write_text(json.dumps({"source": pts, "target": pts}))
+        code = main(["fit-pose", "--input", str(corr), "--out", str(tmp_path / "p.json")])
         assert code == EXIT_BAD_INPUT
 
     def test_degenerate_input_exits_3(self, tmp_path):
@@ -192,6 +200,28 @@ class TestEvalAndMetrics:
             # detections equal GT: every AUC row prints as 100.000000
             assert fields[1] == "100.000000" and fields[2] == "100.000000"
         assert (tmp_path / "report.csv.manifest.json").exists()
+
+    def test_nan_coordinate_exits_2(self, dataset, tmp_path):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(dataset / "scenes", scenes)
+        ply = sorted(scenes.glob("scene_*.ply"))[0]
+        lines = ply.read_text().splitlines()
+        first_row = lines.index("end_header") + 1
+        lines[first_row] = " ".join(["nan"] + lines[first_row].split()[1:])
+        ply.write_text("\n".join(lines) + "\n")
+        code = main(
+            [
+                "eval",
+                "--scenes-dir",
+                str(scenes),
+                "--registry-dir",
+                str(dataset / "registry"),
+                "--out-dir",
+                str(tmp_path / "out"),
+                "--oracle-heads",
+            ]
+        )
+        assert code == EXIT_BAD_INPUT
 
     def test_missing_scenes_dir_exits_2(self, tmp_path):
         code = main(

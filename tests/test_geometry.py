@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from equipose.errors import DegenerateConfiguration
+from equipose.errors import DegenerateConfiguration, InputError
 from equipose.geometry import (
     Correspondences,
     RigidTransform,
@@ -197,7 +197,7 @@ class TestRigidFit:
 
 class TestCorrespondencesValidation:
     def test_too_few_points(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             Correspondences(np.zeros((2, 3)), np.zeros((2, 3)))
 
     def test_negative_weights(self):

@@ -179,6 +179,21 @@ class TestDiameterAndHit:
         )
         assert model_diameter(corners) == brute
 
+    @staticmethod
+    def _brute_diameter(verts):
+        return float(np.sqrt(((verts[:, None, :] - verts[None, :, :]) ** 2).sum(axis=-1).max()))
+
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_default_models_equal_brute_force(self, index):
+        verts = make_default_models()[index].vertices
+        assert model_diameter(verts) == self._brute_diameter(verts)
+
+    def test_coplanar_cloud_equals_brute_force(self):
+        rng = RNG(11)
+        plane = np.column_stack([rng.uniform(-1, 1, size=(200, 2)), np.zeros(200)])
+        assert model_diameter(plane) == self._brute_diameter(plane)
+        assert model_diameter(plane[:3]) == self._brute_diameter(plane[:3])
+
     def test_hit_threshold_arithmetic(self):
         model = ObjectModel(
             id=1,

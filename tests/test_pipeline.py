@@ -29,6 +29,100 @@ from equipose.synth import Registry, SceneConfig, make_default_models, render_sc
 RNG = np.random.default_rng
 
 
+def dense_mean_shift_modes(x, bandwidth, max_iter=50, tol=1e-6, max_seeds=256):
+    """Reference: the original loop that iterates every seed over all points."""
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    if n == 0:
+        return np.zeros((0, x.shape[1] if x.ndim == 2 else 0)), np.zeros(0, dtype=int)
+    stride = max(1, int(np.ceil(n / max_seeds)))
+    modes = x[::stride].copy()
+    h2 = bandwidth * bandwidth
+    for _ in range(max_iter):
+        d2 = ((modes[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+        within = d2 <= h2
+        counts = within.sum(axis=1)
+        counts = np.maximum(counts, 1)  # isolated seed keeps its own position
+        new_modes = (within @ x) / counts[:, None]
+        empty = ~within.any(axis=1)
+        if empty.any():
+            new_modes[empty] = modes[empty]
+        shift = np.linalg.norm(new_modes - modes, axis=1).max()
+        modes = new_modes
+        if shift < tol:
+            break
+    d2 = ((modes[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+    counts = (d2 <= h2).sum(axis=1)
+    order = np.lexsort((np.arange(len(modes)), -counts))
+    kept = []
+    kept_counts = []
+    for i in order:
+        if all(np.sum((modes[i] - modes[j]) ** 2) > h2 for j in kept):
+            kept.append(i)
+            kept_counts.append(counts[i])
+    return modes[kept], np.asarray(kept_counts, dtype=int)
+
+
+def _two_clusters():
+    rng = RNG(0)
+    a = rng.normal(0.0, 0.005, size=(120, 3))
+    b = rng.normal(0.0, 0.005, size=(80, 3)) + np.array([0.5, 0.0, 0.0])
+    return np.vstack([a, b]), {"bandwidth": 0.05}
+
+
+def _coincident():
+    # oracle centre votes: point + (centre - point) differ only by rounding,
+    # so every seed is distinct at first and all collapse on iteration 1
+    points = RNG(3).normal(size=(300, 3)) * 0.1
+    return points + (np.array([0.2, -0.1, 0.5]) - points), {"bandwidth": 0.02}
+
+
+def _outliers():
+    rng = RNG(7)
+    votes = rng.normal(size=3) * 0.1 + rng.normal(0, 0.005, size=(400, 3))
+    corrupt = rng.choice(400, size=120, replace=False)
+    votes[corrupt] = rng.uniform(-0.5, 0.5, size=(120, 3))
+    return votes, {"bandwidth": 0.02}
+
+
+def _equal_count_ties():
+    # three equal, tight, well-separated clusters; the one listed first holds
+    # the lowest seed index and must win every tie
+    rng = RNG(4)
+    centres = np.array([[0.3, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.3, 0.0]])
+    blob = rng.normal(0.0, 1e-4, size=(40, 3))
+    return np.vstack([c + blob for c in centres]), {"bandwidth": 0.02}
+
+
+def _stopped_early():
+    return RNG(5).normal(size=(500, 3)), {"bandwidth": 0.4, "max_iter": 3}
+
+
+class TestMeanShiftMatchesDenseReference:
+    @pytest.mark.parametrize(
+        "make", [_two_clusters, _coincident, _outliers, _equal_count_ties, _stopped_early]
+    )
+    def test_same_modes_and_counts(self, make):
+        x, kw = make()
+        modes, counts = mean_shift_modes(x, **kw)
+        ref_modes, ref_counts = dense_mean_shift_modes(x, **kw)
+        assert len(modes) == len(ref_modes)
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_allclose(modes, ref_modes, rtol=0, atol=1e-12)
+
+    def test_ties_go_to_lowest_seed_index(self):
+        x, kw = _equal_count_ties()
+        modes, counts = mean_shift_modes(x, **kw)
+        assert len(modes) == 3 and len(set(counts.tolist())) == 1
+        np.testing.assert_allclose(modes[0], [0.3, 0.0, 0.0], atol=1e-3)
+
+    def test_early_stop_leaves_many_modes(self):
+        x, kw = _stopped_early()
+        modes, _ = mean_shift_modes(x, **kw)
+        converged, _ = mean_shift_modes(x, kw["bandwidth"])
+        assert len(modes) > len(converged)
+
+
 class TestMeanShift:
     def test_coincident_points_single_mode(self):
         x = np.tile([0.2, -0.1, 0.5], (40, 1))
