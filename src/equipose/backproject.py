@@ -254,12 +254,17 @@ def _read_ascii_ply(path):
             elif tok[0] == "element":
                 if tok[1] != "vertex":
                     raise InputError("only vertex-element PLY files are supported")
+                if not tok[2].isdigit():
+                    raise InputError(f"PLY vertex count is not a number: {tok[2]!r}")
                 n_vertex = int(tok[2])
             elif tok[0] == "property":
                 names.append(tok[2])
             elif tok[0] == "end_header":
                 break
-        rows = np.loadtxt(f, dtype=np.float64, max_rows=n_vertex, ndmin=2)
+        try:
+            rows = np.loadtxt(f, dtype=np.float64, max_rows=n_vertex, ndmin=2)
+        except ValueError as err:
+            raise InputError(f"PLY vertex table is not numeric: {err}") from None
     if n_vertex and rows.shape != (n_vertex, len(names)):
         raise InputError("PLY vertex table has unexpected shape")
     if n_vertex == 0:

@@ -91,10 +91,6 @@ def appearance_input(cloud: PointCloud) -> np.ndarray:
     return out
 
 
-def encode_appearance(cloud: PointCloud, encoder: AppearanceEncoder) -> np.ndarray:
-    return encoder.forward(appearance_input(cloud))
-
-
 class SegHead(Layer):
     """[invariant || appearance] -> per-point class logits."""
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMaskWarning, LabelOutOfRange
+from .errors import EmptyMaskWarning, InputError, LabelOutOfRange
 from .geometry import Rotation
 from .layers import rotate_feature
 
@@ -25,7 +25,7 @@ class LossWeights:
     def __post_init__(self):
         for name in ("seg", "kp", "center", "so3"):
             if getattr(self, name) < 0.0:
-                raise ValueError(f"loss weight {name} must be >= 0")
+                raise InputError(f"loss weight {name} must be >= 0")
 
     def as_tuple(self):
         return (self.seg, self.kp, self.center, self.so3)
@@ -112,15 +112,6 @@ def l1_offset_loss_grad(pred, gt, mask):
     return loss, grad
 
 
-def center_loss(pred_center, gt_center, mask) -> float:
-    """Identical contract to l1_offset_loss, applied to the center slot."""
-    return l1_offset_loss(pred_center, gt_center, mask)
-
-
-def center_loss_grad(pred_center, gt_center, mask):
-    return l1_offset_loss_grad(pred_center, gt_center, mask)
-
-
 def so3_loss(stack, v, rotation: Rotation) -> float:
     """Mean absolute value of f(v) - f(v @ R) @ R^T over all output entries.
 
@@ -132,22 +123,6 @@ def so3_loss(stack, v, rotation: Rotation) -> float:
     out_straight = stack.forward(v, ctx={})
     out_rotated = stack.forward(rotate_feature(v, r), ctx={})
     return float(np.mean(np.abs(out_straight - rotate_feature(out_rotated, r.T))))
-
-
-def so3_loss_grad(stack, v, rotation: Rotation, weight: float = 1.0):
-    """(loss, d loss / d v); parameter gradients are accumulated on the stack,
-    flowing through both evaluation paths."""
-    r = rotation.m
-    ctx_straight, ctx_rotated = {}, {}
-    out_straight = stack.forward(v, ctx=ctx_straight)
-    out_rotated = stack.forward(rotate_feature(v, r), ctx=ctx_rotated)
-    diff = out_straight - rotate_feature(out_rotated, r.T)
-    loss = float(np.mean(np.abs(diff)))
-    g = weight * np.sign(diff) / diff.size
-    dv = stack.backward(g, ctx=ctx_straight)
-    dv_rotated = stack.backward(-rotate_feature(g, r), ctx=ctx_rotated)
-    dv += rotate_feature(dv_rotated, r.T)
-    return loss, dv
 
 
 def total_loss(parts, weights: LossWeights) -> LossReport:

@@ -136,11 +136,11 @@ def lift_cloud(
 
 @dataclass
 class ModelOutputs:
-    equivariant: np.ndarray  # (N, C, 3)
-    invariant: np.ndarray  # (N, S)
-    appearance: np.ndarray  # (N, A)
-    logits: np.ndarray  # (N, K)
-    offsets: np.ndarray  # (N, M + 1, 3)
+    equivariant: np.ndarray  # (..., N, C, 3)
+    invariant: np.ndarray  # (..., N, S)
+    appearance: np.ndarray  # (..., N, A)
+    logits: np.ndarray  # (..., N, K)
+    offsets: np.ndarray  # (..., N, M + 1, 3)
 
 
 class PoseModel(Layer):
@@ -197,7 +197,9 @@ class PoseModel(Layer):
         return appearance_input(cloud)
 
     def forward(self, v, app_in, train=False, ctx=None) -> ModelOutputs:
-        """v: lifted feature (N, 3, 3); app_in: (N, 5) appearance inputs."""
+        """v: lifted feature (..., N, 8, 3); app_in: (..., N, 5) appearance
+        inputs. Leading axes stack clouds: pooling stays per cloud, batch-norm
+        statistics span every cloud."""
         cache = self._new_cache(ctx)
         for key in ("backbone", "invariant", "appearance", "seg", "kp"):
             cache[key] = {}
@@ -218,47 +220,14 @@ class PoseModel(Layer):
         d_app_in = self.appearance.backward(d_app_seg + d_app_kp, ctx=cache["appearance"])
         return dv, d_app_in
 
-    # keypoint-path rotation consistency ------------------------------------
-
-    def kp_path_forward(self, v, app_in, train=False, ctx=None) -> np.ndarray:
-        cache = self._new_cache(ctx)
-        cache["backbone"] = {}
-        cache["appearance"] = {}
-        cache["kp"] = {}
-        equi = self.backbone.forward(v, train=train, ctx=cache["backbone"])
-        app = self.appearance.forward(app_in, train=train, ctx=cache["appearance"])
-        return self.kp_head.forward(equi, app, train=train, ctx=cache["kp"])
-
-    def kp_path_backward(self, d_offsets, ctx):
-        cache = self._get_cache(ctx)
-        d_equi, d_app = self.kp_head.backward(d_offsets, ctx=cache["kp"])
-        dv = self.backbone.backward(d_equi, ctx=cache["backbone"])
-        d_app_in = self.appearance.backward(d_app, ctx=cache["appearance"])
-        return dv, d_app_in
-
-    def kp_consistency_residual(self, v, app_in, rotation: Rotation, train=False) -> float:
-        """Mean |offsets(v) - offsets(v @ R) @ R^T| over the keypoint path."""
+    def so3_term(self, offsets, rotation: Rotation, weight: float = 1.0):
+        """Rotation-consistency penalty mean |o(v) - o(v @ R) @ R^T| on the
+        keypoint offsets of the stacked pair (v, v @ R), shape (2, N, M + 1, 3).
+        Returns (value, weighted d value / d offsets) for the pair."""
         r = rotation.m
-        straight = self.kp_path_forward(v, app_in, train=train, ctx={})
-        rotated = self.kp_path_forward(rotate_feature(v, r), app_in, train=train, ctx={})
-        return float(np.mean(np.abs(straight - rotate_feature(rotated, r.T))))
-
-    def so3_term(self, v, app_in, rotation: Rotation, weight: float = 1.0, train=False):
-        """Rotation-consistency penalty on the keypoint path; accumulates
-        weighted parameter gradients through both evaluation paths and
-        returns (value, d v, d app_in)."""
-        r = rotation.m
-        ctx_straight, ctx_rotated = {}, {}
-        straight = self.kp_path_forward(v, app_in, train=train, ctx=ctx_straight)
-        rotated = self.kp_path_forward(rotate_feature(v, r), app_in, train=train, ctx=ctx_rotated)
-        diff = straight - rotate_feature(rotated, r.T)
-        value = float(np.mean(np.abs(diff)))
+        diff = offsets[0] - rotate_feature(offsets[1], r.T)
         g = weight * np.sign(diff) / diff.size
-        dv, d_app = self.kp_path_backward(g, ctx_straight)
-        dv2, d_app2 = self.kp_path_backward(-rotate_feature(g, r), ctx_rotated)
-        dv += rotate_feature(dv2, r.T)
-        d_app += d_app2
-        return value, dv, d_app
+        return float(np.mean(np.abs(diff))), np.stack([g, -rotate_feature(g, r)])
 
 
 def init_model(cfg: ModelConfig, seed: int) -> PoseModel:

@@ -4,18 +4,19 @@ and the central-finite-difference gradient oracle."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigInvalid, NonFiniteLoss
 from .geometry import Rotation, sample_uniform_rotation
+from .layers import named_params, rotate_feature
 from .losses import (
     LossReport,
     LossWeights,
     focal_loss_grad,
     l1_offset_loss_grad,
-    so3_loss,
     total_loss,
 )
 from .model import PoseModel
@@ -36,8 +37,6 @@ class TrainConfig:
     momentum: float = 0.0
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
-    so3_every: int = 1  # steps between fresh consistency rotations
-    so3_attach: str = "kp_path"  # kp_path | backbone
     focal_gamma: float = 2.0
     focal_alpha: float = 0.25
 
@@ -50,16 +49,24 @@ class TrainConfig:
             raise ConfigInvalid("epochs must be at least 1")
         if self.optimizer not in ("adam", "sgd"):
             raise ConfigInvalid(f"unknown optimizer {self.optimizer!r}")
-        if self.so3_attach not in ("kp_path", "backbone"):
-            raise ConfigInvalid(f"unknown so3 attachment {self.so3_attach!r}")
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
+        """Read a config file; unknown keys, at the top level or under
+        "weights", raise ConfigInvalid naming them."""
         with open(path) as f:
             data = json.load(f)
+        _check_keys(data, cls, "train config")
         if "weights" in data:
+            _check_keys(data["weights"], LossWeights, "weights")
             data["weights"] = LossWeights(**data["weights"])
         return cls(**data)
+
+
+def _check_keys(data: dict, cls, what: str) -> None:
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigInvalid(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 class Sgd:
@@ -130,37 +137,40 @@ def scene_tensors(sample, model: PoseModel) -> SceneTensors:
     )
 
 
-def sample_losses_and_grads(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, scale=1.0, train=True):
-    """Forward + analytic backward for one scene; parameter gradients are
-    accumulated scaled by `scale`. Returns (LossReport, d v, d app_in)."""
-    w = cfg.weights
-    ctx = {}
-    out = model.forward(t.v, t.app_in, train=train, ctx=ctx)
-    n_kp = model.cfg.n_keypoints
-    seg_value, d_logits = focal_loss_grad(out.logits, t.labels, cfg.focal_gamma, cfg.focal_alpha)
-    kp_value, d_kp = l1_offset_loss_grad(
-        out.offsets[:, :n_kp], t.gt_offsets[:, :n_kp], t.fg_mask
-    )
-    center_value, d_center = l1_offset_loss_grad(
-        out.offsets[:, n_kp:], t.gt_offsets[:, n_kp:], t.fg_mask
-    )
-    d_offsets = np.concatenate(
-        [scale * w.kp * d_kp, scale * w.center * d_center], axis=1
-    )
-    dv, d_app = model.backward(scale * w.seg * d_logits, d_offsets, ctx=ctx)
+def sample_losses(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, scale=1.0, train=True, ctx=None):
+    """One forward of the stacked pair (v, v @ R) and the loss assembly.
 
-    if cfg.so3_attach == "kp_path":
-        so3_value, dv_so3, d_app_so3 = model.so3_term(
-            t.v, t.app_in, rotation, weight=scale * w.so3, train=train
-        )
-        dv += dv_so3
-        d_app += d_app_so3
-    else:
-        # the trunk is exactly equivariant by construction, so this term is a
-        # float-noise residual; kept selectable for ablations
-        so3_value = so3_loss(model.backbone, t.v, rotation)
+    The segmentation and offset losses read the straight half; the
+    consistency term compares the keypoint offsets of both halves. Returns
+    (LossReport, d logits, d offsets): the pair's output gradients scaled by
+    `scale`, ready for model.backward with the same ctx.
+    """
+    w = cfg.weights
+    v = np.stack([t.v, rotate_feature(t.v, rotation.m)])
+    app_in = np.broadcast_to(t.app_in, (2,) + t.app_in.shape)
+    out = model.forward(v, app_in, train=train, ctx=ctx)
+    n_kp = model.cfg.n_keypoints
+    offsets = out.offsets[0]
+    seg_value, d_seg = focal_loss_grad(out.logits[0], t.labels, cfg.focal_gamma, cfg.focal_alpha)
+    kp_value, d_kp = l1_offset_loss_grad(offsets[:, :n_kp], t.gt_offsets[:, :n_kp], t.fg_mask)
+    center_value, d_center = l1_offset_loss_grad(
+        offsets[:, n_kp:], t.gt_offsets[:, n_kp:], t.fg_mask
+    )
+    so3_value, d_offsets = model.so3_term(out.offsets, rotation, weight=scale * w.so3)
+    d_offsets[0] += np.concatenate([scale * w.kp * d_kp, scale * w.center * d_center], axis=1)
+    d_logits = np.zeros_like(out.logits)
+    d_logits[0] = scale * w.seg * d_seg
     report = total_loss((seg_value, kp_value, center_value, so3_value), w)
-    return report, dv, d_app
+    return report, d_logits, d_offsets
+
+
+def sample_losses_and_grads(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, scale=1.0, train=True):
+    """sample_losses, then one backward through the pair; parameter gradients
+    are accumulated scaled by `scale`. Returns (LossReport, d v, d app_in)."""
+    ctx = {}
+    report, d_logits, d_offsets = sample_losses(model, t, cfg, rotation, scale, train, ctx)
+    dv, d_app = model.backward(d_logits, d_offsets, ctx=ctx)
+    return report, dv[0] + rotate_feature(dv[1], rotation.m.T), d_app[0] + d_app[1]
 
 
 @dataclass
@@ -185,7 +195,7 @@ def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHis
     tensors = [scene_tensors(s, model) for s in scenes]
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(model, cfg)
-    rotation = sample_uniform_rotation(rng)
+    sample_uniform_rotation(rng)  # discarded; keeps the draw order, so a seed gives the same run
     reports = []
     csv_file = open(csv_path, "w") if csv_path else None
     if csv_file:
@@ -196,8 +206,7 @@ def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHis
             order = rng.permutation(len(tensors))
             for start in range(0, len(order), cfg.batch_size):
                 batch = [tensors[i] for i in order[start : start + cfg.batch_size]]
-                if cfg.so3_every > 0 and step % cfg.so3_every == 0:
-                    rotation = sample_uniform_rotation(rng)
+                rotation = sample_uniform_rotation(rng)
                 model.zero_grad()
                 scale = 1.0 / len(batch)
                 parts = np.zeros(4)
@@ -228,26 +237,40 @@ def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHis
 # gradient oracle ------------------------------------------------------------
 
 
-def _total_only(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation) -> float:
-    w = cfg.weights
-    out = model.forward(t.v, t.app_in, train=True, ctx={})
-    n_kp = model.cfg.n_keypoints
-    seg_value = focal_loss_grad(out.logits, t.labels, cfg.focal_gamma, cfg.focal_alpha)[0]
-    kp_value = l1_offset_loss_grad(out.offsets[:, :n_kp], t.gt_offsets[:, :n_kp], t.fg_mask)[0]
-    center_value = l1_offset_loss_grad(out.offsets[:, n_kp:], t.gt_offsets[:, n_kp:], t.fg_mask)[0]
-    if cfg.so3_attach == "kp_path":
-        so3_value = model.kp_consistency_residual(t.v, t.app_in, rotation, train=True)
-    else:
-        so3_value = so3_loss(model.backbone, t.v, rotation)
-    return total_loss((seg_value, kp_value, center_value, so3_value), w).total
+def central_differences(loss, arr: np.ndarray, step: float) -> np.ndarray:
+    """Central-difference gradient of the scalar loss() with respect to the
+    C-contiguous array arr, perturbed in place one entry at a time."""
+    g = np.zeros_like(arr)
+    flat, gflat = arr.reshape(-1), g.reshape(-1)
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + step
+        up = loss()
+        flat[i] = keep - step
+        down = loss()
+        flat[i] = keep
+        gflat[i] = (up - down) / (2.0 * step)
+    return g
+
+
+@contextmanager
+def _stats_kept(model):
+    """Restore the batch-norm running stats on exit: the train-mode objective
+    does not read them, but every train-mode forward moves them."""
+    saved = [(p, p.value.copy()) for p in model.params() if p.kind == "stat"]
+    try:
+        yield
+    finally:
+        for p, value in saved:
+            p.value[...] = value
 
 
 def analytic_gradients(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation):
-    """name -> gradient of the total objective, plus "input.v" and "input.app"."""
+    """name -> gradient of the total objective, plus "input.v" and "input.app".
+    Running stats are left as they were."""
     model.zero_grad()
-    _, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation, train=True)
-    from .layers import named_params
-
+    with _stats_kept(model):
+        _, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation, train=True)
     grads = {
         name: p.grad.copy()
         for name, p in named_params(model)
@@ -260,42 +283,15 @@ def analytic_gradients(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotat
 
 def numeric_gradients(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, step: float = 1e-5):
     """Central finite differences of the total objective, matching the keys of
-    analytic_gradients."""
-    from .layers import named_params
+    analytic_gradients. Running stats are left as they were."""
 
     def loss() -> float:
-        return _total_only(model, t, cfg, rotation)
+        return sample_losses(model, t, cfg, rotation)[0].total
 
-    grads = {}
-    for name, p in named_params(model):
-        if p.kind not in TRAINABLE_KINDS:
-            continue
-        g = np.zeros_like(p.value)
-        flat = p.value.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = loss()
-            flat[i] = keep - step
-            down = loss()
-            flat[i] = keep
-            gflat[i] = (up - down) / (2.0 * step)
-        grads[name] = g
-    for key, arr in (("input.v", t.v), ("input.app", t.app_in)):
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = loss()
-            flat[i] = keep - step
-            down = loss()
-            flat[i] = keep
-            gflat[i] = (up - down) / (2.0 * step)
-        grads[key] = g
-    return grads
+    arrays = [(name, p.value) for name, p in named_params(model) if p.kind in TRAINABLE_KINDS]
+    arrays += [("input.v", t.v), ("input.app", t.app_in)]
+    with _stats_kept(model):
+        return {name: central_differences(loss, arr, step) for name, arr in arrays}
 
 
 def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-8) -> float:

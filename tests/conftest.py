@@ -3,6 +3,7 @@
 import numpy as np
 
 from equipose.layers import named_params
+from equipose.train import central_differences
 
 
 def layer_fd_check(layer, x, train=False, step=1e-6, seed=99):
@@ -20,27 +21,14 @@ def layer_fd_check(layer, x, train=False, step=1e-6, seed=99):
     layer.forward(x, train=train, ctx=ctx)
     dx = layer.backward(upstream, ctx=ctx)
 
-    def fd(arr):
-        g = np.zeros_like(arr)
-        flat, gflat = arr.reshape(-1), g.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = loss()
-            flat[i] = keep - step
-            down = loss()
-            flat[i] = keep
-            gflat[i] = (up - down) / (2.0 * step)
-        return g
-
     def rel(a, n):
         denom = np.abs(a) + np.abs(n)
         mask = denom > 1e-8
         return float((np.abs(a - n)[mask] / denom[mask]).max()) if mask.any() else 0.0
 
-    worst = rel(dx, fd(x))
+    worst = rel(dx, central_differences(loss, x, step))
     for _, p in named_params(layer):
         if p.kind == "stat":
             continue
-        worst = max(worst, rel(p.grad, fd(p.value)))
+        worst = max(worst, rel(p.grad, central_differences(loss, p.value, step)))
     return worst

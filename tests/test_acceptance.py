@@ -25,7 +25,7 @@ from equipose.metrics import add, add_s, add_s_brute, auc, evaluate_dataset
 from equipose.model import ModelConfig, init_model
 from equipose.pipeline import run_pipeline, vote_keypoints
 from equipose.synth import Registry, SceneConfig, make_default_models, render_scene
-from equipose.train import TrainConfig, gradcheck, scene_tensors, train
+from equipose.train import TrainConfig, gradcheck, sample_losses, scene_tensors, train
 from conftest import layer_fd_check
 
 RNG = np.random.default_rng
@@ -283,9 +283,8 @@ def test_criterion_09_consistency_loss_efficacy(object_models):
         for scene in probe_scenes:
             t = scene_tensors(scene, model)
             for _ in range(3):
-                values.append(
-                    model.kp_consistency_residual(t.v, t.app_in, sample_uniform_rotation(rng))
-                )
+                rotation = sample_uniform_rotation(rng)
+                values.append(sample_losses(model, t, cfg, rotation, train=False)[0].so3)
         return float(np.mean(values))
 
     without = final_residual(0.0)

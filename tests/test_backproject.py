@@ -160,6 +160,20 @@ class TestFileFormats:
         with pytest.raises(InputError):
             read_ply_cloud(path)
 
+    def test_ply_with_non_numeric_token_rejected(self, tmp_path):
+        path = tmp_path / "abc.ply"
+        write_ply_cloud(path, PointCloud(points=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        path.write_text(path.read_text().replace("4 5 6", "abc 5 6"))
+        with pytest.raises(InputError):
+            read_ply_cloud(path)
+
+    def test_ply_with_non_numeric_vertex_count_rejected(self, tmp_path):
+        path = tmp_path / "count.ply"
+        write_ply_cloud(path, PointCloud(points=[[1.0, 2.0, 3.0]]))
+        path.write_text(path.read_text().replace("element vertex 1", "element vertex one"))
+        with pytest.raises(InputError):
+            read_ply_cloud(path)
+
     def test_ply_with_face_element_rejected(self, tmp_path):
         path = tmp_path / "mesh.ply"
         path.write_text("ply\nformat ascii 1.0\nelement face 1\nend_header\n3 0 1 2\n")

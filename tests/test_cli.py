@@ -201,15 +201,17 @@ class TestEvalAndMetrics:
             assert fields[1] == "100.000000" and fields[2] == "100.000000"
         assert (tmp_path / "report.csv.manifest.json").exists()
 
-    def test_nan_coordinate_exits_2(self, dataset, tmp_path):
+    @staticmethod
+    def eval_with_first_token(dataset, tmp_path, token):
+        """Run oracle-head eval after replacing the first scene's first x coordinate."""
         scenes = tmp_path / "scenes"
         shutil.copytree(dataset / "scenes", scenes)
         ply = sorted(scenes.glob("scene_*.ply"))[0]
         lines = ply.read_text().splitlines()
         first_row = lines.index("end_header") + 1
-        lines[first_row] = " ".join(["nan"] + lines[first_row].split()[1:])
+        lines[first_row] = " ".join([token] + lines[first_row].split()[1:])
         ply.write_text("\n".join(lines) + "\n")
-        code = main(
+        return main(
             [
                 "eval",
                 "--scenes-dir",
@@ -221,7 +223,12 @@ class TestEvalAndMetrics:
                 "--oracle-heads",
             ]
         )
-        assert code == EXIT_BAD_INPUT
+
+    def test_nan_coordinate_exits_2(self, dataset, tmp_path):
+        assert self.eval_with_first_token(dataset, tmp_path, "nan") == EXIT_BAD_INPUT
+
+    def test_non_numeric_coordinate_exits_2(self, dataset, tmp_path):
+        assert self.eval_with_first_token(dataset, tmp_path, "abc") == EXIT_BAD_INPUT
 
     def test_missing_scenes_dir_exits_2(self, tmp_path):
         code = main(
@@ -291,6 +298,28 @@ class TestTrainCommand:
             _, seg, kp, center, so3, total = (float(x) for x in r.split(","))
             assert abs(total - (seg + kp + center)) <= 1e-9
             assert so3 > 0.0
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"epochs": 1, "so3_atach": "kp_path"}, {"epochs": 1, "weights": {"so3": -1.0}}],
+        ids=["unknown_key", "negative_weight"],
+    )
+    def test_bad_config_exits_2(self, dataset, tmp_path, config, capsys):
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps(config))
+        code = main(
+            [
+                "train",
+                "--scenes-dir",
+                str(dataset / "scenes"),
+                "--out-dir",
+                str(tmp_path / "run"),
+                "--config",
+                str(cfg_path),
+            ]
+        )
+        assert code == EXIT_BAD_INPUT
+        assert "error: bad input" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -13,10 +13,10 @@ from equipose.heads import (
     Mlp2,
     SegHead,
     appearance_input,
-    encode_appearance,
 )
 from equipose.layers import init_layer_params
 from equipose.model import ModelConfig, init_model
+from equipose.train import central_differences
 
 RNG = np.random.default_rng
 
@@ -31,17 +31,17 @@ class TestAppearanceEncoder:
         enc = AppearanceEncoder(n_hidden=4, n_out=3)
         enc.mlp.b2.value[...] = [0.1, -0.2, 0.3]
         cloud = PointCloud(points=np.zeros((6, 3)), attributes=RNG(0).uniform(size=(6, 3)))
-        out = encode_appearance(cloud, enc)
+        out = enc.forward(appearance_input(cloud))
         np.testing.assert_allclose(out, np.tile([0.1, -0.2, 0.3], (6, 1)), atol=1e-15)
 
     def test_pointwise_permutation(self):
         enc = fresh(AppearanceEncoder(), seed=1)
         rng = RNG(2)
         cloud = PointCloud(points=rng.normal(size=(10, 3)), attributes=rng.uniform(size=(10, 3)))
-        base = encode_appearance(cloud, enc)
+        base = enc.forward(appearance_input(cloud))
         perm = rng.permutation(10)
         permuted = PointCloud(points=cloud.points[perm], attributes=cloud.attributes[perm])
-        np.testing.assert_array_equal(encode_appearance(permuted, enc), base[perm])
+        np.testing.assert_array_equal(enc.forward(appearance_input(permuted)), base[perm])
 
     def test_matches_dense_oracle(self):
         enc = fresh(AppearanceEncoder(n_hidden=7, n_out=5), seed=3)
@@ -72,7 +72,9 @@ class TestAppearanceEncoder:
         attrs = rng.uniform(size=(8, 3))
         a = PointCloud(points=rng.normal(size=(8, 3)), attributes=attrs)
         b = PointCloud(points=sample_uniform_rotation(rng).apply(a.points), attributes=attrs)
-        np.testing.assert_array_equal(encode_appearance(a, enc), encode_appearance(b, enc))
+        np.testing.assert_array_equal(
+            enc.forward(appearance_input(a)), enc.forward(appearance_input(b))
+        )
 
 
 class TestSegHead:
@@ -169,21 +171,11 @@ class TestHeadGradients:
         head.forward(inv, app, ctx=ctx)
         d_inv, d_app = head.backward(upstream, ctx=ctx)
 
-        def loss(i, a):
-            return float(np.sum(head.forward(i, a, ctx={}) * upstream))
+        def loss():
+            return float(np.sum(head.forward(inv, app, ctx={}) * upstream))
 
-        step = 1e-6
         for arr, grad in ((inv, d_inv), (app, d_app)):
-            num = np.zeros_like(arr)
-            flat, nflat = arr.reshape(-1), num.reshape(-1)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + step
-                up = loss(inv, app)
-                flat[i] = keep - step
-                down = loss(inv, app)
-                flat[i] = keep
-                nflat[i] = (up - down) / (2 * step)
+            num = central_differences(loss, arr, 1e-6)
             np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-9)
 
     def test_kp_head_gradcheck(self):
@@ -200,16 +192,6 @@ class TestHeadGradients:
         def loss():
             return float(np.sum(head.forward(equi, app, ctx={}) * upstream))
 
-        step = 1e-6
         for arr, grad in ((equi, d_equi), (app, d_app)):
-            num = np.zeros_like(arr)
-            flat, nflat = arr.reshape(-1), num.reshape(-1)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + step
-                up = loss()
-                flat[i] = keep - step
-                down = loss()
-                flat[i] = keep
-                nflat[i] = (up - down) / (2 * step)
+            num = central_differences(loss, arr, 1e-6)
             np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-9)

@@ -10,16 +10,15 @@ from equipose.layers import Sequential, VNLinear, VNReLU, init_layer_params
 from equipose.losses import (
     LossReport,
     LossWeights,
-    center_loss,
     focal_loss,
     focal_loss_grad,
     l1_offset_loss,
     l1_offset_loss_grad,
     log_softmax,
     so3_loss,
-    so3_loss_grad,
     total_loss,
 )
+from equipose.train import central_differences
 
 RNG = np.random.default_rng
 
@@ -59,17 +58,7 @@ class TestFocalLoss:
         logits = rng.normal(size=(12, 4))
         labels = rng.integers(0, 4, size=12)
         _, grad = focal_loss_grad(logits, labels)
-        step = 1e-5
-        num = np.zeros_like(grad)
-        for i in range(logits.shape[0]):
-            for j in range(logits.shape[1]):
-                keep = logits[i, j]
-                logits[i, j] = keep + step
-                up = focal_loss(logits, labels)
-                logits[i, j] = keep - step
-                down = focal_loss(logits, labels)
-                logits[i, j] = keep
-                num[i, j] = (up - down) / (2 * step)
+        num = central_differences(lambda: focal_loss(logits, labels), logits, 1e-5)
         np.testing.assert_allclose(grad, num, rtol=1e-4, atol=1e-10)
 
     def test_non_negative(self):
@@ -114,10 +103,10 @@ class TestOffsetLosses:
             value = l1_offset_loss(pred, np.zeros_like(pred), np.zeros(4, dtype=bool))
         assert value == 0.0
 
-    def test_center_loss_shifted_channel(self):
+    def test_center_slot_shifted_channel(self):
         gt = np.zeros((6, 1, 3))
         pred = gt + np.array([0.1, 0.0, 0.0])
-        assert abs(center_loss(pred, gt, np.ones(6, dtype=bool)) - 0.1) <= 1e-12
+        assert abs(l1_offset_loss(pred, gt, np.ones(6, dtype=bool)) - 0.1) <= 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = RNG(5)
@@ -125,17 +114,7 @@ class TestOffsetLosses:
         gt = rng.normal(size=(6, 3, 3))
         mask = np.array([True, False, True, True, False, True])
         _, grad = l1_offset_loss_grad(pred, gt, mask)
-        step = 1e-6
-        num = np.zeros_like(grad)
-        flat_p, flat_n = pred.reshape(-1), num.reshape(-1)
-        for i in range(flat_p.size):
-            keep = flat_p[i]
-            flat_p[i] = keep + step
-            up = l1_offset_loss(pred, gt, mask)
-            flat_p[i] = keep - step
-            down = l1_offset_loss(pred, gt, mask)
-            flat_p[i] = keep
-            flat_n[i] = (up - down) / (2 * step)
+        num = central_differences(lambda: l1_offset_loss(pred, gt, mask), pred, 1e-6)
         np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-12)
 
 
@@ -170,41 +149,6 @@ class TestSo3Loss:
             stack = make_broken_stack(int(rng.integers(1 << 30)))
             v = rng.normal(size=(12, 4, 3))
             assert so3_loss(stack, v, sample_uniform_rotation(rng)) > 1e-3
-
-    def test_gradient_matches_finite_differences(self):
-        rng = RNG(10)
-        stack = make_broken_stack(11)
-        v = rng.normal(size=(5, 4, 3))
-        rot = sample_uniform_rotation(rng)
-        stack.zero_grad()
-        _, dv = so3_loss_grad(stack, v, rot)
-        from equipose.layers import named_params
-
-        analytic = {name: p.grad.copy() for name, p in named_params(stack)}
-        step = 1e-6
-        num_dv = np.zeros_like(v)
-        flat, nflat = v.reshape(-1), num_dv.reshape(-1)
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + step
-            up = so3_loss(stack, v, rot)
-            flat[i] = keep - step
-            down = so3_loss(stack, v, rot)
-            flat[i] = keep
-            nflat[i] = (up - down) / (2 * step)
-        np.testing.assert_allclose(dv, num_dv, rtol=1e-4, atol=1e-8)
-        for name, p in named_params(stack):
-            numg = np.zeros_like(p.value)
-            flat, nflat = p.value.reshape(-1), numg.reshape(-1)
-            for i in range(flat.size):
-                keep = flat[i]
-                flat[i] = keep + step
-                up = so3_loss(stack, v, rot)
-                flat[i] = keep - step
-                down = so3_loss(stack, v, rot)
-                flat[i] = keep
-                nflat[i] = (up - down) / (2 * step)
-            np.testing.assert_allclose(analytic[name], numg, rtol=1e-4, atol=1e-8)
 
 
 class TestTotalLoss:

@@ -1,20 +1,25 @@
 """Tests for initialization, optimizers, the training loop, and the gradient oracle."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
 from equipose.errors import ConfigInvalid, NonFiniteLoss
 from equipose.geometry import sample_uniform_rotation
-from equipose.layers import Sequential, VNLinear, init_layer_params, named_params
-from equipose.model import ModelConfig, init_model, load_model, save_model
+from equipose.layers import Sequential, VNBatchNorm, VNLinear, init_layer_params, named_params
+from equipose.model import ModelConfig, PoseModel, init_model, load_model, save_model
 from equipose.synth import SceneConfig, make_default_models, render_scene
 from equipose.train import (
     Adam,
     TrainConfig,
     analytic_gradients,
+    central_differences,
     gradcheck,
     max_relative_error,
     numeric_gradients,
+    sample_losses_and_grads,
     scene_tensors,
     train,
 )
@@ -185,6 +190,19 @@ class TestTrainLoop:
         with pytest.raises(ConfigInvalid):
             TrainConfig(learning_rate=-1.0)
 
+    def test_config_json_rejects_unknown_keys(self, tmp_path):
+        path = tmp_path / "train.json"
+        for data, named in (
+            ({"epochs": 1, "so3_atach": "kp_path", "learning_rte": 0.1}, "learning_rte, so3_atach"),
+            ({"weights": {"so3": 0.5, "rot": 1.0}}, "rot"),
+        ):
+            path.write_text(json.dumps(data))
+            with pytest.raises(ConfigInvalid, match=named):
+                TrainConfig.from_json(path)
+        path.write_text(json.dumps({"epochs": 3, "weights": {"so3": 0.25}}))
+        cfg = TrainConfig.from_json(path)
+        assert cfg.epochs == 3 and cfg.weights.so3 == 0.25
+
     def test_invalid_architecture(self):
         with pytest.raises(ConfigInvalid):
             ModelConfig(n_classes=0)
@@ -192,6 +210,56 @@ class TestTrainLoop:
             ModelConfig(n_classes=4, pool_mode="sometimes")
         with pytest.raises(ConfigInvalid):
             ModelConfig(n_classes=4, vn_widths=())
+
+
+class TestOnePassPerSample:
+    def test_one_forward_and_backward_of_the_pair(self, monkeypatch):
+        model = init_model(TINY_MODEL, seed=3)
+        t = scene_tensors(tiny_scene(seed=8), model)
+        calls = []
+        for cls, method in ((PoseModel, "forward"), (PoseModel, "backward"), (Sequential, "forward")):
+            original = getattr(cls, method)
+
+            def spy(self, *args, _original=original, _name=f"{cls.__name__}.{method}", **kwargs):
+                calls.append((_name, np.shape(args[0])))
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, method, spy)
+        sample_losses_and_grads(model, t, TrainConfig(), sample_uniform_rotation(RNG(0)))
+        n = len(t.v)
+        assert calls == [
+            ("PoseModel.forward", (2, n, 8, 3)),
+            ("Sequential.forward", (2, n, 8, 3)),
+            ("PoseModel.backward", (2, n, 4)),
+        ]
+
+    def test_running_stats_move_once_per_sample(self):
+        model = init_model(TINY_MODEL, seed=3)
+        t = scene_tensors(tiny_scene(seed=8), model)
+        reference, ctx = copy.deepcopy(model), {}
+        reference.forward(t.v, t.app_in, train=True, ctx=ctx)
+        sample_losses_and_grads(model, t, TrainConfig(), sample_uniform_rotation(RNG(0)))
+        checked = 0
+        for i, layer in enumerate(model.backbone.layers):
+            if isinstance(layer, VNBatchNorm):
+                batch_mean = ctx["backbone"][i]["n"].mean(axis=0)
+                np.testing.assert_allclose(
+                    layer.running_mean.value, layer.momentum * batch_mean, rtol=1e-12, atol=0.0
+                )
+                checked += 1
+        assert checked == len(TINY_MODEL.vn_widths)
+
+    def test_so3_term_gradient(self):
+        # generic offsets keep every |.| entry away from its kink at this step
+        model = init_model(TINY_MODEL, seed=3)
+        rng = RNG(4)
+        offsets = rng.normal(size=(2, 7, 5, 3))
+        rotation = sample_uniform_rotation(rng)
+        value, d = model.so3_term(offsets, rotation, weight=0.5)
+        num = central_differences(lambda: 0.5 * model.so3_term(offsets, rotation)[0], offsets, 1e-6)
+        assert value > 0.0
+        np.testing.assert_allclose(d, num, rtol=1e-6, atol=1e-9)
+        assert model.so3_term(np.stack([offsets[0], offsets[0] @ rotation.m]), rotation)[0] <= 1e-15
 
 
 class TestGradcheck:
@@ -221,6 +289,16 @@ class TestGradcheck:
         idx = np.unravel_index(np.argmax(np.abs(analytic[name])), analytic[name].shape)
         analytic[name][idx] *= 2.0
         assert max_relative_error(analytic, numeric) > 0.3
+
+    def test_running_stats_left_alone(self):
+        model = init_model(TINY_MODEL, seed=3)
+        t = scene_tensors(tiny_scene(seed=8), model)
+        before = {n: p.value.copy() for n, p in named_params(model) if p.kind == "stat"}
+        assert before
+        gradcheck(model, t, TrainConfig(seed=0), sample_uniform_rotation(RNG(0)), step=1e-5)
+        for n, p in named_params(model):
+            if p.kind == "stat":
+                np.testing.assert_array_equal(p.value, before[n])
 
     def test_rejects_bad_step(self):
         model = init_model(TINY_MODEL, seed=3)
