@@ -75,11 +75,11 @@ class DepthImage:
     def __post_init__(self):
         d = np.asarray(self.data, dtype=np.float64)
         if d.ndim != 2:
-            raise ValueError(f"depth data must be 2-D, got shape {d.shape}")
+            raise InputError(f"depth data must be 2-D, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
-            raise ValueError("depth data contains non-finite values")
+            raise InputError("depth data contains non-finite values")
         if np.any(d < 0.0):
-            raise ValueError("negative depths are forbidden")
+            raise InputError("negative depths are forbidden")
         object.__setattr__(self, "data", d)
 
     @property
@@ -183,6 +183,8 @@ def write_pgm_depth(path, depth: DepthImage, ticks_per_meter: float = 10000.0) -
 
 
 def read_pgm_depth(path, ticks_per_meter: float = 10000.0) -> DepthImage:
+    """Read a 16-bit binary PGM (P5, maxval 65535) of depth ticks. A bad or
+    truncated header or a short payload raises InputError."""
     with open(path, "rb") as f:
         raw = f.read()
     fields = []
@@ -191,19 +193,31 @@ def read_pgm_depth(path, ticks_per_meter: float = 10000.0) -> DepthImage:
         while pos < len(raw) and raw[pos : pos + 1].isspace():
             pos += 1
         if raw[pos : pos + 1] == b"#":  # comment line
-            pos = raw.index(b"\n", pos) + 1
+            end = raw.find(b"\n", pos)
+            if end < 0:
+                raise InputError("PGM header comment has no end of line")
+            pos = end + 1
             continue
         start = pos
         while pos < len(raw) and not raw[pos : pos + 1].isspace():
             pos += 1
+        if pos == start:
+            raise InputError(f"truncated PGM header: {len(fields)} of 4 fields")
         fields.append(raw[start:pos])
     pos += 1  # single whitespace after maxval
-    magic, width, height, maxval = fields
+    magic, *numbers = fields
     if magic != b"P5":
-        raise ValueError(f"not a binary PGM file: magic {magic!r}")
-    if int(maxval) != 65535:
-        raise ValueError("only 16-bit PGM depth images are supported")
-    w, h = int(width), int(height)
+        raise InputError(f"not a binary PGM file: magic {magic!r}")
+    try:
+        w, h, maxval = (int(x) for x in numbers)
+    except ValueError:
+        raise InputError(f"non-numeric PGM header field in {numbers!r}") from None
+    if maxval != 65535:
+        raise InputError("only 16-bit PGM depth images are supported")
+    if w < 0 or h < 0:
+        raise InputError(f"negative PGM size {w} x {h}")
+    if len(raw) - pos < 2 * w * h:
+        raise InputError(f"PGM payload is {max(len(raw) - pos, 0)} bytes, expected {2 * w * h}")
     ticks = np.frombuffer(raw, dtype=">u2", count=w * h, offset=pos).reshape(h, w)
     return DepthImage(ticks.astype(np.float64) / ticks_per_meter)
 

@@ -89,10 +89,11 @@ def _scene_stems(directory):
     return stems
 
 
-def _load_scenes(directory):
+def _load_scenes(directory) -> dict:
+    """File stem (e.g. "scene_00000") -> scene, in sorted stem order."""
     from .synth import load_scene
 
-    return [load_scene(stem) for stem in _scene_stems(directory)]
+    return {os.path.basename(stem): load_scene(stem) for stem in _scene_stems(directory)}
 
 
 # commands -------------------------------------------------------------------
@@ -177,7 +178,7 @@ def cmd_train(args) -> int:
     from .train import TrainConfig, train
 
     started = time.monotonic()
-    scenes = _load_scenes(args.scenes_dir)
+    scenes = list(_load_scenes(args.scenes_dir).values())
     meta = _dataset_meta(args.scenes_dir)
     n_classes = meta["n_classes"] if meta else int(max(s.labels.max() for s in scenes)) + 1
     n_keypoints = scenes[0].n_keypoints
@@ -223,12 +224,12 @@ def cmd_eval(args) -> int:
     os.makedirs(det_dir, exist_ok=True)
     cfg = PipelineConfig()
     detections_by_scene = []
-    for i, scene in enumerate(scenes):
+    for i, (name, scene) in enumerate(scenes.items()):
         oracle = (scene.labels, scene.gt_offsets) if args.oracle_heads else None
         detections = run_pipeline(scene.cloud, model, registry, cfg, oracle=oracle)
         detections_by_scene.append(detections)
-        detections_to_json(os.path.join(det_dir, f"scene_{i:05d}.json"), detections, i)
-    report = evaluate_dataset(detections_by_scene, [s.gt_poses for s in scenes], registry)
+        detections_to_json(os.path.join(det_dir, f"{name}.json"), detections, i)
+    report = evaluate_dataset(detections_by_scene, [s.gt_poses for s in scenes.values()], registry)
     report_path = os.path.join(args.out_dir, "report.csv")
     report_to_csv(report, report_path)
     distances_path = os.path.join(args.out_dir, "distances.json")
@@ -265,10 +266,10 @@ def cmd_metrics(args) -> int:
     registry = load_registry(_require_file(args.registry_dir, "registry directory"))
     _require_file(args.detections_dir, "detections directory")
     detections_by_scene = []
-    for i in range(len(scenes)):
-        path = os.path.join(args.detections_dir, f"scene_{i:05d}.json")
+    for name in scenes:  # paired by stem; a missing file is a miss
+        path = os.path.join(args.detections_dir, f"{name}.json")
         detections_by_scene.append(detections_from_json(path) if os.path.exists(path) else [])
-    report = evaluate_dataset(detections_by_scene, [s.gt_poses for s in scenes], registry)
+    report = evaluate_dataset(detections_by_scene, [s.gt_poses for s in scenes.values()], registry)
     report_to_csv(report, args.out)
     distances_to_json(report, args.out + ".distances.json")
     _write_manifest(args.out, "metrics", args, None, [args.out], started)

@@ -8,8 +8,8 @@ satisfies ``L(v @ R) == L(v)``.
 
 Layers implement analytic forward and backward passes. forward() records
 what backward() needs either on the layer itself or in a caller-provided
-ctx dict, so two forward passes (e.g. the two evaluation paths of the
-rotation-consistency loss) can stay alive at once.
+ctx dict, so two forward passes (e.g. a training step's and a reference
+model's on the same cloud) can stay alive at once.
 """
 
 from __future__ import annotations

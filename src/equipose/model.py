@@ -140,7 +140,7 @@ class ModelOutputs:
     invariant: np.ndarray  # (..., N, S)
     appearance: np.ndarray  # (..., N, A)
     logits: np.ndarray  # (..., N, K)
-    offsets: np.ndarray  # (..., N, M + 1, 3)
+    offsets: np.ndarray  # (..., N, M + 1, 3); (2, ..., N, M + 1, 3) with a rotation
 
 
 class PoseModel(Layer):
@@ -196,10 +196,16 @@ class PoseModel(Layer):
     def appearance_from_cloud(self, cloud: PointCloud) -> np.ndarray:
         return appearance_input(cloud)
 
-    def forward(self, v, app_in, train=False, ctx=None) -> ModelOutputs:
+    def forward(self, v, app_in, train=False, ctx=None, rotation: Rotation = None) -> ModelOutputs:
         """v: lifted feature (..., N, 8, 3); app_in: (..., N, 5) appearance
         inputs. Leading axes stack clouds: pooling stays per cloud, batch-norm
-        statistics span every cloud."""
+        statistics span every cloud.
+
+        With a rotation R, the keypoint head also sees the rotated cloud: it
+        runs on the pair (equi, equi @ R), which equals the trunk's output on
+        v @ R because every trunk layer is exactly equivariant, so the trunk,
+        invariant branch and segmentation head run once. offsets then gains a
+        leading pair axis, (2, ..., N, M + 1, 3)."""
         cache = self._new_cache(ctx)
         for key in ("backbone", "invariant", "appearance", "seg", "kp"):
             cache[key] = {}
@@ -207,14 +213,24 @@ class PoseModel(Layer):
         inv = self.invariant.forward(equi, train=train, ctx=cache["invariant"])
         app = self.appearance.forward(app_in, train=train, ctx=cache["appearance"])
         logits = self.seg_head.forward(inv, app, train=train, ctx=cache["seg"])
-        offsets = self.kp_head.forward(equi, app, train=train, ctx=cache["kp"])
+        kp_equi, kp_app = equi, app
+        if rotation is not None:
+            cache["rotation"] = rotation.m
+            kp_equi = np.stack([equi, rotate_feature(equi, rotation.m)])
+            kp_app = np.broadcast_to(app, (2,) + app.shape)
+        offsets = self.kp_head.forward(kp_equi, kp_app, train=train, ctx=cache["kp"])
         return ModelOutputs(equi, inv, app, logits, offsets)
 
     def backward(self, d_logits, d_offsets, ctx=None):
-        """Returns (d v, d app_in) and accumulates parameter gradients."""
+        """Returns (d v, d app_in) and accumulates parameter gradients. After a
+        forward with a rotation, d_offsets carries the pair axis and the
+        rotated half's gradient folds back onto the trunk output as @ R^T."""
         cache = self._get_cache(ctx)
         d_inv, d_app_seg = self.seg_head.backward(d_logits, ctx=cache["seg"])
         d_equi_kp, d_app_kp = self.kp_head.backward(d_offsets, ctx=cache["kp"])
+        if "rotation" in cache:
+            d_equi_kp = d_equi_kp[0] + rotate_feature(d_equi_kp[1], cache["rotation"].T)
+            d_app_kp = d_app_kp[0] + d_app_kp[1]
         d_equi_inv = self.invariant.backward(d_inv, ctx=cache["invariant"])
         dv = self.backbone.backward(d_equi_kp + d_equi_inv, ctx=cache["backbone"])
         d_app_in = self.appearance.backward(d_app_seg + d_app_kp, ctx=cache["appearance"])
@@ -222,7 +238,8 @@ class PoseModel(Layer):
 
     def so3_term(self, offsets, rotation: Rotation, weight: float = 1.0):
         """Rotation-consistency penalty mean |o(v) - o(v @ R) @ R^T| on the
-        keypoint offsets of the stacked pair (v, v @ R), shape (2, N, M + 1, 3).
+        keypoint offsets of the pair from forward(..., rotation=R), shape
+        (2, N, M + 1, 3).
         Returns (value, weighted d value / d offsets) for the pair."""
         r = rotation.m
         diff = offsets[0] - rotate_feature(offsets[1], r.T)

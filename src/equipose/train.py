@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, NonFiniteLoss
 from .geometry import Rotation, sample_uniform_rotation
-from .layers import named_params, rotate_feature
+from .layers import named_params
 from .losses import (
     LossReport,
     LossWeights,
@@ -120,7 +120,7 @@ class SceneTensors:
     """Network-ready arrays for one scene; the lift is cached here because it
     is fixed preprocessing, not part of the learned graph."""
 
-    v: np.ndarray  # (N, 3, 3) lifted feature
+    v: np.ndarray  # (N, 8, 3) lifted feature
     app_in: np.ndarray  # (N, 5)
     labels: np.ndarray  # (N,)
     gt_offsets: np.ndarray  # (N, M + 1, 3)
@@ -138,39 +138,36 @@ def scene_tensors(sample, model: PoseModel) -> SceneTensors:
 
 
 def sample_losses(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, scale=1.0, train=True, ctx=None):
-    """One forward of the stacked pair (v, v @ R) and the loss assembly.
+    """One forward of the cloud with the keypoint head on the pair
+    (v, v @ R), and the loss assembly.
 
     The segmentation and offset losses read the straight half; the
     consistency term compares the keypoint offsets of both halves. Returns
-    (LossReport, d logits, d offsets): the pair's output gradients scaled by
+    (LossReport, d logits, d offsets): the output gradients scaled by
     `scale`, ready for model.backward with the same ctx.
     """
     w = cfg.weights
-    v = np.stack([t.v, rotate_feature(t.v, rotation.m)])
-    app_in = np.broadcast_to(t.app_in, (2,) + t.app_in.shape)
-    out = model.forward(v, app_in, train=train, ctx=ctx)
+    out = model.forward(t.v, t.app_in, train=train, ctx=ctx, rotation=rotation)
     n_kp = model.cfg.n_keypoints
     offsets = out.offsets[0]
-    seg_value, d_seg = focal_loss_grad(out.logits[0], t.labels, cfg.focal_gamma, cfg.focal_alpha)
+    seg_value, d_seg = focal_loss_grad(out.logits, t.labels, cfg.focal_gamma, cfg.focal_alpha)
     kp_value, d_kp = l1_offset_loss_grad(offsets[:, :n_kp], t.gt_offsets[:, :n_kp], t.fg_mask)
     center_value, d_center = l1_offset_loss_grad(
         offsets[:, n_kp:], t.gt_offsets[:, n_kp:], t.fg_mask
     )
     so3_value, d_offsets = model.so3_term(out.offsets, rotation, weight=scale * w.so3)
     d_offsets[0] += np.concatenate([scale * w.kp * d_kp, scale * w.center * d_center], axis=1)
-    d_logits = np.zeros_like(out.logits)
-    d_logits[0] = scale * w.seg * d_seg
     report = total_loss((seg_value, kp_value, center_value, so3_value), w)
-    return report, d_logits, d_offsets
+    return report, scale * w.seg * d_seg, d_offsets
 
 
 def sample_losses_and_grads(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, scale=1.0, train=True):
-    """sample_losses, then one backward through the pair; parameter gradients
-    are accumulated scaled by `scale`. Returns (LossReport, d v, d app_in)."""
+    """sample_losses, then one backward; parameter gradients are accumulated
+    scaled by `scale`. Returns (LossReport, d v, d app_in)."""
     ctx = {}
     report, d_logits, d_offsets = sample_losses(model, t, cfg, rotation, scale, train, ctx)
     dv, d_app = model.backward(d_logits, d_offsets, ctx=ctx)
-    return report, dv[0] + rotate_feature(dv[1], rotation.m.T), d_app[0] + d_app[1]
+    return report, dv, d_app
 
 
 @dataclass

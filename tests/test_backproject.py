@@ -80,10 +80,12 @@ class TestDepthToCloud:
             )
 
     def test_depth_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="negative"):
             DepthImage(np.array([[-1.0, 0.0]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="non-finite"):
             DepthImage(np.array([[np.inf, 0.0]]))
+        with pytest.raises(InputError, match="2-D"):
+            DepthImage(np.ones(4))
 
 
 class TestProjection:
@@ -123,6 +125,33 @@ class TestFileFormats:
         loaded = read_pgm_depth(path, ticks_per_meter=10000.0)
         np.testing.assert_array_equal(loaded.data, depth.data)
         assert loaded.width == 9 and loaded.height == 14
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (b"P2\n2 2\n65535\n" + bytes(8), "magic"),
+            (b"P5\n2 2\n255\n" + bytes(8), "16-bit"),
+            (b"P5\n2 2", "truncated"),
+            (b"P5\n2 x\n65535\n" + bytes(8), "non-numeric"),
+            (b"P5\n# depth ticks", "comment"),
+            (b"P5\n-2 -2\n65535\n" + bytes(8), "negative"),
+            (b"P5\n2 2\n65535\n" + bytes(7), "payload"),
+        ],
+        ids=[
+            "magic",
+            "maxval",
+            "truncated_header",
+            "non_numeric_header",
+            "open_comment",
+            "negative_size",
+            "short_payload",
+        ],
+    )
+    def test_pgm_rejects_bad_file(self, tmp_path, payload, message):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(payload)
+        with pytest.raises(InputError, match=message):
+            read_pgm_depth(path)
 
     def test_pgm_rejects_out_of_range(self, tmp_path):
         with pytest.raises(ValueError):

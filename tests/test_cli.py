@@ -201,6 +201,34 @@ class TestEvalAndMetrics:
             assert fields[1] == "100.000000" and fields[2] == "100.000000"
         assert (tmp_path / "report.csv.manifest.json").exists()
 
+    def test_metrics_pairs_scenes_by_stem(self, dataset, tmp_path):
+        # detections of scenes 0-2, scored against scenes 1-2 only: each scene
+        # must be paired with its own detection file, not the one at its position
+        evaluated, scored, out = tmp_path / "evaluated", tmp_path / "scored", tmp_path / "out"
+        evaluated.mkdir()
+        for path in (dataset / "scenes").glob("scene_*"):
+            if path.stem != "scene_00003":
+                shutil.copy(path, evaluated)
+        registry = ["--registry-dir", str(dataset / "registry")]
+        code = main(["eval", "--scenes-dir", str(evaluated), "--out-dir", str(out), "--oracle-heads"] + registry)
+        assert code == EXIT_OK
+        names = sorted(p.name for p in (out / "detections").iterdir())
+        assert names == [f"scene_{i:05d}.json" for i in range(3)]
+        shutil.copytree(evaluated, scored)
+        for path in scored.glob("scene_00000.*"):
+            path.unlink()
+        report = tmp_path / "report.csv"
+        code = main(
+            ["metrics", "--detections-dir", str(out / "detections"), "--scenes-dir", str(scored)]
+            + registry
+            + ["--out", str(report)]
+        )
+        assert code == EXIT_OK
+        rows = report.read_text().strip().splitlines()[1:]
+        assert rows
+        for row in rows:
+            assert float(row.split(",")[3]) == 100.0  # hit_rate_01d
+
     @staticmethod
     def eval_with_first_token(dataset, tmp_path, token):
         """Run oracle-head eval after replacing the first scene's first x coordinate."""

@@ -2,13 +2,24 @@
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from equipose.errors import ConfigInvalid, NonFiniteLoss
 from equipose.geometry import sample_uniform_rotation
-from equipose.layers import Sequential, VNBatchNorm, VNLinear, init_layer_params, named_params
+from equipose.heads import SegHead
+from equipose.layers import (
+    Sequential,
+    VNBatchNorm,
+    VNInvariant,
+    VNLinear,
+    init_layer_params,
+    named_params,
+    rotate_feature,
+)
+from equipose.losses import focal_loss_grad, l1_offset_loss_grad, total_loss
 from equipose.model import ModelConfig, PoseModel, init_model, load_model, save_model
 from equipose.synth import SceneConfig, make_default_models, render_scene
 from equipose.train import (
@@ -212,12 +223,40 @@ class TestTrainLoop:
             ModelConfig(n_classes=4, vn_widths=())
 
 
+def stacked_pair_reference(model, t, cfg, rotation):
+    """The trunk run on the stacked pair (v, v @ R): every layer sees both
+    halves and the input gradient folds as dv[0] + dv[1] @ R^T. Returns
+    (LossReport, parameter gradients, d v, d app_in)."""
+    w, n_kp, ctx = cfg.weights, model.cfg.n_keypoints, {}
+    model.zero_grad()
+    v = np.stack([t.v, rotate_feature(t.v, rotation.m)])
+    out = model.forward(v, np.broadcast_to(t.app_in, (2,) + t.app_in.shape), train=True, ctx=ctx)
+    seg_value, d_seg = focal_loss_grad(out.logits[0], t.labels, cfg.focal_gamma, cfg.focal_alpha)
+    offsets = out.offsets[0]
+    kp_value, d_kp = l1_offset_loss_grad(offsets[:, :n_kp], t.gt_offsets[:, :n_kp], t.fg_mask)
+    center_value, d_center = l1_offset_loss_grad(offsets[:, n_kp:], t.gt_offsets[:, n_kp:], t.fg_mask)
+    so3_value, d_offsets = model.so3_term(out.offsets, rotation, weight=w.so3)
+    d_offsets[0] += np.concatenate([w.kp * d_kp, w.center * d_center], axis=1)
+    d_logits = np.zeros_like(out.logits)
+    d_logits[0] = w.seg * d_seg
+    dv, d_app = model.backward(d_logits, d_offsets, ctx=ctx)
+    report = total_loss((seg_value, kp_value, center_value, so3_value), w)
+    grads = {n: p.grad.copy() for n, p in named_params(model) if p.kind != "stat"}
+    return report, grads, dv[0] + rotate_feature(dv[1], rotation.m.T), d_app[0] + d_app[1]
+
+
 class TestOnePassPerSample:
     def test_one_forward_and_backward_of_the_pair(self, monkeypatch):
         model = init_model(TINY_MODEL, seed=3)
         t = scene_tensors(tiny_scene(seed=8), model)
         calls = []
-        for cls, method in ((PoseModel, "forward"), (PoseModel, "backward"), (Sequential, "forward")):
+        for cls, method in (
+            (PoseModel, "forward"),
+            (PoseModel, "backward"),
+            (Sequential, "forward"),
+            (VNInvariant, "forward"),
+            (SegHead, "forward"),
+        ):
             original = getattr(cls, method)
 
             def spy(self, *args, _original=original, _name=f"{cls.__name__}.{method}", **kwargs):
@@ -228,10 +267,37 @@ class TestOnePassPerSample:
         sample_losses_and_grads(model, t, TrainConfig(), sample_uniform_rotation(RNG(0)))
         n = len(t.v)
         assert calls == [
-            ("PoseModel.forward", (2, n, 8, 3)),
-            ("Sequential.forward", (2, n, 8, 3)),
-            ("PoseModel.backward", (2, n, 4)),
+            ("PoseModel.forward", (n, 8, 3)),
+            ("Sequential.forward", (n, 8, 3)),
+            ("VNInvariant.forward", (n, model.trunk_channels, 3)),
+            ("SegHead.forward", (n, TINY_MODEL.invariant_out)),
+            ("PoseModel.backward", (n, 4)),
         ]
+
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    def test_matches_the_stacked_pair(self, batch_norm):
+        cfg = TrainConfig()
+        model = init_model(replace(TINY_MODEL, batch_norm=batch_norm), seed=3)
+        t = scene_tensors(small_scenes(1, seed=70)[0], model)
+        rng = RNG(5)
+        for _ in range(3):
+            rotation = sample_uniform_rotation(rng)
+            reference = copy.deepcopy(model)
+            ref_report, ref_grads, ref_dv, ref_dapp = stacked_pair_reference(reference, t, cfg, rotation)
+            model.zero_grad()
+            report, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation)
+            for name in ("seg", "kp", "center", "so3", "total"):
+                np.testing.assert_allclose(
+                    getattr(report, name), getattr(ref_report, name), rtol=1e-12, atol=0.0
+                )
+            grads = {n: p.grad for n, p in named_params(model) if p.kind != "stat"}
+            grads["input.v"], grads["input.app"] = dv, d_app
+            ref_grads["input.v"], ref_grads["input.app"] = ref_dv, ref_dapp
+            assert grads.keys() == ref_grads.keys()
+            for name, ref in ref_grads.items():
+                np.testing.assert_allclose(
+                    grads[name], ref, rtol=0.0, atol=1e-10 * np.abs(ref).max(), err_msg=name
+                )
 
     def test_running_stats_move_once_per_sample(self):
         model = init_model(TINY_MODEL, seed=3)
@@ -242,9 +308,17 @@ class TestOnePassPerSample:
         checked = 0
         for i, layer in enumerate(model.backbone.layers):
             if isinstance(layer, VNBatchNorm):
-                batch_mean = ctx["backbone"][i]["n"].mean(axis=0)
+                norms = ctx["backbone"][i]["n"]
+                m = layer.momentum
                 np.testing.assert_allclose(
-                    layer.running_mean.value, layer.momentum * batch_mean, rtol=1e-12, atol=0.0
+                    layer.running_mean.value, m * norms.mean(axis=0), rtol=1e-12, atol=0.0
+                )
+                # initial running variance 1; the update uses the N-point unbiased variance
+                np.testing.assert_allclose(
+                    layer.running_var.value,
+                    (1.0 - m) + m * norms.var(axis=0, ddof=1),
+                    rtol=1e-12,
+                    atol=0.0,
                 )
                 checked += 1
         assert checked == len(TINY_MODEL.vn_widths)
