@@ -224,25 +224,10 @@ def read_pgm_depth(path, ticks_per_meter: float = 10000.0) -> DepthImage:
 
 def write_ply_cloud(path, cloud: PointCloud) -> None:
     """ASCII PLY with x,y,z and, when attributes are present, r,g,b floats."""
-    has_rgb = cloud.attributes is not None and cloud.attributes.shape[1] >= 3
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {len(cloud)}",
-        "property float64 x",
-        "property float64 y",
-        "property float64 z",
-    ]
-    if has_rgb:
-        lines += ["property float64 r", "property float64 g", "property float64 b"]
-    lines.append("end_header")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
-        for i in range(len(cloud)):
-            row = [f"{v:.17g}" for v in cloud.points[i]]
-            if has_rgb:
-                row += [f"{v:.17g}" for v in cloud.attributes[i, :3]]
-            f.write(" ".join(row) + "\n")
+    names, rows = ["x", "y", "z"], cloud.points
+    if cloud.attributes is not None and cloud.attributes.shape[1] >= 3:
+        names, rows = names + ["r", "g", "b"], np.hstack([rows, cloud.attributes[:, :3]])
+    _write_ascii_ply(path, names, rows)
 
 
 def read_ply_cloud(path) -> PointCloud:
@@ -252,6 +237,18 @@ def read_ply_cloud(path) -> PointCloud:
     if "r" in names:
         attrs = rows[:, [names.index("r"), names.index("g"), names.index("b")]]
     return PointCloud(points=pts, attributes=attrs)
+
+
+def _write_ascii_ply(path, names, rows) -> None:
+    """ASCII PLY with one float64 vertex property per name and one line per
+    row, each value printed with 17 significant digits (exact round trip)."""
+    with open(path, "w") as f:
+        f.write(f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n")
+        for name in names:
+            f.write(f"property float64 {name}\n")
+        f.write("end_header\n")
+        for row in rows:
+            f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
 
 
 def _read_ascii_ply(path):

@@ -7,6 +7,7 @@ import numpy as np
 
 from .backproject import PointCloud
 from .geometry import sample_uniform_rotation
+from .heads import appearance_input
 from .layers import (
     Layer,
     Param,
@@ -155,7 +156,7 @@ def invariance_report(trials: int = 1000, seed: int = 0, n_points: int = 16, cha
     points = rng.uniform(-0.1, 0.1, size=(48, 3)) + np.array([0.0, 0.0, 0.6])
     colors = rng.uniform(0.0, 1.0, size=(48, 3))
     cloud = PointCloud(points=points, attributes=colors)
-    app_in = model.appearance_from_cloud(cloud)
+    app_in = appearance_input(cloud)
     base_logits = model.forward(model.lift(points, colors), app_in, ctx={}).logits
     base_labels = base_logits.argmax(axis=-1)
 

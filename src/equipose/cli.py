@@ -30,10 +30,6 @@ EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-class CheckFailed(EquiposeError):
-    """A property or acceptance check did not hold."""
-
-
 def _atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -400,7 +396,7 @@ def main(argv=None) -> int:
     except (InputError, ConfigInvalid, RegistryMiss, FileNotFoundError, json.JSONDecodeError) as err:
         print(f"error: bad input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (CheckFailed, NonFiniteLoss) as err:
+    except NonFiniteLoss as err:
         print(f"error: check failed: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except EquiposeError as err:

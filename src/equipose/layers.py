@@ -6,10 +6,11 @@ channels, each channel a 3-vector. Rotations act channel-wise on the right,
 ``L(v @ R) == L(v) @ R`` to machine precision. The invariance head instead
 satisfies ``L(v @ R) == L(v)``.
 
-Layers implement analytic forward and backward passes. forward() records
-what backward() needs either on the layer itself or in a caller-provided
-ctx dict, so two forward passes (e.g. a training step's and a reference
-model's on the same cloud) can stay alive at once.
+Layers implement analytic forward and backward passes. The caller's ctx
+dict is the only cache: forward(..., ctx=ctx) records there what
+backward(..., ctx=ctx) needs, so two forward passes (e.g. a training step's
+and a reference model's on the same cloud) can stay alive at once. A forward
+with ctx=None records nothing and cannot be followed by a backward.
 """
 
 from __future__ import annotations
@@ -26,6 +27,10 @@ K_DEGENERATE_SQ = 1e-12 ** 2
 
 # Norm floor for the batch-norm rescale, avoiding 0/0 on zero channels.
 NORM_FLOOR = 1e-8
+
+# Batch-norm variance epsilon and running-stat momentum (the usual defaults).
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
 
 
 def rotate_feature(v, r) -> np.ndarray:
@@ -77,16 +82,14 @@ class Layer:
 
     def _new_cache(self, ctx: dict) -> dict:
         if ctx is None:
-            self._cache = {}
-            return self._cache
+            return {}  # a throwaway record: no backward can follow
         ctx.clear()
         return ctx
 
     def _get_cache(self, ctx: dict) -> dict:
-        cache = ctx if ctx is not None else getattr(self, "_cache", None)
-        if not cache:
+        if not ctx:
             raise NoForwardRecorded(f"{type(self).__name__}.backward without a recorded forward")
-        return cache
+        return ctx
 
 
 def named_params(layer: Layer, prefix: str = "") -> list:
@@ -228,21 +231,15 @@ class VNBatchNorm(Layer):
     each batch element carries its own rotation (norms are rotation-invariant).
     """
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1, affine: bool = True):
+    def __init__(self, channels: int):
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
-        self.affine = affine
-        self.gamma = Param("gamma", np.ones(channels), kind="gain") if affine else None
-        self.beta = Param("beta", np.zeros(channels), kind="shift") if affine else None
+        self.gamma = Param("gamma", np.ones(channels), kind="gain")
+        self.beta = Param("beta", np.zeros(channels), kind="shift")
         self.running_mean = Param("running_mean", np.zeros(channels), kind="stat")
         self.running_var = Param("running_var", np.ones(channels), kind="stat")
 
     def own_params(self):
-        out = [self.running_mean, self.running_var]
-        if self.affine:
-            out = [self.gamma, self.beta] + out
-        return out
+        return [self.gamma, self.beta, self.running_mean, self.running_var]
 
     def forward(self, v, train=False, ctx=None):
         v = np.asarray(v, dtype=np.float64)
@@ -256,17 +253,17 @@ class VNBatchNorm(Layer):
             var = n.var(axis=axes)
             count = int(np.prod([n.shape[a] for a in axes])) if axes else 1
             unbiased = var * count / max(count - 1, 1)
-            self.running_mean.value *= 1.0 - self.momentum
-            self.running_mean.value += self.momentum * mu
-            self.running_var.value *= 1.0 - self.momentum
-            self.running_var.value += self.momentum * unbiased
+            self.running_mean.value *= 1.0 - BN_MOMENTUM
+            self.running_mean.value += BN_MOMENTUM * mu
+            self.running_var.value *= 1.0 - BN_MOMENTUM
+            self.running_var.value += BN_MOMENTUM * unbiased
         else:
             mu = self.running_mean.value
             var = self.running_var.value
             count = 0
-        inv = 1.0 / np.sqrt(var + self.eps)
+        inv = 1.0 / np.sqrt(var + BN_EPS)
         xhat = (n - mu) * inv
-        out_n = self.gamma.value * xhat + self.beta.value if self.affine else xhat
+        out_n = self.gamma.value * xhat + self.beta.value
         scale = out_n / n_safe
         cache.update(
             v=v, n=n, n_safe=n_safe, inv=inv, xhat=xhat, out_n=out_n, scale=scale,
@@ -285,12 +282,9 @@ class VNBatchNorm(Layer):
         d_out_n = d_scale / n_safe
         # denominator of the rescale; frozen below the norm floor
         dn = d_scale * (-out_n / n_safe**2) * (n > NORM_FLOOR)
-        if self.affine:
-            self.gamma.grad += np.sum(d_out_n * xhat, axis=axes)
-            self.beta.grad += np.sum(d_out_n, axis=axes)
-            d_xhat = d_out_n * self.gamma.value
-        else:
-            d_xhat = d_out_n
+        self.gamma.grad += np.sum(d_out_n * xhat, axis=axes)
+        self.beta.grad += np.sum(d_out_n, axis=axes)
+        d_xhat = d_out_n * self.gamma.value
         if train:
             centered = xhat / inv
             d_var = np.sum(d_xhat * centered, axis=axes) * (-0.5) * inv**3

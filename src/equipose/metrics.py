@@ -7,6 +7,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import EmptyInput
@@ -27,15 +28,12 @@ def add(gt: RigidTransform, pred: RigidTransform, model) -> float:
     return float(np.linalg.norm(gt.apply(verts) - pred.apply(verts), axis=1).mean())
 
 
-def add_s(gt: RigidTransform, pred: RigidTransform, model, accelerated: bool = True) -> float:
-    """Mean nearest-point distance from GT-posed vertices to predicted-posed ones."""
+def add_s(gt: RigidTransform, pred: RigidTransform, model) -> float:
+    """Mean nearest-point distance from GT-posed vertices to predicted-posed
+    ones, by KD-tree query; add_s_brute is the reference."""
     verts = _vertices(model)
-    a = gt.apply(verts)
-    b = pred.apply(verts)
-    if accelerated:
-        dist, _ = cKDTree(b).query(a, k=1)
-        return float(np.mean(dist))
-    return add_s_brute(gt, pred, model)
+    dist, _ = cKDTree(pred.apply(verts)).query(gt.apply(verts), k=1)
+    return float(np.mean(dist))
 
 
 def add_s_brute(gt: RigidTransform, pred: RigidTransform, model, chunk: int = 512) -> float:
@@ -143,26 +141,31 @@ def evaluate_dataset(detections_by_scene, gt_by_scene, registry) -> PoseMetricsR
 
     detections_by_scene: per scene, a list of InstanceDetection.
     gt_by_scene: per scene, a list of (class_id, RigidTransform).
-    Detections are matched to GT by class within the scene (best
-    inlier_fraction when several); a GT instance without a detection counts
-    as a miss at every threshold via an infinite distance.
+    Within a scene, each class's detections are matched one-to-one to its GT
+    instances, minimising summed ADD(-S) (ADD-S for symmetric objects, ADD
+    otherwise) with linear_sum_assignment. A GT instance left without a
+    detection counts as a miss at every threshold via an infinite distance.
     """
     per_object: dict = {}
     diameters: dict = {}
     for detections, gts in zip(detections_by_scene, gt_by_scene):
-        for cls, gt_pose in gts:
+        for cls in dict.fromkeys(c for c, _ in gts):
             model = registry.lookup(cls)
             if cls not in per_object:
                 per_object[cls] = ObjectMetrics(class_id=cls, symmetric=model.symmetric)
                 diameters[cls] = model.diameter
-            candidates = [d for d in detections if d.class_id == cls]
-            if candidates:
-                best = max(candidates, key=lambda d: d.inlier_fraction)
-                per_object[cls].add_values.append(add(gt_pose, best.pose, model))
-                per_object[cls].add_s_values.append(add_s(gt_pose, best.pose, model))
-            else:
-                per_object[cls].add_values.append(np.inf)
-                per_object[cls].add_s_values.append(np.inf)
+            truths = [pose for c, pose in gts if c == cls]
+            preds = [d.pose for d in detections if d.class_id == cls]
+            matched, other = (add_s, add) if model.symmetric else (add, add_s)
+            cost = np.array([[matched(gt, p, model) for p in preds] for gt in truths])
+            pairs = dict(zip(*linear_sum_assignment(cost)))
+            for i, gt in enumerate(truths):
+                if i in pairs:  # the matched pair's cost entry is reused, not recomputed
+                    first, second = float(cost[i, pairs[i]]), other(gt, preds[pairs[i]], model)
+                else:
+                    first = second = np.inf
+                per_object[cls].add_values.append(second if model.symmetric else first)
+                per_object[cls].add_s_values.append(first if model.symmetric else second)
     return PoseMetricsReport(per_object=per_object, diameters=diameters)
 
 

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 from .backproject import PointCloud
 from .errors import ConfigInvalid
 from .geometry import Rotation
-from .heads import AppearanceEncoder, KpHead, SegHead, appearance_input
+from .heads import AppearanceEncoder, KpHead, SegHead
 from .layers import (
     Layer,
     Sequential,
@@ -128,10 +128,8 @@ def lift_cloud(
         ],
         axis=1,
     )
-    if cap is not None:
-        norms = np.linalg.norm(v, axis=-1, keepdims=True)
-        v = v * np.minimum(1.0, cap / np.maximum(norms, 1e-30))
-    return v
+    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    return v * np.minimum(1.0, cap / np.maximum(norms, 1e-30))
 
 
 @dataclass
@@ -192,9 +190,6 @@ class PoseModel(Layer):
 
     def lift_from_cloud(self, cloud: PointCloud) -> np.ndarray:
         return self.lift(cloud.points, cloud.attributes)
-
-    def appearance_from_cloud(self, cloud: PointCloud) -> np.ndarray:
-        return appearance_input(cloud)
 
     def forward(self, v, app_in, train=False, ctx=None, rotation: Rotation = None) -> ModelOutputs:
         """v: lifted feature (..., N, 8, 3); app_in: (..., N, 5) appearance

@@ -18,6 +18,7 @@ from .geometry import (
     pose_from_dict,
     pose_to_dict,
 )
+from .heads import appearance_input
 
 
 @dataclass(frozen=True)
@@ -192,7 +193,7 @@ def run_second_stage(points, labels, offsets, registry, cfg: PipelineConfig = Pi
     warning; the remaining instances still go through."""
     detections = []
     for cls, members in assign_instances(labels, offsets_center_votes(points, offsets), cfg):
-        model = registry.lookup(cls) if hasattr(registry, "lookup") else registry[cls]
+        model = registry[cls]
         try:
             kps, center, frac = vote_keypoints(points, offsets, members, cfg)
             pose = estimate_pose(kps, model)
@@ -235,7 +236,7 @@ def run_pipeline(
         labels, offsets = oracle
     else:
         v = model.lift_from_cloud(cloud)
-        app_in = model.appearance_from_cloud(cloud)
+        app_in = appearance_input(cloud)
         out = model.forward(v, app_in)
         labels = out.logits.argmax(axis=-1)
         offsets = out.offsets

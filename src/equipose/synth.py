@@ -11,9 +11,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backproject import PointCloud
+from .backproject import (
+    PointCloud,
+    _read_ascii_ply,
+    _write_ascii_ply,
+    read_ply_cloud,
+    write_ply_cloud,
+)
 from .errors import ConfigInvalid, RegistryMiss, TooFewVertices
-from .geometry import RigidTransform, Rotation, sample_uniform_rotation
+from .geometry import (
+    RigidTransform,
+    Rotation,
+    pose_from_dict,
+    pose_to_dict,
+    sample_uniform_rotation,
+)
 from .metrics import model_diameter
 
 
@@ -344,8 +356,6 @@ def save_registry(registry: Registry, directory) -> None:
     for cls in registry:
         model = registry[cls]
         cloud = PointCloud(points=model.vertices, attributes=model.colors)
-        from .backproject import write_ply_cloud
-
         write_ply_cloud(os.path.join(directory, f"model_{cls:03d}.ply"), cloud)
         meta = {
             "id": model.id,
@@ -361,8 +371,6 @@ def save_registry(registry: Registry, directory) -> None:
 
 
 def load_registry(directory) -> Registry:
-    from .backproject import read_ply_cloud
-
     models = []
     for name in sorted(os.listdir(directory)):
         if not (name.startswith("model_") and name.endswith(".json")):
@@ -390,33 +398,22 @@ def load_registry(directory) -> Registry:
 def save_scene(path_stem, sample: SceneSample) -> None:
     """ASCII PLY (points, colors, label, offsets) plus a JSON pose sidecar."""
     n = len(sample.cloud)
-    n_slots = sample.gt_offsets.shape[1]
-    props = ["x", "y", "z", "r", "g", "b", "label"]
-    for j in range(n_slots):
-        props += [f"off_{j}_x", f"off_{j}_y", f"off_{j}_z"]
-    with open(str(path_stem) + ".ply", "w") as f:
-        f.write("ply\nformat ascii 1.0\n")
-        f.write(f"element vertex {n}\n")
-        for p in props:
-            f.write(f"property float64 {p}\n")
-        f.write("end_header\n")
-        table = np.hstack(
-            [
-                sample.cloud.points,
-                sample.cloud.attributes[:, :3],
-                sample.labels[:, None].astype(np.float64),
-                sample.gt_offsets.reshape(n, -1),
-            ]
-        )
-        for row in table:
-            f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    names = ["x", "y", "z", "r", "g", "b", "label"]
+    for j in range(sample.gt_offsets.shape[1]):
+        names += [f"off_{j}_x", f"off_{j}_y", f"off_{j}_z"]
+    table = np.hstack(
+        [
+            sample.cloud.points,
+            sample.cloud.attributes[:, :3],
+            sample.labels[:, None].astype(np.float64),
+            sample.gt_offsets.reshape(n, -1),
+        ]
+    )
+    _write_ascii_ply(str(path_stem) + ".ply", names, table)
     sidecar = {
         "scene_seed": sample.scene_seed,
         "n_keypoints": sample.n_keypoints,
-        "poses": [
-            {"class": int(cls), "rotation": pose.rotation.m.tolist(), "translation": pose.translation.tolist()}
-            for cls, pose in sample.gt_poses
-        ],
+        "poses": [{"class": int(cls), **pose_to_dict(pose)} for cls, pose in sample.gt_poses],
     }
     with open(str(path_stem) + ".json", "w") as f:
         json.dump(sidecar, f, indent=2)
@@ -424,8 +421,6 @@ def save_scene(path_stem, sample: SceneSample) -> None:
 
 
 def load_scene(path_stem) -> SceneSample:
-    from .backproject import _read_ascii_ply
-
     names, rows = _read_ascii_ply(str(path_stem) + ".ply")
     with open(str(path_stem) + ".json") as f:
         sidecar = json.load(f)
@@ -435,10 +430,7 @@ def load_scene(path_stem) -> SceneSample:
     labels = rows[:, names.index("label")].astype(int)
     off_start = names.index("off_0_x")
     offsets = rows[:, off_start : off_start + 3 * n_slots].reshape(len(rows), n_slots, 3)
-    poses = [
-        (int(p["class"]), RigidTransform(Rotation(np.asarray(p["rotation"])), np.asarray(p["translation"])))
-        for p in sidecar["poses"]
-    ]
+    poses = [(int(p["class"]), pose_from_dict(p)) for p in sidecar["poses"]]
     return SceneSample(
         cloud=PointCloud(points=pts, attributes=cols),
         labels=labels,

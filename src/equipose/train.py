@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import ConfigInvalid, NonFiniteLoss
 from .geometry import Rotation, sample_uniform_rotation
+from .heads import appearance_input
 from .layers import named_params
 from .losses import (
     LossReport,
@@ -30,15 +31,8 @@ class TrainConfig:
     lr_decay: float = 1.0  # multiplicative, applied per epoch
     batch_size: int = 1
     epochs: int = 1
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    momentum: float = 0.0
     weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
-    focal_gamma: float = 2.0
-    focal_alpha: float = 0.25
 
     def __post_init__(self):
         if self.learning_rate < 0.0:
@@ -47,8 +41,6 @@ class TrainConfig:
             raise ConfigInvalid("batch size must be at least 1")
         if self.epochs < 1:
             raise ConfigInvalid("epochs must be at least 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigInvalid(f"unknown optimizer {self.optimizer!r}")
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
@@ -67,20 +59,6 @@ def _check_keys(data: dict, cls, what: str) -> None:
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigInvalid(f"unknown {what} keys: {', '.join(unknown)}")
-
-
-class Sgd:
-    def __init__(self, params, lr: float, momentum: float = 0.0):
-        self.params = [p for p in params if p.kind in TRAINABLE_KINDS]
-        self.lr = lr
-        self.momentum = momentum
-        self.velocity = [np.zeros_like(p.value) for p in self.params]
-
-    def step(self):
-        for p, v in zip(self.params, self.velocity):
-            v *= self.momentum
-            v += p.grad
-            p.value -= self.lr * v
 
 
 class Adam:
@@ -108,11 +86,8 @@ class Adam:
             p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
-def make_optimizer(model: PoseModel, cfg: TrainConfig):
-    params = model.params()
-    if cfg.optimizer == "adam":
-        return Adam(params, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.adam_eps)
-    return Sgd(params, cfg.learning_rate, cfg.momentum)
+def make_optimizer(model: PoseModel, cfg: TrainConfig) -> Adam:
+    return Adam(model.params(), cfg.learning_rate)
 
 
 @dataclass
@@ -130,7 +105,7 @@ class SceneTensors:
 def scene_tensors(sample, model: PoseModel) -> SceneTensors:
     return SceneTensors(
         v=model.lift_from_cloud(sample.cloud),
-        app_in=model.appearance_from_cloud(sample.cloud),
+        app_in=appearance_input(sample.cloud),
         labels=np.asarray(sample.labels, dtype=int),
         gt_offsets=np.asarray(sample.gt_offsets, dtype=np.float64),
         fg_mask=np.asarray(sample.labels) > 0,
@@ -150,7 +125,7 @@ def sample_losses(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, 
     out = model.forward(t.v, t.app_in, train=train, ctx=ctx, rotation=rotation)
     n_kp = model.cfg.n_keypoints
     offsets = out.offsets[0]
-    seg_value, d_seg = focal_loss_grad(out.logits, t.labels, cfg.focal_gamma, cfg.focal_alpha)
+    seg_value, d_seg = focal_loss_grad(out.logits, t.labels)
     kp_value, d_kp = l1_offset_loss_grad(offsets[:, :n_kp], t.gt_offsets[:, :n_kp], t.fg_mask)
     center_value, d_center = l1_offset_loss_grad(
         offsets[:, n_kp:], t.gt_offsets[:, n_kp:], t.fg_mask

@@ -189,7 +189,7 @@ def test_criterion_06_metrics_oracles(object_models):
     for _ in range(100):
         gt = RigidTransform(sample_uniform_rotation(rng), rng.normal(scale=0.3, size=3))
         pred = RigidTransform(sample_uniform_rotation(rng), rng.normal(scale=0.3, size=3))
-        fast = add_s(gt, pred, blob, accelerated=True)
+        fast = add_s(gt, pred, blob)
         brute = add_s_brute(gt, pred, blob)
         worst_gap = max(worst_gap, abs(fast - brute))
         worst_order = max(worst_order, fast - add(gt, pred, blob))

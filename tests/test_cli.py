@@ -329,8 +329,12 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "config",
-        [{"epochs": 1, "so3_atach": "kp_path"}, {"epochs": 1, "weights": {"so3": -1.0}}],
-        ids=["unknown_key", "negative_weight"],
+        [
+            {"epochs": 1, "so3_atach": "kp_path"},
+            {"epochs": 1, "weights": {"so3": -1.0}},
+            {"optimizer": "adam"},
+        ],
+        ids=["unknown_key", "negative_weight", "removed_key"],
     )
     def test_bad_config_exits_2(self, dataset, tmp_path, config, capsys):
         cfg_path = tmp_path / "train.json"

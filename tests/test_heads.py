@@ -102,7 +102,7 @@ class TestSegHead:
         rng = RNG(10)
         points = rng.uniform(-0.1, 0.1, size=(60, 3))
         colors = rng.uniform(size=(60, 3))
-        app_in = model.appearance_from_cloud(PointCloud(points=points, attributes=colors))
+        app_in = appearance_input(PointCloud(points=points, attributes=colors))
         base = model.forward(model.lift(points, colors), app_in, ctx={})
         for _ in range(100):
             rot = sample_uniform_rotation(rng)

@@ -14,6 +14,7 @@ from equipose.checks import (
 from equipose.errors import EmptyInput, NoForwardRecorded, ShapeMismatch
 from equipose.geometry import sample_uniform_rotation
 from equipose.layers import (
+    BN_EPS,
     Param,
     Sequential,
     VNBatchNorm,
@@ -75,6 +76,9 @@ class TestVNLinear:
 
     def test_backward_requires_forward(self):
         layer = VNLinear(2, 2)
+        with pytest.raises(NoForwardRecorded):
+            layer.backward(np.zeros((1, 2, 3)))
+        layer.forward(np.zeros((1, 2, 3)))  # no ctx: nothing is recorded
         with pytest.raises(NoForwardRecorded):
             layer.backward(np.zeros((1, 2, 3)))
 
@@ -163,14 +167,14 @@ class TestVNMeanPool:
 class TestVNBatchNorm:
     def test_eval_mode_matches_scalar_bn_oracle(self):
         rng = RNG(12)
-        layer = VNBatchNorm(3, affine=False)
+        layer = VNBatchNorm(3)
         mu = np.array([0.4, 0.9, 1.3])
         layer.running_mean.value[...] = mu
         layer.running_var.value[...] = 1.0
         v = rng.normal(size=(6, 3, 3)) * 2.0
         out = layer.forward(v, train=False, ctx={})
         norms = np.linalg.norm(v, axis=-1)
-        expected_norms = (norms - mu) / np.sqrt(1.0 + layer.eps)
+        expected_norms = (norms - mu) / np.sqrt(1.0 + BN_EPS)
         scale = expected_norms / norms
         np.testing.assert_allclose(out, v * scale[..., None], atol=1e-12)
         # directions preserved exactly where the normalized norm is positive

@@ -110,7 +110,7 @@ class TestAddS:
         model = generate_object("blob", 80, seed=8)
         for _ in range(100):
             gt, pred = random_pose(rng), random_pose(rng)
-            fast = add_s(gt, pred, model, accelerated=True)
+            fast = add_s(gt, pred, model)
             brute = add_s_brute(gt, pred, model)
             assert abs(fast - brute) <= 1e-12
 
@@ -278,6 +278,19 @@ class TestEvaluateDataset:
         dets = [make_detection(1, bad, frac=0.2), make_detection(1, gt, frac=0.9)]
         report = evaluate_dataset([dets], [[(1, gt)]], self.registry)
         assert report.per_object[1].add_values[0] <= 1e-12
+
+    @pytest.mark.parametrize("cls", [1, 3], ids=["symmetric", "asymmetric"])
+    def test_instances_of_one_class_matched_one_to_one(self, cls):
+        # scoring every instance against the class's best-inlier detection
+        # would hit only one of the two instances
+        a, b, c = (random_pose(self.rng) for _ in range(3))
+        dets = [make_detection(cls, b, frac=0.9), make_detection(cls, a, frac=0.5)]
+        scenes_gt = [[(cls, a), (cls, b)], [(cls, c), (cls, a)]]
+        report = evaluate_dataset([dets, dets[1:]], scenes_gt, self.registry)
+        m = report.per_object[cls]
+        assert m.add_values[:2] == [0.0, 0.0] and m.add_s_values[:2] == [0.0, 0.0]
+        assert m.add_values[2:] == [np.inf, 0.0] and m.add_s_values[2:] == [np.inf, 0.0]
+        assert report.hit_rate_01d(cls) == 75.0
 
     def test_unknown_class_raises(self):
         with pytest.raises(RegistryMiss):

@@ -1,8 +1,10 @@
-"""Tests for initialization, optimizers, the training loop, and the gradient oracle."""
+"""Tests for initialization, the Adam optimizer, the training loop, and the gradient oracle."""
 
 import copy
 import json
-from dataclasses import replace
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from equipose.errors import ConfigInvalid, NonFiniteLoss
 from equipose.geometry import sample_uniform_rotation
 from equipose.heads import SegHead
 from equipose.layers import (
+    BN_MOMENTUM,
     Sequential,
     VNBatchNorm,
     VNInvariant,
@@ -23,6 +26,7 @@ from equipose.losses import focal_loss_grad, l1_offset_loss_grad, total_loss
 from equipose.model import ModelConfig, PoseModel, init_model, load_model, save_model
 from equipose.synth import SceneConfig, make_default_models, render_scene
 from equipose.train import (
+    TRAINABLE_KINDS,
     Adam,
     TrainConfig,
     analytic_gradients,
@@ -193,9 +197,20 @@ class TestTrainLoop:
         for n in batched:
             np.testing.assert_allclose(batched[n], 0.5 * summed[n], atol=1e-14)
 
+    def test_lr_decay_applies_per_epoch(self):
+        # decay 0 zeroes the learning rate after the first epoch, so a second
+        # epoch leaves every trainable parameter where the first left it
+        scenes = small_scenes(2, seed=70)
+        one, two = init_model(TINY_MODEL, seed=15), init_model(TINY_MODEL, seed=15)
+        train(scenes, one, TrainConfig(epochs=1, lr_decay=0.0, seed=8))
+        train(scenes, two, TrainConfig(epochs=2, lr_decay=0.0, seed=8))
+        for (name, a), (_, b) in zip(named_params(one), named_params(two)):
+            if a.kind in TRAINABLE_KINDS:
+                np.testing.assert_array_equal(a.value, b.value, err_msg=name)
+
     def test_invalid_config(self):
         with pytest.raises(ConfigInvalid):
-            TrainConfig(optimizer="lbfgs")
+            TrainConfig(epochs=0)
         with pytest.raises(ConfigInvalid):
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigInvalid):
@@ -214,6 +229,12 @@ class TestTrainLoop:
         cfg = TrainConfig.from_json(path)
         assert cfg.epochs == 3 and cfg.weights.so3 == 0.25
 
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        paragraph = next(p for p in readme.split("\n\n") if "Its keys are" in p)
+        listed = paragraph.split("Its keys are", 1)[1].split("Any other key", 1)[0]
+        assert set(re.findall(r"`(\w+)`", listed)) == {f.name for f in fields(TrainConfig)}
+
     def test_invalid_architecture(self):
         with pytest.raises(ConfigInvalid):
             ModelConfig(n_classes=0)
@@ -231,7 +252,7 @@ def stacked_pair_reference(model, t, cfg, rotation):
     model.zero_grad()
     v = np.stack([t.v, rotate_feature(t.v, rotation.m)])
     out = model.forward(v, np.broadcast_to(t.app_in, (2,) + t.app_in.shape), train=True, ctx=ctx)
-    seg_value, d_seg = focal_loss_grad(out.logits[0], t.labels, cfg.focal_gamma, cfg.focal_alpha)
+    seg_value, d_seg = focal_loss_grad(out.logits[0], t.labels)
     offsets = out.offsets[0]
     kp_value, d_kp = l1_offset_loss_grad(offsets[:, :n_kp], t.gt_offsets[:, :n_kp], t.fg_mask)
     center_value, d_center = l1_offset_loss_grad(offsets[:, n_kp:], t.gt_offsets[:, n_kp:], t.fg_mask)
@@ -309,7 +330,7 @@ class TestOnePassPerSample:
         for i, layer in enumerate(model.backbone.layers):
             if isinstance(layer, VNBatchNorm):
                 norms = ctx["backbone"][i]["n"]
-                m = layer.momentum
+                m = BN_MOMENTUM
                 np.testing.assert_allclose(
                     layer.running_mean.value, m * norms.mean(axis=0), rtol=1e-12, atol=0.0
                 )
