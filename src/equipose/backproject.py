@@ -119,6 +119,8 @@ class PointCloud:
             a = np.asarray(self.attributes, dtype=np.float64)
             if a.shape[0] != n:
                 raise InputError(f"attributes rows {a.shape[0]} != point count {n}")
+            if not np.all(np.isfinite(a)):
+                raise InputError("point cloud contains non-finite attributes")
             self.attributes = a
         if self.pixel_origin is not None:
             p = np.asarray(self.pixel_origin)

@@ -92,6 +92,22 @@ def _load_scenes(directory) -> dict:
     return {os.path.basename(stem): load_scene(stem) for stem in _scene_stems(directory)}
 
 
+def _score(detections_by_scene, scenes: dict, registry, csv_path, distances_path) -> None:
+    """Score detections against the scenes' GT, write the report CSV and the
+    distances JSON, and print one line per object."""
+    from .metrics import distances_to_json, evaluate_dataset, report_to_csv
+
+    report = evaluate_dataset(detections_by_scene, [s.gt_poses for s in scenes.values()], registry)
+    report_to_csv(report, csv_path)
+    distances_to_json(report, distances_path)
+    for row in report.rows():
+        print(
+            f"object {row['object']}: ADD-S AUC {row['adds_auc']:.2f}, "
+            f"ADD(-S) AUC {row['add_or_adds_auc']:.2f}, hit@0.1d {row['hit_rate_01d']:.1f} "
+            f"({row['n_samples']} samples)"
+        )
+
+
 # commands -------------------------------------------------------------------
 
 
@@ -202,7 +218,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .metrics import distances_to_json, evaluate_dataset, report_to_csv
     from .model import load_model
     from .pipeline import PipelineConfig, detections_to_json, run_pipeline
     from .synth import load_registry
@@ -225,20 +240,12 @@ def cmd_eval(args) -> int:
         detections = run_pipeline(scene.cloud, model, registry, cfg, oracle=oracle)
         detections_by_scene.append(detections)
         detections_to_json(os.path.join(det_dir, f"{name}.json"), detections, i)
-    report = evaluate_dataset(detections_by_scene, [s.gt_poses for s in scenes.values()], registry)
     report_path = os.path.join(args.out_dir, "report.csv")
-    report_to_csv(report, report_path)
     distances_path = os.path.join(args.out_dir, "distances.json")
-    distances_to_json(report, distances_path)
+    _score(detections_by_scene, scenes, registry, report_path, distances_path)
     _write_manifest(
         args.out_dir, "eval", args, args.seed, [det_dir, report_path, distances_path], started
     )
-    for row in report.rows():
-        print(
-            f"object {row['object']}: ADDS AUC {row['adds_auc']:.2f}, "
-            f"ADD(-S) AUC {row['add_s_auc']:.2f}, hit@0.1d {row['hit_rate_01d']:.1f} "
-            f"({row['n_samples']} samples)"
-        )
     return EXIT_OK
 
 
@@ -253,7 +260,6 @@ def cmd_fit_pose(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    from .metrics import distances_to_json, evaluate_dataset, report_to_csv
     from .pipeline import detections_from_json
     from .synth import load_registry
 
@@ -265,15 +271,8 @@ def cmd_metrics(args) -> int:
     for name in scenes:  # paired by stem; a missing file is a miss
         path = os.path.join(args.detections_dir, f"{name}.json")
         detections_by_scene.append(detections_from_json(path) if os.path.exists(path) else [])
-    report = evaluate_dataset(detections_by_scene, [s.gt_poses for s in scenes.values()], registry)
-    report_to_csv(report, args.out)
-    distances_to_json(report, args.out + ".distances.json")
+    _score(detections_by_scene, scenes, registry, args.out, args.out + ".distances.json")
     _write_manifest(args.out, "metrics", args, None, [args.out], started)
-    for row in report.rows():
-        print(
-            f"object {row['object']}: ADDS AUC {row['adds_auc']:.2f}, "
-            f"ADD(-S) AUC {row['add_s_auc']:.2f}, hit@0.1d {row['hit_rate_01d']:.1f}"
-        )
     return EXIT_OK
 
 

@@ -33,7 +33,7 @@ class NoForwardRecorded(EquiposeError):
     """backward() called without a matching recorded forward pass."""
 
 
-class LabelOutOfRange(EquiposeError):
+class LabelOutOfRange(InputError):
     """Class label outside [0, n_classes)."""
 
 

@@ -11,46 +11,9 @@ import numpy as np
 
 from .backproject import PointCloud
 from .errors import MissingAttributes, ShapeMismatch
-from .layers import Layer, Param
+from .layers import Layer, Mlp2
 
 APPEARANCE_INPUT_DIM = 5  # r, g, b, normalized pixel x, normalized pixel y
-
-
-class Mlp2(Layer):
-    """Two dense layers with a pointwise max(0, .) between: (..., F_in) -> (..., F_out)."""
-
-    def __init__(self, n_in: int, n_hidden: int, n_out: int):
-        self.n_in = n_in
-        self.w1 = Param("W1", np.zeros((n_hidden, n_in)))
-        self.b1 = Param("b1", np.zeros(n_hidden), kind="bias")
-        self.w2 = Param("W2", np.zeros((n_out, n_hidden)))
-        self.b2 = Param("b2", np.zeros(n_out), kind="bias")
-
-    def own_params(self):
-        return [self.w1, self.b1, self.w2, self.b2]
-
-    def forward(self, x, train=False, ctx=None):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.n_in:
-            raise ShapeMismatch(f"Mlp2: expected {self.n_in} input features, got {x.shape[-1]}")
-        cache = self._new_cache(ctx)
-        h = x @ self.w1.value.T + self.b1.value
-        relu = np.maximum(h, 0.0)
-        out = relu @ self.w2.value.T + self.b2.value
-        cache.update(x=x, h=h, relu=relu)
-        return out
-
-    def backward(self, grad, ctx=None):
-        cache = self._get_cache(ctx)
-        x, h, relu = cache["x"], cache["h"], cache["relu"]
-        g2 = grad.reshape(-1, grad.shape[-1])
-        self.w2.grad += g2.T @ relu.reshape(g2.shape[0], -1)
-        self.b2.grad += g2.sum(axis=0)
-        d_h = (grad @ self.w2.value) * (h > 0.0)
-        dh2 = d_h.reshape(-1, d_h.shape[-1])
-        self.w1.grad += dh2.T @ x.reshape(dh2.shape[0], -1)
-        self.b1.grad += dh2.sum(axis=0)
-        return d_h @ self.w1.value
 
 
 class AppearanceEncoder(Layer):

@@ -100,6 +100,13 @@ def named_params(layer: Layer, prefix: str = "") -> list:
     return out
 
 
+def _mix_grad(grad: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Weight gradient of a channel mix W @ v: sum over points and xyz of grad ⊗ v."""
+    return np.tensordot(
+        grad.reshape(-1, grad.shape[-2], 3), v.reshape(-1, v.shape[-2], 3), axes=[(0, 2), (0, 2)]
+    )
+
+
 def _check_channels(v: np.ndarray, expected: int, who: str):
     if v.ndim < 2 or v.shape[-1] != 3:
         raise ShapeMismatch(f"{who}: expected (..., C, 3) vector feature, got {v.shape}")
@@ -127,12 +134,7 @@ class VNLinear(Layer):
 
     def backward(self, grad, ctx=None):
         cache = self._get_cache(ctx)
-        v = cache["v"]
-        self.w.grad += np.tensordot(
-            grad.reshape(-1, self.out_channels, 3),
-            v.reshape(-1, self.in_channels, 3),
-            axes=[(0, 2), (0, 2)],
-        )
+        self.w.grad += _mix_grad(grad, cache["v"])
         return np.matmul(self.w.value.T, grad)
 
 
@@ -179,10 +181,8 @@ class VNReLU(Layer):
             - (m * s / t_safe)[..., None] * grad
             + (m * 2.0 * s * gk / t_safe**2)[..., None] * k
         )
-        v3 = v.reshape(-1, self.in_channels, 3)
-        axes = [(0, 2), (0, 2)]
-        self.w.grad += np.tensordot(dq.reshape(-1, self.out_channels, 3), v3, axes=axes)
-        self.u.grad += np.tensordot(dk.reshape(-1, self.out_channels, 3), v3, axes=axes)
+        self.w.grad += _mix_grad(dq, v)
+        self.u.grad += _mix_grad(dk, v)
         return np.matmul(self.w.value.T, dq) + np.matmul(self.u.value.T, dk)
 
 
@@ -296,10 +296,49 @@ class VNBatchNorm(Layer):
         return dv + dn[..., None] * direction
 
 
+class Mlp2(Layer):
+    """Two dense layers with a pointwise max(0, .) between: (..., F_in) -> (..., F_out)."""
+
+    def __init__(self, n_in: int, n_hidden: int, n_out: int):
+        self.n_in = n_in
+        self.w1 = Param("W1", np.zeros((n_hidden, n_in)))
+        self.b1 = Param("b1", np.zeros(n_hidden), kind="bias")
+        self.w2 = Param("W2", np.zeros((n_out, n_hidden)))
+        self.b2 = Param("b2", np.zeros(n_out), kind="bias")
+
+    def own_params(self):
+        return [self.w1, self.b1, self.w2, self.b2]
+
+    def forward(self, x, train=False, ctx=None):
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape[-1] != self.n_in:
+            raise ShapeMismatch(f"Mlp2: expected {self.n_in} input features, got {x.shape[-1]}")
+        cache = self._new_cache(ctx)
+        h = x @ self.w1.value.T + self.b1.value
+        relu = np.maximum(h, 0.0)
+        out = relu @ self.w2.value.T + self.b2.value
+        cache.update(x=x, h=h, relu=relu)
+        return out
+
+    def backward(self, grad, ctx=None):
+        cache = self._get_cache(ctx)
+        x, h, relu = cache["x"], cache["h"], cache["relu"]
+        g2 = grad.reshape(-1, grad.shape[-1])
+        self.w2.grad += g2.T @ relu.reshape(g2.shape[0], -1)
+        self.b2.grad += g2.sum(axis=0)
+        d_h = (grad @ self.w2.value) * (h > 0.0)
+        dh2 = d_h.reshape(-1, d_h.shape[-1])
+        self.w1.grad += dh2.T @ x.reshape(dh2.shape[0], -1)
+        self.b1.grad += dh2.sum(axis=0)
+        return d_h @ self.w1.value
+
+
 class VNInvariant(Layer):
     """Equivariant-to-invariant conversion: two linear vector branches form a
     per-point Gram matrix (rotation cancels in v_a @ v_b.T), whose flattened
-    entries feed a small scalar MLP of two linear layers with max(0, .) between.
+    entries feed an Mlp2. The Mlp2's parameters are listed as the layer's own
+    (Wa, Wb, W1, b1, W2, b2), so saved names stay e.g. invariant.W1, not
+    invariant.mlp.W1.
     """
 
     def __init__(
@@ -315,13 +354,10 @@ class VNInvariant(Layer):
         self.branch_b = in_channels if branch_b is None else branch_b
         self.wa = Param("Wa", np.zeros((self.branch_a, in_channels)))
         self.wb = Param("Wb", np.zeros((self.branch_b, in_channels)))
-        self.w1 = Param("W1", np.zeros((hidden, self.branch_a * self.branch_b)))
-        self.b1 = Param("b1", np.zeros(hidden), kind="bias")
-        self.w2 = Param("W2", np.zeros((out, hidden)))
-        self.b2 = Param("b2", np.zeros(out), kind="bias")
+        self.mlp = Mlp2(self.branch_a * self.branch_b, hidden, out)
 
     def own_params(self):
-        return [self.wa, self.wb, self.w1, self.b1, self.w2, self.b2]
+        return [self.wa, self.wb] + self.mlp.own_params()
 
     def forward(self, v, train=False, ctx=None):
         v = np.asarray(v, dtype=np.float64)
@@ -331,32 +367,18 @@ class VNInvariant(Layer):
         vb = np.matmul(self.wb.value, v)
         gram = np.matmul(va, np.swapaxes(vb, -1, -2))
         flat = gram.reshape(gram.shape[:-2] + (self.branch_a * self.branch_b,))
-        h = flat @ self.w1.value.T + self.b1.value
-        relu = np.maximum(h, 0.0)
-        out = relu @ self.w2.value.T + self.b2.value
-        cache.update(v=v, va=va, vb=vb, flat=flat, h=h, relu=relu)
-        return out
+        cache.update(v=v, va=va, vb=vb, mlp={})
+        return self.mlp.forward(flat, train=train, ctx=cache["mlp"])
 
     def backward(self, grad, ctx=None):
         cache = self._get_cache(ctx)
         v, va, vb = cache["v"], cache["va"], cache["vb"]
-        flat, h, relu = cache["flat"], cache["h"], cache["relu"]
-        g2 = grad.reshape(-1, grad.shape[-1])
-        self.w2.grad += g2.T @ relu.reshape(g2.shape[0], -1)
-        self.b2.grad += g2.sum(axis=0)
-        d_relu = grad @ self.w2.value
-        d_h = d_relu * (h > 0.0)
-        dh2 = d_h.reshape(-1, d_h.shape[-1])
-        self.w1.grad += dh2.T @ flat.reshape(dh2.shape[0], -1)
-        self.b1.grad += dh2.sum(axis=0)
-        d_flat = d_h @ self.w1.value
+        d_flat = self.mlp.backward(grad, ctx=cache["mlp"])
         d_gram = d_flat.reshape(d_flat.shape[:-1] + (self.branch_a, self.branch_b))
         d_va = np.matmul(d_gram, vb)
         d_vb = np.matmul(np.swapaxes(d_gram, -1, -2), va)
-        v3 = v.reshape(-1, self.in_channels, 3)
-        axes = [(0, 2), (0, 2)]
-        self.wa.grad += np.tensordot(d_va.reshape(-1, self.branch_a, 3), v3, axes=axes)
-        self.wb.grad += np.tensordot(d_vb.reshape(-1, self.branch_b, 3), v3, axes=axes)
+        self.wa.grad += _mix_grad(d_va, v)
+        self.wb.grad += _mix_grad(d_vb, v)
         return np.matmul(self.wa.value.T, d_va) + np.matmul(self.wb.value.T, d_vb)
 
 

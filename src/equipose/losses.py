@@ -59,13 +59,9 @@ def _check_labels(labels: np.ndarray, n_classes: int):
     return labels.astype(int)
 
 
-def focal_loss(logits, labels, gamma: float = 2.0, alpha: float = 0.25) -> float:
-    """Mean over points of -alpha * (1 - p_t)^gamma * log p_t."""
-    return focal_loss_grad(logits, labels, gamma, alpha)[0]
-
-
 def focal_loss_grad(logits, labels, gamma: float = 2.0, alpha: float = 0.25):
-    """(loss, d loss / d logits)."""
+    """(loss, d loss / d logits); the loss is the mean over points of
+    -alpha * (1 - p_t)^gamma * log p_t."""
     logits = np.asarray(logits, dtype=np.float64)
     n, k = logits.shape
     labels = _check_labels(labels, k)
@@ -88,14 +84,11 @@ def focal_loss_grad(logits, labels, gamma: float = 2.0, alpha: float = 0.25):
     return loss, d_logits
 
 
-def l1_offset_loss(pred, gt, mask) -> float:
-    """Mean over masked points (and keypoint slots) of the L1 norm of the
-    per-slot 3-vector error. Empty masks return 0 with EmptyMaskWarning."""
-    return l1_offset_loss_grad(pred, gt, mask)[0]
-
-
 def l1_offset_loss_grad(pred, gt, mask):
-    """(loss, d loss / d pred); gradient is zero outside the mask."""
+    """(loss, d loss / d pred). The loss is the mean over masked points (and
+    keypoint slots) of the L1 norm of the per-slot 3-vector error; the
+    gradient is zero outside the mask. Empty masks return 0 with
+    EmptyMaskWarning."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:

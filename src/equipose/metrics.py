@@ -83,11 +83,6 @@ def model_diameter(model_or_vertices) -> float:
     return float(np.sqrt(best))
 
 
-def add_s_01d_hit(distance: float, model) -> bool:
-    """True iff the distance is below 10% of the model diameter."""
-    return bool(distance < 0.1 * model.diameter)
-
-
 @dataclass
 class ObjectMetrics:
     class_id: int
@@ -112,7 +107,7 @@ class PoseMetricsReport:
     def adds_auc(self, class_id: int, cap: float = 0.1) -> float:
         return auc(self.per_object[class_id].add_s_values, cap)
 
-    def add_s_auc(self, class_id: int, cap: float = 0.1) -> float:
+    def add_or_adds_auc(self, class_id: int, cap: float = 0.1) -> float:
         return auc(self.per_object[class_id].matched(), cap)
 
     def hit_rate_01d(self, class_id: int) -> float:
@@ -127,13 +122,10 @@ class PoseMetricsReport:
             yield {
                 "object": cls,
                 "adds_auc": self.adds_auc(cls),
-                "add_s_auc": self.add_s_auc(cls),
+                "add_or_adds_auc": self.add_or_adds_auc(cls),
                 "hit_rate_01d": self.hit_rate_01d(cls),
                 "n_samples": m.n_samples,
             }
-
-    def mean_hit_rate(self) -> float:
-        return float(np.mean([r["hit_rate_01d"] for r in self.rows()]))
 
 
 def evaluate_dataset(detections_by_scene, gt_by_scene, registry) -> PoseMetricsReport:
@@ -170,13 +162,14 @@ def evaluate_dataset(detections_by_scene, gt_by_scene, registry) -> PoseMetricsR
 
 
 def report_to_csv(report: PoseMetricsReport, path) -> None:
+    """One line per rows() entry under a header of its keys; floats to 6 decimals."""
+    rows = list(report.rows())
     with open(path, "w") as f:
-        f.write("object,adds_auc,add_s_auc,hit_rate_01d,n_samples\n")
-        for row in report.rows():
-            f.write(
-                f"{row['object']},{row['adds_auc']:.6f},{row['add_s_auc']:.6f},"
-                f"{row['hit_rate_01d']:.6f},{row['n_samples']}\n"
-            )
+        if rows:
+            f.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            cells = (f"{v:.6f}" if isinstance(v, float) else str(v) for v in row.values())
+            f.write(",".join(cells) + "\n")
 
 
 def distances_to_json(report: PoseMetricsReport, path) -> None:

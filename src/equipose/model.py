@@ -10,7 +10,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .backproject import PointCloud
 from .errors import ConfigInvalid
 from .geometry import Rotation
 from .heads import AppearanceEncoder, KpHead, SegHead
@@ -134,9 +133,6 @@ def lift_cloud(
 
 @dataclass
 class ModelOutputs:
-    equivariant: np.ndarray  # (..., N, C, 3)
-    invariant: np.ndarray  # (..., N, S)
-    appearance: np.ndarray  # (..., N, A)
     logits: np.ndarray  # (..., N, K)
     offsets: np.ndarray  # (..., N, M + 1, 3); (2, ..., N, M + 1, 3) with a rotation
 
@@ -188,9 +184,6 @@ class PoseModel(Layer):
             points, attributes, self.cfg.lift_neighbors, self.cfg.lift_scales, self.cfg.lift_cap
         )
 
-    def lift_from_cloud(self, cloud: PointCloud) -> np.ndarray:
-        return self.lift(cloud.points, cloud.attributes)
-
     def forward(self, v, app_in, train=False, ctx=None, rotation: Rotation = None) -> ModelOutputs:
         """v: lifted feature (..., N, 8, 3); app_in: (..., N, 5) appearance
         inputs. Leading axes stack clouds: pooling stays per cloud, batch-norm
@@ -214,7 +207,7 @@ class PoseModel(Layer):
             kp_equi = np.stack([equi, rotate_feature(equi, rotation.m)])
             kp_app = np.broadcast_to(app, (2,) + app.shape)
         offsets = self.kp_head.forward(kp_equi, kp_app, train=train, ctx=cache["kp"])
-        return ModelOutputs(equi, inv, app, logits, offsets)
+        return ModelOutputs(logits, offsets)
 
     def backward(self, d_logits, d_offsets, ctx=None):
         """Returns (d v, d app_in) and accumulates parameter gradients. After a

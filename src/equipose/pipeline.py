@@ -26,9 +26,6 @@ class PipelineConfig:
     center_bandwidth: float = 0.05
     keypoint_bandwidth: float = 0.02
     min_points: int = 20
-    max_seeds: int = 256
-    max_iter: int = 50
-    tol: float = 1e-6
 
 
 def mean_shift_modes(
@@ -107,13 +104,7 @@ def assign_instances(labels, center_votes, cfg: PipelineConfig = PipelineConfig(
         idx = np.nonzero(labels == cls)[0]
         if idx.size < cfg.min_points:
             continue
-        assign, modes = mean_shift_cluster(
-            center_votes[idx],
-            cfg.center_bandwidth,
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
-            max_seeds=cfg.max_seeds,
-        )
+        assign, modes = mean_shift_cluster(center_votes[idx], cfg.center_bandwidth)
         for mode_index in range(len(modes)):
             members = idx[assign == mode_index]
             if members.size >= cfg.min_points:
@@ -139,13 +130,7 @@ def vote_keypoints(points, offsets, members, cfg: PipelineConfig = PipelineConfi
     fractions = np.zeros(n_slots)
     for j in range(n_slots):
         candidates = points[members] + offsets[members, j]
-        modes, counts = mean_shift_modes(
-            candidates,
-            cfg.keypoint_bandwidth,
-            max_iter=cfg.max_iter,
-            tol=cfg.tol,
-            max_seeds=cfg.max_seeds,
-        )
+        modes, counts = mean_shift_modes(candidates, cfg.keypoint_bandwidth)
         voted[j] = modes[0]
         fractions[j] = counts[0] / candidates.shape[0]
     return voted[:-1], voted[-1], float(fractions.mean())
@@ -193,7 +178,7 @@ def run_second_stage(points, labels, offsets, registry, cfg: PipelineConfig = Pi
     warning; the remaining instances still go through."""
     detections = []
     for cls, members in assign_instances(labels, offsets_center_votes(points, offsets), cfg):
-        model = registry[cls]
+        model = registry.lookup(cls)
         try:
             kps, center, frac = vote_keypoints(points, offsets, members, cfg)
             pose = estimate_pose(kps, model)
@@ -235,7 +220,7 @@ def run_pipeline(
     if oracle is not None:
         labels, offsets = oracle
     else:
-        v = model.lift_from_cloud(cloud)
+        v = model.lift(cloud.points, cloud.attributes)
         app_in = appearance_input(cloud)
         out = model.forward(v, app_in)
         labels = out.logits.argmax(axis=-1)

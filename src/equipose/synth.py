@@ -335,26 +335,14 @@ class Registry:
             raise RegistryMiss(f"no model registered for class {class_id}")
         return self.models[class_id]
 
-    def __getitem__(self, class_id: int) -> ObjectModel:
-        return self.lookup(class_id)
-
     def __iter__(self):
         return iter(sorted(self.models))
-
-    def __len__(self):
-        return len(self.models)
-
-    def class_ids(self):
-        return sorted(self.models)
-
-    def n_keypoints(self) -> int:
-        return next(iter(self.models.values())).keypoints.shape[0]
 
 
 def save_registry(registry: Registry, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     for cls in registry:
-        model = registry[cls]
+        model = registry.lookup(cls)
         cloud = PointCloud(points=model.vertices, attributes=model.colors)
         write_ply_cloud(os.path.join(directory, f"model_{cls:03d}.ply"), cloud)
         meta = {

@@ -104,7 +104,7 @@ class SceneTensors:
 
 def scene_tensors(sample, model: PoseModel) -> SceneTensors:
     return SceneTensors(
-        v=model.lift_from_cloud(sample.cloud),
+        v=model.lift(sample.cloud.points, sample.cloud.attributes),
         app_in=appearance_input(sample.cloud),
         labels=np.asarray(sample.labels, dtype=int),
         gt_offsets=np.asarray(sample.gt_offsets, dtype=np.float64),

@@ -3,7 +3,7 @@
 import numpy as np
 
 from equipose.layers import named_params
-from equipose.train import central_differences
+from equipose.train import central_differences, max_relative_error
 
 
 def layer_fd_check(layer, x, train=False, step=1e-6, seed=99):
@@ -19,16 +19,10 @@ def layer_fd_check(layer, x, train=False, step=1e-6, seed=99):
     layer.zero_grad()
     ctx = {}
     layer.forward(x, train=train, ctx=ctx)
-    dx = layer.backward(upstream, ctx=ctx)
-
-    def rel(a, n):
-        denom = np.abs(a) + np.abs(n)
-        mask = denom > 1e-8
-        return float((np.abs(a - n)[mask] / denom[mask]).max()) if mask.any() else 0.0
-
-    worst = rel(dx, central_differences(loss, x, step))
-    for _, p in named_params(layer):
-        if p.kind == "stat":
-            continue
-        worst = max(worst, rel(p.grad, central_differences(loss, p.value, step)))
-    return worst
+    analytic = {"input": layer.backward(upstream, ctx=ctx)}
+    numeric = {"input": central_differences(loss, x, step)}
+    for name, p in named_params(layer):
+        if p.kind != "stat":
+            analytic[name] = p.grad
+            numeric[name] = central_differences(loss, p.value, step)
+    return max_relative_error(analytic, numeric)

@@ -21,7 +21,15 @@ from equipose.geometry import (
 )
 from equipose.layers import Sequential, VNLinear, VNMeanPool, VNReLU, init_layer_params
 from equipose.losses import LossWeights, so3_loss
-from equipose.metrics import add, add_s, add_s_brute, auc, evaluate_dataset
+from equipose.metrics import (
+    ObjectMetrics,
+    PoseMetricsReport,
+    add,
+    add_s,
+    add_s_brute,
+    auc,
+    evaluate_dataset,
+)
 from equipose.model import ModelConfig, init_model
 from equipose.pipeline import run_pipeline, vote_keypoints
 from equipose.synth import Registry, SceneConfig, make_default_models, render_scene
@@ -196,10 +204,8 @@ def test_criterion_06_metrics_oracles(object_models):
     assert worst_gap <= 1e-12
     assert worst_order <= 1e-12
     assert auc([0.05], max_threshold=0.1) == 50.0
-    fake = type("M", (), {"diameter": 0.2})()
-    from equipose.metrics import add_s_01d_hit
-
-    assert add_s_01d_hit(0.019, fake) and not add_s_01d_hit(0.021, fake)
+    two = ObjectMetrics(0, symmetric=True, add_values=[0.019, 0.021], add_s_values=[0.019, 0.021])
+    assert PoseMetricsReport({0: two}, {0: 0.2}).hit_rate_01d(0) == 50.0
     elapsed = time.monotonic() - started
     assert elapsed < 30.0
     print(
@@ -223,9 +229,9 @@ def test_criterion_07_oracle_second_stage(object_models):
     for dets, scene in zip(detections, scenes):
         for cls, gt_pose in scene.gt_poses:
             det = next(d for d in dets if d.class_id == cls)
-            worst_add = max(worst_add, add(gt_pose, det.pose, registry[cls]))
+            worst_add = max(worst_add, add(gt_pose, det.pose, registry.lookup(cls)))
     report = evaluate_dataset(detections, [s.gt_poses for s in scenes], registry)
-    hit = report.mean_hit_rate()
+    hit = float(np.mean([row["hit_rate_01d"] for row in report.rows()]))
     elapsed = time.monotonic() - started
     assert worst_add <= 1e-6
     assert hit == 100.0
@@ -244,7 +250,7 @@ def test_criterion_08_end_to_end_toy_experiment(toy_run):
     hits, total = 0, 0
     for dets, scene in zip(toy_run["detections"], toy_run["eval_scenes"]):
         for cls, gt_pose in scene.gt_poses:
-            model = registry[cls]
+            model = registry.lookup(cls)
             cands = [d for d in dets if d.class_id == cls]
             total += 1
             if not cands:

@@ -182,6 +182,11 @@ class TestFileFormats:
         with pytest.raises(InputError):
             PointCloud(points=[[0.1, 0.2, 0.3], [bad, 0.0, 1.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cloud_rejects_non_finite_attributes(self, bad):
+        with pytest.raises(InputError):
+            PointCloud(points=np.zeros((2, 3)), attributes=[[0.1, 0.2, 0.3], [bad, 0.5, 0.5]])
+
     def test_ply_with_nan_coordinate_rejected(self, tmp_path):
         path = tmp_path / "nan.ply"
         write_ply_cloud(path, PointCloud(points=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))

@@ -128,6 +128,23 @@ def dataset(tmp_path_factory):
     return root
 
 
+def scenes_with_first_token(dataset, tmp_path, token, prop):
+    """Copy of the dataset's scenes whose first scene has its first vertex's
+    `prop` value replaced by `token`, next to a copy of dataset.json."""
+    scenes = tmp_path / "scenes"
+    shutil.copytree(dataset / "scenes", scenes)
+    shutil.copy(dataset / "dataset.json", tmp_path)
+    ply = sorted(scenes.glob("scene_*.ply"))[0]
+    lines = ply.read_text().splitlines()
+    header_end = lines.index("end_header")
+    props = [line.split()[-1] for line in lines[:header_end] if line.startswith("property")]
+    row = lines[header_end + 1].split()
+    row[props.index(prop)] = token
+    lines[header_end + 1] = " ".join(row)
+    ply.write_text("\n".join(lines) + "\n")
+    return scenes
+
+
 class TestSynthGen:
     def test_artifacts_exist(self, dataset):
         assert (dataset / "dataset.json").exists()
@@ -230,15 +247,9 @@ class TestEvalAndMetrics:
             assert float(row.split(",")[3]) == 100.0  # hit_rate_01d
 
     @staticmethod
-    def eval_with_first_token(dataset, tmp_path, token):
-        """Run oracle-head eval after replacing the first scene's first x coordinate."""
-        scenes = tmp_path / "scenes"
-        shutil.copytree(dataset / "scenes", scenes)
-        ply = sorted(scenes.glob("scene_*.ply"))[0]
-        lines = ply.read_text().splitlines()
-        first_row = lines.index("end_header") + 1
-        lines[first_row] = " ".join([token] + lines[first_row].split()[1:])
-        ply.write_text("\n".join(lines) + "\n")
+    def eval_with_first_token(dataset, tmp_path, token, prop="x"):
+        """Run oracle-head eval after replacing the first scene's first `prop` value."""
+        scenes = scenes_with_first_token(dataset, tmp_path, token, prop)
         return main(
             [
                 "eval",
@@ -257,6 +268,9 @@ class TestEvalAndMetrics:
 
     def test_non_numeric_coordinate_exits_2(self, dataset, tmp_path):
         assert self.eval_with_first_token(dataset, tmp_path, "abc") == EXIT_BAD_INPUT
+
+    def test_nan_colour_exits_2(self, dataset, tmp_path):
+        assert self.eval_with_first_token(dataset, tmp_path, "nan", prop="r") == EXIT_BAD_INPUT
 
     def test_missing_scenes_dir_exits_2(self, tmp_path):
         code = main(
@@ -352,6 +366,12 @@ class TestTrainCommand:
         )
         assert code == EXIT_BAD_INPUT
         assert "error: bad input" in capsys.readouterr().err
+
+    def test_label_out_of_range_exits_2(self, dataset, tmp_path, capsys):
+        scenes = scenes_with_first_token(dataset, tmp_path, "7", "label")
+        code = main(["train", "--scenes-dir", str(scenes), "--out-dir", str(tmp_path / "run"), "--epochs", "1"])
+        assert code == EXIT_BAD_INPUT
+        assert "labels must lie in [0, 4)" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

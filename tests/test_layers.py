@@ -34,6 +34,35 @@ from equipose.layers import (
 RNG = np.random.default_rng
 
 
+def inline_invariant_reference(layer, v, grad):
+    """VNInvariant with its scalar MLP written out inline, as it was before the
+    layer delegated to Mlp2: (output, input gradient, {param name: gradient})."""
+    wa, wb = layer.wa.value, layer.wb.value
+    w1, b1, w2, b2 = (p.value for p in layer.mlp.own_params())
+    va, vb = np.matmul(wa, v), np.matmul(wb, v)
+    gram = np.matmul(va, np.swapaxes(vb, -1, -2))
+    flat = gram.reshape(gram.shape[:-2] + (layer.branch_a * layer.branch_b,))
+    h = flat @ w1.T + b1
+    relu = np.maximum(h, 0.0)
+    out = relu @ w2.T + b2
+    g2 = grad.reshape(-1, grad.shape[-1])
+    grads = {"W2": g2.T @ relu.reshape(g2.shape[0], -1), "b2": g2.sum(axis=0)}
+    d_h = (grad @ w2) * (h > 0.0)
+    dh2 = d_h.reshape(-1, d_h.shape[-1])
+    grads["W1"] = dh2.T @ flat.reshape(dh2.shape[0], -1)
+    grads["b1"] = dh2.sum(axis=0)
+    d_flat = d_h @ w1
+    d_gram = d_flat.reshape(d_flat.shape[:-1] + (layer.branch_a, layer.branch_b))
+    d_va = np.matmul(d_gram, vb)
+    d_vb = np.matmul(np.swapaxes(d_gram, -1, -2), va)
+    v3 = v.reshape(-1, layer.in_channels, 3)
+    axes = [(0, 2), (0, 2)]
+    grads["Wa"] = np.tensordot(d_va.reshape(-1, layer.branch_a, 3), v3, axes=axes)
+    grads["Wb"] = np.tensordot(d_vb.reshape(-1, layer.branch_b, 3), v3, axes=axes)
+    dv = np.matmul(wa.T, d_va) + np.matmul(wb.T, d_vb)
+    return out, dv, grads
+
+
 def fresh(layer, seed=0):
     init_layer_params(layer, RNG(seed))
     return layer
@@ -233,7 +262,30 @@ class TestVNInvariant:
         v = np.array([[[0.0, 3.0, 4.0]]])
         ctx = {}
         layer.forward(v, ctx=ctx)
-        np.testing.assert_allclose(ctx["flat"], [[25.0]], atol=1e-12)
+        np.testing.assert_allclose(ctx["mlp"]["x"], [[25.0]], atol=1e-12)
+
+    def test_named_params_order(self):
+        layer = VNInvariant(4, branch_a=3, branch_b=2, hidden=6, out=5)
+        named = named_params(layer)
+        assert [name for name, _ in named] == ["Wa", "Wb", "W1", "b1", "W2", "b2"]
+        assert [p.value.shape for _, p in named] == [(3, 4), (2, 4), (6, 6), (6,), (5, 6), (5,)]
+
+    @pytest.mark.parametrize("shape", [(9, 4, 3), (2, 9, 4, 3)], ids=["cloud", "stacked"])
+    def test_matches_inline_mlp_reference(self, shape):
+        rng = RNG(21)
+        layer = fresh(VNInvariant(4, branch_a=3, branch_b=2, hidden=6, out=5), seed=22)
+        v = rng.normal(size=shape)
+        grad = rng.normal(size=shape[:-2] + (5,))
+        ctx = {}
+        out = layer.forward(v, ctx=ctx)
+        layer.zero_grad()
+        dv = layer.backward(grad, ctx=ctx)
+        ref_out, ref_dv, ref_grads = inline_invariant_reference(layer, v, grad)
+        assert 0 < np.sum(ctx["mlp"]["h"] > 0.0) < ctx["mlp"]["h"].size  # the gate bites
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(dv, ref_dv)
+        for name, p in named_params(layer):
+            np.testing.assert_array_equal(p.grad, ref_grads[name], err_msg=name)
 
     def test_invariance(self):
         rng = RNG(17)
@@ -248,10 +300,11 @@ class TestVNInvariant:
 
     def test_zero_input_yields_scalar_bias_path(self):
         layer = fresh(VNInvariant(3, hidden=6, out=4), seed=18)
-        layer.b1.value[...] = RNG(18).normal(size=6)
-        layer.b2.value[...] = RNG(19).normal(size=4)
+        mlp = layer.mlp
+        mlp.b1.value[...] = RNG(18).normal(size=6)
+        mlp.b2.value[...] = RNG(19).normal(size=4)
         out = layer.forward(np.zeros((5, 3, 3)), ctx={})
-        expected = np.maximum(layer.b1.value, 0.0) @ layer.w2.value.T + layer.b2.value
+        expected = np.maximum(mlp.b1.value, 0.0) @ mlp.w2.value.T + mlp.b2.value
         np.testing.assert_allclose(out, np.tile(expected, (5, 1)), atol=1e-14)
 
 

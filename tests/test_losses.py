@@ -10,9 +10,7 @@ from equipose.layers import Sequential, VNLinear, VNReLU, init_layer_params
 from equipose.losses import (
     LossReport,
     LossWeights,
-    focal_loss,
     focal_loss_grad,
-    l1_offset_loss,
     l1_offset_loss_grad,
     log_softmax,
     so3_loss,
@@ -29,7 +27,7 @@ class TestFocalLoss:
         logits = rng.normal(size=(50, 5))
         labels = rng.integers(0, 5, size=50)
         ce = float(np.mean(-log_softmax(logits)[np.arange(50), labels]))
-        assert abs(focal_loss(logits, labels, gamma=0.0, alpha=1.0) - ce) <= 1e-12
+        assert abs(focal_loss_grad(logits, labels, gamma=0.0, alpha=1.0)[0] - ce) <= 1e-12
 
     def test_confident_correct_logits_drive_loss_to_zero(self):
         labels = np.zeros(4, dtype=int)
@@ -37,28 +35,28 @@ class TestFocalLoss:
         for scale in (1.0, 3.0, 10.0, 30.0):
             logits = np.zeros((4, 3))
             logits[:, 0] = scale
-            value = focal_loss(logits, labels)
+            value = focal_loss_grad(logits, labels)[0]
             assert value < previous
             previous = value
         assert previous < 1e-8
 
     def test_closed_form_binary_case(self):
         # two classes, equal logits: p_t = 1/2, loss = 1/4 * (1/2)^2 * ln 2
-        value = focal_loss(np.zeros((1, 2)), [0], gamma=2.0, alpha=0.25)
+        value = focal_loss_grad(np.zeros((1, 2)), [0], gamma=2.0, alpha=0.25)[0]
         assert abs(value - 0.25 * 0.25 * np.log(2.0)) <= 1e-12
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
-            focal_loss(np.zeros((2, 3)), [0, 3])
+            focal_loss_grad(np.zeros((2, 3)), [0, 3])
         with pytest.raises(LabelOutOfRange):
-            focal_loss(np.zeros((2, 3)), [-1, 0])
+            focal_loss_grad(np.zeros((2, 3)), [-1, 0])
 
     def test_gradient_matches_finite_differences(self):
         rng = RNG(1)
         logits = rng.normal(size=(12, 4))
         labels = rng.integers(0, 4, size=12)
         _, grad = focal_loss_grad(logits, labels)
-        num = central_differences(lambda: focal_loss(logits, labels), logits, 1e-5)
+        num = central_differences(lambda: focal_loss_grad(logits, labels)[0], logits, 1e-5)
         np.testing.assert_allclose(grad, num, rtol=1e-4, atol=1e-10)
 
     def test_non_negative(self):
@@ -66,7 +64,7 @@ class TestFocalLoss:
         for _ in range(20):
             logits = rng.normal(size=(9, 3)) * 3
             labels = rng.integers(0, 3, size=9)
-            assert focal_loss(logits, labels) >= 0.0
+            assert focal_loss_grad(logits, labels)[0] >= 0.0
 
 
 class TestOffsetLosses:
@@ -74,13 +72,13 @@ class TestOffsetLosses:
         rng = RNG(3)
         x = rng.normal(size=(7, 4, 3))
         mask = np.ones(7, dtype=bool)
-        assert l1_offset_loss(x, x.copy(), mask) == 0.0
+        assert l1_offset_loss_grad(x, x.copy(), mask)[0] == 0.0
 
     def test_constant_error_vector(self):
         gt = np.zeros((5, 3, 3))
         pred = gt + np.array([0.1, -0.2, 0.3])
         mask = np.ones(5, dtype=bool)
-        assert abs(l1_offset_loss(pred, gt, mask) - 0.6) <= 1e-12
+        assert abs(l1_offset_loss_grad(pred, gt, mask)[0] - 0.6) <= 1e-12
 
     def test_matches_dense_oracle(self):
         rng = RNG(4)
@@ -95,18 +93,18 @@ class TestOffsetLosses:
             for j in range(5):
                 expected += np.abs(pred[i, j] - gt[i, j]).sum()
                 count += 1
-        assert abs(l1_offset_loss(pred, gt, mask) - expected / count) <= 1e-12
+        assert abs(l1_offset_loss_grad(pred, gt, mask)[0] - expected / count) <= 1e-12
 
     def test_empty_mask_warns_and_returns_zero(self):
         pred = np.ones((4, 2, 3))
         with pytest.warns(EmptyMaskWarning):
-            value = l1_offset_loss(pred, np.zeros_like(pred), np.zeros(4, dtype=bool))
+            value = l1_offset_loss_grad(pred, np.zeros_like(pred), np.zeros(4, dtype=bool))[0]
         assert value == 0.0
 
     def test_center_slot_shifted_channel(self):
         gt = np.zeros((6, 1, 3))
         pred = gt + np.array([0.1, 0.0, 0.0])
-        assert abs(l1_offset_loss(pred, gt, np.ones(6, dtype=bool)) - 0.1) <= 1e-12
+        assert abs(l1_offset_loss_grad(pred, gt, np.ones(6, dtype=bool))[0] - 0.1) <= 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = RNG(5)
@@ -114,7 +112,7 @@ class TestOffsetLosses:
         gt = rng.normal(size=(6, 3, 3))
         mask = np.array([True, False, True, True, False, True])
         _, grad = l1_offset_loss_grad(pred, gt, mask)
-        num = central_differences(lambda: l1_offset_loss(pred, gt, mask), pred, 1e-6)
+        num = central_differences(lambda: l1_offset_loss_grad(pred, gt, mask)[0], pred, 1e-6)
         np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-12)
 
 

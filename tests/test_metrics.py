@@ -11,9 +11,10 @@ from equipose.geometry import (
     sample_uniform_rotation,
 )
 from equipose.metrics import (
+    ObjectMetrics,
+    PoseMetricsReport,
     add,
     add_s,
-    add_s_01d_hit,
     add_s_brute,
     auc,
     evaluate_dataset,
@@ -195,16 +196,12 @@ class TestDiameterAndHit:
         assert model_diameter(plane[:3]) == self._brute_diameter(plane[:3])
 
     def test_hit_threshold_arithmetic(self):
-        model = ObjectModel(
-            id=1,
-            vertices=np.eye(3),
-            keypoints=np.eye(3),
-            center=np.zeros(3),
-            diameter=0.2,
-        )
-        assert add_s_01d_hit(0.0, model)
-        assert add_s_01d_hit(0.019, model)
-        assert not add_s_01d_hit(0.021, model)
+        # hit_rate_01d counts distances strictly below 10% of the diameter
+        distances = [0.0, 0.019, 0.021, 0.03]
+        for symmetric in (False, True):
+            m = ObjectMetrics(1, symmetric, add_values=distances, add_s_values=distances)
+            report = PoseMetricsReport(per_object={1: m}, diameters={1: 0.2})
+            assert report.hit_rate_01d(1) == 50.0
 
     def test_box_diameter_matches_analytic(self):
         model = generate_object("box", 600, seed=10, size=(0.1, 0.2, 0.3))
@@ -238,7 +235,7 @@ class TestEvaluateDataset:
         report = evaluate_dataset(scenes_det, scenes_gt, self.registry)
         for row in report.rows():
             assert row["adds_auc"] == 100.0
-            assert row["add_s_auc"] == 100.0
+            assert row["add_or_adds_auc"] == 100.0
             assert row["hit_rate_01d"] == 100.0
 
     def test_half_missed_halves_hit_rate(self):
@@ -304,7 +301,7 @@ class TestEvaluateDataset:
         csv_path = tmp_path / "report.csv"
         report_to_csv(report, csv_path)
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "object,adds_auc,add_s_auc,hit_rate_01d,n_samples"
+        assert lines[0] == "object,adds_auc,add_or_adds_auc,hit_rate_01d,n_samples"
         assert lines[1].startswith("2,100.000000,100.000000,100.000000,1")
         json_path = tmp_path / "distances.json"
         distances_to_json(report, json_path)

@@ -304,7 +304,7 @@ class TestSecondStage:
             assert len(detections) == len(scene.gt_poses)
             for cls, gt_pose in scene.gt_poses:
                 det = next(d for d in detections if d.class_id == cls)
-                assert add(gt_pose, det.pose, registry[cls]) <= 1e-6
+                assert add(gt_pose, det.pose, registry.lookup(cls)) <= 1e-6
                 assert 0.0 <= det.inlier_fraction <= 1.0
 
     def test_empty_cloud(self):

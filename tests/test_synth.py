@@ -185,9 +185,9 @@ class TestOnDisk:
         registry = Registry(make_default_models(seed=0, n_vertices=150))
         save_registry(registry, tmp_path / "registry")
         loaded = load_registry(tmp_path / "registry")
-        assert loaded.class_ids() == registry.class_ids()
+        assert list(loaded) == list(registry)
         for cls in registry:
-            a, b = registry[cls], loaded[cls]
+            a, b = registry.lookup(cls), loaded.lookup(cls)
             np.testing.assert_array_equal(a.vertices, b.vertices)
             np.testing.assert_array_equal(a.keypoints, b.keypoints)
             assert a.symmetric == b.symmetric
@@ -208,4 +208,4 @@ class TestOnDisk:
         )
         (cls, pose), = loaded.gt_poses
         det = next(d for d in detections if d.class_id == cls)
-        assert add(pose, det.pose, registry[cls]) <= 1e-6
+        assert add(pose, det.pose, registry.lookup(cls)) <= 1e-6
