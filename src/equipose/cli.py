@@ -192,7 +192,10 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     scenes = list(_load_scenes(args.scenes_dir).values())
     meta = _dataset_meta(args.scenes_dir)
-    n_classes = meta["n_classes"] if meta else int(max(s.labels.max() for s in scenes)) + 1
+    if meta:
+        n_classes = meta["n_classes"]
+    else:  # the ground-truth classes, so a stray label stays out of range
+        n_classes = max((cls for s in scenes for cls, _ in s.gt_poses), default=0) + 1
     n_keypoints = scenes[0].n_keypoints
     if args.config:
         cfg = TrainConfig.from_json(_require_file(args.config, "train config"))

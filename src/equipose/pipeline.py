@@ -28,6 +28,28 @@ class PipelineConfig:
     min_points: int = 20
 
 
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances (len(a), len(b)) between the rows of a and b, summed
+    one coordinate plane at a time: no (len(a), len(b), d) difference tensor."""
+    out = np.zeros((len(a), len(b)))
+    for a_j, b_j in zip(a.T, np.ascontiguousarray(b.T)):
+        diff = np.subtract.outer(a_j, b_j)
+        out += np.multiply(diff, diff, out=diff)
+    return out
+
+
+def _distinct_rows(a: np.ndarray):
+    """np.unique(a, axis=0, return_inverse=True) for a 2-D array: the distinct
+    rows in lexicographic order, and the index of each row among them."""
+    order = np.lexsort(a.T[::-1])
+    rows = a[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[first], inverse
+
+
 def mean_shift_modes(
     x: np.ndarray,
     bandwidth: float,
@@ -41,40 +63,53 @@ def mean_shift_modes(
     result is deterministic. A seed's update depends only on its position, so
     seeds that reach one position move together for good: each iteration
     advances only the distinct positions, and each seed keeps the index of its
-    own. Converged positions are merged within one bandwidth, densest first,
-    ties going to the one holding the lowest seed index. Returns (modes (k, d),
-    counts (k,)) ordered by decreasing support, count being the number of
-    points within one bandwidth of the mode. This matches iterating every seed
-    separately, up to BLAS rounding in the weighted mean.
+    own. A position's neighbours are the points x with |m - x|^2 <= h^2 (h the
+    bandwidth), each tested exactly, except where a full-ball certificate
+    decides the whole row: with c the points' centroid and rho = max |x - c|,
+    a position with |m - c| <= h (1 - 1e-9) - rho holds every point by the
+    triangle inequality, so its row is all true and no distance row is built.
+    The 1e-9 margin is far wider than the rounding of either side, so a
+    certified row never differs from the exact test. Every position then moves
+    to the mean of its neighbours. Converged positions are merged within one
+    bandwidth, densest first, ties going to the one holding the lowest seed
+    index. Returns (modes (k, d), counts (k,)) ordered by decreasing support,
+    count being the number of points within one bandwidth of the mode.
+    Neighbour sets and counts equal those of iterating every seed separately;
+    a mean can differ from that in its last bits, because BLAS sums a row of
+    a product differently depending on how many rows the product has.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
     if n == 0:
         return np.zeros((0, x.shape[1] if x.ndim == 2 else 0)), np.zeros(0, dtype=int)
     stride = max(1, int(np.ceil(n / max_seeds)))
-    modes, seed_at = np.unique(x[::stride], axis=0, return_inverse=True)
+    modes, seed_at = _distinct_rows(x[::stride])
     h2 = bandwidth * bandwidth
+    centre = x.mean(axis=0)
+    reach = bandwidth * (1.0 - 1e-9) - np.linalg.norm(x - centre, axis=1).max()
 
-    def sq_dist(a, b):
-        diff = a[:, None, :] - b[None, :, :]
-        return np.einsum("ijd,ijd->ij", diff, diff)
+    def neighbours(modes):
+        within = np.ones((len(modes), n), dtype=bool)
+        open_rows = np.linalg.norm(modes - centre, axis=1) > reach
+        within[open_rows] = _sq_dist(modes[open_rows], x) <= h2
+        return within
 
     for _ in range(max_iter):
-        within = sq_dist(modes, x) <= h2
+        within = neighbours(modes)
         counts = within.sum(axis=1)
         new_modes = (within @ x) / np.maximum(counts, 1)[:, None]
         empty = counts == 0  # an isolated position stays put
         new_modes[empty] = modes[empty]
         shift = np.linalg.norm(new_modes - modes, axis=1).max()
-        modes, step = np.unique(new_modes, axis=0, return_inverse=True)
+        modes, step = _distinct_rows(new_modes)
         seed_at = step[seed_at]
         if shift < tol:
             break
-    counts = (sq_dist(modes, x) <= h2).sum(axis=1)
+    counts = neighbours(modes).sum(axis=1)
     _, first_seed = np.unique(seed_at, return_index=True)
     order = np.lexsort((first_seed, -counts))
     modes, counts = modes[order], counts[order]
-    apart = sq_dist(modes, modes) > h2
+    apart = _sq_dist(modes, modes) > h2
     keep = np.ones(len(modes), dtype=bool)
     for i in range(len(modes)):
         if keep[i]:
@@ -87,8 +122,7 @@ def mean_shift_cluster(x: np.ndarray, bandwidth: float, **kw):
     modes, _ = mean_shift_modes(x, bandwidth, **kw)
     if len(modes) == 0:
         return np.zeros(len(x), dtype=int), modes
-    d2 = ((x[:, None, :] - modes[None, :, :]) ** 2).sum(axis=-1)
-    return d2.argmin(axis=1), modes
+    return _sq_dist(x, modes).argmin(axis=1), modes
 
 
 def assign_instances(labels, center_votes, cfg: PipelineConfig = PipelineConfig()):
@@ -155,6 +189,7 @@ class InstanceDetection:
     def to_dict(self) -> dict:
         return {
             "class": int(self.class_id),
+            "indices": self.indices.tolist(),
             "pose": pose_to_dict(self.pose),
             "keypoints": self.keypoints.tolist(),
             "center": self.center.tolist(),

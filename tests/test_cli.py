@@ -128,12 +128,14 @@ def dataset(tmp_path_factory):
     return root
 
 
-def scenes_with_first_token(dataset, tmp_path, token, prop):
+def scenes_with_first_token(dataset, tmp_path, token, prop, with_meta=True):
     """Copy of the dataset's scenes whose first scene has its first vertex's
-    `prop` value replaced by `token`, next to a copy of dataset.json."""
+    `prop` value replaced by `token`, next to a copy of dataset.json unless
+    with_meta is False."""
     scenes = tmp_path / "scenes"
     shutil.copytree(dataset / "scenes", scenes)
-    shutil.copy(dataset / "dataset.json", tmp_path)
+    if with_meta:
+        shutil.copy(dataset / "dataset.json", tmp_path)
     ply = sorted(scenes.glob("scene_*.ply"))[0]
     lines = ply.read_text().splitlines()
     header_end = lines.index("end_header")
@@ -372,6 +374,18 @@ class TestTrainCommand:
         code = main(["train", "--scenes-dir", str(scenes), "--out-dir", str(tmp_path / "run"), "--epochs", "1"])
         assert code == EXIT_BAD_INPUT
         assert "labels must lie in [0, 4)" in capsys.readouterr().err
+
+    def test_without_dataset_json_classes_come_from_ground_truth(self, dataset, tmp_path, capsys):
+        # n_classes is read from the sidecars' GT classes, not from max(label) + 1
+        scenes = scenes_with_first_token(dataset, tmp_path / "bad", "7", "label", with_meta=False)
+        assert not (tmp_path / "bad" / "dataset.json").exists()
+        code = main(["train", "--scenes-dir", str(scenes), "--out-dir", str(tmp_path / "run"), "--epochs", "1"])
+        assert code == EXIT_BAD_INPUT
+        assert "labels must lie in [0, 4)" in capsys.readouterr().err
+        clean = tmp_path / "clean" / "scenes"
+        shutil.copytree(dataset / "scenes", clean)
+        code = main(["train", "--scenes-dir", str(clean), "--out-dir", str(tmp_path / "run2"), "--epochs", "1"])
+        assert code == EXIT_OK
 
 
 class TestGradcheckCommand:

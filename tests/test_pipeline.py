@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from equipose import pipeline
 from equipose.backproject import PointCloud
 from equipose.geometry import (
     RigidTransform,
@@ -98,9 +99,51 @@ def _stopped_early():
     return RNG(5).normal(size=(500, 3)), {"bandwidth": 0.4, "max_iter": 3}
 
 
+BALL_H = 0.02
+
+
+def _one_ball():
+    # every vote lies within 0.26 h of the centroid, so every position the
+    # seeds visit passes the full-ball certificate
+    votes = np.array([0.1, -0.2, 0.4]) + RNG(8).uniform(-0.15, 0.15, size=(300, 3)) * BALL_H
+    return votes, {"bandwidth": BALL_H}
+
+
+RING = 40
+
+
+def _both_sides_of_bound():
+    # a tight core near the centroid passes the certificate (|x - c| <= ~0.1 h
+    # against a reach of ~0.28 h); the ring at 0.7 h does not
+    rng = RNG(9)
+    core = rng.normal(0.0, 0.02 * BALL_H, size=(200, 3))
+    ring = rng.normal(size=(RING, 3))
+    ring *= 0.7 * BALL_H / np.linalg.norm(ring, axis=1, keepdims=True)
+    return np.vstack([core, ring]) + np.array([0.3, 0.1, -0.2]), {"bandwidth": BALL_H}
+
+
+def _vote_at_exactly_h():
+    # binary-exact coordinates: P1 - P0 = (0.375, 0.5, 0) has length 0.625 = h
+    # exactly; P2 sits 2^-20 beyond h from P0. One step moves P0 and P1 to their
+    # exact midpoint only if the neighbour test is `<= h^2`.
+    p0 = np.array([0.25, 0.5, 0.0])
+    x = np.array([p0, p0 + [0.375, 0.5, 0.0], p0 - [0.375, 0.5 + 2.0**-20, 0.0]])
+    return x, {"bandwidth": 0.625, "max_iter": 1}
+
+
 class TestMeanShiftMatchesDenseReference:
     @pytest.mark.parametrize(
-        "make", [_two_clusters, _coincident, _outliers, _equal_count_ties, _stopped_early]
+        "make",
+        [
+            _two_clusters,
+            _coincident,
+            _outliers,
+            _equal_count_ties,
+            _stopped_early,
+            _one_ball,
+            _both_sides_of_bound,
+            _vote_at_exactly_h,
+        ],
     )
     def test_same_modes_and_counts(self, make):
         x, kw = make()
@@ -121,6 +164,54 @@ class TestMeanShiftMatchesDenseReference:
         modes, _ = mean_shift_modes(x, **kw)
         converged, _ = mean_shift_modes(x, kw["bandwidth"])
         assert len(modes) > len(converged)
+
+    def test_boundary_vote_is_a_neighbour(self):
+        x, kw = _vote_at_exactly_h()
+        modes, counts = mean_shift_modes(x, **kw)
+        np.testing.assert_array_equal(modes, [(x[0] + x[1]) / 2, x[2]])
+        np.testing.assert_array_equal(counts, [2, 1])
+
+
+def _distance_rows(monkeypatch):
+    """Spy on pipeline._sq_dist: the row count of each call against n points,
+    as (rows, n) pairs in call order."""
+    calls = []
+    real = pipeline._sq_dist
+
+    def spy(a, b):
+        calls.append((len(a), len(b)))
+        return real(a, b)
+
+    monkeypatch.setattr(pipeline, "_sq_dist", spy)
+    return calls
+
+
+class TestFullBallCertificate:
+    def test_certified_positions_build_no_distance_row(self, monkeypatch):
+        x, kw = _one_ball()
+        calls = _distance_rows(monkeypatch)
+        modes, counts = mean_shift_modes(x, **kw)
+        assert len(modes) == 1 and counts[0] == len(x)
+        against_votes = [rows for rows, n in calls if n == len(x)]
+        assert against_votes and all(rows == 0 for rows in against_votes)
+
+    def test_only_uncertified_positions_build_rows(self, monkeypatch):
+        x, kw = _both_sides_of_bound()
+        calls = _distance_rows(monkeypatch)
+        mean_shift_modes(x, **kw)
+        first_rows, n = calls[0]
+        assert n == len(x) and first_rows == RING
+
+
+def test_distinct_rows_matches_unique():
+    rows = np.array(
+        [[1.0, 2.0, 3.0], [0.0, 5.0, 1.0], [1.0, 2.0, 3.0], [1.0, 0.0, 9.0],
+         [0.0, 5.0, 0.0], [1.0, 2.0, 2.0], [0.0, 5.0, 1.0], [-1.0, 7.0, 7.0]]
+    )
+    got, got_inverse = pipeline._distinct_rows(rows)
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_inverse, want_inverse.reshape(-1))
 
 
 class TestMeanShift:
@@ -348,6 +439,34 @@ class TestSecondStage:
             np.testing.assert_array_equal(d1.keypoints, d2.keypoints)
             np.testing.assert_array_equal(d1.pose.rotation.m, d2.pose.rotation.m)
 
+    @pytest.mark.parametrize("offset_noise", [0.0, 0.004], ids=["oracle", "noisy_offsets"])
+    def test_same_detections_as_dense_reference(self, monkeypatch, offset_noise):
+        # the certificate decides ~95% of first positions on oracle votes and
+        # ~12% with noisy offsets, where the exact test decides the rest
+        models = make_default_models(seed=0, n_vertices=400)
+        registry = Registry(models)
+        scene = render_scene(
+            models,
+            SceneConfig(noise_sigma=0.002, occlusion=0.2, n_background=40, n_instances=3),
+            seed=500,
+        )
+        offsets = scene.gt_offsets + RNG(13).normal(0.0, offset_noise, scene.gt_offsets.shape)
+        oracle = (scene.labels, offsets)
+        shipped = run_pipeline(scene.cloud, None, registry, oracle=oracle)
+        monkeypatch.setattr(pipeline, "mean_shift_modes", dense_mean_shift_modes)
+        dense = run_pipeline(scene.cloud, None, registry, oracle=oracle)
+        assert len(shipped) == len(dense) == 3
+        for got, ref in zip(shipped, dense):
+            got_d, ref_d = got.to_dict(), ref.to_dict()
+            # neighbour sets are exact, so everything counted is equal; the
+            # voted positions may differ in the last bits of BLAS row sums
+            for key in ("class", "indices", "inlier_fraction"):
+                assert got_d[key] == ref_d[key]
+            for key in ("keypoints", "center"):
+                np.testing.assert_allclose(got_d[key], ref_d[key], rtol=0, atol=1e-12)
+            for key in ("rotation", "translation"):
+                np.testing.assert_allclose(got_d["pose"][key], ref_d["pose"][key], rtol=0, atol=1e-12)
+
     def test_degenerate_instance_skipped_with_warning(self):
         registry = Registry(make_default_models(seed=0, n_vertices=60, n_keypoints=4))
         points = RNG(12).normal(size=(40, 3))
@@ -374,6 +493,7 @@ def test_detections_json_roundtrip(tmp_path):
     assert len(loaded) == len(detections)
     for a, b in zip(detections, loaded):
         assert a.class_id == b.class_id
+        np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_allclose(a.pose.rotation.m, b.pose.rotation.m, atol=1e-15)
         np.testing.assert_allclose(a.keypoints, b.keypoints, atol=1e-15)
         assert a.inlier_fraction == b.inlier_fraction
