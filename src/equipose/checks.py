@@ -18,8 +18,10 @@ from .layers import (
     VNMeanPool,
     VNPoolConcat,
     VNReLU,
+    component_major,
     init_layer_params,
     rotate_feature,
+    vector_list,
 )
 from .losses import so3_loss
 from .model import ModelConfig, init_model
@@ -27,7 +29,8 @@ from .model import ModelConfig, init_model
 
 class FlattenDense(Layer):
     """Dense mix across the flattened channel-and-component axes of each
-    point. Deliberately breaks equivariance; exists so broken stacks can be
+    point, flattened channel-major then xyz as in the vector-list layout.
+    Deliberately breaks equivariance; exists so broken stacks can be
     constructed on purpose."""
 
     def __init__(self, channels: int):
@@ -40,33 +43,40 @@ class FlattenDense(Layer):
     def forward(self, v, train=False, ctx=None):
         v = np.asarray(v, dtype=np.float64)
         cache = self._new_cache(ctx)
-        flat = v.reshape(v.shape[:-2] + (3 * self.channels,))
+        vectors = vector_list(v)
+        flat = vectors.reshape(vectors.shape[:-2] + (3 * self.channels,))
         cache["flat"] = flat
         out = flat @ self.w.value.T
-        return out.reshape(v.shape)
+        return component_major(out.reshape(vectors.shape))
 
     def backward(self, grad, ctx=None):
         cache = self._get_cache(ctx)
         flat = cache["flat"]
-        g = np.asarray(grad).reshape(flat.shape)
+        g = vector_list(np.asarray(grad)).reshape(flat.shape)
         g2 = g.reshape(-1, g.shape[-1])
         self.w.grad += g2.T @ flat.reshape(g2.shape[0], -1)
         d_flat = g @ self.w.value
-        return d_flat.reshape(d_flat.shape[:-1] + (self.channels, 3))
+        return component_major(d_flat.reshape(d_flat.shape[:-1] + (self.channels, 3)))
+
+
+def _forward_vectors(layer, v, train=False):
+    """The layer's output on a vector-list feature, itself a vector list."""
+    return vector_list(layer.forward(component_major(v), train=train, ctx={}))
 
 
 def equivariance_residual(layer, v, r, train=False) -> float:
-    """max |L(vR) - L(v)R| / (1 + max |L(v)|)."""
-    straight = layer.forward(v, train=train, ctx={})
-    rotated = layer.forward(rotate_feature(v, r), train=train, ctx={})
+    """max |L(vR) - L(v)R| / (1 + max |L(v)|) for a vector-list feature v."""
+    straight = _forward_vectors(layer, v, train)
+    rotated = _forward_vectors(layer, rotate_feature(v, r), train)
     ref = rotate_feature(straight, r)
     return float(np.max(np.abs(rotated - ref)) / (1.0 + np.max(np.abs(straight))))
 
 
 def invariance_residual(layer, v, r) -> float:
-    """max |L(vR) - L(v)| / (1 + max |L(v)|) for scalar-valued layers."""
-    straight = layer.forward(v, ctx={})
-    rotated = layer.forward(rotate_feature(v, r), ctx={})
+    """max |L(vR) - L(v)| / (1 + max |L(v)|) for scalar-valued layers and a
+    vector-list feature v."""
+    straight = layer.forward(component_major(v), ctx={})
+    rotated = layer.forward(component_major(rotate_feature(v, r)), ctx={})
     return float(np.max(np.abs(rotated - straight)) / (1.0 + np.max(np.abs(straight))))
 
 
@@ -129,9 +139,9 @@ def equivariance_report(trials: int = 1000, seed: int = 0, n_points: int = 16, c
         batch = rng.normal(size=(3, n_points, channels, 3))
         rot_each = np.stack([sample_uniform_rotation(rng).m for _ in range(3)])
         bn2 = _fresh(VNBatchNorm(channels), rng)
-        straight = bn2.forward(batch, train=True, ctx={})
+        straight = _forward_vectors(bn2, batch, train=True)
         rotated_in = np.einsum("bnci,bij->bncj", batch, rot_each)
-        rotated_out = bn2.forward(rotated_in, train=True, ctx={})
+        rotated_out = _forward_vectors(bn2, rotated_in, train=True)
         ref = np.einsum("bnci,bij->bncj", straight, rot_each)
         res = float(np.max(np.abs(rotated_out - ref)) / (1.0 + np.max(np.abs(straight))))
         worst["vn_batch_norm_per_sample"] = max(worst["vn_batch_norm_per_sample"], res)

@@ -67,6 +67,12 @@ def _write_manifest(location, command: str, args, seed, artifacts, started: floa
     return path
 
 
+def _require_tolerance(tolerance: float) -> None:
+    # a NaN tolerance would pass every residual
+    if not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise InputError(f"--tolerance must be finite and non-negative, got {tolerance}")
+
+
 def _require_file(path, what: str):
     if not os.path.exists(path):
         raise InputError(f"{what} not found: {path}")
@@ -114,6 +120,9 @@ def _score(detections_by_scene, scenes: dict, registry, csv_path, distances_path
 def cmd_check_equivariance(args) -> int:
     from .checks import full_report
 
+    if args.trials < 1:
+        raise InputError(f"--trials must be at least 1, got {args.trials}")
+    _require_tolerance(args.tolerance)
     started = time.monotonic()
     report = full_report(trials=args.trials, seed=args.seed)
     failing = sorted(
@@ -144,6 +153,8 @@ def cmd_check_equivariance(args) -> int:
 def cmd_synth_gen(args) -> int:
     from .synth import SceneConfig, make_default_models, render_scene, save_registry, save_scene, Registry
 
+    if args.n_scenes < 0:
+        raise InputError(f"--n-scenes must be non-negative, got {args.n_scenes}")
     started = time.monotonic()
     os.makedirs(args.out_dir, exist_ok=True)
     models = make_default_models(
@@ -225,6 +236,8 @@ def cmd_eval(args) -> int:
     from .pipeline import PipelineConfig, detections_to_json, run_pipeline
     from .synth import load_registry
 
+    if args.params is None and not args.oracle_heads:
+        raise InputError("eval needs --params (a parameter container from train) or --oracle-heads")
     started = time.monotonic()
     scenes = _load_scenes(args.scenes_dir)
     registry = load_registry(_require_file(args.registry_dir, "registry directory"))
@@ -284,6 +297,7 @@ def cmd_gradcheck(args) -> int:
     from .synth import SceneConfig, make_default_models, render_scene
     from .train import TrainConfig, gradcheck, scene_tensors
 
+    _require_tolerance(args.tolerance)
     started = time.monotonic()
     models = make_default_models(seed=args.seed, n_vertices=60, n_keypoints=4)
     scene = render_scene(

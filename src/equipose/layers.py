@@ -1,10 +1,21 @@
-"""Rotation-equivariant layer kit over vector-list features.
+"""Rotation-equivariant layer kit over vector features.
 
-A vector-list feature is an array of shape (..., N, C, 3): N points, C
-channels, each channel a 3-vector. Rotations act channel-wise on the right,
-``v @ R`` (see rotate_feature), and every layer L here satisfies
-``L(v @ R) == L(v) @ R`` to machine precision. The invariance head instead
-satisfies ``L(v @ R) == L(v)``.
+A vector feature carries C channels at each of N points, each channel a
+3-vector. Two layouts hold it:
+
+- component-major, shape (..., 3, C, N): one contiguous (C, N) plane per xyz
+  component. Every layer here reads and writes this layout, so a channel mix
+  W @ v is one (C_out x C_in) @ (C_in x N) GEMM per plane, and a dot product
+  <q, k> is q[0]*k[0] + q[1]*k[1] + q[2]*k[2] on whole planes.
+- vector list, shape (..., N, C, 3): the layout of lift_cloud, the keypoint
+  head and rotate_feature, where rotations act channel-wise on the right,
+  v @ R.
+
+component_major and vector_list are the only code that knows both layouts.
+PoseModel converts twice: the lifted cloud on the way into the trunk, and
+the trunk output on the way into the keypoint head. Read in the vector-list
+layout, every layer L here satisfies L(v @ R) == L(v) @ R to machine
+precision; the invariance head instead satisfies L(v @ R) == L(v).
 
 Layers implement analytic forward and backward passes. The caller's ctx
 dict is the only cache: forward(..., ctx=ctx) records there what
@@ -34,8 +45,28 @@ BN_MOMENTUM = 0.1
 
 
 def rotate_feature(v, r) -> np.ndarray:
-    """Rotate every channel 3-vector: v @ r. Single owner of the convention."""
+    """Rotate every channel 3-vector of a vector list: v @ r. Single owner of
+    the convention."""
     return np.asarray(v, dtype=np.float64) @ np.asarray(r, dtype=np.float64)
+
+
+def component_major(v) -> np.ndarray:
+    """Vector list (..., N, C, 3) -> contiguous component-major (..., 3, C, N)."""
+    return np.ascontiguousarray(np.swapaxes(np.asarray(v, dtype=np.float64), -1, -3))
+
+
+def vector_list(x) -> np.ndarray:
+    """Component-major (..., 3, C, N) -> vector list (..., N, C, 3), a view."""
+    return np.swapaxes(x, -1, -3)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-channel, per-point dot product of two component-major features,
+    a[0]*b[0] + a[1]*b[1] + a[2]*b[2] on (..., C, N) planes."""
+    out = a[..., 0, :, :] * b[..., 0, :, :]
+    out += a[..., 1, :, :] * b[..., 1, :, :]
+    out += a[..., 2, :, :] * b[..., 2, :, :]
+    return out
 
 
 class Param:
@@ -101,17 +132,21 @@ def named_params(layer: Layer, prefix: str = "") -> list:
 
 
 def _mix_grad(grad: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Weight gradient of a channel mix W @ v: sum over points and xyz of grad ⊗ v."""
-    return np.tensordot(
-        grad.reshape(-1, grad.shape[-2], 3), v.reshape(-1, v.shape[-2], 3), axes=[(0, 2), (0, 2)]
-    )
+    """Weight gradient of a channel mix W @ v: sum over planes of grad @ v^T."""
+    per_plane = np.matmul(grad, np.swapaxes(v, -1, -2))
+    return per_plane.reshape((-1,) + per_plane.shape[-2:]).sum(axis=0)
 
 
 def _check_channels(v: np.ndarray, expected: int, who: str):
-    if v.ndim < 2 or v.shape[-1] != 3:
-        raise ShapeMismatch(f"{who}: expected (..., C, 3) vector feature, got {v.shape}")
+    if v.ndim < 3 or v.shape[-3] != 3:
+        raise ShapeMismatch(f"{who}: expected a (..., 3, C, N) component-major feature, got {v.shape}")
     if v.shape[-2] != expected:
         raise ShapeMismatch(f"{who}: expected {expected} channels, got {v.shape[-2]}")
+
+
+def _check_points(v: np.ndarray, who: str):
+    if v.ndim < 3 or v.shape[-1] == 0:
+        raise EmptyInput(f"{who} requires at least one point")
 
 
 class VNLinear(Layer):
@@ -142,6 +177,7 @@ class VNReLU(Layer):
     """Direction-gated truncation: q where <q,k> >= 0, else the part of q
     orthogonal to k. q = W v and k = U v are learned channel mixes, so the
     output half-space rotates with the input and equivariance is exact.
+    W and U run stacked, as one GEMM per plane.
     """
 
     def __init__(self, in_channels: int, out_channels: int):
@@ -157,46 +193,53 @@ class VNReLU(Layer):
         v = np.asarray(v, dtype=np.float64)
         _check_channels(v, self.in_channels, "VNReLU")
         cache = self._new_cache(ctx)
-        q = np.matmul(self.w.value, v)
-        k = np.matmul(self.u.value, v)
-        s = np.sum(q * k, axis=-1)
-        t = np.sum(k * k, axis=-1)
+        c = self.out_channels
+        wu = np.concatenate([self.w.value, self.u.value])
+        qk = np.matmul(wu, v)
+        q, k = qk[..., :c, :], qk[..., c:, :]
+        s = _dot(q, k)
+        t = _dot(k, k)
         # boundary <q,k> = 0 passes q through, matching ReLU's convention at 0
         project = (s < 0.0) & (t > K_DEGENERATE_SQ)
-        ratio = np.where(project, s / np.where(project, t, 1.0), 0.0)
-        out = q - ratio[..., None] * k
-        cache.update(v=v, q=q, k=k, s=s, t=t, project=project)
-        return out
+        # t + 1 off the projected set keeps every division finite, and the
+        # mask multiplies instead of branching per entry
+        t_div = t + ~project
+        ratio = s / t_div * project
+        cache.update(v=v, wu=wu, qk=qk, t_div=t_div, ratio=ratio, project=project)
+        return q - ratio[..., None, :, :] * k
 
     def backward(self, grad, ctx=None):
         cache = self._get_cache(ctx)
-        v, q, k = cache["v"], cache["q"], cache["k"]
-        s, t, project = cache["s"], cache["t"], cache["project"]
-        t_safe = np.where(project, t, 1.0)
-        gk = np.sum(grad * k, axis=-1)
-        m = project.astype(np.float64)
-        dq = grad - (m * gk / t_safe)[..., None] * k
-        dk = (
-            -(m * gk / t_safe)[..., None] * q
-            - (m * s / t_safe)[..., None] * grad
-            + (m * 2.0 * s * gk / t_safe**2)[..., None] * k
-        )
-        self.w.grad += _mix_grad(dq, v)
-        self.u.grad += _mix_grad(dk, v)
-        return np.matmul(self.w.value.T, dq) + np.matmul(self.u.value.T, dk)
+        v, wu, qk = cache["v"], cache["wu"], cache["qk"]
+        c = self.out_channels
+        q, k = qk[..., :c, :], qk[..., c:, :]
+        ratio = cache["ratio"][..., None, :, :]
+        a = (_dot(grad, k) / cache["t_div"] * cache["project"])[..., None, :, :]
+        # dq = grad - a k and dk = ratio (2 a k - grad) - a q, written straight
+        # into one stacked gradient for the stacked [W; U]
+        d_qk = np.empty(qk.shape)
+        dq, dk = d_qk[..., :c, :], d_qk[..., c:, :]
+        ak = a * k
+        np.subtract(grad, ak, out=dq)
+        np.subtract(ak, dq, out=dk)
+        dk *= ratio
+        dk -= a * q
+        d_wu = _mix_grad(d_qk, v)
+        self.w.grad += d_wu[:c]
+        self.u.grad += d_wu[c:]
+        return np.matmul(wu.T, d_qk)
 
 
 class VNMeanPool(Layer):
-    """Channel-wise arithmetic mean over the point axis: (..., N, C, 3) -> (..., 1, C, 3)."""
+    """Channel-wise arithmetic mean over the point axis: (..., 3, C, N) -> (..., 3, C, 1)."""
 
     def forward(self, v, train=False, ctx=None):
         v = np.asarray(v, dtype=np.float64)
-        if v.ndim < 3 or v.shape[-3] == 0:
-            raise EmptyInput("mean pool requires at least one point")
+        _check_points(v, "mean pool")
         cache = self._new_cache(ctx)
-        cache["n"] = v.shape[-3]
+        cache["n"] = v.shape[-1]
         cache["shape"] = v.shape
-        return v.mean(axis=-3, keepdims=True)
+        return v.mean(axis=-1, keepdims=True)
 
     def backward(self, grad, ctx=None):
         cache = self._get_cache(ctx)
@@ -208,20 +251,17 @@ class VNPoolConcat(Layer):
 
     def forward(self, v, train=False, ctx=None):
         v = np.asarray(v, dtype=np.float64)
-        if v.ndim < 3 or v.shape[-3] == 0:
-            raise EmptyInput("pool-concat requires at least one point")
+        _check_points(v, "pool-concat")
         cache = self._new_cache(ctx)
-        cache["n"] = v.shape[-3]
+        cache["n"] = v.shape[-1]
         cache["c"] = v.shape[-2]
-        mean = v.mean(axis=-3, keepdims=True)
+        mean = v.mean(axis=-1, keepdims=True)
         return np.concatenate([v, np.broadcast_to(mean, v.shape)], axis=-2)
 
     def backward(self, grad, ctx=None):
         cache = self._get_cache(ctx)
         c, n = cache["c"], cache["n"]
-        g_local = grad[..., :c, :]
-        g_pool = grad[..., c:, :]
-        return g_local + g_pool.sum(axis=-3, keepdims=True) / n
+        return grad[..., :c, :] + grad[..., c:, :].sum(axis=-1, keepdims=True) / n
 
 
 class VNBatchNorm(Layer):
@@ -245,13 +285,13 @@ class VNBatchNorm(Layer):
         v = np.asarray(v, dtype=np.float64)
         _check_channels(v, self.channels, "VNBatchNorm")
         cache = self._new_cache(ctx)
-        n = np.linalg.norm(v, axis=-1)
+        n = np.sqrt(_dot(v, v))  # (..., C, N)
         n_safe = np.maximum(n, NORM_FLOOR)
-        axes = tuple(range(n.ndim - 1))
+        axes = tuple(range(n.ndim - 2)) + (n.ndim - 1,)  # all but the channel axis
+        count = n.size // self.channels
         if train:
             mu = n.mean(axis=axes)
             var = n.var(axis=axes)
-            count = int(np.prod([n.shape[a] for a in axes])) if axes else 1
             unbiased = var * count / max(count - 1, 1)
             self.running_mean.value *= 1.0 - BN_MOMENTUM
             self.running_mean.value += BN_MOMENTUM * mu
@@ -260,16 +300,15 @@ class VNBatchNorm(Layer):
         else:
             mu = self.running_mean.value
             var = self.running_var.value
-            count = 0
-        inv = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (n - mu) * inv
-        out_n = self.gamma.value * xhat + self.beta.value
+        inv = (1.0 / np.sqrt(var + BN_EPS))[:, None]
+        xhat = (n - mu[:, None]) * inv
+        out_n = self.gamma.value[:, None] * xhat + self.beta.value[:, None]
         scale = out_n / n_safe
         cache.update(
             v=v, n=n, n_safe=n_safe, inv=inv, xhat=xhat, out_n=out_n, scale=scale,
             axes=axes, count=count, train=train,
         )
-        return v * scale[..., None]
+        return v * scale[..., None, :, :]
 
     def backward(self, grad, ctx=None):
         cache = self._get_cache(ctx)
@@ -277,23 +316,24 @@ class VNBatchNorm(Layer):
         inv, xhat, out_n, scale = cache["inv"], cache["xhat"], cache["out_n"], cache["scale"]
         axes, count, train = cache["axes"], cache["count"], cache["train"]
 
-        d_scale = np.sum(grad * v, axis=-1)
-        dv = grad * scale[..., None]
+        d_scale = _dot(grad, v)
         d_out_n = d_scale / n_safe
+        live = n > NORM_FLOOR
         # denominator of the rescale; frozen below the norm floor
-        dn = d_scale * (-out_n / n_safe**2) * (n > NORM_FLOOR)
+        dn = d_scale * (-out_n / n_safe**2) * live
         self.gamma.grad += np.sum(d_out_n * xhat, axis=axes)
         self.beta.grad += np.sum(d_out_n, axis=axes)
-        d_xhat = d_out_n * self.gamma.value
+        d_xhat = d_out_n * self.gamma.value[:, None]
         if train:
             centered = xhat / inv
-            d_var = np.sum(d_xhat * centered, axis=axes) * (-0.5) * inv**3
-            d_mu = np.sum(-d_xhat * inv, axis=axes)
+            d_var = np.sum(d_xhat * centered, axis=axes)[:, None] * (-0.5) * inv**3
+            d_mu = np.sum(-d_xhat * inv, axis=axes)[:, None]
             dn += d_xhat * inv + d_var * 2.0 * centered / count + d_mu / count
         else:
             dn += d_xhat * inv
-        direction = np.where((n > NORM_FLOOR)[..., None], v / n_safe[..., None], 0.0)
-        return dv + dn[..., None] * direction
+        # the norm's gradient is the unit direction v / n, zero below the floor
+        along = dn / n_safe * live
+        return grad * scale[..., None, :, :] + along[..., None, :, :] * v
 
 
 class Mlp2(Layer):
@@ -363,8 +403,9 @@ class VNInvariant(Layer):
         v = np.asarray(v, dtype=np.float64)
         _check_channels(v, self.in_channels, "VNInvariant")
         cache = self._new_cache(ctx)
-        va = np.matmul(self.wa.value, v)
-        vb = np.matmul(self.wb.value, v)
+        # the branches as per-point (A, 3) and (B, 3) matrices
+        va = vector_list(np.matmul(self.wa.value, v))
+        vb = vector_list(np.matmul(self.wb.value, v))
         gram = np.matmul(va, np.swapaxes(vb, -1, -2))
         flat = gram.reshape(gram.shape[:-2] + (self.branch_a * self.branch_b,))
         cache.update(v=v, va=va, vb=vb, mlp={})
@@ -375,8 +416,8 @@ class VNInvariant(Layer):
         v, va, vb = cache["v"], cache["va"], cache["vb"]
         d_flat = self.mlp.backward(grad, ctx=cache["mlp"])
         d_gram = d_flat.reshape(d_flat.shape[:-1] + (self.branch_a, self.branch_b))
-        d_va = np.matmul(d_gram, vb)
-        d_vb = np.matmul(np.swapaxes(d_gram, -1, -2), va)
+        d_va = component_major(np.matmul(d_gram, vb))
+        d_vb = component_major(np.matmul(np.swapaxes(d_gram, -1, -2), va))
         self.wa.grad += _mix_grad(d_va, v)
         self.wb.grad += _mix_grad(d_vb, v)
         return np.matmul(self.wa.value.T, d_va) + np.matmul(self.wb.value.T, d_vb)

@@ -22,11 +22,13 @@ from .layers import (
     VNPoolConcat,
     VNReLU,
     assign_params,
+    component_major,
     init_layer_params,
     load_params,
     named_params,
     rotate_feature,
     save_params,
+    vector_list,
 )
 
 LIFT_CHANNELS = 8
@@ -185,9 +187,14 @@ class PoseModel(Layer):
         )
 
     def forward(self, v, app_in, train=False, ctx=None, rotation: Rotation = None) -> ModelOutputs:
-        """v: lifted feature (..., N, 8, 3); app_in: (..., N, 5) appearance
-        inputs. Leading axes stack clouds: pooling stays per cloud, batch-norm
-        statistics span every cloud.
+        """v: lifted feature, a vector list (..., N, 8, 3); app_in: (..., N, 5)
+        appearance inputs. Leading axes stack clouds: pooling stays per cloud,
+        batch-norm statistics span every cloud.
+
+        The layout changes at two points: v becomes component-major
+        (..., 3, 8, N) on the way into the trunk, which with the invariant
+        branch reads and writes that layout, and the trunk output becomes a
+        vector list (..., N, C, 3) on the way into the keypoint head.
 
         With a rotation R, the keypoint head also sees the rotated cloud: it
         runs on the pair (equi, equi @ R), which equals the trunk's output on
@@ -197,10 +204,11 @@ class PoseModel(Layer):
         cache = self._new_cache(ctx)
         for key in ("backbone", "invariant", "appearance", "seg", "kp"):
             cache[key] = {}
-        equi = self.backbone.forward(v, train=train, ctx=cache["backbone"])
-        inv = self.invariant.forward(equi, train=train, ctx=cache["invariant"])
+        planes = self.backbone.forward(component_major(v), train=train, ctx=cache["backbone"])
+        inv = self.invariant.forward(planes, train=train, ctx=cache["invariant"])
         app = self.appearance.forward(app_in, train=train, ctx=cache["appearance"])
         logits = self.seg_head.forward(inv, app, train=train, ctx=cache["seg"])
+        equi = vector_list(planes)
         kp_equi, kp_app = equi, app
         if rotation is not None:
             cache["rotation"] = rotation.m
@@ -210,17 +218,19 @@ class PoseModel(Layer):
         return ModelOutputs(logits, offsets)
 
     def backward(self, d_logits, d_offsets, ctx=None):
-        """Returns (d v, d app_in) and accumulates parameter gradients. After a
-        forward with a rotation, d_offsets carries the pair axis and the
-        rotated half's gradient folds back onto the trunk output as @ R^T."""
+        """Returns (d v, d app_in), d v a vector list like v, and accumulates
+        parameter gradients. After a forward with a rotation, d_offsets
+        carries the pair axis and the rotated half's gradient folds back onto
+        the trunk output as @ R^T."""
         cache = self._get_cache(ctx)
         d_inv, d_app_seg = self.seg_head.backward(d_logits, ctx=cache["seg"])
         d_equi_kp, d_app_kp = self.kp_head.backward(d_offsets, ctx=cache["kp"])
         if "rotation" in cache:
             d_equi_kp = d_equi_kp[0] + rotate_feature(d_equi_kp[1], cache["rotation"].T)
             d_app_kp = d_app_kp[0] + d_app_kp[1]
-        d_equi_inv = self.invariant.backward(d_inv, ctx=cache["invariant"])
-        dv = self.backbone.backward(d_equi_kp + d_equi_inv, ctx=cache["backbone"])
+        d_planes = self.invariant.backward(d_inv, ctx=cache["invariant"])
+        d_planes += component_major(d_equi_kp)
+        dv = vector_list(self.backbone.backward(d_planes, ctx=cache["backbone"]))
         d_app_in = self.appearance.backward(d_app_seg + d_app_kp, ctx=cache["appearance"])
         return dv, d_app_in
 

@@ -18,7 +18,7 @@ from .backproject import (
     read_ply_cloud,
     write_ply_cloud,
 )
-from .errors import ConfigInvalid, RegistryMiss, TooFewVertices
+from .errors import ConfigInvalid, InputError, RegistryMiss, TooFewVertices
 from .geometry import (
     RigidTransform,
     Rotation,
@@ -56,7 +56,7 @@ def select_keypoints(model, m: int) -> np.ndarray:
     if m > len(verts):
         raise TooFewVertices(f"requested {m} keypoints from {len(verts)} vertices")
     if m < 1:
-        raise ValueError("need at least one keypoint")
+        raise InputError(f"need at least one keypoint, got {m}")
     centroid = verts.mean(axis=0)
     chosen = [int(np.argmax(np.linalg.norm(verts - centroid, axis=1)))]
     dist = np.linalg.norm(verts - verts[chosen[0]], axis=1)

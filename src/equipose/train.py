@@ -35,8 +35,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ConfigInvalid("learning rate must be non-negative")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ConfigInvalid(f"learning rate must be finite and non-negative, got {self.learning_rate}")
+        if not (np.isfinite(self.lr_decay) and self.lr_decay >= 0.0):
+            raise ConfigInvalid(f"lr_decay must be finite and non-negative, got {self.lr_decay}")
         if self.batch_size < 1:
             raise ConfigInvalid("batch size must be at least 1")
         if self.epochs < 1:
@@ -267,10 +269,13 @@ def numeric_gradients(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotati
 
 
 def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-8) -> float:
-    """Max of |a - n| / (|a| + |n|) over entries whose magnitudes exceed the floor."""
+    """Max of |a - n| / (|a| + |n|) over entries whose magnitudes exceed the
+    floor; inf as soon as any analytic or numeric entry is not finite."""
     worst = 0.0
     for name, a in analytic.items():
         n = numeric[name]
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(n))):
+            return float("inf")
         denom = np.abs(a) + np.abs(n)
         consider = denom > floor
         if consider.any():
@@ -282,8 +287,8 @@ def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-8) -> fl
 def gradcheck(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients of
     the total objective with respect to every parameter and network input."""
-    if step <= 0.0:
-        raise ConfigInvalid("finite-difference step must be positive")
+    if not (np.isfinite(step) and step > 0.0):
+        raise ConfigInvalid(f"finite-difference step must be finite and positive, got {step}")
     analytic = analytic_gradients(model, t, cfg, rotation)
     numeric = numeric_gradients(model, t, cfg, rotation, step)
     return max_relative_error(analytic, numeric)

@@ -19,7 +19,14 @@ from equipose.geometry import (
     geodesic_distance,
     sample_uniform_rotation,
 )
-from equipose.layers import Sequential, VNLinear, VNMeanPool, VNReLU, init_layer_params
+from equipose.layers import (
+    Sequential,
+    VNLinear,
+    VNMeanPool,
+    VNReLU,
+    component_major,
+    init_layer_params,
+)
 from equipose.losses import LossWeights, so3_loss
 from equipose.metrics import (
     ObjectMetrics,
@@ -149,7 +156,7 @@ def test_criterion_04_gradient_oracle(object_models):
     rotation = sample_uniform_rotation(RNG(0))
     err_model = gradcheck(model, tensors, TrainConfig(seed=0), rotation, step=1e-5)
     # mean pool is not part of the default trunk; checked standalone
-    err_pool = layer_fd_check(VNMeanPool(), RNG(1).normal(size=(6, 4, 3)), step=1e-5)
+    err_pool = layer_fd_check(VNMeanPool(), component_major(RNG(1).normal(size=(6, 4, 3))), step=1e-5)
     elapsed = time.monotonic() - started
     worst = max(err_model, err_pool)
     assert worst <= 1e-4

@@ -101,6 +101,23 @@ class TestCheckEquivariance:
         assert payload["pass"] is False
         assert payload["failing"]
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--trials", "0"],
+            ["--trials", "-3"],
+            ["--tolerance", "nan"],
+            ["--tolerance", "inf"],
+            ["--tolerance=-1e-10"],
+        ],
+        ids=["zero_trials", "negative_trials", "nan_tolerance", "inf_tolerance", "negative_tolerance"],
+    )
+    def test_vacuous_check_exits_2(self, tmp_path, flags, capsys):
+        out = tmp_path / "r.json"
+        assert main(["check-equivariance", *flags, "--out", str(out)]) == EXIT_BAD_INPUT
+        assert flags[0].split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
@@ -158,6 +175,15 @@ class TestSynthGen:
         assert "model_001.json" in registry_files and "model_001.ply" in registry_files
         meta = json.loads((dataset / "dataset.json").read_text())
         assert meta["n_classes"] == 4 and meta["n_keypoints"] == 8
+
+    @pytest.mark.parametrize(
+        "flags", [["--keypoints", "0"], ["--n-scenes", "-1"]], ids=["zero_keypoints", "negative_scenes"]
+    )
+    def test_bad_counts_exit_2(self, tmp_path, flags, capsys):
+        out = tmp_path / "data"
+        assert main(["synth-gen", "--out-dir", str(out), "--n-scenes", "1", *flags]) == EXIT_BAD_INPUT
+        assert "error: bad input" in capsys.readouterr().err
+        assert not (out / "dataset.json").exists()
 
 
 class TestEvalAndMetrics:
@@ -274,6 +300,22 @@ class TestEvalAndMetrics:
     def test_nan_colour_exits_2(self, dataset, tmp_path):
         assert self.eval_with_first_token(dataset, tmp_path, "nan", prop="r") == EXIT_BAD_INPUT
 
+    def test_neither_params_nor_oracle_heads_exits_2(self, dataset, tmp_path, capsys):
+        code = main(
+            [
+                "eval",
+                "--scenes-dir",
+                str(dataset / "scenes"),
+                "--registry-dir",
+                str(dataset / "registry"),
+                "--out-dir",
+                str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "--params" in err and "--oracle-heads" in err
+
     def test_missing_scenes_dir_exits_2(self, tmp_path):
         code = main(
             [
@@ -387,6 +429,22 @@ class TestTrainCommand:
         code = main(["train", "--scenes-dir", str(clean), "--out-dir", str(tmp_path / "run2"), "--epochs", "1"])
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_exits_2(self, dataset, tmp_path, rate, capsys):
+        code = main(
+            [
+                "train",
+                "--scenes-dir",
+                str(dataset / "scenes"),
+                "--out-dir",
+                str(tmp_path / "run"),
+                "--learning-rate",
+                rate,
+            ]
+        )
+        assert code == EXIT_BAD_INPUT
+        assert "learning rate" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_default_instance_passes(self, tmp_path):
@@ -395,6 +453,23 @@ class TestGradcheckCommand:
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
         assert payload["max_relative_error"] <= 1e-4
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--step", "nan"],
+            ["--step", "inf"],
+            ["--step", "0"],
+            ["--tolerance", "nan"],
+            ["--tolerance", "-1"],
+        ],
+        ids=["nan_step", "inf_step", "zero_step", "nan_tolerance", "negative_tolerance"],
+    )
+    def test_bad_step_or_tolerance_exits_2(self, tmp_path, flags, capsys):
+        out = tmp_path / "gradcheck.json"
+        assert main(["gradcheck", *flags, "--out", str(out)]) == EXIT_BAD_INPUT
+        assert "error: bad input" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_version_via_subprocess():

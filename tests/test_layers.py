@@ -15,6 +15,7 @@ from equipose.errors import EmptyInput, NoForwardRecorded, ShapeMismatch
 from equipose.geometry import sample_uniform_rotation
 from equipose.layers import (
     BN_EPS,
+    K_DEGENERATE_SQ,
     Param,
     Sequential,
     VNBatchNorm,
@@ -24,22 +25,26 @@ from equipose.layers import (
     VNPoolConcat,
     VNReLU,
     assign_params,
+    component_major,
     init_layer_params,
     load_params,
     named_params,
     rotate_feature,
     save_params,
+    vector_list,
 )
 
 RNG = np.random.default_rng
+cm, vl = component_major, vector_list
 
 
 def inline_invariant_reference(layer, v, grad):
     """VNInvariant with its scalar MLP written out inline, as it was before the
-    layer delegated to Mlp2: (output, input gradient, {param name: gradient})."""
+    layer delegated to Mlp2: (output, input gradient, {param name: gradient}).
+    v is component-major, and so is the input gradient."""
     wa, wb = layer.wa.value, layer.wb.value
     w1, b1, w2, b2 = (p.value for p in layer.mlp.own_params())
-    va, vb = np.matmul(wa, v), np.matmul(wb, v)
+    va, vb = vl(np.matmul(wa, v)), vl(np.matmul(wb, v))
     gram = np.matmul(va, np.swapaxes(vb, -1, -2))
     flat = gram.reshape(gram.shape[:-2] + (layer.branch_a * layer.branch_b,))
     h = flat @ w1.T + b1
@@ -53,12 +58,11 @@ def inline_invariant_reference(layer, v, grad):
     grads["b1"] = dh2.sum(axis=0)
     d_flat = d_h @ w1
     d_gram = d_flat.reshape(d_flat.shape[:-1] + (layer.branch_a, layer.branch_b))
-    d_va = np.matmul(d_gram, vb)
-    d_vb = np.matmul(np.swapaxes(d_gram, -1, -2), va)
-    v3 = v.reshape(-1, layer.in_channels, 3)
-    axes = [(0, 2), (0, 2)]
-    grads["Wa"] = np.tensordot(d_va.reshape(-1, layer.branch_a, 3), v3, axes=axes)
-    grads["Wb"] = np.tensordot(d_vb.reshape(-1, layer.branch_b, 3), v3, axes=axes)
+    d_va = cm(np.matmul(d_gram, vb))
+    d_vb = cm(np.matmul(np.swapaxes(d_gram, -1, -2), va))
+    v_t = np.swapaxes(v, -1, -2)
+    grads["Wa"] = np.matmul(d_va, v_t).reshape(-1, layer.branch_a, layer.in_channels).sum(axis=0)
+    grads["Wb"] = np.matmul(d_vb, v_t).reshape(-1, layer.branch_b, layer.in_channels).sum(axis=0)
     dv = np.matmul(wa.T, d_va) + np.matmul(wb.T, d_vb)
     return out, dv, grads
 
@@ -72,14 +76,14 @@ class TestVNLinear:
     def test_identity_weight_is_identity(self):
         layer = VNLinear(4, 4)
         layer.w.value[...] = np.eye(4)
-        v = RNG(0).normal(size=(6, 4, 3))
+        v = cm(RNG(0).normal(size=(6, 4, 3)))
         np.testing.assert_array_equal(layer.forward(v, ctx={}), v)
 
     def test_hand_multiplied_channels(self):
         layer = VNLinear(2, 1)
         layer.w.value[...] = [[1.0, 1.0]]
-        v = np.array([[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]])
-        np.testing.assert_array_equal(layer.forward(v, ctx={}), [[[1.0, 2.0, 0.0]]])
+        v = cm([[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]])
+        np.testing.assert_array_equal(vl(layer.forward(v, ctx={})), [[[1.0, 2.0, 0.0]]])
 
     def test_equivariance(self):
         rng = RNG(1)
@@ -91,25 +95,27 @@ class TestVNLinear:
 
     def test_input_gradient_is_adjoint(self):
         layer = fresh(VNLinear(4, 6), seed=2)
-        v = RNG(3).normal(size=(5, 4, 3))
+        v = cm(RNG(3).normal(size=(5, 4, 3)))
         ctx = {}
         out = layer.forward(v, ctx=ctx)
         grad_in = layer.backward(np.ones_like(out), ctx=ctx)
         expected = np.broadcast_to(layer.w.value.sum(axis=0)[:, None], (5, 4, 3))
-        np.testing.assert_allclose(grad_in, expected, atol=1e-12)
+        np.testing.assert_allclose(vl(grad_in), expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         layer = VNLinear(4, 6)
         with pytest.raises(ShapeMismatch):
-            layer.forward(np.zeros((5, 3, 3)), ctx={})
+            layer.forward(np.zeros((3, 3, 5)), ctx={})  # 3 channels, not 4
+        with pytest.raises(ShapeMismatch):
+            layer.forward(np.zeros((5, 4, 3)), ctx={})  # a vector list
 
     def test_backward_requires_forward(self):
         layer = VNLinear(2, 2)
         with pytest.raises(NoForwardRecorded):
-            layer.backward(np.zeros((1, 2, 3)))
-        layer.forward(np.zeros((1, 2, 3)))  # no ctx: nothing is recorded
+            layer.backward(np.zeros((3, 2, 1)))
+        layer.forward(np.zeros((3, 2, 1)))  # no ctx: nothing is recorded
         with pytest.raises(NoForwardRecorded):
-            layer.backward(np.zeros((1, 2, 3)))
+            layer.backward(np.zeros((3, 2, 1)))
 
 
 class TestVNReLU:
@@ -117,14 +123,14 @@ class TestVNReLU:
         layer = VNReLU(1, 1)
         layer.w.value[...] = [[1.0]]
         layer.u.value[...] = [[2.0]]  # k = 2 q, positive dot
-        v = RNG(4).normal(size=(5, 1, 3))
+        v = cm(RNG(4).normal(size=(5, 1, 3)))
         np.testing.assert_allclose(layer.forward(v, ctx={}), v, atol=1e-12)
 
     def test_opposed_direction_fully_truncated(self):
         layer = VNReLU(1, 1)
         layer.w.value[...] = [[1.0]]
         layer.u.value[...] = [[-1.0]]  # k = -q
-        v = RNG(5).normal(size=(5, 1, 3))
+        v = cm(RNG(5).normal(size=(5, 1, 3)))
         np.testing.assert_allclose(layer.forward(v, ctx={}), np.zeros_like(v), atol=1e-12)
 
     def test_output_in_closed_half_space(self):
@@ -132,7 +138,7 @@ class TestVNReLU:
         for _ in range(50):
             layer = fresh(VNReLU(4, 5), seed=int(rng.integers(1 << 30)))
             v = rng.normal(size=(12, 4, 3))
-            out = layer.forward(v, ctx={})
+            out = vl(layer.forward(cm(v), ctx={}))
             k = np.matmul(layer.u.value, v)
             assert np.min(np.sum(out * k, axis=-1)) >= -1e-12
 
@@ -149,7 +155,7 @@ class TestVNReLU:
         layer.w.value[...] = [[1.0, 0.0]]
         layer.u.value[...] = [[0.0, 0.0]]  # k identically zero
         v = RNG(8).normal(size=(4, 2, 3))
-        np.testing.assert_array_equal(layer.forward(v, ctx={}), v[:, :1])
+        np.testing.assert_array_equal(vl(layer.forward(cm(v), ctx={})), v[:, :1])
 
     def test_boundary_uses_pass_through_branch(self):
         # q orthogonal to k: <q,k> = 0 exactly, output must be q with the
@@ -157,40 +163,40 @@ class TestVNReLU:
         layer = VNReLU(2, 1)
         layer.w.value[...] = [[1.0, 0.0]]
         layer.u.value[...] = [[0.0, 1.0]]
-        v = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+        v = cm([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
         ctx = {}
         out = layer.forward(v, ctx=ctx)
-        np.testing.assert_array_equal(out[0, 0], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(vl(out)[0, 0], [1.0, 0.0, 0.0])
         grad = layer.backward(np.ones_like(out), ctx=ctx)
         assert np.all(np.isfinite(grad))
-        np.testing.assert_array_equal(grad[0, 0], [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(vl(grad)[0, 0], [1.0, 1.0, 1.0])
 
 
 class TestVNMeanPool:
     def test_single_point_identity(self):
-        v = RNG(9).normal(size=(1, 3, 3))
+        v = cm(RNG(9).normal(size=(1, 3, 3)))
         np.testing.assert_array_equal(VNMeanPool().forward(v, ctx={}), v)
 
     def test_opposite_vectors_cancel(self):
         v = RNG(10).normal(size=(1, 4, 3))
-        both = np.concatenate([v, -v], axis=0)
+        both = cm(np.concatenate([v, -v], axis=0))
         np.testing.assert_allclose(
-            VNMeanPool().forward(both, ctx={}), np.zeros((1, 4, 3)), atol=1e-15
+            VNMeanPool().forward(both, ctx={}), np.zeros((3, 4, 1)), atol=1e-15
         )
 
     def test_permutation_invariance(self):
         rng = RNG(11)
         v = rng.normal(size=(20, 4, 3))
-        base = VNMeanPool().forward(v, ctx={})
+        base = VNMeanPool().forward(cm(v), ctx={})
         for _ in range(20):
             perm = rng.permutation(20)
             np.testing.assert_allclose(
-                VNMeanPool().forward(v[perm], ctx={}), base, atol=1e-12
+                VNMeanPool().forward(cm(v[perm]), ctx={}), base, atol=1e-12
             )
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            VNMeanPool().forward(np.zeros((0, 3, 3)), ctx={})
+            VNMeanPool().forward(np.zeros((3, 3, 0)), ctx={})
 
 
 class TestVNBatchNorm:
@@ -201,7 +207,7 @@ class TestVNBatchNorm:
         layer.running_mean.value[...] = mu
         layer.running_var.value[...] = 1.0
         v = rng.normal(size=(6, 3, 3)) * 2.0
-        out = layer.forward(v, train=False, ctx={})
+        out = vl(layer.forward(cm(v), train=False, ctx={}))
         norms = np.linalg.norm(v, axis=-1)
         expected_norms = (norms - mu) / np.sqrt(1.0 + BN_EPS)
         scale = expected_norms / norms
@@ -216,7 +222,7 @@ class TestVNBatchNorm:
         rng = RNG(13)
         layer = fresh(VNBatchNorm(4), seed=14)
         v = rng.normal(size=(10, 4, 3))
-        out = layer.forward(v, train=True, ctx={})
+        out = vl(layer.forward(cm(v), train=True, ctx={}))
         cross = np.cross(out, v)
         assert np.max(np.abs(cross)) <= 1e-12 * np.max(np.abs(v)) * np.max(
             np.linalg.norm(out, axis=-1)
@@ -227,8 +233,8 @@ class TestVNBatchNorm:
         layer = fresh(VNBatchNorm(5), seed=15)
         batch = rng.normal(size=(4, 9, 5, 3))
         rots = np.stack([sample_uniform_rotation(rng).m for _ in range(4)])
-        straight = layer.forward(batch, train=True, ctx={})
-        rotated = layer.forward(np.einsum("bnci,bij->bncj", batch, rots), train=True, ctx={})
+        straight = vl(layer.forward(cm(batch), train=True, ctx={}))
+        rotated = vl(layer.forward(cm(np.einsum("bnci,bij->bncj", batch, rots)), train=True, ctx={}))
         expected = np.einsum("bnci,bij->bncj", straight, rots)
         denom = 1.0 + np.max(np.abs(straight))
         assert np.max(np.abs(rotated - expected)) / denom <= 1e-10
@@ -240,13 +246,13 @@ class TestVNBatchNorm:
         dirs = rng.normal(size=(8, 2, 3))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         v = 1.5 * dirs  # all norms equal 1.5
-        out = layer.forward(v, train=True, ctx={})
+        out = vl(layer.forward(cm(v), train=True, ctx={}))
         norms = np.linalg.norm(out, axis=-1)
         np.testing.assert_allclose(norms, 0.7, atol=1e-12)
 
     def test_running_stats_update(self):
         layer = fresh(VNBatchNorm(2), seed=17)
-        v = RNG(16).normal(size=(30, 2, 3))
+        v = cm(RNG(16).normal(size=(30, 2, 3)))
         layer.forward(v, train=True, ctx={})
         assert not np.allclose(layer.running_mean.value, 0.0)
         before = layer.running_mean.value.copy()
@@ -259,7 +265,7 @@ class TestVNInvariant:
         layer = VNInvariant(1, branch_a=1, branch_b=1, hidden=1, out=1)
         layer.wa.value[...] = 1.0
         layer.wb.value[...] = 1.0
-        v = np.array([[[0.0, 3.0, 4.0]]])
+        v = cm([[[0.0, 3.0, 4.0]]])
         ctx = {}
         layer.forward(v, ctx=ctx)
         np.testing.assert_allclose(ctx["mlp"]["x"], [[25.0]], atol=1e-12)
@@ -274,7 +280,7 @@ class TestVNInvariant:
     def test_matches_inline_mlp_reference(self, shape):
         rng = RNG(21)
         layer = fresh(VNInvariant(4, branch_a=3, branch_b=2, hidden=6, out=5), seed=22)
-        v = rng.normal(size=shape)
+        v = cm(rng.normal(size=shape))
         grad = rng.normal(size=shape[:-2] + (5,))
         ctx = {}
         out = layer.forward(v, ctx=ctx)
@@ -303,7 +309,7 @@ class TestVNInvariant:
         mlp = layer.mlp
         mlp.b1.value[...] = RNG(18).normal(size=6)
         mlp.b2.value[...] = RNG(19).normal(size=4)
-        out = layer.forward(np.zeros((5, 3, 3)), ctx={})
+        out = layer.forward(np.zeros((3, 3, 5)), ctx={})
         expected = np.maximum(mlp.b1.value, 0.0) @ mlp.w2.value.T + mlp.b2.value
         np.testing.assert_allclose(out, np.tile(expected, (5, 1)), atol=1e-14)
 
@@ -311,8 +317,9 @@ class TestVNInvariant:
 class TestStacks:
     def test_pool_concat_channels(self):
         v = RNG(20).normal(size=(6, 4, 3))
-        out = VNPoolConcat().forward(v, ctx={})
-        assert out.shape == (6, 8, 3)
+        out = VNPoolConcat().forward(cm(v), ctx={})
+        assert out.shape == (3, 8, 6)
+        out = vl(out)
         np.testing.assert_allclose(out[:, 4:], np.tile(v.mean(0), (6, 1, 1)), atol=1e-15)
 
     def test_random_stack_equivariance(self):
@@ -333,7 +340,143 @@ class TestStacks:
     def test_sequential_backward_requires_forward(self):
         stack = Sequential([VNLinear(2, 2)])
         with pytest.raises(NoForwardRecorded):
-            stack.backward(np.zeros((1, 2, 3)))
+            stack.backward(np.zeros((3, 2, 1)))
+
+
+def vector_list_reference(layer, v, grad, train=False):
+    """The layer on a vector list v (..., N, C, 3), written with einsum in that
+    layout independently of the layer's code: (output, input gradient,
+    {param name: gradient}), the output and gradients vector lists where
+    they are vector features. grad is the output gradient in the output's
+    layout. VNBatchNorm's running stats are read, not moved."""
+    ein = np.einsum
+
+    def pts(a):  # leading axes folded into the point axis, for weight gradients
+        return a.reshape((-1,) + a.shape[-2:])
+
+    def rows(a):
+        return a.reshape(-1, a.shape[-1])
+
+    if isinstance(layer, VNLinear):
+        w = layer.w.value
+        out = ein("oc,...nci->...noi", w, v)
+        return out, ein("oc,...noi->...nci", w, grad), {"W": ein("noi,nci->oc", pts(grad), pts(v))}
+    if isinstance(layer, VNReLU):
+        w, u = layer.w.value, layer.u.value
+        q, k = ein("oc,...nci->...noi", w, v), ein("oc,...nci->...noi", u, v)
+        s, t = ein("...ni,...ni->...n", q, k), ein("...ni,...ni->...n", k, k)
+        m = ((s < 0.0) & (t > K_DEGENERATE_SQ)).astype(float)
+        t_safe = np.where(m > 0, t, 1.0)
+        out = q - (m * s / t_safe)[..., None] * k
+        gk = ein("...ni,...ni->...n", grad, k)
+        dq = grad - (m * gk / t_safe)[..., None] * k
+        dk = (
+            -(m * gk / t_safe)[..., None] * q
+            - (m * s / t_safe)[..., None] * grad
+            + (m * 2.0 * s * gk / t_safe**2)[..., None] * k
+        )
+        dv = ein("oc,...noi->...nci", w, dq) + ein("oc,...noi->...nci", u, dk)
+        return out, dv, {"W": ein("noi,nci->oc", pts(dq), pts(v)), "U": ein("noi,nci->oc", pts(dk), pts(v))}
+    if isinstance(layer, VNMeanPool):
+        n = v.shape[-3]
+        return v.mean(axis=-3, keepdims=True), np.broadcast_to(grad / n, v.shape), {}
+    if isinstance(layer, VNPoolConcat):
+        n, c = v.shape[-3], v.shape[-2]
+        out = np.concatenate([v, np.broadcast_to(v.mean(axis=-3, keepdims=True), v.shape)], axis=-2)
+        return out, grad[..., :c, :] + grad[..., c:, :].sum(axis=-3, keepdims=True) / n, {}
+    if isinstance(layer, VNBatchNorm):
+        norms = np.sqrt(ein("...ci,...ci->...c", v, v))
+        axes = tuple(range(norms.ndim - 1))
+        count = norms.size // norms.shape[-1]
+        if train:
+            mu, var = norms.mean(axis=axes), norms.var(axis=axes)
+        else:
+            mu, var = layer.running_mean.value, layer.running_var.value
+        gamma, beta = layer.gamma.value, layer.beta.value
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (norms - mu) * inv
+        out_n = gamma * xhat + beta
+        out = v * (out_n / norms)[..., None]
+        d_scale = ein("...ci,...ci->...c", grad, v)
+        d_out_n = d_scale / norms
+        d_xhat = d_out_n * gamma
+        dn = -d_scale * out_n / norms**2 + d_xhat * inv
+        if train:
+            d_var = np.sum(d_xhat * (norms - mu), axis=axes) * -0.5 * inv**3
+            d_mu = -np.sum(d_xhat * inv, axis=axes)
+            dn = dn + d_var * 2.0 * (norms - mu) / count + d_mu / count
+        dv = grad * (out_n / norms)[..., None] + (dn / norms)[..., None] * v
+        grads = {"gamma": np.sum(d_out_n * xhat, axis=axes), "beta": np.sum(d_out_n, axis=axes)}
+        return out, dv, grads
+    if isinstance(layer, VNInvariant):
+        wa, wb = layer.wa.value, layer.wb.value
+        mlp = layer.mlp
+        va, vb = ein("ac,...nci->...nai", wa, v), ein("bc,...nci->...nbi", wb, v)
+        flat = ein("...nai,...nbi->...nab", va, vb).reshape(va.shape[:-2] + (-1,))
+        h = flat @ mlp.w1.value.T + mlp.b1.value
+        out = np.maximum(h, 0.0) @ mlp.w2.value.T + mlp.b2.value
+        d_h = (grad @ mlp.w2.value) * (h > 0.0)
+        d_gram = (d_h @ mlp.w1.value).reshape(va.shape[:-2] + (wa.shape[0], wb.shape[0]))
+        d_va, d_vb = ein("...nab,...nbi->...nai", d_gram, vb), ein("...nab,...nai->...nbi", d_gram, va)
+        grads = {
+            "Wa": ein("nai,nci->ac", pts(d_va), pts(v)),
+            "Wb": ein("nbi,nci->bc", pts(d_vb), pts(v)),
+            "W1": ein("nh,nf->hf", rows(d_h), rows(flat)),
+            "b1": rows(d_h).sum(axis=0),
+            "W2": ein("no,nh->oh", rows(grad), rows(np.maximum(h, 0.0))),
+            "b2": rows(grad).sum(axis=0),
+        }
+        return out, ein("ac,...nai->...nci", wa, d_va) + ein("bc,...nbi->...nci", wb, d_vb), grads
+    raise TypeError(type(layer).__name__)
+
+
+class TestLayoutReference:
+    """Each component-major layer against vector_list_reference, through the
+    layout pair: forward, input gradient and every parameter gradient."""
+
+    @pytest.mark.parametrize("shape", [(11, 4, 3), (2, 11, 4, 3)], ids=["cloud", "stacked"])
+    @pytest.mark.parametrize(
+        "name", ["linear", "relu", "mean_pool", "pool_concat", "bn_train", "bn_eval", "invariant"]
+    )
+    def test_matches_vector_list_reference(self, name, shape):
+        rng = RNG(40)
+        layer, train = {
+            "linear": (VNLinear(4, 5), False),
+            "relu": (VNReLU(4, 5), False),
+            "mean_pool": (VNMeanPool(), False),
+            "pool_concat": (VNPoolConcat(), False),
+            "bn_train": (VNBatchNorm(4), True),
+            "bn_eval": (VNBatchNorm(4), False),
+            "invariant": (VNInvariant(4, 3, 2, hidden=6, out=5), False),
+        }[name]
+        fresh(layer, seed=41)
+        for _, p in named_params(layer):
+            if p.kind in ("gain", "shift", "stat"):  # away from the unit/zero init
+                p.value[...] = rng.uniform(0.5, 1.5, size=p.value.shape)
+        v = rng.normal(size=shape)
+        ctx = {}
+        out = layer.forward(cm(v), train=train, ctx=ctx)
+        vector_out = name != "invariant"
+        grad = rng.normal(size=out.shape)
+        layer.zero_grad()
+        dv = vl(layer.backward(grad, ctx=ctx))
+        ref_out, ref_dv, ref_grads = vector_list_reference(
+            layer, v, vl(grad) if vector_out else grad, train
+        )
+        if name == "relu":  # both branches of the gate are taken
+            assert 0 < np.sum(ctx["ratio"] != 0.0) < ctx["ratio"].size
+
+        def close(actual, expected, what):
+            np.testing.assert_allclose(
+                actual, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max(), err_msg=what
+            )
+
+        close(vl(out) if vector_out else out, ref_out, "forward")
+        close(dv, ref_dv, "input gradient")
+        trainable = [(n, p) for n, p in named_params(layer) if p.kind != "stat"]
+        assert sorted(n for n, _ in trainable) == sorted(ref_grads)
+        for n, p in trainable:
+            close(p.grad, ref_grads[n], n)
 
 
 class TestGradients:
@@ -343,7 +486,7 @@ class TestGradients:
     )
     def test_layer_gradcheck(self, name):
         rng = RNG(24)
-        v = rng.normal(size=(6, 4, 3))
+        v = cm(rng.normal(size=(6, 4, 3)))
         layer, kwargs = {
             "linear": (VNLinear(4, 5), {}),
             "relu": (VNReLU(4, 5), {}),
@@ -360,7 +503,7 @@ class TestGradients:
     def test_six_layer_stack_gradcheck(self):
         rng = RNG(26)
         stack = random_stack(rng)
-        v = rng.normal(size=(8, 4, 3))
+        v = cm(rng.normal(size=(8, 4, 3)))
         assert layer_fd_check(stack, v, train=True) <= 1e-5
 
 
@@ -377,7 +520,7 @@ class TestSerialization:
             assert name_a == name_b
             np.testing.assert_array_equal(pa.value, pb.value)
 
-        v = RNG(28).normal(size=(5, 3, 3))
+        v = cm(RNG(28).normal(size=(5, 3, 3)))
         np.testing.assert_array_equal(
             stack.forward(v, ctx={}), clone.forward(v, ctx={})
         )

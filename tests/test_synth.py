@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from equipose.errors import ConfigInvalid, TooFewVertices
+from equipose.errors import ConfigInvalid, InputError, TooFewVertices
 from equipose.geometry import RigidTransform, Rotation, compose, sample_uniform_rotation
 from equipose.metrics import add_s
 from equipose.synth import (
@@ -99,6 +99,10 @@ class TestSelectKeypoints:
     def test_too_few_vertices(self):
         with pytest.raises(TooFewVertices):
             select_keypoints(np.zeros((4, 3)), 5)
+
+    def test_zero_keypoints_is_bad_input(self):
+        with pytest.raises(InputError):
+            select_keypoints(np.zeros((4, 3)), 0)
 
 
 class TestRenderScene:

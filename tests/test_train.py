@@ -19,6 +19,7 @@ from equipose.layers import (
     VNInvariant,
     VNLinear,
     init_layer_params,
+    component_major,
     named_params,
     rotate_feature,
 )
@@ -216,6 +217,22 @@ class TestTrainLoop:
         with pytest.raises(ConfigInvalid):
             TrainConfig(learning_rate=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
+            {"lr_decay": -0.5},
+            {"lr_decay": float("nan")},
+            {"lr_decay": float("inf")},
+        ],
+        ids=["lr_nan", "lr_inf", "decay_negative", "decay_nan", "decay_inf"],
+    )
+    def test_non_finite_or_negative_rates_rejected(self, kwargs):
+        with pytest.raises(ConfigInvalid):
+            TrainConfig(**kwargs)
+        TrainConfig(lr_decay=0.0)  # a zero decay stays valid
+
     def test_config_json_rejects_unknown_keys(self, tmp_path):
         path = tmp_path / "train.json"
         for data, named in (
@@ -289,8 +306,8 @@ class TestOnePassPerSample:
         n = len(t.v)
         assert calls == [
             ("PoseModel.forward", (n, 8, 3)),
-            ("Sequential.forward", (n, 8, 3)),
-            ("VNInvariant.forward", (n, model.trunk_channels, 3)),
+            ("Sequential.forward", (3, 8, n)),
+            ("VNInvariant.forward", (3, model.trunk_channels, n)),
             ("SegHead.forward", (n, TINY_MODEL.invariant_out)),
             ("PoseModel.backward", (n, 4)),
         ]
@@ -329,15 +346,15 @@ class TestOnePassPerSample:
         checked = 0
         for i, layer in enumerate(model.backbone.layers):
             if isinstance(layer, VNBatchNorm):
-                norms = ctx["backbone"][i]["n"]
+                norms = ctx["backbone"][i]["n"]  # (C, N)
                 m = BN_MOMENTUM
                 np.testing.assert_allclose(
-                    layer.running_mean.value, m * norms.mean(axis=0), rtol=1e-12, atol=0.0
+                    layer.running_mean.value, m * norms.mean(axis=1), rtol=1e-12, atol=0.0
                 )
                 # initial running variance 1; the update uses the N-point unbiased variance
                 np.testing.assert_allclose(
                     layer.running_var.value,
-                    (1.0 - m) + m * norms.var(axis=0, ddof=1),
+                    (1.0 - m) + m * norms.var(axis=1, ddof=1),
                     rtol=1e-12,
                     atol=0.0,
                 )
@@ -361,7 +378,7 @@ class TestGradcheck:
     def test_linear_only_network_is_exact(self):
         stack = Sequential([VNLinear(3, 5), VNLinear(5, 4)])
         init_layer_params(stack, RNG(15))
-        v = RNG(16).normal(size=(6, 3, 3))
+        v = component_major(RNG(16).normal(size=(6, 3, 3)))
         assert layer_fd_check(stack, v, step=1e-5) <= 1e-7
 
     def test_full_kit_within_tolerance(self):
@@ -400,6 +417,21 @@ class TestGradcheck:
         t = scene_tensors(tiny_scene(seed=8), model)
         with pytest.raises(ConfigInvalid):
             gradcheck(model, t, TrainConfig(seed=0), sample_uniform_rotation(RNG(1)), step=0.0)
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_step(self, step):
+        model = init_model(TINY_MODEL, seed=3)
+        t = scene_tensors(tiny_scene(seed=8), model)
+        with pytest.raises(ConfigInvalid):
+            gradcheck(model, t, TrainConfig(seed=0), sample_uniform_rotation(RNG(1)), step=step)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_entry_is_infinite_error(self, bad):
+        good = {"a": np.array([1.0, 2.0]), "b": np.array([3.0])}
+        broken = {"a": np.array([1.0, bad]), "b": np.array([3.0])}
+        assert max_relative_error(good, good) == 0.0
+        assert max_relative_error(broken, good) == float("inf")
+        assert max_relative_error(good, broken) == float("inf")
 
 
 def test_model_save_load_roundtrip(tmp_path):
