@@ -191,10 +191,10 @@ class PoseModel(Layer):
         appearance inputs. Leading axes stack clouds: pooling stays per cloud,
         batch-norm statistics span every cloud.
 
-        The layout changes at two points: v becomes component-major
-        (..., 3, 8, N) on the way into the trunk, which with the invariant
-        branch reads and writes that layout, and the trunk output becomes a
-        vector list (..., N, C, 3) on the way into the keypoint head.
+        The trunk and the invariant branch work component-major, so the
+        layout changes at two points: v becomes (..., 3, 8, N) on the way
+        into the trunk, and the trunk output becomes a vector list
+        (..., N, C, 3) again on the way into the keypoint head.
 
         With a rotation R, the keypoint head also sees the rotated cloud: it
         runs on the pair (equi, equi @ R), which equals the trunk's output on
