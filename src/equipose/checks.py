@@ -18,20 +18,18 @@ from .layers import (
     VNMeanPool,
     VNPoolConcat,
     VNReLU,
-    component_major,
+    _mix_grad,
     init_layer_params,
     rotate_feature,
-    vector_list,
 )
 from .losses import so3_loss
 from .model import ModelConfig, init_model
 
 
 class FlattenDense(Layer):
-    """Dense mix across the flattened channel-and-component axes of each
-    point, flattened channel-major then xyz as in the vector-list layout.
-    Deliberately breaks equivariance; exists so broken stacks can be
-    constructed on purpose."""
+    """Dense mix across the flattened component-and-channel axes of each
+    point: W @ v.reshape(3C, N). Deliberately breaks equivariance; exists so
+    broken stacks can be constructed on purpose."""
 
     def __init__(self, channels: int):
         self.channels = channels
@@ -43,40 +41,31 @@ class FlattenDense(Layer):
     def forward(self, v, train=False, ctx=None):
         v = np.asarray(v, dtype=np.float64)
         cache = self._new_cache(ctx)
-        vectors = vector_list(v)
-        flat = vectors.reshape(vectors.shape[:-2] + (3 * self.channels,))
+        flat = v.reshape(v.shape[:-3] + (3 * self.channels, v.shape[-1]))
         cache["flat"] = flat
-        out = flat @ self.w.value.T
-        return component_major(out.reshape(vectors.shape))
+        return (self.w.value @ flat).reshape(v.shape)
 
     def backward(self, grad, ctx=None):
-        cache = self._get_cache(ctx)
-        flat = cache["flat"]
-        g = vector_list(np.asarray(grad)).reshape(flat.shape)
-        g2 = g.reshape(-1, g.shape[-1])
-        self.w.grad += g2.T @ flat.reshape(g2.shape[0], -1)
-        d_flat = g @ self.w.value
-        return component_major(d_flat.reshape(d_flat.shape[:-1] + (self.channels, 3)))
-
-
-def _forward_vectors(layer, v, train=False):
-    """The layer's output on a vector-list feature, itself a vector list."""
-    return vector_list(layer.forward(component_major(v), train=train, ctx={}))
+        flat = self._get_cache(ctx)["flat"]
+        g = np.asarray(grad).reshape(flat.shape)
+        self.w.grad += _mix_grad(g, flat)
+        return (self.w.value.T @ g).reshape(np.shape(grad))
 
 
 def equivariance_residual(layer, v, r, train=False) -> float:
-    """max |L(vR) - L(v)R| / (1 + max |L(v)|) for a vector-list feature v."""
-    straight = _forward_vectors(layer, v, train)
-    rotated = _forward_vectors(layer, rotate_feature(v, r), train)
+    """max |L(vR) - L(v)R| / (1 + max |L(v)|) for a component-major feature
+    v, where vR is rotate_feature(v, R)."""
+    straight = layer.forward(v, train=train, ctx={})
+    rotated = layer.forward(rotate_feature(v, r), train=train, ctx={})
     ref = rotate_feature(straight, r)
     return float(np.max(np.abs(rotated - ref)) / (1.0 + np.max(np.abs(straight))))
 
 
 def invariance_residual(layer, v, r) -> float:
     """max |L(vR) - L(v)| / (1 + max |L(v)|) for scalar-valued layers and a
-    vector-list feature v."""
-    straight = layer.forward(component_major(v), ctx={})
-    rotated = layer.forward(component_major(rotate_feature(v, r)), ctx={})
+    component-major feature v."""
+    straight = layer.forward(v, ctx={})
+    rotated = layer.forward(rotate_feature(v, r), ctx={})
     return float(np.max(np.abs(rotated - straight)) / (1.0 + np.max(np.abs(straight))))
 
 
@@ -124,7 +113,7 @@ def equivariance_report(trials: int = 1000, seed: int = 0, n_points: int = 16, c
     }
     pool = VNMeanPool()
     for _ in range(trials):
-        v = rng.normal(size=(n_points, channels, 3))
+        v = rng.normal(size=(3, channels, n_points))
         r = sample_uniform_rotation(rng).m
         linear = _fresh(VNLinear(channels, channels + 2), rng)
         relu = _fresh(VNReLU(channels, channels), rng)
@@ -136,14 +125,10 @@ def equivariance_report(trials: int = 1000, seed: int = 0, n_points: int = 16, c
             worst["vn_batch_norm"], equivariance_residual(bn, v, r, train=True)
         )
         # batch where every sample carries its own rotation
-        batch = rng.normal(size=(3, n_points, channels, 3))
+        batch = rng.normal(size=(3, 3, channels, n_points))
         rot_each = np.stack([sample_uniform_rotation(rng).m for _ in range(3)])
         bn2 = _fresh(VNBatchNorm(channels), rng)
-        straight = _forward_vectors(bn2, batch, train=True)
-        rotated_in = np.einsum("bnci,bij->bncj", batch, rot_each)
-        rotated_out = _forward_vectors(bn2, rotated_in, train=True)
-        ref = np.einsum("bnci,bij->bncj", straight, rot_each)
-        res = float(np.max(np.abs(rotated_out - ref)) / (1.0 + np.max(np.abs(straight))))
+        res = equivariance_residual(bn2, batch, rot_each, train=True)
         worst["vn_batch_norm_per_sample"] = max(worst["vn_batch_norm_per_sample"], res)
 
         stack = random_stack(rng)
@@ -171,7 +156,7 @@ def invariance_report(trials: int = 1000, seed: int = 0, n_points: int = 16, cha
     base_labels = base_logits.argmax(axis=-1)
 
     for _ in range(trials):
-        v = rng.normal(size=(n_points, channels, 3))
+        v = rng.normal(size=(3, channels, n_points))
         r = sample_uniform_rotation(rng).m
         head = _fresh(VNInvariant(channels, branch_a=4, branch_b=4, hidden=8, out=8), rng)
         worst["invariant_head"] = max(worst["invariant_head"], invariance_residual(head, v, r))
@@ -189,7 +174,7 @@ def consistency_report(seed: int = 0, n_points: int = 32, channels: int = 4) -> 
     """Rotation-consistency loss on an intact stack vs one with a
     flatten+dense layer spliced in."""
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=(n_points, channels, 3))
+    v = rng.normal(size=(3, channels, n_points))
     rot = sample_uniform_rotation(rng)
     intact = Sequential([VNLinear(channels, 8), VNReLU(8, 8), VNLinear(8, 6)])
     init_layer_params(intact, rng)

@@ -73,6 +73,14 @@ def _require_tolerance(tolerance: float) -> None:
         raise InputError(f"--tolerance must be finite and non-negative, got {tolerance}")
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of every --seed: numpy's generators need seed >= 0."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def _require_file(path, what: str):
     if not os.path.exists(path):
         raise InputError(f"{what} not found: {path}")
@@ -348,14 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("check-equivariance", "run the layer property suites")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--tolerance", type=float, default=1e-10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", default="equivariance_report.json")
     p.set_defaults(func=cmd_check_equivariance)
 
     p = sub("synth-gen", "generate object models and labeled scenes")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--n-scenes", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--occlusion", type=float, default=0.0, help="max occluded fraction")
     p.add_argument("--background", type=int, default=0)
@@ -369,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="TrainConfig JSON file")
     p.add_argument("--epochs", type=int, default=2)
     p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub("eval", "run the pipeline over scenes and score it")
@@ -378,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--params", default=None, help="parameter container from train")
     p.add_argument("--oracle-heads", action="store_true", help="use GT labels/offsets")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub("fit-pose", "rigid least-squares fit of a correspondences file")
@@ -396,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub("gradcheck", "finite-difference check of all gradients")
     # default draw keeps every |.|-loss entry away from its kink at the
     # default step; unlucky seeds can cross one and need a smaller --step
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=non_negative_int, default=1)
     p.add_argument("--step", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--out", default=None)

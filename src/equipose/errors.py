@@ -41,7 +41,7 @@ class MissingAttributes(EquiposeError):
     """Point cloud carries no per-point appearance attributes."""
 
 
-class TooFewVertices(EquiposeError):
+class TooFewVertices(InputError):
     """Model has fewer vertices than the number of requested keypoints."""
 
 

@@ -1,8 +1,9 @@
 """Prediction heads fusing geometric and appearance features.
 
 The segmentation head consumes rotation-invariant scalars, the keypoint head
-consumes flattened equivariant channels; both concatenate per-point
-appearance features and apply two linear layers with one max(0, .) between.
+the component-major equivariant feature, flattened per point; both
+concatenate per-point appearance features and apply two linear layers with
+one max(0, .) between.
 """
 
 from __future__ import annotations
@@ -82,10 +83,13 @@ class SegHead(Layer):
 class KpHead(Layer):
     """[flattened equivariant channels || appearance] -> per-point offsets.
 
-    Equivariant channels are flattened channel-major then xyz; the output is
-    reshaped to (..., n_keypoints + 1, 3), the final row being the center
-    offset. The flatten-concat breaks architectural equivariance; consistency
-    under rotation is a training matter, not a structural guarantee.
+    The equivariant input is component-major (..., 3, C, N). Each point's row
+    holds its channels channel-major then xyz (c0.x, c0.y, c0.z, c1.x, ...),
+    the column order of W1 in saved parameters; this head owns that flatten.
+    The output is reshaped to (..., N, n_keypoints + 1, 3), the final row
+    being the center offset. The flatten-concat breaks architectural
+    equivariance; consistency under rotation is a training matter, not a
+    structural guarantee.
     """
 
     def __init__(self, n_channels: int, n_appearance: int, n_hidden: int, n_keypoints: int):
@@ -100,21 +104,31 @@ class KpHead(Layer):
     def forward(self, equivariant, appearance, train=False, ctx=None):
         equivariant = np.asarray(equivariant, dtype=np.float64)
         appearance = np.asarray(appearance, dtype=np.float64)
-        if equivariant.shape[-2] != self.n_channels:
+        if equivariant.shape[-3:-1] != (3, self.n_channels):
             raise ShapeMismatch(
-                f"KpHead: expected {self.n_channels} channels, got {equivariant.shape[-2]}"
+                f"KpHead: expected a (..., 3, {self.n_channels}, N) feature, got {equivariant.shape}"
             )
-        if equivariant.shape[:-2] != appearance.shape[:-1]:
-            raise ShapeMismatch("equivariant and appearance point counts differ")
-        flat = equivariant.reshape(equivariant.shape[:-2] + (3 * self.n_channels,))
-        fused = np.concatenate([flat, appearance], axis=-1)
+        lead = equivariant.shape[:-3] + equivariant.shape[-1:]  # (..., N)
+        if appearance.shape != lead + (self.n_appearance,):
+            raise ShapeMismatch(
+                f"KpHead: expected a {lead + (self.n_appearance,)} appearance, got {appearance.shape}"
+            )
+        # the rows (channel-major, then xyz) are the transpose of the
+        # (..., C, 3, N) planes read as (..., 3C, N); both copies run along
+        # long axes, unlike a single copy into (..., N, C, 3)
+        rows = np.swapaxes(equivariant, -2, -3).reshape(lead[:-1] + (3 * self.n_channels, lead[-1]))
+        fused = np.concatenate([np.swapaxes(rows, -1, -2), appearance], axis=-1)
         out = self.mlp.forward(fused, train=train, ctx=ctx)
         return out.reshape(out.shape[:-1] + (self.n_keypoints + 1, 3))
 
     def backward(self, grad, ctx=None):
+        """Returns (d equivariant, d appearance); d equivariant is a
+        component-major view of (..., C, 3, N) planes."""
         grad = np.asarray(grad, dtype=np.float64)
         flat_grad = grad.reshape(grad.shape[:-2] + ((self.n_keypoints + 1) * 3,))
         d_fused = self.mlp.backward(flat_grad, ctx=ctx)
-        d_flat = d_fused[..., : 3 * self.n_channels]
+        d_rows = d_fused[..., : 3 * self.n_channels]
         d_app = d_fused[..., 3 * self.n_channels :]
-        return d_flat.reshape(d_flat.shape[:-1] + (self.n_channels, 3)), d_app
+        n = d_rows.shape[-2]
+        d_rows = np.swapaxes(d_rows, -1, -2).reshape(d_rows.shape[:-2] + (self.n_channels, 3, n))
+        return np.swapaxes(d_rows, -2, -3), d_app

@@ -1,21 +1,14 @@
 """Rotation-equivariant layer kit over vector features.
 
 A vector feature carries C channels at each of N points, each channel a
-3-vector. Two layouts hold it:
-
-- component-major, shape (..., 3, C, N): one contiguous (C, N) plane per xyz
-  component. Every layer here reads and writes this layout, so a channel mix
-  W @ v is one (C_out x C_in) @ (C_in x N) GEMM per plane, and a dot product
-  <q, k> is q[0]*k[0] + q[1]*k[1] + q[2]*k[2] on whole planes.
-- vector list, shape (..., N, C, 3): the layout of lift_cloud, the keypoint
-  head and rotate_feature, where rotations act channel-wise on the right,
-  v @ R.
-
-component_major and vector_list are the only code that knows both layouts.
-PoseModel converts twice: the lifted cloud on the way into the trunk, and
-the trunk output on the way into the keypoint head. Read in the vector-list
-layout, every layer L here satisfies L(v @ R) == L(v) @ R to machine
-precision; the invariance head instead satisfies L(v @ R) == L(v).
+3-vector. It has one layout everywhere, component-major (..., 3, C, N): one
+contiguous (C, N) plane per xyz component. A channel mix W @ v is then one
+(C_out x C_in) @ (C_in x N) GEMM per plane, a dot product <q, k> is
+q[0]*k[0] + q[1]*k[1] + q[2]*k[2] on whole planes, and a rotation R, which
+takes each channel vector x to x @ R, multiplies the component axis by R^T
+(rotate_feature). Every layer L here satisfies
+L(rotate_feature(v, R)) == rotate_feature(L(v), R) to machine precision;
+the invariance head instead satisfies L(rotate_feature(v, R)) == L(v).
 
 Layers implement analytic forward and backward passes. The caller's ctx
 dict is the only cache: forward(..., ctx=ctx) records there what
@@ -45,19 +38,15 @@ BN_MOMENTUM = 0.1
 
 
 def rotate_feature(v, r) -> np.ndarray:
-    """Rotate every channel 3-vector of a vector list: v @ r. Single owner of
+    """Rotate every channel 3-vector x of a component-major feature
+    (..., 3, C, N) to x @ r: the component axis is multiplied by r^T, one
+    (3 x 3) @ (3 x CN) product per rotation. r is one rotation (3, 3) or a
+    stack (..., 3, 3) broadcast against v's leading axes. Single owner of
     the convention."""
-    return np.asarray(v, dtype=np.float64) @ np.asarray(r, dtype=np.float64)
-
-
-def component_major(v) -> np.ndarray:
-    """Vector list (..., N, C, 3) -> contiguous component-major (..., 3, C, N)."""
-    return np.ascontiguousarray(np.swapaxes(np.asarray(v, dtype=np.float64), -1, -3))
-
-
-def vector_list(x) -> np.ndarray:
-    """Component-major (..., 3, C, N) -> vector list (..., N, C, 3), a view."""
-    return np.swapaxes(x, -1, -3)
+    v = np.asarray(v, dtype=np.float64)
+    planes = v.reshape(v.shape[:-2] + (v.shape[-2] * v.shape[-1],))
+    out = np.swapaxes(np.asarray(r, dtype=np.float64), -1, -2) @ planes
+    return out.reshape(out.shape[:-1] + v.shape[-2:])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -404,8 +393,8 @@ class VNInvariant(Layer):
         _check_channels(v, self.in_channels, "VNInvariant")
         cache = self._new_cache(ctx)
         # the branches as per-point (A, 3) and (B, 3) matrices
-        va = vector_list(np.matmul(self.wa.value, v))
-        vb = vector_list(np.matmul(self.wb.value, v))
+        va = np.swapaxes(np.matmul(self.wa.value, v), -1, -3)
+        vb = np.swapaxes(np.matmul(self.wb.value, v), -1, -3)
         gram = np.matmul(va, np.swapaxes(vb, -1, -2))
         flat = gram.reshape(gram.shape[:-2] + (self.branch_a * self.branch_b,))
         cache.update(v=v, va=va, vb=vb, mlp={})
@@ -416,8 +405,10 @@ class VNInvariant(Layer):
         v, va, vb = cache["v"], cache["va"], cache["vb"]
         d_flat = self.mlp.backward(grad, ctx=cache["mlp"])
         d_gram = d_flat.reshape(d_flat.shape[:-1] + (self.branch_a, self.branch_b))
-        d_va = component_major(np.matmul(d_gram, vb))
-        d_vb = component_major(np.matmul(np.swapaxes(d_gram, -1, -2), va))
+        d_va = np.matmul(d_gram, vb)
+        d_vb = np.matmul(np.swapaxes(d_gram, -1, -2), va)
+        # back from per-point matrices to contiguous planes
+        d_va, d_vb = (np.ascontiguousarray(np.swapaxes(d, -1, -3)) for d in (d_va, d_vb))
         self.wa.grad += _mix_grad(d_va, v)
         self.wb.grad += _mix_grad(d_vb, v)
         return np.matmul(self.wa.value.T, d_va) + np.matmul(self.wb.value.T, d_vb)

@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import EmptyMaskWarning, InputError, LabelOutOfRange
 from .geometry import Rotation
-from .layers import component_major, rotate_feature, vector_list
+from .layers import rotate_feature
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,17 @@ def l1_offset_loss_grad(pred, gt, mask):
 
 
 def so3_loss(stack, v, rotation: Rotation) -> float:
-    """Mean absolute value of f(v) - f(v @ R) @ R^T over all output entries,
-    for a vector-list feature v (..., N, C, 3); the stack sees it
-    component-major.
+    """Mean absolute value of f(v) - f(vR) R^T over all output entries, for
+    a component-major feature v (..., 3, C, N), where vR is
+    rotate_feature(v, R).
 
     Vanishes (up to float error) whenever the stack is built purely from the
     equivariant layer kit; strictly positive once any channel-flattening dense
     layer breaks equivariance.
     """
     r = rotation.m
-    out_straight = vector_list(stack.forward(component_major(v), ctx={}))
-    out_rotated = vector_list(stack.forward(component_major(rotate_feature(v, r)), ctx={}))
+    out_straight = stack.forward(v, ctx={})
+    out_rotated = stack.forward(rotate_feature(v, r), ctx={})
     return float(np.mean(np.abs(out_straight - rotate_feature(out_rotated, r.T))))
 
 

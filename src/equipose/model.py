@@ -22,13 +22,11 @@ from .layers import (
     VNPoolConcat,
     VNReLU,
     assign_params,
-    component_major,
     init_layer_params,
     load_params,
     named_params,
     rotate_feature,
     save_params,
-    vector_list,
 )
 
 LIFT_CHANNELS = 8
@@ -81,7 +79,8 @@ def lift_cloud(
     scales=(10.0, 60.0, 240.0, 600.0, 6000.0),
     cap: float = 2.0,
 ) -> np.ndarray:
-    """Per-point equivariant input channels, shape (N, 8, 3).
+    """Per-point equivariant input channels, a contiguous component-major
+    feature of shape (3, 8, N).
 
     Geometry channels: position centered on the cloud mean, mean edge vectors
     to the nearest k and 4k neighbours (two scales of local geometry), and two
@@ -98,7 +97,7 @@ def lift_cloud(
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
     if n == 0:
-        return np.zeros((0, LIFT_CHANNELS, 3))
+        return np.zeros((3, LIFT_CHANNELS, 0))
     centered = points - points.mean(axis=0)
     k_near = min(neighbors, n - 1)
     k_far = min(4 * neighbors, n - 1)
@@ -129,7 +128,8 @@ def lift_cloud(
         ],
         axis=1,
     )
-    norms = np.linalg.norm(v, axis=-1, keepdims=True)
+    v = np.ascontiguousarray(v.T)  # (N, 8, 3) -> (3, 8, N)
+    norms = np.linalg.norm(v, axis=0)
     return v * np.minimum(1.0, cap / np.maximum(norms, 1e-30))
 
 
@@ -187,62 +187,58 @@ class PoseModel(Layer):
         )
 
     def forward(self, v, app_in, train=False, ctx=None, rotation: Rotation = None) -> ModelOutputs:
-        """v: lifted feature, a vector list (..., N, 8, 3); app_in: (..., N, 5)
-        appearance inputs. Leading axes stack clouds: pooling stays per cloud,
-        batch-norm statistics span every cloud.
-
-        The trunk and the invariant branch work component-major, so the
-        layout changes at two points: v becomes (..., 3, 8, N) on the way
-        into the trunk, and the trunk output becomes a vector list
-        (..., N, C, 3) again on the way into the keypoint head.
+        """v: lifted feature, component-major (..., 3, 8, N); app_in:
+        (..., N, 5) appearance inputs. Leading axes stack clouds: pooling
+        stays per cloud, batch-norm statistics span every cloud.
 
         With a rotation R, the keypoint head also sees the rotated cloud: it
-        runs on the pair (equi, equi @ R), which equals the trunk's output on
-        v @ R because every trunk layer is exactly equivariant, so the trunk,
-        invariant branch and segmentation head run once. offsets then gains a
-        leading pair axis, (2, ..., N, M + 1, 3)."""
+        runs on the pair (equi, rotate_feature(equi, R)), which equals the
+        trunk's output on the rotated input because every trunk layer is
+        exactly equivariant, so the trunk, invariant branch and segmentation
+        head run once. offsets then gains a leading pair axis,
+        (2, ..., N, M + 1, 3)."""
         cache = self._new_cache(ctx)
         for key in ("backbone", "invariant", "appearance", "seg", "kp"):
             cache[key] = {}
-        planes = self.backbone.forward(component_major(v), train=train, ctx=cache["backbone"])
-        inv = self.invariant.forward(planes, train=train, ctx=cache["invariant"])
+        equi = self.backbone.forward(v, train=train, ctx=cache["backbone"])
+        inv = self.invariant.forward(equi, train=train, ctx=cache["invariant"])
         app = self.appearance.forward(app_in, train=train, ctx=cache["appearance"])
         logits = self.seg_head.forward(inv, app, train=train, ctx=cache["seg"])
-        equi = vector_list(planes)
         kp_equi, kp_app = equi, app
         if rotation is not None:
             cache["rotation"] = rotation.m
-            kp_equi = np.stack([equi, rotate_feature(equi, rotation.m)])
+            kp_equi = rotate_feature(equi, np.stack([np.eye(3), rotation.m]))
             kp_app = np.broadcast_to(app, (2,) + app.shape)
         offsets = self.kp_head.forward(kp_equi, kp_app, train=train, ctx=cache["kp"])
         return ModelOutputs(logits, offsets)
 
     def backward(self, d_logits, d_offsets, ctx=None):
-        """Returns (d v, d app_in), d v a vector list like v, and accumulates
-        parameter gradients. After a forward with a rotation, d_offsets
-        carries the pair axis and the rotated half's gradient folds back onto
-        the trunk output as @ R^T."""
+        """Returns (d v, d app_in), d v component-major like v, and
+        accumulates parameter gradients. After a forward with a rotation,
+        d_offsets carries the pair axis and the rotated half's gradient folds
+        back onto the trunk output through rotate_feature(., R^T)."""
         cache = self._get_cache(ctx)
         d_inv, d_app_seg = self.seg_head.backward(d_logits, ctx=cache["seg"])
         d_equi_kp, d_app_kp = self.kp_head.backward(d_offsets, ctx=cache["kp"])
         if "rotation" in cache:
             d_equi_kp = d_equi_kp[0] + rotate_feature(d_equi_kp[1], cache["rotation"].T)
             d_app_kp = d_app_kp[0] + d_app_kp[1]
-        d_planes = self.invariant.backward(d_inv, ctx=cache["invariant"])
-        d_planes += component_major(d_equi_kp)
-        dv = vector_list(self.backbone.backward(d_planes, ctx=cache["backbone"]))
+        d_equi = self.invariant.backward(d_inv, ctx=cache["invariant"])
+        d_equi += d_equi_kp
+        dv = self.backbone.backward(d_equi, ctx=cache["backbone"])
         d_app_in = self.appearance.backward(d_app_seg + d_app_kp, ctx=cache["appearance"])
         return dv, d_app_in
 
     def so3_term(self, offsets, rotation: Rotation, weight: float = 1.0):
-        """Rotation-consistency penalty mean |o(v) - o(v @ R) @ R^T| on the
-        keypoint offsets of the pair from forward(..., rotation=R), shape
-        (2, N, M + 1, 3).
+        """Rotation-consistency penalty mean |o - o_R @ R^T| between the
+        keypoint offsets o of the cloud and o_R of the rotated cloud: the
+        pair from forward(..., rotation=R), shape (2, N, M + 1, 3). Offsets
+        are xyz-last like points, so R acts on them by a plain @.
         Returns (value, weighted d value / d offsets) for the pair."""
         r = rotation.m
-        diff = offsets[0] - rotate_feature(offsets[1], r.T)
+        diff = offsets[0] - offsets[1] @ r.T
         g = weight * np.sign(diff) / diff.size
-        return float(np.mean(np.abs(diff))), np.stack([g, -rotate_feature(g, r)])
+        return float(np.mean(np.abs(diff))), np.stack([g, -(g @ r)])
 
 
 def init_model(cfg: ModelConfig, seed: int) -> PoseModel:

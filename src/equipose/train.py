@@ -43,6 +43,8 @@ class TrainConfig:
             raise ConfigInvalid("batch size must be at least 1")
         if self.epochs < 1:
             raise ConfigInvalid("epochs must be at least 1")
+        if self.seed < 0:
+            raise ConfigInvalid(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
@@ -95,9 +97,10 @@ def make_optimizer(model: PoseModel, cfg: TrainConfig) -> Adam:
 @dataclass
 class SceneTensors:
     """Network-ready arrays for one scene; the lift is cached here because it
-    is fixed preprocessing, not part of the learned graph."""
+    is fixed preprocessing, not part of the learned graph. v is the lifted
+    feature, contiguous and component-major like every vector feature."""
 
-    v: np.ndarray  # (N, 8, 3) lifted feature
+    v: np.ndarray  # (3, 8, N) lifted feature
     app_in: np.ndarray  # (N, 5)
     labels: np.ndarray  # (N,)
     gt_offsets: np.ndarray  # (N, M + 1, 3)
@@ -115,8 +118,8 @@ def scene_tensors(sample, model: PoseModel) -> SceneTensors:
 
 
 def sample_losses(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, scale=1.0, train=True, ctx=None):
-    """One forward of the cloud with the keypoint head on the pair
-    (v, v @ R), and the loss assembly.
+    """One forward of the cloud with the keypoint head on the pair (the
+    cloud, the cloud rotated by R), and the loss assembly.
 
     The segmentation and offset losses read the straight half; the
     consistency term compares the keypoint offsets of both halves. Returns

@@ -24,7 +24,6 @@ from equipose.layers import (
     VNLinear,
     VNMeanPool,
     VNReLU,
-    component_major,
     init_layer_params,
 )
 from equipose.losses import LossWeights, so3_loss
@@ -117,7 +116,7 @@ def test_criterion_03_so3_loss_sanity():
     for trial in range(100):
         stack = Sequential([VNLinear(4, 8), VNReLU(8, 8), VNLinear(8, 6)])
         init_layer_params(stack, rng)
-        v = rng.normal(size=(16, 4, 3))
+        v = rng.normal(size=(3, 4, 16))
         worst_intact = max(worst_intact, so3_loss(stack, v, sample_uniform_rotation(rng)))
     report = consistency_report(seed=1)
     elapsed = time.monotonic() - started
@@ -156,7 +155,7 @@ def test_criterion_04_gradient_oracle(object_models):
     rotation = sample_uniform_rotation(RNG(0))
     err_model = gradcheck(model, tensors, TrainConfig(seed=0), rotation, step=1e-5)
     # mean pool is not part of the default trunk; checked standalone
-    err_pool = layer_fd_check(VNMeanPool(), component_major(RNG(1).normal(size=(6, 4, 3))), step=1e-5)
+    err_pool = layer_fd_check(VNMeanPool(), RNG(1).normal(size=(3, 4, 6)), step=1e-5)
     elapsed = time.monotonic() - started
     worst = max(err_model, err_pool)
     assert worst <= 1e-4

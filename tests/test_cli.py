@@ -177,7 +177,9 @@ class TestSynthGen:
         assert meta["n_classes"] == 4 and meta["n_keypoints"] == 8
 
     @pytest.mark.parametrize(
-        "flags", [["--keypoints", "0"], ["--n-scenes", "-1"]], ids=["zero_keypoints", "negative_scenes"]
+        "flags",
+        [["--keypoints", "0"], ["--n-scenes", "-1"], ["--n-vertices", "60", "--keypoints", "500"]],
+        ids=["zero_keypoints", "negative_scenes", "keypoints_above_vertices"],
     )
     def test_bad_counts_exit_2(self, tmp_path, flags, capsys):
         out = tmp_path / "data"
@@ -391,8 +393,9 @@ class TestTrainCommand:
             {"epochs": 1, "so3_atach": "kp_path"},
             {"epochs": 1, "weights": {"so3": -1.0}},
             {"optimizer": "adam"},
+            {"epochs": 1, "seed": -1},
         ],
-        ids=["unknown_key", "negative_weight", "removed_key"],
+        ids=["unknown_key", "negative_weight", "removed_key", "negative_seed"],
     )
     def test_bad_config_exits_2(self, dataset, tmp_path, config, capsys):
         cfg_path = tmp_path / "train.json"
@@ -470,6 +473,25 @@ class TestGradcheckCommand:
         assert main(["gradcheck", *flags, "--out", str(out)]) == EXIT_BAD_INPUT
         assert "error: bad input" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-equivariance", "--trials", "1"],
+        ["synth-gen", "--out-dir", "data"],
+        ["train", "--scenes-dir", "scenes", "--out-dir", "run"],
+        ["eval", "--scenes-dir", "scenes", "--registry-dir", "registry", "--out-dir", "run"],
+        ["gradcheck"],
+    ],
+    ids=["check-equivariance", "synth-gen", "train", "eval", "gradcheck"],
+)
+def test_negative_seed_exits_2(argv, capsys):
+    # argparse rejects it before the command runs
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "-1"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert "--seed: seed must be non-negative" in capsys.readouterr().err
 
 
 def test_version_via_subprocess():

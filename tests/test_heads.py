@@ -117,16 +117,28 @@ class TestKpHead:
         head = KpHead(6, 4, 8, n_keypoints=3)
         bias = RNG(11).normal(size=12)
         head.mlp.b2.value[...] = bias
-        out = head.forward(np.zeros((5, 6, 3)), np.zeros((5, 4)), ctx={})
+        out = head.forward(np.zeros((3, 6, 5)), np.zeros((5, 4)), ctx={})
         assert out.shape == (5, 4, 3)
         np.testing.assert_allclose(out, np.tile(bias.reshape(4, 3), (5, 1, 1)), atol=1e-15)
 
+    def test_shape_mismatch(self):
+        head = KpHead(6, 4, 8, n_keypoints=3)
+        with pytest.raises(ShapeMismatch):
+            head.forward(np.zeros((5, 6, 3)), np.zeros((5, 4)), ctx={})  # a vector list
+        with pytest.raises(ShapeMismatch):
+            head.forward(np.zeros((3, 6, 5)), np.zeros((4, 4)), ctx={})  # 4 points, not 5
+        with pytest.raises(ShapeMismatch):
+            head.forward(np.zeros((3, 6, 5)), np.zeros((5, 3)), ctx={})  # 3 appearance features
+
     def test_matches_dense_oracle(self):
+        # the oracle's rows are (N, C, 3) vector lists flattened channel-major
+        # then xyz, the column order of kp.mlp.W1 in saved parameters; the head
+        # gets the component-major transpose of the same draw
         head = fresh(KpHead(5, 4, 9, n_keypoints=2), seed=12)
         rng = RNG(13)
         equi = rng.normal(size=(6, 5, 3))
         app = rng.normal(size=(6, 4))
-        out = head.forward(equi, app, ctx={})
+        out = head.forward(equi.T, app, ctx={})
         fused = np.concatenate([equi.reshape(6, 15), app], axis=1)
         hidden = np.maximum(fused @ head.mlp.w1.value.T + head.mlp.b1.value, 0.0)
         expected = (hidden @ head.mlp.w2.value.T + head.mlp.b2.value).reshape(6, 3, 3)
@@ -139,7 +151,7 @@ class TestKpHead:
         head.mlp.b1.value[...] = 0.0
         head.mlp.b2.value[...] = 0.0
         app = RNG(15).normal(size=(6, 4))
-        zero_equi = np.zeros((6, 5, 3))
+        zero_equi = np.zeros((3, 5, 6))
         once = head.forward(zero_equi, app, ctx={})
         twice = head.forward(zero_equi, 2.0 * app, ctx={})
         np.testing.assert_allclose(twice, 2.0 * once, atol=1e-12)
@@ -147,11 +159,11 @@ class TestKpHead:
     def test_permutation_equivariance_over_points(self):
         head = fresh(KpHead(5, 4, 9, n_keypoints=2), seed=16)
         rng = RNG(17)
-        equi = rng.normal(size=(10, 5, 3))
+        equi = rng.normal(size=(3, 5, 10))
         app = rng.normal(size=(10, 4))
         base = head.forward(equi, app, ctx={})
         perm = rng.permutation(10)
-        np.testing.assert_array_equal(head.forward(equi[perm], app[perm], ctx={}), base[perm])
+        np.testing.assert_array_equal(head.forward(equi[..., perm], app[perm], ctx={}), base[perm])
 
 
 class TestHeadGradients:
@@ -181,7 +193,7 @@ class TestHeadGradients:
     def test_kp_head_gradcheck(self):
         head = fresh(KpHead(4, 3, 6, n_keypoints=2), seed=22)
         rng = RNG(23)
-        equi = rng.normal(size=(5, 4, 3))
+        equi = rng.normal(size=(3, 4, 5))
         app = rng.normal(size=(5, 3))
         upstream = rng.normal(size=(5, 3, 3))
         head.zero_grad()

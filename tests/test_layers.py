@@ -25,17 +25,14 @@ from equipose.layers import (
     VNPoolConcat,
     VNReLU,
     assign_params,
-    component_major,
     init_layer_params,
     load_params,
     named_params,
     rotate_feature,
     save_params,
-    vector_list,
 )
 
 RNG = np.random.default_rng
-cm, vl = component_major, vector_list
 
 
 def inline_invariant_reference(layer, v, grad):
@@ -44,7 +41,7 @@ def inline_invariant_reference(layer, v, grad):
     v is component-major, and so is the input gradient."""
     wa, wb = layer.wa.value, layer.wb.value
     w1, b1, w2, b2 = (p.value for p in layer.mlp.own_params())
-    va, vb = vl(np.matmul(wa, v)), vl(np.matmul(wb, v))
+    va, vb = np.swapaxes(np.matmul(wa, v), -1, -3), np.swapaxes(np.matmul(wb, v), -1, -3)
     gram = np.matmul(va, np.swapaxes(vb, -1, -2))
     flat = gram.reshape(gram.shape[:-2] + (layer.branch_a * layer.branch_b,))
     h = flat @ w1.T + b1
@@ -58,8 +55,8 @@ def inline_invariant_reference(layer, v, grad):
     grads["b1"] = dh2.sum(axis=0)
     d_flat = d_h @ w1
     d_gram = d_flat.reshape(d_flat.shape[:-1] + (layer.branch_a, layer.branch_b))
-    d_va = cm(np.matmul(d_gram, vb))
-    d_vb = cm(np.matmul(np.swapaxes(d_gram, -1, -2), va))
+    d_va = np.swapaxes(np.matmul(d_gram, vb), -1, -3)
+    d_vb = np.swapaxes(np.matmul(np.swapaxes(d_gram, -1, -2), va), -1, -3)
     v_t = np.swapaxes(v, -1, -2)
     grads["Wa"] = np.matmul(d_va, v_t).reshape(-1, layer.branch_a, layer.in_channels).sum(axis=0)
     grads["Wb"] = np.matmul(d_vb, v_t).reshape(-1, layer.branch_b, layer.in_channels).sum(axis=0)
@@ -72,35 +69,60 @@ def fresh(layer, seed=0):
     return layer
 
 
+class TestRotateFeature:
+    def test_matches_einsum_reference(self):
+        # each channel vector x becomes x @ r
+        rng = RNG(42)
+        v = rng.normal(size=(3, 4, 7))
+        r = sample_uniform_rotation(rng).m
+        expected = np.einsum("icn,ij->jcn", v, r)
+        np.testing.assert_allclose(rotate_feature(v, r), expected, rtol=0.0, atol=1e-14)
+
+    def test_stacked_rotations_act_per_sample(self):
+        rng = RNG(43)
+        batch = rng.normal(size=(5, 3, 4, 7))
+        rots = np.stack([sample_uniform_rotation(rng).m for _ in range(5)])
+        expected = np.einsum("bicn,bij->bjcn", batch, rots)
+        np.testing.assert_allclose(rotate_feature(batch, rots), expected, rtol=0.0, atol=1e-14)
+
+    def test_composition(self):
+        rng = RNG(44)
+        v = rng.normal(size=(3, 4, 7))
+        a, b = (sample_uniform_rotation(rng).m for _ in range(2))
+        np.testing.assert_allclose(
+            rotate_feature(rotate_feature(v, a), b), rotate_feature(v, a @ b), rtol=0.0, atol=1e-14
+        )
+
+
 class TestVNLinear:
     def test_identity_weight_is_identity(self):
         layer = VNLinear(4, 4)
         layer.w.value[...] = np.eye(4)
-        v = cm(RNG(0).normal(size=(6, 4, 3)))
+        v = RNG(0).normal(size=(3, 4, 6))
         np.testing.assert_array_equal(layer.forward(v, ctx={}), v)
 
     def test_hand_multiplied_channels(self):
         layer = VNLinear(2, 1)
         layer.w.value[...] = [[1.0, 1.0]]
-        v = cm([[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]])
-        np.testing.assert_array_equal(vl(layer.forward(v, ctx={})), [[[1.0, 2.0, 0.0]]])
+        v = np.array([[[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]]).T  # one point, two channels
+        np.testing.assert_array_equal(layer.forward(v, ctx={})[:, 0, 0], [1.0, 2.0, 0.0])
 
     def test_equivariance(self):
         rng = RNG(1)
         for _ in range(100):
             layer = fresh(VNLinear(5, 7), seed=int(rng.integers(1 << 30)))
-            v = rng.normal(size=(8, 5, 3))
+            v = rng.normal(size=(3, 5, 8))
             r = sample_uniform_rotation(rng).m
             assert equivariance_residual(layer, v, r) <= 1e-12
 
     def test_input_gradient_is_adjoint(self):
         layer = fresh(VNLinear(4, 6), seed=2)
-        v = cm(RNG(3).normal(size=(5, 4, 3)))
+        v = RNG(3).normal(size=(3, 4, 5))
         ctx = {}
         out = layer.forward(v, ctx=ctx)
         grad_in = layer.backward(np.ones_like(out), ctx=ctx)
-        expected = np.broadcast_to(layer.w.value.sum(axis=0)[:, None], (5, 4, 3))
-        np.testing.assert_allclose(vl(grad_in), expected, atol=1e-12)
+        expected = np.broadcast_to(layer.w.value.sum(axis=0)[:, None], (3, 4, 5))
+        np.testing.assert_allclose(grad_in, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         layer = VNLinear(4, 6)
@@ -123,30 +145,30 @@ class TestVNReLU:
         layer = VNReLU(1, 1)
         layer.w.value[...] = [[1.0]]
         layer.u.value[...] = [[2.0]]  # k = 2 q, positive dot
-        v = cm(RNG(4).normal(size=(5, 1, 3)))
+        v = RNG(4).normal(size=(3, 1, 5))
         np.testing.assert_allclose(layer.forward(v, ctx={}), v, atol=1e-12)
 
     def test_opposed_direction_fully_truncated(self):
         layer = VNReLU(1, 1)
         layer.w.value[...] = [[1.0]]
         layer.u.value[...] = [[-1.0]]  # k = -q
-        v = cm(RNG(5).normal(size=(5, 1, 3)))
+        v = RNG(5).normal(size=(3, 1, 5))
         np.testing.assert_allclose(layer.forward(v, ctx={}), np.zeros_like(v), atol=1e-12)
 
     def test_output_in_closed_half_space(self):
         rng = RNG(6)
         for _ in range(50):
             layer = fresh(VNReLU(4, 5), seed=int(rng.integers(1 << 30)))
-            v = rng.normal(size=(12, 4, 3))
-            out = vl(layer.forward(cm(v), ctx={}))
+            v = rng.normal(size=(3, 4, 12))
+            out = layer.forward(v, ctx={})
             k = np.matmul(layer.u.value, v)
-            assert np.min(np.sum(out * k, axis=-1)) >= -1e-12
+            assert np.min(np.sum(out * k, axis=0)) >= -1e-12
 
     def test_equivariance(self):
         rng = RNG(7)
         for _ in range(100):
             layer = fresh(VNReLU(5, 5), seed=int(rng.integers(1 << 30)))
-            v = rng.normal(size=(8, 5, 3))
+            v = rng.normal(size=(3, 5, 8))
             r = sample_uniform_rotation(rng).m
             assert equivariance_residual(layer, v, r) <= 1e-12
 
@@ -154,8 +176,8 @@ class TestVNReLU:
         layer = VNReLU(2, 1)
         layer.w.value[...] = [[1.0, 0.0]]
         layer.u.value[...] = [[0.0, 0.0]]  # k identically zero
-        v = RNG(8).normal(size=(4, 2, 3))
-        np.testing.assert_array_equal(vl(layer.forward(cm(v), ctx={})), v[:, :1])
+        v = RNG(8).normal(size=(3, 2, 4))
+        np.testing.assert_array_equal(layer.forward(v, ctx={}), v[:, :1])
 
     def test_boundary_uses_pass_through_branch(self):
         # q orthogonal to k: <q,k> = 0 exactly, output must be q with the
@@ -163,35 +185,35 @@ class TestVNReLU:
         layer = VNReLU(2, 1)
         layer.w.value[...] = [[1.0, 0.0]]
         layer.u.value[...] = [[0.0, 1.0]]
-        v = cm([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]])
+        v = np.array([[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]).T  # one point, two channels
         ctx = {}
         out = layer.forward(v, ctx=ctx)
-        np.testing.assert_array_equal(vl(out)[0, 0], [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(out[:, 0, 0], [1.0, 0.0, 0.0])
         grad = layer.backward(np.ones_like(out), ctx=ctx)
         assert np.all(np.isfinite(grad))
-        np.testing.assert_array_equal(vl(grad)[0, 0], [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(grad[:, 0, 0], [1.0, 1.0, 1.0])
 
 
 class TestVNMeanPool:
     def test_single_point_identity(self):
-        v = cm(RNG(9).normal(size=(1, 3, 3)))
+        v = RNG(9).normal(size=(3, 3, 1))
         np.testing.assert_array_equal(VNMeanPool().forward(v, ctx={}), v)
 
     def test_opposite_vectors_cancel(self):
-        v = RNG(10).normal(size=(1, 4, 3))
-        both = cm(np.concatenate([v, -v], axis=0))
+        v = RNG(10).normal(size=(3, 4, 1))
+        both = np.concatenate([v, -v], axis=-1)
         np.testing.assert_allclose(
             VNMeanPool().forward(both, ctx={}), np.zeros((3, 4, 1)), atol=1e-15
         )
 
     def test_permutation_invariance(self):
         rng = RNG(11)
-        v = rng.normal(size=(20, 4, 3))
-        base = VNMeanPool().forward(cm(v), ctx={})
+        v = rng.normal(size=(3, 4, 20))
+        base = VNMeanPool().forward(v, ctx={})
         for _ in range(20):
             perm = rng.permutation(20)
             np.testing.assert_allclose(
-                VNMeanPool().forward(cm(v[perm]), ctx={}), base, atol=1e-12
+                VNMeanPool().forward(v[..., perm], ctx={}), base, atol=1e-12
             )
 
     def test_empty_input(self):
@@ -206,8 +228,8 @@ class TestVNBatchNorm:
         mu = np.array([0.4, 0.9, 1.3])
         layer.running_mean.value[...] = mu
         layer.running_var.value[...] = 1.0
-        v = rng.normal(size=(6, 3, 3)) * 2.0
-        out = vl(layer.forward(cm(v), train=False, ctx={}))
+        v = rng.normal(size=(6, 3, 3)) * 2.0  # a vector list; .T is its (3, C, N) feature
+        out = layer.forward(v.T, train=False, ctx={}).T
         norms = np.linalg.norm(v, axis=-1)
         expected_norms = (norms - mu) / np.sqrt(1.0 + BN_EPS)
         scale = expected_norms / norms
@@ -222,7 +244,7 @@ class TestVNBatchNorm:
         rng = RNG(13)
         layer = fresh(VNBatchNorm(4), seed=14)
         v = rng.normal(size=(10, 4, 3))
-        out = vl(layer.forward(cm(v), train=True, ctx={}))
+        out = layer.forward(v.T, train=True, ctx={}).T
         cross = np.cross(out, v)
         assert np.max(np.abs(cross)) <= 1e-12 * np.max(np.abs(v)) * np.max(
             np.linalg.norm(out, axis=-1)
@@ -231,11 +253,11 @@ class TestVNBatchNorm:
     def test_per_sample_rotations(self):
         rng = RNG(14)
         layer = fresh(VNBatchNorm(5), seed=15)
-        batch = rng.normal(size=(4, 9, 5, 3))
+        batch = rng.normal(size=(4, 3, 5, 9))
         rots = np.stack([sample_uniform_rotation(rng).m for _ in range(4)])
-        straight = vl(layer.forward(cm(batch), train=True, ctx={}))
-        rotated = vl(layer.forward(cm(np.einsum("bnci,bij->bncj", batch, rots)), train=True, ctx={}))
-        expected = np.einsum("bnci,bij->bncj", straight, rots)
+        straight = layer.forward(batch, train=True, ctx={})
+        rotated = layer.forward(np.einsum("bij,bicn->bjcn", rots, batch), train=True, ctx={})
+        expected = np.einsum("bij,bicn->bjcn", rots, straight)
         denom = 1.0 + np.max(np.abs(straight))
         assert np.max(np.abs(rotated - expected)) / denom <= 1e-10
 
@@ -246,13 +268,13 @@ class TestVNBatchNorm:
         dirs = rng.normal(size=(8, 2, 3))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         v = 1.5 * dirs  # all norms equal 1.5
-        out = vl(layer.forward(cm(v), train=True, ctx={}))
+        out = layer.forward(v.T, train=True, ctx={}).T
         norms = np.linalg.norm(out, axis=-1)
         np.testing.assert_allclose(norms, 0.7, atol=1e-12)
 
     def test_running_stats_update(self):
         layer = fresh(VNBatchNorm(2), seed=17)
-        v = cm(RNG(16).normal(size=(30, 2, 3)))
+        v = RNG(16).normal(size=(3, 2, 30))
         layer.forward(v, train=True, ctx={})
         assert not np.allclose(layer.running_mean.value, 0.0)
         before = layer.running_mean.value.copy()
@@ -265,7 +287,7 @@ class TestVNInvariant:
         layer = VNInvariant(1, branch_a=1, branch_b=1, hidden=1, out=1)
         layer.wa.value[...] = 1.0
         layer.wb.value[...] = 1.0
-        v = cm([[[0.0, 3.0, 4.0]]])
+        v = np.array([[[0.0, 3.0, 4.0]]]).T
         ctx = {}
         layer.forward(v, ctx=ctx)
         np.testing.assert_allclose(ctx["mlp"]["x"], [[25.0]], atol=1e-12)
@@ -276,12 +298,12 @@ class TestVNInvariant:
         assert [name for name, _ in named] == ["Wa", "Wb", "W1", "b1", "W2", "b2"]
         assert [p.value.shape for _, p in named] == [(3, 4), (2, 4), (6, 6), (6,), (5, 6), (5,)]
 
-    @pytest.mark.parametrize("shape", [(9, 4, 3), (2, 9, 4, 3)], ids=["cloud", "stacked"])
+    @pytest.mark.parametrize("shape", [(3, 4, 9), (2, 3, 4, 9)], ids=["cloud", "stacked"])
     def test_matches_inline_mlp_reference(self, shape):
         rng = RNG(21)
         layer = fresh(VNInvariant(4, branch_a=3, branch_b=2, hidden=6, out=5), seed=22)
-        v = cm(rng.normal(size=shape))
-        grad = rng.normal(size=shape[:-2] + (5,))
+        v = rng.normal(size=shape)
+        grad = rng.normal(size=shape[:-3] + (shape[-1], 5))
         ctx = {}
         out = layer.forward(v, ctx=ctx)
         layer.zero_grad()
@@ -300,7 +322,7 @@ class TestVNInvariant:
                 VNInvariant(4, branch_a=3, branch_b=2, hidden=6, out=5),
                 seed=int(rng.integers(1 << 30)),
             )
-            v = rng.normal(size=(7, 4, 3))
+            v = rng.normal(size=(3, 4, 7))
             r = sample_uniform_rotation(rng).m
             assert invariance_residual(layer, v, r) <= 1e-10
 
@@ -317,23 +339,23 @@ class TestVNInvariant:
 class TestStacks:
     def test_pool_concat_channels(self):
         v = RNG(20).normal(size=(6, 4, 3))
-        out = VNPoolConcat().forward(cm(v), ctx={})
+        out = VNPoolConcat().forward(v.T, ctx={})
         assert out.shape == (3, 8, 6)
-        out = vl(out)
+        out = out.T
         np.testing.assert_allclose(out[:, 4:], np.tile(v.mean(0), (6, 1, 1)), atol=1e-15)
 
     def test_random_stack_equivariance(self):
         rng = RNG(21)
         for _ in range(50):
             stack = random_stack(rng)
-            v = rng.normal(size=(10, 4, 3))
+            v = rng.normal(size=(3, 4, 10))
             r = sample_uniform_rotation(rng).m
             assert equivariance_residual(stack, v, r, train=True) <= 1e-10
 
     def test_flatten_dense_breaks_equivariance(self):
         rng = RNG(22)
         layer = fresh(FlattenDense(4), seed=23)
-        v = rng.normal(size=(10, 4, 3))
+        v = rng.normal(size=(3, 4, 10))
         r = sample_uniform_rotation(rng).m
         assert equivariance_residual(layer, v, r) > 1e-3
 
@@ -344,11 +366,24 @@ class TestStacks:
 
 
 def vector_list_reference(layer, v, grad, train=False):
-    """The layer on a vector list v (..., N, C, 3), written with einsum in that
-    layout independently of the layer's code: (output, input gradient,
-    {param name: gradient}), the output and gradients vector lists where
-    they are vector features. grad is the output gradient in the output's
-    layout. VNBatchNorm's running stats are read, not moved."""
+    """The layer written with einsum on vector lists (..., N, C, 3),
+    independently of the layer's code: (output, input gradient,
+    {param name: gradient}). v, grad (in the output's layout) and the
+    returned features are component-major; the transposes to and from the
+    vector-list layout happen here. VNBatchNorm's running stats are read,
+    not moved."""
+
+    def swap(a):  # (..., 3, C, N) <-> (..., N, C, 3)
+        return np.swapaxes(a, -1, -3)
+
+    vector_out = not isinstance(layer, VNInvariant)
+    out, dv, grads = _vector_list_einsum(layer, swap(v), swap(grad) if vector_out else grad, train)
+    return (swap(out) if vector_out else out), swap(dv), grads
+
+
+def _vector_list_einsum(layer, v, grad, train):
+    """vector_list_reference's math on vector lists v and, for vector
+    outputs, grad."""
     ein = np.einsum
 
     def pts(a):  # leading axes folded into the point axis, for weight gradients
@@ -431,10 +466,10 @@ def vector_list_reference(layer, v, grad, train=False):
 
 
 class TestLayoutReference:
-    """Each component-major layer against vector_list_reference, through the
-    layout pair: forward, input gradient and every parameter gradient."""
+    """Each component-major layer against vector_list_reference: forward,
+    input gradient and every parameter gradient."""
 
-    @pytest.mark.parametrize("shape", [(11, 4, 3), (2, 11, 4, 3)], ids=["cloud", "stacked"])
+    @pytest.mark.parametrize("shape", [(3, 4, 11), (2, 3, 4, 11)], ids=["cloud", "stacked"])
     @pytest.mark.parametrize(
         "name", ["linear", "relu", "mean_pool", "pool_concat", "bn_train", "bn_eval", "invariant"]
     )
@@ -455,14 +490,11 @@ class TestLayoutReference:
                 p.value[...] = rng.uniform(0.5, 1.5, size=p.value.shape)
         v = rng.normal(size=shape)
         ctx = {}
-        out = layer.forward(cm(v), train=train, ctx=ctx)
-        vector_out = name != "invariant"
+        out = layer.forward(v, train=train, ctx=ctx)
         grad = rng.normal(size=out.shape)
         layer.zero_grad()
-        dv = vl(layer.backward(grad, ctx=ctx))
-        ref_out, ref_dv, ref_grads = vector_list_reference(
-            layer, v, vl(grad) if vector_out else grad, train
-        )
+        dv = layer.backward(grad, ctx=ctx)
+        ref_out, ref_dv, ref_grads = vector_list_reference(layer, v, grad, train)
         if name == "relu":  # both branches of the gate are taken
             assert 0 < np.sum(ctx["ratio"] != 0.0) < ctx["ratio"].size
 
@@ -471,7 +503,7 @@ class TestLayoutReference:
                 actual, expected, rtol=0.0, atol=1e-12 * np.abs(expected).max(), err_msg=what
             )
 
-        close(vl(out) if vector_out else out, ref_out, "forward")
+        close(out, ref_out, "forward")
         close(dv, ref_dv, "input gradient")
         trainable = [(n, p) for n, p in named_params(layer) if p.kind != "stat"]
         assert sorted(n for n, _ in trainable) == sorted(ref_grads)
@@ -486,7 +518,7 @@ class TestGradients:
     )
     def test_layer_gradcheck(self, name):
         rng = RNG(24)
-        v = cm(rng.normal(size=(6, 4, 3)))
+        v = rng.normal(size=(3, 4, 6))
         layer, kwargs = {
             "linear": (VNLinear(4, 5), {}),
             "relu": (VNReLU(4, 5), {}),
@@ -503,7 +535,7 @@ class TestGradients:
     def test_six_layer_stack_gradcheck(self):
         rng = RNG(26)
         stack = random_stack(rng)
-        v = cm(rng.normal(size=(8, 4, 3)))
+        v = rng.normal(size=(3, 4, 8))
         assert layer_fd_check(stack, v, train=True) <= 1e-5
 
 
@@ -520,7 +552,7 @@ class TestSerialization:
             assert name_a == name_b
             np.testing.assert_array_equal(pa.value, pb.value)
 
-        v = cm(RNG(28).normal(size=(5, 3, 3)))
+        v = RNG(28).normal(size=(3, 3, 5))
         np.testing.assert_array_equal(
             stack.forward(v, ctx={}), clone.forward(v, ctx={})
         )

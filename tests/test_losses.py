@@ -131,21 +131,21 @@ def make_broken_stack(seed=0):
 class TestSo3Loss:
     def test_identity_rotation_is_exactly_zero(self):
         stack = make_pure_stack(6)
-        v = RNG(7).normal(size=(10, 4, 3))
+        v = RNG(7).normal(size=(3, 4, 10))
         assert so3_loss(stack, v, Rotation.identity()) == 0.0
 
     def test_vanishes_on_pure_stacks(self):
         rng = RNG(8)
         for _ in range(100):
             stack = make_pure_stack(int(rng.integers(1 << 30)))
-            v = rng.normal(size=(12, 4, 3))
+            v = rng.normal(size=(3, 4, 12))
             assert so3_loss(stack, v, sample_uniform_rotation(rng)) <= 1e-10
 
     def test_positive_on_broken_stack(self):
         rng = RNG(9)
         for _ in range(10):
             stack = make_broken_stack(int(rng.integers(1 << 30)))
-            v = rng.normal(size=(12, 4, 3))
+            v = rng.normal(size=(3, 4, 12))
             assert so3_loss(stack, v, sample_uniform_rotation(rng)) > 1e-3
 
 

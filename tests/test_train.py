@@ -19,7 +19,6 @@ from equipose.layers import (
     VNInvariant,
     VNLinear,
     init_layer_params,
-    component_major,
     named_params,
     rotate_feature,
 )
@@ -95,7 +94,7 @@ class TestInit:
     def test_fresh_network_output_scale(self):
         model = init_model(ModelConfig(n_classes=4), seed=5)
         rng = RNG(6)
-        v = rng.normal(size=(64, 8, 3))
+        v = rng.normal(size=(3, 8, 64))
         app = rng.normal(size=(64, 5))
         out = model.forward(v, app, ctx={})
         for arr in (out.logits, out.offsets):
@@ -216,6 +215,8 @@ class TestTrainLoop:
             TrainConfig(batch_size=0)
         with pytest.raises(ConfigInvalid):
             TrainConfig(learning_rate=-1.0)
+        with pytest.raises(ConfigInvalid, match="seed"):  # numpy's generators need seed >= 0
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -262,8 +263,9 @@ class TestTrainLoop:
 
 
 def stacked_pair_reference(model, t, cfg, rotation):
-    """The trunk run on the stacked pair (v, v @ R): every layer sees both
-    halves and the input gradient folds as dv[0] + dv[1] @ R^T. Returns
+    """The trunk run on the stacked pair (v, v rotated by R): every layer
+    sees both halves and the input gradient folds as
+    dv[0] + rotate_feature(dv[1], R^T). Returns
     (LossReport, parameter gradients, d v, d app_in)."""
     w, n_kp, ctx = cfg.weights, model.cfg.n_keypoints, {}
     model.zero_grad()
@@ -303,9 +305,9 @@ class TestOnePassPerSample:
 
             monkeypatch.setattr(cls, method, spy)
         sample_losses_and_grads(model, t, TrainConfig(), sample_uniform_rotation(RNG(0)))
-        n = len(t.v)
+        n = t.v.shape[-1]
         assert calls == [
-            ("PoseModel.forward", (n, 8, 3)),
+            ("PoseModel.forward", (3, 8, n)),
             ("Sequential.forward", (3, 8, n)),
             ("VNInvariant.forward", (3, model.trunk_channels, n)),
             ("SegHead.forward", (n, TINY_MODEL.invariant_out)),
@@ -378,7 +380,7 @@ class TestGradcheck:
     def test_linear_only_network_is_exact(self):
         stack = Sequential([VNLinear(3, 5), VNLinear(5, 4)])
         init_layer_params(stack, RNG(15))
-        v = component_major(RNG(16).normal(size=(6, 3, 3)))
+        v = RNG(16).normal(size=(3, 3, 6))
         assert layer_fd_check(stack, v, step=1e-5) <= 1e-7
 
     def test_full_kit_within_tolerance(self):
@@ -441,7 +443,7 @@ def test_model_save_load_roundtrip(tmp_path):
     clone = load_model(path)
     assert clone.cfg == model.cfg
     rng = RNG(18)
-    v = rng.normal(size=(10, 8, 3))
+    v = rng.normal(size=(3, 8, 10))
     app = rng.normal(size=(10, 5))
     a = model.forward(v, app, ctx={})
     b = clone.forward(v, app, ctx={})
