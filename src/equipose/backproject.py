@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonPositiveDepth, SingularIntrinsics
+from .files import read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -53,17 +54,11 @@ class CameraIntrinsics:
 
     @classmethod
     def load_json(cls, path) -> "CameraIntrinsics":
-        import json
-
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        with read_json(path) as d:
+            return cls.from_dict(d)
 
     def save_json(self, path) -> None:
-        import json
-
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, indent=2)
-            f.write("\n")
+        write_json(path, self.to_dict())
 
 
 @dataclass(frozen=True)

@@ -11,36 +11,23 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigInvalid, EquiposeError, InputError, NonFiniteLoss, RegistryMiss
+from .files import read_json, write_json
 from .geometry import (
     load_correspondences_json,
     fit_rigid_least_squares,
-    pose_to_dict,
     sample_uniform_rotation,
+    save_pose_json,
 )
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-def _atomic_write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 def _config_digest(args: argparse.Namespace) -> str:
@@ -63,7 +50,7 @@ def _write_manifest(location, command: str, args, seed, artifacts, started: floa
         "version": __version__,
         "duration_s": time.monotonic() - started,
     }
-    _atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_json(path, manifest)
     return path
 
 
@@ -147,7 +134,7 @@ def cmd_check_equivariance(args) -> int:
         "pass": not failing,
         "failing": failing,
     }
-    _atomic_write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(args.out, payload)
     _write_manifest(args.out, "check-equivariance", args, args.seed, [args.out], started)
     for name in sorted(report):
         print(f"{name}: {report[name]:.3e}")
@@ -164,17 +151,17 @@ def cmd_synth_gen(args) -> int:
     if args.n_scenes < 0:
         raise InputError(f"--n-scenes must be non-negative, got {args.n_scenes}")
     started = time.monotonic()
-    os.makedirs(args.out_dir, exist_ok=True)
+    # both validate their flags, so bad input exits before --out-dir exists
     models = make_default_models(
         seed=args.seed, n_vertices=args.n_vertices, n_keypoints=args.keypoints
     )
-    registry_dir = os.path.join(args.out_dir, "registry")
-    save_registry(Registry(models), registry_dir)
     config = SceneConfig(
         noise_sigma=args.noise_sigma,
         occlusion=(0.0, args.occlusion) if args.occlusion > 0 else 0.0,
         n_background=args.background,
     )
+    registry_dir = os.path.join(args.out_dir, "registry")
+    save_registry(Registry(models), registry_dir)
     scenes_dir = os.path.join(args.out_dir, "scenes")
     os.makedirs(scenes_dir, exist_ok=True)
     artifacts = [registry_dir, scenes_dir]
@@ -189,19 +176,11 @@ def cmd_synth_gen(args) -> int:
         "seed": args.seed,
     }
     dataset_path = os.path.join(args.out_dir, "dataset.json")
-    _atomic_write_text(dataset_path, json.dumps(dataset, indent=2, sort_keys=True) + "\n")
+    write_json(dataset_path, dataset)
     artifacts.append(dataset_path)
     _write_manifest(args.out_dir, "synth-gen", args, args.seed, artifacts, started)
     print(f"wrote {args.n_scenes} scenes and {len(models)} models to {args.out_dir}")
     return EXIT_OK
-
-
-def _dataset_meta(scenes_dir):
-    meta_path = os.path.join(os.path.dirname(os.path.abspath(scenes_dir)), "dataset.json")
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            return json.load(f)
-    return None
 
 
 def cmd_train(args) -> int:
@@ -210,9 +189,10 @@ def cmd_train(args) -> int:
 
     started = time.monotonic()
     scenes = list(_load_scenes(args.scenes_dir).values())
-    meta = _dataset_meta(args.scenes_dir)
-    if meta:
-        n_classes = meta["n_classes"]
+    meta_path = os.path.join(os.path.dirname(os.path.abspath(args.scenes_dir)), "dataset.json")
+    if os.path.exists(meta_path):
+        with read_json(meta_path) as meta:
+            n_classes = meta["n_classes"]
     else:  # the ground-truth classes, so a stray label stays out of range
         n_classes = max((cls for s in scenes for cls, _ in s.gt_poses), default=0) + 1
     n_keypoints = scenes[0].n_keypoints
@@ -268,7 +248,7 @@ def cmd_eval(args) -> int:
     distances_path = os.path.join(args.out_dir, "distances.json")
     _score(detections_by_scene, scenes, registry, report_path, distances_path)
     _write_manifest(
-        args.out_dir, "eval", args, args.seed, [det_dir, report_path, distances_path], started
+        args.out_dir, "eval", args, None, [det_dir, report_path, distances_path], started
     )
     return EXIT_OK
 
@@ -277,7 +257,7 @@ def cmd_fit_pose(args) -> int:
     started = time.monotonic()
     corr = load_correspondences_json(_require_file(args.input, "correspondences file"))
     pose = fit_rigid_least_squares(corr)
-    _atomic_write_text(args.out, json.dumps(pose_to_dict(pose), indent=2) + "\n")
+    save_pose_json(args.out, pose)
     _write_manifest(args.out, "fit-pose", args, None, [args.out], started)
     print(f"pose written to {args.out}")
     return EXIT_OK
@@ -332,10 +312,7 @@ def cmd_gradcheck(args) -> int:
     err = gradcheck(model, tensors, TrainConfig(seed=args.seed), rotation, step=args.step)
     print(f"max relative gradient error: {err:.3e}")
     if args.out:
-        _atomic_write_text(
-            args.out,
-            json.dumps({"max_relative_error": err, "step": args.step}, indent=2) + "\n",
-        )
+        write_json(args.out, {"max_relative_error": err, "step": args.step})
         _write_manifest(args.out, "gradcheck", args, args.seed, [args.out], started)
     return EXIT_OK if err <= args.tolerance else EXIT_CHECK_FAILED
 
@@ -386,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--params", default=None, help="parameter container from train")
     p.add_argument("--oracle-heads", action="store_true", help="use GT labels/offsets")
-    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_eval)
 
     p = sub("fit-pose", "rigid least-squares fit of a correspondences file")
@@ -417,7 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ConfigInvalid, RegistryMiss, FileNotFoundError, json.JSONDecodeError) as err:
+    except (InputError, ConfigInvalid, RegistryMiss, FileNotFoundError) as err:
         print(f"error: bad input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except NonFiniteLoss as err:

@@ -1,0 +1,50 @@
+"""The one owner of how files are written and JSON documents are read."""
+
+from __future__ import annotations
+
+import json
+import os
+import uuid
+from contextlib import contextmanager
+
+from .errors import EquiposeError, InputError
+
+
+def write_atomic(path, data) -> None:
+    """Write `data`, str or bytes, to a temporary file beside `path`, then
+    os.replace it: a reader sees the old file or the new one, never a partial
+    one. The file gets the mode a plain open gives it, 0o666 less the umask."""
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as f:
+            f.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def write_json(path, doc) -> None:
+    """Indented JSON and a final newline; keys keep the order `doc` has."""
+    write_atomic(path, json.dumps(doc, indent=2) + "\n")
+
+
+@contextmanager
+def parsing(path):
+    """A KeyError, IndexError, TypeError or ValueError raised in the block
+    becomes an InputError naming `path`; EquiposeErrors pass unchanged."""
+    try:
+        yield
+    except EquiposeError:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError) as err:
+        raise InputError(f"malformed {path}: {type(err).__name__}: {err}") from err
+
+
+@contextmanager
+def read_json(path):
+    """`with read_json(path) as doc:` parses the file and runs the block under `parsing(path)`."""
+    with parsing(path), open(path) as f:
+        yield json.load(f)

@@ -7,12 +7,12 @@ float64; downstream equivariance tolerances rely on it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateConfiguration, InputError
+from .files import read_json, write_json
 
 ORTHONORMAL_TOL = 1e-9
 
@@ -196,13 +196,12 @@ def fit_rigid_least_squares(c: Correspondences) -> RigidTransform:
 
 def load_correspondences_json(path) -> Correspondences:
     """Read {"source": [[x,y,z],...], "target": [...], "weights": [...]?}."""
-    with open(path) as f:
-        data = json.load(f)
-    return Correspondences(
-        source=np.asarray(data["source"], dtype=np.float64),
-        target=np.asarray(data["target"], dtype=np.float64),
-        weights=None if data.get("weights") is None else np.asarray(data["weights"]),
-    )
+    with read_json(path) as data:
+        return Correspondences(
+            source=np.asarray(data["source"], dtype=np.float64),
+            target=np.asarray(data["target"], dtype=np.float64),
+            weights=None if data.get("weights") is None else np.asarray(data["weights"]),
+        )
 
 
 def pose_to_dict(t: RigidTransform) -> dict:
@@ -217,11 +216,9 @@ def pose_from_dict(d: dict) -> RigidTransform:
 
 
 def save_pose_json(path, t: RigidTransform) -> None:
-    with open(path, "w") as f:
-        json.dump(pose_to_dict(t), f, indent=2)
-        f.write("\n")
+    write_json(path, pose_to_dict(t))
 
 
 def load_pose_json(path) -> RigidTransform:
-    with open(path) as f:
-        return pose_from_dict(json.load(f))
+    with read_json(path) as d:
+        return pose_from_dict(d)

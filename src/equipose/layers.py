@@ -19,11 +19,10 @@ with ctx=None records nothing and cannot be followed by a backward.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import EmptyInput, NoForwardRecorded, ShapeMismatch
+from .files import parsing, read_json, write_atomic, write_json
 
 # Below this squared norm the learned truncation direction is considered
 # undefined and the input passes through unchanged.
@@ -468,25 +467,20 @@ def save_params(named, path) -> None:
         )
         payload.append(arr.tobytes())
         offset += arr.nbytes
-    with open(path, "wb") as f:
-        f.write(b"".join(payload))
-    with open(str(path) + ".json", "w") as f:
-        json.dump({"tensors": manifest}, f, indent=2)
-        f.write("\n")
+    write_atomic(path, b"".join(payload))
+    write_json(str(path) + ".json", {"tensors": manifest})
 
 
 def load_params(path) -> dict:
     """Read a container written by save_params: name -> float64 array."""
-    with open(str(path) + ".json") as f:
-        manifest = json.load(f)
-    with open(path, "rb") as f:
-        blob = f.read()
     out = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype=entry["dtype"], count=count, offset=entry["offset"])
-        out[entry["name"]] = arr.reshape(shape).astype(np.float64)
+    with read_json(str(path) + ".json") as manifest, parsing(path), open(path, "rb") as f:
+        blob = f.read()
+        for entry in manifest["tensors"]:
+            shape = tuple(entry["shape"])
+            count = int(np.prod(shape)) if shape else 1
+            arr = np.frombuffer(blob, dtype=entry["dtype"], count=count, offset=entry["offset"])
+            out[entry["name"]] = arr.reshape(shape).astype(np.float64)
     return out
 
 

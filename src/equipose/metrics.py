@@ -3,7 +3,6 @@ accuracy-threshold AUC, and the 10%-of-diameter hit criterion."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import EmptyInput
+from .files import write_json
 from .geometry import RigidTransform
 
 
@@ -181,6 +181,4 @@ def distances_to_json(report: PoseMetricsReport, path) -> None:
         }
         for cls, m in report.per_object.items()
     }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+    write_json(path, payload)

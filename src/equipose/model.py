@@ -4,13 +4,13 @@ backward pass through the whole graph."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ConfigInvalid
+from .files import read_json, write_json
 from .geometry import Rotation
 from .heads import AppearanceEncoder, KpHead, SegHead
 from .layers import (
@@ -251,18 +251,13 @@ def save_model(model: PoseModel, path) -> None:
     """Parameter container plus the architecture config in the manifest."""
     save_params(named_params(model), path)
     manifest_path = str(path) + ".json"
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    manifest["model_config"] = model.cfg.to_dict()
-    with open(manifest_path, "w") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
+    with read_json(manifest_path) as manifest:
+        manifest["model_config"] = model.cfg.to_dict()
+    write_json(manifest_path, manifest)
 
 
 def load_model(path) -> PoseModel:
-    with open(str(path) + ".json") as f:
-        manifest = json.load(f)
-    cfg = ModelConfig.from_dict(manifest["model_config"])
-    model = PoseModel(cfg)
+    with read_json(str(path) + ".json") as manifest:
+        model = PoseModel(ModelConfig.from_dict(manifest["model_config"]))
     assign_params(model, load_params(path))
     return model

@@ -3,7 +3,6 @@ keypoints, and fitted 6D poses."""
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -11,6 +10,7 @@ import numpy as np
 
 from .backproject import PointCloud
 from .errors import DegenerateConfiguration
+from .files import read_json, write_json
 from .geometry import (
     Correspondences,
     RigidTransform,
@@ -117,9 +117,9 @@ def mean_shift_modes(
     return modes[keep], counts[keep]
 
 
-def mean_shift_cluster(x: np.ndarray, bandwidth: float, **kw):
+def mean_shift_cluster(x: np.ndarray, bandwidth: float):
     """Cluster points by nearest converged mode: (assignments (n,), modes)."""
-    modes, _ = mean_shift_modes(x, bandwidth, **kw)
+    modes, _ = mean_shift_modes(x, bandwidth)
     if len(modes) == 0:
         return np.zeros(len(x), dtype=int), modes
     return _sq_dist(x, modes).argmin(axis=1), modes
@@ -268,12 +268,9 @@ def detections_to_json(path, detections, scene_index: int = 0) -> None:
         "scene": scene_index,
         "detections": [d.to_dict() for d in detections],
     }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
+    write_json(path, payload)
 
 
 def detections_from_json(path):
-    with open(path) as f:
-        payload = json.load(f)
-    return [InstanceDetection.from_dict(d) for d in payload["detections"]]
+    with read_json(path) as payload:
+        return [InstanceDetection.from_dict(d) for d in payload["detections"]]

@@ -5,7 +5,6 @@ occlusion, position noise, and background clutter."""
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ from .backproject import (
     write_ply_cloud,
 )
 from .errors import ConfigInvalid, InputError, RegistryMiss, TooFewVertices
+from .files import parsing, read_json, write_json
 from .geometry import (
     RigidTransform,
     Rotation,
@@ -353,9 +353,7 @@ def save_registry(registry: Registry, directory) -> None:
             "center": model.center.tolist(),
             "diameter": model.diameter,
         }
-        with open(os.path.join(directory, f"model_{cls:03d}.json"), "w") as f:
-            json.dump(meta, f, indent=2)
-            f.write("\n")
+        write_json(os.path.join(directory, f"model_{cls:03d}.json"), meta)
 
 
 def load_registry(directory) -> Registry:
@@ -363,21 +361,20 @@ def load_registry(directory) -> Registry:
     for name in sorted(os.listdir(directory)):
         if not (name.startswith("model_") and name.endswith(".json")):
             continue
-        with open(os.path.join(directory, name)) as f:
-            meta = json.load(f)
         cloud = read_ply_cloud(os.path.join(directory, name[:-5] + ".ply"))
-        models.append(
-            ObjectModel(
-                id=int(meta["id"]),
-                vertices=cloud.points,
-                keypoints=np.asarray(meta["keypoints"]),
-                center=np.asarray(meta["center"]),
-                diameter=float(meta["diameter"]),
-                colors=cloud.attributes,
-                symmetric=bool(meta["symmetric"]),
-                kind=meta.get("kind", ""),
+        with read_json(os.path.join(directory, name)) as meta:
+            models.append(
+                ObjectModel(
+                    id=int(meta["id"]),
+                    vertices=cloud.points,
+                    keypoints=np.asarray(meta["keypoints"]),
+                    center=np.asarray(meta["center"]),
+                    diameter=float(meta["diameter"]),
+                    colors=cloud.attributes,
+                    symmetric=bool(meta["symmetric"]),
+                    kind=meta.get("kind", ""),
+                )
             )
-        )
     if not models:
         raise RegistryMiss(f"no model files found in {directory}")
     return Registry(models)
@@ -403,26 +400,24 @@ def save_scene(path_stem, sample: SceneSample) -> None:
         "n_keypoints": sample.n_keypoints,
         "poses": [{"class": int(cls), **pose_to_dict(pose)} for cls, pose in sample.gt_poses],
     }
-    with open(str(path_stem) + ".json", "w") as f:
-        json.dump(sidecar, f, indent=2)
-        f.write("\n")
+    write_json(str(path_stem) + ".json", sidecar)
 
 
 def load_scene(path_stem) -> SceneSample:
-    names, rows = _read_ascii_ply(str(path_stem) + ".ply")
-    with open(str(path_stem) + ".json") as f:
-        sidecar = json.load(f)
-    n_slots = sidecar["n_keypoints"] + 1
-    pts = rows[:, :3]
-    cols = rows[:, 3:6]
-    labels = rows[:, names.index("label")].astype(int)
-    off_start = names.index("off_0_x")
-    offsets = rows[:, off_start : off_start + 3 * n_slots].reshape(len(rows), n_slots, 3)
-    poses = [(int(p["class"]), pose_from_dict(p)) for p in sidecar["poses"]]
+    ply_path = str(path_stem) + ".ply"
+    names, rows = _read_ascii_ply(ply_path)
+    with read_json(str(path_stem) + ".json") as sidecar:
+        n_slots = sidecar["n_keypoints"] + 1
+        poses = [(int(p["class"]), pose_from_dict(p)) for p in sidecar["poses"]]
+        scene_seed = int(sidecar["scene_seed"])
+    with parsing(ply_path):  # a missing column or too few offset slots
+        labels = rows[:, names.index("label")].astype(int)
+        off_start = names.index("off_0_x")
+        offsets = rows[:, off_start : off_start + 3 * n_slots].reshape(len(rows), n_slots, 3)
     return SceneSample(
-        cloud=PointCloud(points=pts, attributes=cols),
+        cloud=PointCloud(points=rows[:, :3], attributes=rows[:, 3:6]),
         labels=labels,
         gt_offsets=offsets,
         gt_poses=poses,
-        scene_seed=int(sidecar["scene_seed"]),
+        scene_seed=scene_seed,
     )

@@ -3,13 +3,14 @@ and the central-finite-difference gradient oracle."""
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ConfigInvalid, NonFiniteLoss
+from .files import read_json
 from .geometry import Rotation, sample_uniform_rotation
 from .heads import appearance_input
 from .layers import named_params
@@ -35,6 +36,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # the annotations are strings: "float", "int", ...
+            kind = {"float": Real, "int": Integral}.get(f.type)
+            value = getattr(self, f.name)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+                what = "an integer" if kind is Integral else "a real number"
+                raise ConfigInvalid(f"{f.name} must be {what}, got {value!r}")
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ConfigInvalid(f"learning rate must be finite and non-negative, got {self.learning_rate}")
         if not (np.isfinite(self.lr_decay) and self.lr_decay >= 0.0):
@@ -50,13 +57,12 @@ class TrainConfig:
     def from_json(cls, path) -> "TrainConfig":
         """Read a config file; unknown keys, at the top level or under
         "weights", raise ConfigInvalid naming them."""
-        with open(path) as f:
-            data = json.load(f)
-        _check_keys(data, cls, "train config")
-        if "weights" in data:
-            _check_keys(data["weights"], LossWeights, "weights")
-            data["weights"] = LossWeights(**data["weights"])
-        return cls(**data)
+        with read_json(path) as data:
+            _check_keys(data, cls, "train config")
+            if "weights" in data:
+                _check_keys(data["weights"], LossWeights, "weights")
+                data["weights"] = LossWeights(**data["weights"])
+            return cls(**data)
 
 
 def _check_keys(data: dict, cls, what: str) -> None:

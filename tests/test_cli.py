@@ -15,6 +15,7 @@ from equipose.geometry import (
     load_pose_json,
     sample_uniform_rotation,
 )
+from equipose.model import ModelConfig, init_model, save_model
 
 RNG = np.random.default_rng
 
@@ -186,6 +187,16 @@ class TestSynthGen:
         assert main(["synth-gen", "--out-dir", str(out), "--n-scenes", "1", *flags]) == EXIT_BAD_INPUT
         assert "error: bad input" in capsys.readouterr().err
         assert not (out / "dataset.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n-vertices", "60", "--keypoints", "500"], ["--noise-sigma", "-1"], ["--occlusion", "0.95"]],
+        ids=["keypoints_above_vertices", "negative_noise", "occlusion_above_max"],
+    )
+    def test_bad_flags_create_no_out_dir(self, tmp_path, flags):
+        out = tmp_path / "left"
+        assert main(["synth-gen", "--out-dir", str(out), *flags]) == EXIT_BAD_INPUT
+        assert not out.exists()
 
 
 class TestEvalAndMetrics:
@@ -394,8 +405,11 @@ class TestTrainCommand:
             {"epochs": 1, "weights": {"so3": -1.0}},
             {"optimizer": "adam"},
             {"epochs": 1, "seed": -1},
+            {"epochs": 1, "seed": 1.5},
+            {"epochs": 1.5},
+            {"epochs": True},
         ],
-        ids=["unknown_key", "negative_weight", "removed_key", "negative_seed"],
+        ids=["unknown_key", "negative_weight", "removed_key", "negative_seed", "seed_float", "epochs_float", "epochs_bool"],
     )
     def test_bad_config_exits_2(self, dataset, tmp_path, config, capsys):
         cfg_path = tmp_path / "train.json"
@@ -475,16 +489,81 @@ class TestGradcheckCommand:
         assert not out.exists()
 
 
+def _fit_pose_on(doc):
+    def case(dataset, tmp_path):
+        path = tmp_path / "corr.json"
+        path.write_text(json.dumps(doc))
+        return ["fit-pose", "--input", str(path), "--out", str(tmp_path / "pose.json")], path
+
+    return case
+
+
+def _eval_argv(dataset, tmp_path, scenes, *flags):
+    registry = ["--registry-dir", str(dataset / "registry")]
+    return ["eval", "--scenes-dir", str(scenes), *registry, "--out-dir", str(tmp_path / "out"), *flags]
+
+
+def _eval_on_edited_scene(suffix, edit):
+    def case(dataset, tmp_path):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(dataset / "scenes", scenes)
+        path = scenes / f"scene_00000{suffix}"
+        path.write_text(edit(path.read_text()))
+        return _eval_argv(dataset, tmp_path, scenes, "--oracle-heads"), path
+
+    return case
+
+
+def _skew_first_rotation(text):
+    sidecar = json.loads(text)
+    sidecar["poses"][0]["rotation"][0][0] *= 2.0
+    return json.dumps(sidecar)
+
+
+def _train_without_n_classes(dataset, tmp_path):
+    shutil.copytree(dataset / "scenes", tmp_path / "scenes")
+    path = tmp_path / "dataset.json"
+    meta = json.loads((dataset / "dataset.json").read_text())
+    del meta["n_classes"]
+    path.write_text(json.dumps(meta))
+    return ["train", "--scenes-dir", str(tmp_path / "scenes"), "--out-dir", str(tmp_path / "run"), "--epochs", "1"], path
+
+
+def _eval_on_truncated_params(dataset, tmp_path):
+    path = tmp_path / "params.bin"
+    save_model(init_model(ModelConfig(n_classes=4), seed=0), path)
+    path.write_bytes(path.read_bytes()[:1000])
+    return _eval_argv(dataset, tmp_path, dataset / "scenes", "--params", str(path)), path
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _fit_pose_on({"target": [[0.0, 0.0, 0.0]] * 4}),
+        _fit_pose_on([[0.0, 0.0, 0.0]]),
+        _fit_pose_on({"source": [[0.0, 0.0, 0.0]] * 4, "target": "abc"}),
+        _eval_on_edited_scene(".json", _skew_first_rotation),
+        _train_without_n_classes,
+        _eval_on_truncated_params,
+        _eval_on_edited_scene(".ply", lambda text: text.replace(" label\n", " lbl\n", 1)),
+    ],
+    ids=["no_source", "top_level_list", "string_target", "skewed_rotation", "no_n_classes", "truncated_params", "ply_without_labels"],
+)
+def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):
+    argv, path = case(dataset, tmp_path)
+    assert main(argv) == EXIT_BAD_INPUT
+    assert f"error: bad input: malformed {path}: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["check-equivariance", "--trials", "1"],
         ["synth-gen", "--out-dir", "data"],
         ["train", "--scenes-dir", "scenes", "--out-dir", "run"],
-        ["eval", "--scenes-dir", "scenes", "--registry-dir", "registry", "--out-dir", "run"],
         ["gradcheck"],
     ],
-    ids=["check-equivariance", "synth-gen", "train", "eval", "gradcheck"],
+    ids=["check-equivariance", "synth-gen", "train", "gradcheck"],
 )
 def test_negative_seed_exits_2(argv, capsys):
     # argparse rejects it before the command runs

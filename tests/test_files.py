@@ -1,0 +1,110 @@
+"""Tests for the one file owner: atomic writes, file modes and the JSON reader."""
+
+import json
+import os
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from equipose.cli import EXIT_OK, main
+from equipose.errors import ConfigInvalid, InputError
+from equipose.files import read_json, write_json
+from equipose.layers import load_params, save_params
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "equipose"
+
+
+def test_only_files_module_reads_or_writes_json():
+    # json.dumps (the CLI's config digest) builds a string and stays allowed
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "files.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bjson\.(dump|loads?)\(", line)
+    ]
+    assert offenders == []
+
+
+def test_write_json_layout_and_replace(tmp_path):
+    path = tmp_path / "doc.json"
+    write_json(path, {"b": 1, "a": [1.5, None]})
+    assert path.read_text() == '{\n  "b": 1,\n  "a": [\n    1.5,\n    null\n  ]\n}\n'
+    write_json(path, {"c": True})
+    assert json.loads(path.read_text()) == {"c": True}
+    assert os.listdir(tmp_path) == ["doc.json"]
+
+
+def test_failed_write_keeps_old_file_and_leaves_no_temp(tmp_path, monkeypatch):
+    path = tmp_path / "doc.json"
+    path.write_text("old\n")
+
+    def fail(src, dst):
+        assert os.path.exists(src)  # the temporary file was written
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk gone"):
+        write_json(path, {"new": 1})
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["doc.json"]
+
+
+@pytest.fixture
+def umask_027():
+    old = os.umask(0o027)
+    try:
+        yield 0o666 & ~0o027
+    finally:
+        os.umask(old)
+
+
+def test_artifacts_get_the_umask_mode(tmp_path, umask_027):
+    out = tmp_path / "data"
+    argv = ["synth-gen", "--out-dir", str(out), "--n-scenes", "1", "--n-vertices", "60", "--keypoints", "4"]
+    assert main(argv) == EXIT_OK
+    modes = {p.relative_to(out).as_posix(): p.stat().st_mode & 0o777 for p in out.rglob("*") if p.is_file()}
+    assert {"manifest.json", "dataset.json", "scenes/scene_00000.json", "registry/model_001.json"} <= set(modes)
+    assert set(modes.values()) == {umask_027}
+
+
+def test_parameter_blob_gets_the_umask_mode(tmp_path, umask_027):
+    path = tmp_path / "params.bin"
+    save_params([("w", np.arange(6.0).reshape(2, 3))], path)
+    assert (path.stat().st_mode & 0o777) == umask_027
+    assert np.array_equal(load_params(path)["w"], np.arange(6.0).reshape(2, 3))
+    assert sorted(os.listdir(tmp_path)) == ["params.bin", "params.bin.json"]
+
+
+@pytest.mark.parametrize(
+    "text, use, kind",
+    [
+        ("{not json", lambda d: d, "JSONDecodeError"),
+        ('{"a": 1}', lambda d: d["b"], "KeyError"),
+        ("[1]", lambda d: d[3], "IndexError"),
+        ("[1]", lambda d: d["a"], "TypeError"),
+        ('{"a": "x"}', lambda d: float(d["a"]), "ValueError"),
+    ],
+    ids=["invalid_json", "missing_key", "short_list", "wrong_type", "bad_value"],
+)
+def test_parse_errors_become_input_errors_naming_the_file(tmp_path, text, use, kind):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(InputError, match=re.escape(f"malformed {path}: {kind}")):
+        with read_json(path) as doc:
+            use(doc)
+
+
+def test_package_errors_and_missing_files_pass_through(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("{}")
+    for err in (ConfigInvalid("bad range"), InputError("bad flag")):
+        with pytest.raises(type(err)) as caught:
+            with read_json(path):
+                raise err
+        assert caught.value is err
+    with pytest.raises(FileNotFoundError):
+        with read_json(tmp_path / "nope.json"):
+            pass
