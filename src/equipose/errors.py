@@ -1,4 +1,7 @@
-"""Shared exception types."""
+"""Shared exception types, and the field type check the config dataclasses share."""
+
+from dataclasses import fields
+from numbers import Integral, Real
 
 
 class EquiposeError(Exception):
@@ -47,6 +50,18 @@ class TooFewVertices(InputError):
 
 class ConfigInvalid(EquiposeError):
     """Configuration value outside its documented range."""
+
+
+def check_field_types(config) -> None:
+    """Raise ConfigInvalid naming the first field annotated "int" that does not
+    hold an integer, or "float" that does not hold a real number; a bool is
+    neither. The annotations are strings under `from __future__ import annotations`."""
+    for f in fields(config):
+        kind = {"float": Real, "int": Integral}.get(f.type)
+        value = getattr(config, f.name)
+        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
+            what = "an integer" if kind is Integral else "a real number"
+            raise ConfigInvalid(f"{f.name} must be {what}, got {value!r}")
 
 
 class RegistryMiss(EquiposeError):

@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, check_field_types
 from .files import read_json, write_json
 from .geometry import Rotation
 from .heads import AppearanceEncoder, KpHead, SegHead
@@ -50,6 +50,7 @@ class ModelConfig:
     head_hidden: int = 128
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_classes < 1:
             raise ConfigInvalid("n_classes must be at least 1")
         if self.n_keypoints < 1:

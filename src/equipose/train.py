@@ -3,13 +3,18 @@ and the central-finite-difference gradient oracle."""
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConfigInvalid, NonFiniteLoss
+try:
+    import resource
+except ImportError:  # Windows has no resource module: loss.csv's minflt stays empty
+    resource = None
+
+from .errors import ConfigInvalid, NonFiniteLoss, check_field_types
 from .files import read_json
 from .geometry import Rotation, sample_uniform_rotation
 from .heads import appearance_input
@@ -24,6 +29,7 @@ from .losses import (
 from .model import PoseModel
 
 TRAINABLE_KINDS = ("weight", "bias", "gain", "shift")
+LOSS_CSV_HEADER = LossReport.CSV_HEADER + ",step_ms,minflt"
 
 
 @dataclass(frozen=True)
@@ -36,12 +42,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):  # the annotations are strings: "float", "int", ...
-            kind = {"float": Real, "int": Integral}.get(f.type)
-            value = getattr(self, f.name)
-            if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-                what = "an integer" if kind is Integral else "a real number"
-                raise ConfigInvalid(f"{f.name} must be {what}, got {value!r}")
+        check_field_types(self)
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
             raise ConfigInvalid(f"learning rate must be finite and non-negative, got {self.learning_rate}")
         if not (np.isfinite(self.lr_decay) and self.lr_decay >= 0.0):
@@ -168,7 +169,8 @@ class TrainHistory:
 def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHistory:
     """Minimize the weighted objective over the scene list.
 
-    Emits one CSV row per optimizer step when csv_path is given. Raises
+    Emits one CSV row per optimizer step when csv_path is given: the losses,
+    the step's wall time and its minor page faults (LOSS_CSV_HEADER). Raises
     NonFiniteLoss the moment a loss or parameter stops being finite. The
     returned history carries a descent flag: mean total over the last tenth
     of steps below the first tenth's mean.
@@ -182,7 +184,7 @@ def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHis
     reports = []
     csv_file = open(csv_path, "w") if csv_path else None
     if csv_file:
-        csv_file.write(LossReport.CSV_HEADER + "\n")
+        csv_file.write(LOSS_CSV_HEADER + "\n")
     step = 0
     try:
         for epoch in range(cfg.epochs):
@@ -190,6 +192,7 @@ def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHis
             for start in range(0, len(order), cfg.batch_size):
                 batch = [tensors[i] for i in order[start : start + cfg.batch_size]]
                 rotation = sample_uniform_rotation(rng)
+                started, faults_before = time.perf_counter(), _minor_faults()
                 model.zero_grad()
                 scale = 1.0 / len(batch)
                 parts = np.zeros(4)
@@ -205,7 +208,9 @@ def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHis
                         raise NonFiniteLoss(f"non-finite parameter {p.name} after step {step}")
                 reports.append(report)
                 if csv_file:
-                    csv_file.write(report.csv_row(step) + "\n")
+                    step_ms = 1e3 * (time.perf_counter() - started)
+                    faults = "" if faults_before is None else _minor_faults() - faults_before
+                    csv_file.write(f"{report.csv_row(step)},{step_ms:.3f},{faults}\n")
                 step += 1
             opt.lr *= cfg.lr_decay
     finally:
@@ -215,6 +220,11 @@ def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHis
     tail = max(1, len(totals) // 10)
     descent_ok = bool(totals[-tail:].mean() < totals[:tail].mean())
     return TrainHistory(reports=reports, descent_ok=descent_ok)
+
+
+def _minor_faults():
+    """This process's minor page faults so far; None without `resource`."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
 
 
 # gradient oracle ------------------------------------------------------------

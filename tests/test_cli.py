@@ -394,7 +394,7 @@ class TestTrainCommand:
         assert code in (EXIT_OK, EXIT_CHECK_FAILED)
         rows = (out / "loss.csv").read_text().strip().splitlines()[1:]
         for r in rows:  # so3 is still measured, but carries zero weight
-            _, seg, kp, center, so3, total = (float(x) for x in r.split(","))
+            _, seg, kp, center, so3, total = (float(x) for x in r.split(",")[:6])
             assert abs(total - (seg + kp + center)) <= 1e-9
             assert so3 > 0.0
 
@@ -520,13 +520,16 @@ def _skew_first_rotation(text):
     return json.dumps(sidecar)
 
 
-def _train_without_n_classes(dataset, tmp_path):
-    shutil.copytree(dataset / "scenes", tmp_path / "scenes")
-    path = tmp_path / "dataset.json"
-    meta = json.loads((dataset / "dataset.json").read_text())
-    del meta["n_classes"]
-    path.write_text(json.dumps(meta))
-    return ["train", "--scenes-dir", str(tmp_path / "scenes"), "--out-dir", str(tmp_path / "run"), "--epochs", "1"], path
+def _train_on_edited_dataset_json(edit):
+    def case(dataset, tmp_path):
+        shutil.copytree(dataset / "scenes", tmp_path / "scenes")
+        path = tmp_path / "dataset.json"
+        meta = json.loads((dataset / "dataset.json").read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+        return ["train", "--scenes-dir", str(tmp_path / "scenes"), "--out-dir", str(tmp_path / "run"), "--epochs", "1"], path
+
+    return case
 
 
 def _eval_on_truncated_params(dataset, tmp_path):
@@ -543,11 +546,21 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _fit_pose_on([[0.0, 0.0, 0.0]]),
         _fit_pose_on({"source": [[0.0, 0.0, 0.0]] * 4, "target": "abc"}),
         _eval_on_edited_scene(".json", _skew_first_rotation),
-        _train_without_n_classes,
+        _train_on_edited_dataset_json(lambda meta: meta.pop("n_classes")),
+        _train_on_edited_dataset_json(lambda meta: meta.update(n_classes="4")),
         _eval_on_truncated_params,
         _eval_on_edited_scene(".ply", lambda text: text.replace(" label\n", " lbl\n", 1)),
     ],
-    ids=["no_source", "top_level_list", "string_target", "skewed_rotation", "no_n_classes", "truncated_params", "ply_without_labels"],
+    ids=[
+        "no_source",
+        "top_level_list",
+        "string_target",
+        "skewed_rotation",
+        "no_n_classes",
+        "string_n_classes",
+        "truncated_params",
+        "ply_without_labels",
+    ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):
     argv, path = case(dataset, tmp_path)

@@ -153,11 +153,22 @@ class TestTrainLoop:
         csv_path = tmp_path / "loss.csv"
         history = train(scenes, model, TrainConfig(epochs=2, seed=3), csv_path=csv_path)
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "step,seg,kp,center,so3,total"
+        assert lines[0] == "step,seg,kp,center,so3,total,step_ms,minflt"
         assert len(lines) == len(history.reports) + 1
         first = lines[1].split(",")
         assert int(first[0]) == 0
         assert abs(float(first[5]) - history.reports[0].total) <= 1e-9
+
+    def test_loss_csv_times_each_step(self, tmp_path):
+        csv_path = tmp_path / "loss.csv"
+        model = init_model(TINY_MODEL, seed=10)
+        history = train(small_scenes(2, seed=30), model, TrainConfig(epochs=2, seed=3), csv_path=csv_path)
+        rows = [line.split(",") for line in csv_path.read_text().strip().splitlines()[1:]]
+        assert len(rows) == len(history.reports)
+        for row, report in zip(rows, history.reports):
+            assert ",".join(row[:6]) == report.csv_row(int(row[0]))
+            assert float(row[6]) > 0.0
+            assert row[7].isdigit()  # a non-negative integer
 
     def test_deterministic_loss_curve(self):
         scenes = small_scenes(3, seed=40)
@@ -260,6 +271,10 @@ class TestTrainLoop:
             ModelConfig(n_classes=4, pool_mode="sometimes")
         with pytest.raises(ConfigInvalid):
             ModelConfig(n_classes=4, vn_widths=())
+        with pytest.raises(ConfigInvalid, match="n_classes must be an integer"):
+            ModelConfig(n_classes="4")
+        with pytest.raises(ConfigInvalid, match="lift_cap must be a real number"):
+            ModelConfig(n_classes=4, lift_cap=True)
 
 
 def stacked_pair_reference(model, t, cfg, rotation):
