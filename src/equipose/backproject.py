@@ -239,13 +239,9 @@ def read_ply_cloud(path) -> PointCloud:
 def _write_ascii_ply(path, names, rows) -> None:
     """ASCII PLY with one float64 vertex property per name and one line per
     row, each value printed with 17 significant digits (exact round trip)."""
-    with open(path, "w") as f:
-        f.write(f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n")
-        for name in names:
-            f.write(f"property float64 {name}\n")
-        f.write("end_header\n")
-        for row in rows:
-            f.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+    properties = "".join(f"property float64 {name}\n" for name in names)
+    header = f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n{properties}end_header"
+    np.savetxt(path, rows, fmt="%.17g", header=header, comments="")
 
 
 def _read_ascii_ply(path):

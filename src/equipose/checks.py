@@ -15,7 +15,6 @@ from .layers import (
     VNBatchNorm,
     VNInvariant,
     VNLinear,
-    VNMeanPool,
     VNPoolConcat,
     VNReLU,
     _mix_grad,
@@ -24,6 +23,15 @@ from .layers import (
 )
 from .losses import so3_loss
 from .model import ModelConfig, init_model
+
+# Sizes of the random draws: the layer reports' features, random_stack's
+# compositions and consistency_report's feature.
+REPORT_POINTS = 16
+REPORT_CHANNELS = 6
+STACK_CHANNELS = 4
+STACK_DEPTH = 6
+CONSISTENCY_POINTS = 32
+CONSISTENCY_CHANNELS = 4
 
 
 class FlattenDense(Layer):
@@ -74,12 +82,14 @@ def _fresh(layer, rng):
     return layer
 
 
-def random_stack(rng: np.random.Generator, in_channels: int = 4, depth: int = 6) -> Sequential:
-    """Random composition drawn from the equivariant kit."""
+def random_stack(rng: np.random.Generator) -> Sequential:
+    """Random STACK_DEPTH-layer composition over STACK_CHANNELS input
+    channels, drawn from the trunk's kit: linear, ReLU, batch-norm and
+    pool-concat."""
     layers = []
-    c = in_channels
-    for _ in range(depth):
-        kind = rng.integers(0, 5)
+    c = STACK_CHANNELS
+    for _ in range(STACK_DEPTH):
+        kind = rng.integers(0, 4)
         if kind == 0:
             width = int(rng.integers(2, 9))
             layers.append(VNLinear(c, width))
@@ -90,53 +100,42 @@ def random_stack(rng: np.random.Generator, in_channels: int = 4, depth: int = 6)
             c = width
         elif kind == 2:
             layers.append(VNBatchNorm(c))
-        elif kind == 3:
+        else:
             layers.append(VNPoolConcat())
             c *= 2
-        else:
-            layers.append(VNMeanPool())
     stack = Sequential(layers)
     init_layer_params(stack, rng)
     return stack
 
 
-def equivariance_report(trials: int = 1000, seed: int = 0, n_points: int = 16, channels: int = 6) -> dict:
-    """Per-layer max equivariance residual over random (feature, rotation) draws."""
+def equivariance_report(trials: int = 1000, seed: int = 0) -> dict:
+    """Per-layer max equivariance residual over random (feature, rotation)
+    draws, for each layer of the trunk's kit and for random stacks of them."""
     rng = np.random.default_rng(seed)
-    worst = {
-        "vn_linear": 0.0,
-        "vn_relu": 0.0,
-        "vn_mean_pool": 0.0,
-        "vn_batch_norm": 0.0,
-        "vn_batch_norm_per_sample": 0.0,
-        "stack6": 0.0,
-    }
-    pool = VNMeanPool()
+    c, n = REPORT_CHANNELS, REPORT_POINTS
+    worst = {}
     for _ in range(trials):
-        v = rng.normal(size=(3, channels, n_points))
+        v = rng.normal(size=(3, c, n))
         r = sample_uniform_rotation(rng).m
-        linear = _fresh(VNLinear(channels, channels + 2), rng)
-        relu = _fresh(VNReLU(channels, channels), rng)
-        bn = _fresh(VNBatchNorm(channels), rng)
-        worst["vn_linear"] = max(worst["vn_linear"], equivariance_residual(linear, v, r))
-        worst["vn_relu"] = max(worst["vn_relu"], equivariance_residual(relu, v, r))
-        worst["vn_mean_pool"] = max(worst["vn_mean_pool"], equivariance_residual(pool, v, r))
-        worst["vn_batch_norm"] = max(
-            worst["vn_batch_norm"], equivariance_residual(bn, v, r, train=True)
-        )
-        # batch where every sample carries its own rotation
-        batch = rng.normal(size=(3, 3, channels, n_points))
+        residuals = {
+            "vn_linear": equivariance_residual(_fresh(VNLinear(c, c + 2), rng), v, r),
+            "vn_relu": equivariance_residual(_fresh(VNReLU(c, c), rng), v, r),
+            "vn_pool_concat": equivariance_residual(VNPoolConcat(), v, r),
+            "vn_batch_norm": equivariance_residual(_fresh(VNBatchNorm(c), rng), v, r, train=True),
+        }
+        # a batch where every sample carries its own rotation
+        batch = rng.normal(size=(3, 3, c, n))
         rot_each = np.stack([sample_uniform_rotation(rng).m for _ in range(3)])
-        bn2 = _fresh(VNBatchNorm(channels), rng)
-        res = equivariance_residual(bn2, batch, rot_each, train=True)
-        worst["vn_batch_norm_per_sample"] = max(worst["vn_batch_norm_per_sample"], res)
-
+        bn = _fresh(VNBatchNorm(c), rng)
+        residuals["vn_batch_norm_per_sample"] = equivariance_residual(bn, batch, rot_each, train=True)
         stack = random_stack(rng)
-        worst["stack6"] = max(worst["stack6"], equivariance_residual(stack, v[:, :4], r, train=True))
+        residuals["stack6"] = equivariance_residual(stack, v[:, :STACK_CHANNELS], r, train=True)
+        for name, res in residuals.items():
+            worst[name] = max(worst.get(name, 0.0), res)
     return worst
 
 
-def invariance_report(trials: int = 1000, seed: int = 0, n_points: int = 16, channels: int = 6) -> dict:
+def invariance_report(trials: int = 1000, seed: int = 0) -> dict:
     """Invariance residuals of the scalar path plus segmentation argmax flips.
 
     The segmentation check runs cloud-level: points are rotated, the lifted
@@ -156,9 +155,9 @@ def invariance_report(trials: int = 1000, seed: int = 0, n_points: int = 16, cha
     base_labels = base_logits.argmax(axis=-1)
 
     for _ in range(trials):
-        v = rng.normal(size=(3, channels, n_points))
+        v = rng.normal(size=(3, REPORT_CHANNELS, REPORT_POINTS))
         r = sample_uniform_rotation(rng).m
-        head = _fresh(VNInvariant(channels, branch_a=4, branch_b=4, hidden=8, out=8), rng)
+        head = _fresh(VNInvariant(REPORT_CHANNELS, branch_a=4, branch_b=4, hidden=8, out=8), rng)
         worst["invariant_head"] = max(worst["invariant_head"], invariance_residual(head, v, r))
 
         rot = sample_uniform_rotation(rng)
@@ -170,17 +169,16 @@ def invariance_report(trials: int = 1000, seed: int = 0, n_points: int = 16, cha
     return worst
 
 
-def consistency_report(seed: int = 0, n_points: int = 32, channels: int = 4) -> dict:
+def consistency_report(seed: int = 0) -> dict:
     """Rotation-consistency loss on an intact stack vs one with a
     flatten+dense layer spliced in."""
     rng = np.random.default_rng(seed)
-    v = rng.normal(size=(3, channels, n_points))
+    c = CONSISTENCY_CHANNELS
+    v = rng.normal(size=(3, c, CONSISTENCY_POINTS))
     rot = sample_uniform_rotation(rng)
-    intact = Sequential([VNLinear(channels, 8), VNReLU(8, 8), VNLinear(8, 6)])
+    intact = Sequential([VNLinear(c, 8), VNReLU(8, 8), VNLinear(8, 6)])
     init_layer_params(intact, rng)
-    broken = Sequential(
-        [VNLinear(channels, 8), VNReLU(8, 8), FlattenDense(8), VNLinear(8, 6)]
-    )
+    broken = Sequential([VNLinear(c, 8), VNReLU(8, 8), FlattenDense(8), VNLinear(8, 6)])
     init_layer_params(broken, rng)
     return {
         "intact_stack": so3_loss(intact, v, rot),

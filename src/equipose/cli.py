@@ -193,10 +193,8 @@ def cmd_train(args) -> int:
     if os.path.exists(meta_path):
         with read_json(meta_path) as meta:
             n_classes = meta["n_classes"]
-        try:  # the file's class count meets ModelConfig's checks here
+            # the file's class count meets ModelConfig's checks under its name
             ModelConfig(n_classes=n_classes)
-        except ConfigInvalid as err:
-            raise InputError(f"malformed {meta_path}: {err}") from err
     else:  # the ground-truth classes, so a stray label stays out of range
         n_classes = max((cls for s in scenes for cls, _ in s.gt_poses), default=0) + 1
     n_keypoints = scenes[0].n_keypoints

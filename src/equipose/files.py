@@ -7,7 +7,7 @@ import os
 import uuid
 from contextlib import contextmanager
 
-from .errors import EquiposeError, InputError
+from .errors import ConfigInvalid, EquiposeError, InputError
 
 
 def write_atomic(path, data) -> None:
@@ -34,9 +34,12 @@ def write_json(path, doc) -> None:
 @contextmanager
 def parsing(path):
     """A KeyError, IndexError, TypeError or ValueError raised in the block
-    becomes an InputError naming `path`; EquiposeErrors pass unchanged."""
+    becomes an InputError naming `path`, and a ConfigInvalid a ConfigInvalid
+    naming it; other EquiposeErrors pass unchanged."""
     try:
         yield
+    except ConfigInvalid as err:
+        raise ConfigInvalid(f"malformed {path}: {err}") from err
     except EquiposeError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as err:

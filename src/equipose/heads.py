@@ -60,8 +60,6 @@ class SegHead(Layer):
 
     def __init__(self, n_invariant: int, n_appearance: int, n_hidden: int, n_classes: int):
         self.n_invariant = n_invariant
-        self.n_appearance = n_appearance
-        self.n_classes = n_classes
         self.mlp = Mlp2(n_invariant + n_appearance, n_hidden, n_classes)
 
     def children(self):

@@ -218,22 +218,6 @@ class VNReLU(Layer):
         return np.matmul(wu.T, d_qk)
 
 
-class VNMeanPool(Layer):
-    """Channel-wise arithmetic mean over the point axis: (..., 3, C, N) -> (..., 3, C, 1)."""
-
-    def forward(self, v, train=False, ctx=None):
-        v = np.asarray(v, dtype=np.float64)
-        _check_points(v, "mean pool")
-        cache = self._new_cache(ctx)
-        cache["n"] = v.shape[-1]
-        cache["shape"] = v.shape
-        return v.mean(axis=-1, keepdims=True)
-
-    def backward(self, grad, ctx=None):
-        cache = self._get_cache(ctx)
-        return np.broadcast_to(grad / cache["n"], cache["shape"]).copy()
-
-
 class VNPoolConcat(Layer):
     """Append the pooled channel mean back to every point, doubling channels."""
 

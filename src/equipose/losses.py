@@ -12,6 +12,10 @@ from .errors import EmptyMaskWarning, InputError, LabelOutOfRange
 from .geometry import Rotation
 from .layers import rotate_feature
 
+# The focal loss's published constants (Lin et al., arXiv 1708.02002).
+FOCAL_GAMMA = 2.0
+FOCAL_ALPHA = 0.25
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -59,9 +63,9 @@ def _check_labels(labels: np.ndarray, n_classes: int):
     return labels.astype(int)
 
 
-def focal_loss_grad(logits, labels, gamma: float = 2.0, alpha: float = 0.25):
+def focal_loss_grad(logits, labels):
     """(loss, d loss / d logits); the loss is the mean over points of
-    -alpha * (1 - p_t)^gamma * log p_t."""
+    -FOCAL_ALPHA * (1 - p_t)^FOCAL_GAMMA * log p_t."""
     logits = np.asarray(logits, dtype=np.float64)
     n, k = logits.shape
     labels = _check_labels(labels, k)
@@ -71,13 +75,13 @@ def focal_loss_grad(logits, labels, gamma: float = 2.0, alpha: float = 0.25):
     pt = p[idx, labels]
     logpt = logp[idx, labels]
     one_minus = 1.0 - pt
-    loss = float(np.mean(-alpha * one_minus**gamma * logpt))
+    loss = float(np.mean(-FOCAL_ALPHA * one_minus**FOCAL_GAMMA * logpt))
 
     # dL/dp_t, then through the softmax jacobian row of the true class
-    if gamma == 0.0:
-        d_pt = -alpha / pt
-    else:
-        d_pt = alpha * gamma * one_minus ** (gamma - 1.0) * logpt - alpha * one_minus**gamma / pt
+    d_pt = (
+        FOCAL_ALPHA * FOCAL_GAMMA * one_minus ** (FOCAL_GAMMA - 1.0) * logpt
+        - FOCAL_ALPHA * one_minus**FOCAL_GAMMA / pt
+    )
     onehot = np.zeros_like(p)
     onehot[idx, labels] = 1.0
     d_logits = d_pt[:, None] * pt[:, None] * (onehot - p) / n

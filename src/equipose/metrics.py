@@ -13,6 +13,11 @@ from .errors import EmptyInput
 from .files import write_json
 from .geometry import RigidTransform
 
+# Upper end, in meters, of the accuracy-vs-threshold curve every AUC integrates.
+AUC_CAP_M = 0.1
+# Rows per block of the pairwise-distance loops; bounds their memory.
+BLOCK_ROWS = 512
+
 
 def _vertices(model_or_vertices) -> np.ndarray:
     v = getattr(model_or_vertices, "vertices", model_or_vertices)
@@ -36,22 +41,22 @@ def add_s(gt: RigidTransform, pred: RigidTransform, model) -> float:
     return float(np.mean(dist))
 
 
-def add_s_brute(gt: RigidTransform, pred: RigidTransform, model, chunk: int = 512) -> float:
+def add_s_brute(gt: RigidTransform, pred: RigidTransform, model) -> float:
     """O(m^2) reference: explicit pairwise distances, min over the second pose."""
     verts = _vertices(model)
     a = gt.apply(verts)
     b = pred.apply(verts)
     mins = np.empty(len(a))
-    for start in range(0, len(a), chunk):
-        block = a[start : start + chunk]
+    for start in range(0, len(a), BLOCK_ROWS):
+        block = a[start : start + BLOCK_ROWS]
         d = np.sqrt(((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
-        mins[start : start + chunk] = d.min(axis=1)
+        mins[start : start + BLOCK_ROWS] = d.min(axis=1)
     return float(mins.mean())
 
 
-def auc(distances, max_threshold: float = 0.1) -> float:
+def auc(distances) -> float:
     """Exact area, in percent, under the accuracy-vs-threshold step curve on
-    [0, max_threshold], normalized by max_threshold. Distances above the cap
+    [0, AUC_CAP_M], normalized by AUC_CAP_M. Distances above the cap
     (including inf for missed detections) contribute zero.
     """
     d = np.asarray(distances, dtype=np.float64)
@@ -59,8 +64,8 @@ def auc(distances, max_threshold: float = 0.1) -> float:
         raise EmptyInput("auc of an empty distance list")
     if np.any(d < 0.0):
         raise ValueError("distances must be non-negative")
-    mass = np.clip(max_threshold - d, 0.0, None)
-    return float(100.0 * mass.sum() / (d.size * max_threshold))
+    mass = np.clip(AUC_CAP_M - d, 0.0, None)
+    return float(100.0 * mass.sum() / (d.size * AUC_CAP_M))
 
 
 def model_diameter(model_or_vertices) -> float:
@@ -77,8 +82,8 @@ def model_diameter(model_or_vertices) -> float:
     except QhullError:
         pass
     best = 0.0
-    for start in range(0, len(verts), 512):  # rows per block bound the memory
-        d2 = ((verts[start : start + 512, None, :] - verts[None, :, :]) ** 2).sum(axis=-1)
+    for start in range(0, len(verts), BLOCK_ROWS):
+        d2 = ((verts[start : start + BLOCK_ROWS, None, :] - verts[None, :, :]) ** 2).sum(axis=-1)
         best = max(best, float(d2.max()))
     return float(np.sqrt(best))
 
@@ -104,11 +109,11 @@ class PoseMetricsReport:
     per_object: dict  # class_id -> ObjectMetrics
     diameters: dict  # class_id -> float
 
-    def adds_auc(self, class_id: int, cap: float = 0.1) -> float:
-        return auc(self.per_object[class_id].add_s_values, cap)
+    def adds_auc(self, class_id: int) -> float:
+        return auc(self.per_object[class_id].add_s_values)
 
-    def add_or_adds_auc(self, class_id: int, cap: float = 0.1) -> float:
-        return auc(self.per_object[class_id].matched(), cap)
+    def add_or_adds_auc(self, class_id: int) -> float:
+        return auc(self.per_object[class_id].matched())
 
     def hit_rate_01d(self, class_id: int) -> float:
         m = self.per_object[class_id]

@@ -73,13 +73,7 @@ class ModelConfig:
         return cls(**d)
 
 
-def lift_cloud(
-    points: np.ndarray,
-    attributes: np.ndarray = None,
-    neighbors: int = 16,
-    scales=(10.0, 60.0, 240.0, 600.0, 6000.0),
-    cap: float = 2.0,
-) -> np.ndarray:
+def lift_cloud(points: np.ndarray, attributes, neighbors: int, scales, cap: float) -> np.ndarray:
     """Per-point equivariant input channels, a contiguous component-major
     feature of shape (3, 8, N).
 

@@ -31,6 +31,14 @@ from .model import PoseModel
 TRAINABLE_KINDS = ("weight", "bias", "gain", "shift")
 LOSS_CSV_HEADER = LossReport.CSV_HEADER + ",step_ms,minflt"
 
+# Adam's published constants (Kingma & Ba, arXiv 1412.6980).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# max_relative_error skips entries where |analytic| + |numeric| is this small.
+RELATIVE_ERROR_FLOOR = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -75,26 +83,23 @@ def _check_keys(data: dict, cls, what: str) -> None:
 class Adam:
     """Standard bias-corrected Adam over the trainable parameter set."""
 
-    def __init__(self, params, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr: float):
         self.params = [p for p in params if p.kind in TRAINABLE_KINDS]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
         self.t = 0
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - ADAM_BETA1**self.t
+        bc2 = 1.0 - ADAM_BETA2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad**2
-            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * p.grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * p.grad**2
+            p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def make_optimizer(model: PoseModel, cfg: TrainConfig) -> Adam:
@@ -148,11 +153,11 @@ def sample_losses(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, 
     return report, scale * w.seg * d_seg, d_offsets
 
 
-def sample_losses_and_grads(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, scale=1.0, train=True):
-    """sample_losses, then one backward; parameter gradients are accumulated
-    scaled by `scale`. Returns (LossReport, d v, d app_in)."""
+def sample_losses_and_grads(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, scale=1.0):
+    """sample_losses in train mode, then one backward; parameter gradients
+    are accumulated scaled by `scale`. Returns (LossReport, d v, d app_in)."""
     ctx = {}
-    report, d_logits, d_offsets = sample_losses(model, t, cfg, rotation, scale, train, ctx)
+    report, d_logits, d_offsets = sample_losses(model, t, cfg, rotation, scale, ctx=ctx)
     dv, d_app = model.backward(d_logits, d_offsets, ctx=ctx)
     return report, dv, d_app
 
@@ -263,7 +268,7 @@ def analytic_gradients(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotat
     Running stats are left as they were."""
     model.zero_grad()
     with _stats_kept(model):
-        _, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation, train=True)
+        _, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation)
     grads = {
         name: p.grad.copy()
         for name, p in named_params(model)
@@ -287,16 +292,17 @@ def numeric_gradients(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotati
         return {name: central_differences(loss, arr, step) for name, arr in arrays}
 
 
-def max_relative_error(analytic: dict, numeric: dict, floor: float = 1e-8) -> float:
-    """Max of |a - n| / (|a| + |n|) over entries whose magnitudes exceed the
-    floor; inf as soon as any analytic or numeric entry is not finite."""
+def max_relative_error(analytic: dict, numeric: dict) -> float:
+    """Max of |a - n| / (|a| + |n|) over entries where |a| + |n| exceeds
+    RELATIVE_ERROR_FLOOR; inf as soon as any analytic or numeric entry is not
+    finite."""
     worst = 0.0
     for name, a in analytic.items():
         n = numeric[name]
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(n))):
             return float("inf")
         denom = np.abs(a) + np.abs(n)
-        consider = denom > floor
+        consider = denom > RELATIVE_ERROR_FLOOR
         if consider.any():
             rel = np.abs(a - n)[consider] / denom[consider]
             worst = max(worst, float(rel.max()))

@@ -22,7 +22,6 @@ from equipose.geometry import (
 from equipose.layers import (
     Sequential,
     VNLinear,
-    VNMeanPool,
     VNReLU,
     init_layer_params,
 )
@@ -40,7 +39,6 @@ from equipose.model import ModelConfig, init_model
 from equipose.pipeline import run_pipeline, vote_keypoints
 from equipose.synth import Registry, SceneConfig, make_default_models, render_scene
 from equipose.train import TrainConfig, gradcheck, sample_losses, scene_tensors, train
-from conftest import layer_fd_check
 
 RNG = np.random.default_rng
 
@@ -153,11 +151,8 @@ def test_criterion_04_gradient_oracle(object_models):
     model = init_model(cfg, seed=3)
     tensors = scene_tensors(scene, model)
     rotation = sample_uniform_rotation(RNG(0))
-    err_model = gradcheck(model, tensors, TrainConfig(seed=0), rotation, step=1e-5)
-    # mean pool is not part of the default trunk; checked standalone
-    err_pool = layer_fd_check(VNMeanPool(), RNG(1).normal(size=(3, 4, 6)), step=1e-5)
+    worst = gradcheck(model, tensors, TrainConfig(seed=0), rotation, step=1e-5)
     elapsed = time.monotonic() - started
-    worst = max(err_model, err_pool)
     assert worst <= 1e-4
     assert elapsed < 120.0
     print(
@@ -209,7 +204,7 @@ def test_criterion_06_metrics_oracles(object_models):
         worst_order = max(worst_order, fast - add(gt, pred, blob))
     assert worst_gap <= 1e-12
     assert worst_order <= 1e-12
-    assert auc([0.05], max_threshold=0.1) == 50.0
+    assert auc([0.05]) == 50.0
     two = ObjectMetrics(0, symmetric=True, add_values=[0.019, 0.021], add_s_values=[0.019, 0.021])
     assert PoseMetricsReport({0: two}, {0: 0.2}).hit_rate_01d(0) == 50.0
     elapsed = time.monotonic() - started

@@ -532,6 +532,23 @@ def _train_on_edited_dataset_json(edit):
     return case
 
 
+def _eval_on_string_n_classes_params(dataset, tmp_path):
+    params = tmp_path / "params.bin"
+    save_model(init_model(ModelConfig(n_classes=4), seed=0), params)
+    path = tmp_path / "params.bin.json"
+    manifest = json.loads(path.read_text())
+    manifest["model_config"]["n_classes"] = "4"
+    path.write_text(json.dumps(manifest))
+    return _eval_argv(dataset, tmp_path, dataset / "scenes", "--params", str(params)), path
+
+
+def _train_with_fractional_epochs(dataset, tmp_path):
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps({"epochs": 1.5}))
+    argv = ["train", "--scenes-dir", str(dataset / "scenes"), "--out-dir", str(tmp_path / "run")]
+    return [*argv, "--config", str(path)], path
+
+
 def _eval_on_truncated_params(dataset, tmp_path):
     path = tmp_path / "params.bin"
     save_model(init_model(ModelConfig(n_classes=4), seed=0), path)
@@ -550,6 +567,8 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _train_on_edited_dataset_json(lambda meta: meta.update(n_classes="4")),
         _eval_on_truncated_params,
         _eval_on_edited_scene(".ply", lambda text: text.replace(" label\n", " lbl\n", 1)),
+        _eval_on_string_n_classes_params,
+        _train_with_fractional_epochs,
     ],
     ids=[
         "no_source",
@@ -560,6 +579,8 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "string_n_classes",
         "truncated_params",
         "ply_without_labels",
+        "string_n_classes_params",
+        "fractional_epochs_config",
     ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):

@@ -100,11 +100,21 @@ def test_parse_errors_become_input_errors_naming_the_file(tmp_path, text, use, k
 def test_package_errors_and_missing_files_pass_through(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text("{}")
-    for err in (ConfigInvalid("bad range"), InputError("bad flag")):
-        with pytest.raises(type(err)) as caught:
-            with read_json(path):
-                raise err
-        assert caught.value is err
+    err = InputError("bad flag")
+    with pytest.raises(InputError) as caught:
+        with read_json(path):
+            raise err
+    assert caught.value is err
     with pytest.raises(FileNotFoundError):
         with read_json(tmp_path / "nope.json"):
             pass
+
+
+def test_config_errors_keep_their_type_and_name_the_file(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text("{}")
+    err = ConfigInvalid("bad range")
+    with pytest.raises(ConfigInvalid, match=re.escape(f"malformed {path}: bad range")) as caught:
+        with read_json(path):
+            raise err
+    assert caught.value.__cause__ is err

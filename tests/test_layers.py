@@ -1,12 +1,17 @@
 """Tests for the equivariant layer kit: forward semantics, equivariance and
 invariance properties, analytic gradients, and parameter serialization."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import layer_fd_check
 from equipose.checks import (
     FlattenDense,
+    equivariance_report,
+    full_report,
     equivariance_residual,
     invariance_residual,
     random_stack,
@@ -21,7 +26,6 @@ from equipose.layers import (
     VNBatchNorm,
     VNInvariant,
     VNLinear,
-    VNMeanPool,
     VNPoolConcat,
     VNReLU,
     assign_params,
@@ -31,6 +35,7 @@ from equipose.layers import (
     rotate_feature,
     save_params,
 )
+from equipose.model import ModelConfig, PoseModel
 
 RNG = np.random.default_rng
 
@@ -194,31 +199,33 @@ class TestVNReLU:
         np.testing.assert_array_equal(grad[:, 0, 0], [1.0, 1.0, 1.0])
 
 
-class TestVNMeanPool:
+class TestVNPoolConcat:
+    """The pooled half of VNPoolConcat's output, channels C to 2C."""
+
     def test_single_point_identity(self):
         v = RNG(9).normal(size=(3, 3, 1))
-        np.testing.assert_array_equal(VNMeanPool().forward(v, ctx={}), v)
+        np.testing.assert_array_equal(VNPoolConcat().forward(v, ctx={})[:, 3:], v)
 
     def test_opposite_vectors_cancel(self):
         v = RNG(10).normal(size=(3, 4, 1))
         both = np.concatenate([v, -v], axis=-1)
         np.testing.assert_allclose(
-            VNMeanPool().forward(both, ctx={}), np.zeros((3, 4, 1)), atol=1e-15
+            VNPoolConcat().forward(both, ctx={})[:, 4:], np.zeros((3, 4, 2)), atol=1e-15
         )
 
     def test_permutation_invariance(self):
         rng = RNG(11)
         v = rng.normal(size=(3, 4, 20))
-        base = VNMeanPool().forward(v, ctx={})
+        base = VNPoolConcat().forward(v, ctx={})[:, 4:]
         for _ in range(20):
             perm = rng.permutation(20)
             np.testing.assert_allclose(
-                VNMeanPool().forward(v[..., perm], ctx={}), base, atol=1e-12
+                VNPoolConcat().forward(v[..., perm], ctx={})[:, 4:], base, atol=1e-12
             )
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            VNMeanPool().forward(np.zeros((3, 3, 0)), ctx={})
+            VNPoolConcat().forward(np.zeros((3, 3, 0)), ctx={})
 
 
 class TestVNBatchNorm:
@@ -359,6 +366,18 @@ class TestStacks:
         r = sample_uniform_rotation(rng).m
         assert equivariance_residual(layer, v, r) > 1e-3
 
+    def test_equivariance_report_covers_the_trunk_kit(self):
+        # VNPoolConcat -> vn_pool_concat, VNBatchNorm -> vn_batch_norm, ...
+        trunk = PoseModel(ModelConfig(n_classes=4, batch_norm=True)).backbone.layers
+        kinds = {re.sub(r"(?<!^)(?=[A-Z][a-z])", "_", type(layer).__name__).lower() for layer in trunk}
+        assert kinds == {"vn_linear", "vn_batch_norm", "vn_relu", "vn_pool_concat"}
+        assert kinds <= set(equivariance_report(trials=1))
+
+    def test_readme_lists_every_report_key(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        paragraph = next(p for p in readme.split("\n\n") if "`check-equivariance` reports" in p)
+        assert set(re.findall(r"`(\w+)`", paragraph)) == set(full_report(trials=1))
+
     def test_sequential_backward_requires_forward(self):
         stack = Sequential([VNLinear(2, 2)])
         with pytest.raises(NoForwardRecorded):
@@ -412,9 +431,6 @@ def _vector_list_einsum(layer, v, grad, train):
         )
         dv = ein("oc,...noi->...nci", w, dq) + ein("oc,...noi->...nci", u, dk)
         return out, dv, {"W": ein("noi,nci->oc", pts(dq), pts(v)), "U": ein("noi,nci->oc", pts(dk), pts(v))}
-    if isinstance(layer, VNMeanPool):
-        n = v.shape[-3]
-        return v.mean(axis=-3, keepdims=True), np.broadcast_to(grad / n, v.shape), {}
     if isinstance(layer, VNPoolConcat):
         n, c = v.shape[-3], v.shape[-2]
         out = np.concatenate([v, np.broadcast_to(v.mean(axis=-3, keepdims=True), v.shape)], axis=-2)
@@ -471,14 +487,13 @@ class TestLayoutReference:
 
     @pytest.mark.parametrize("shape", [(3, 4, 11), (2, 3, 4, 11)], ids=["cloud", "stacked"])
     @pytest.mark.parametrize(
-        "name", ["linear", "relu", "mean_pool", "pool_concat", "bn_train", "bn_eval", "invariant"]
+        "name", ["linear", "relu", "pool_concat", "bn_train", "bn_eval", "invariant"]
     )
     def test_matches_vector_list_reference(self, name, shape):
         rng = RNG(40)
         layer, train = {
             "linear": (VNLinear(4, 5), False),
             "relu": (VNReLU(4, 5), False),
-            "mean_pool": (VNMeanPool(), False),
             "pool_concat": (VNPoolConcat(), False),
             "bn_train": (VNBatchNorm(4), True),
             "bn_eval": (VNBatchNorm(4), False),
@@ -514,7 +529,7 @@ class TestLayoutReference:
 class TestGradients:
     @pytest.mark.parametrize(
         "name",
-        ["linear", "relu", "bn_train", "bn_eval", "mean_pool", "pool_concat", "invariant", "flatten_dense"],
+        ["linear", "relu", "bn_train", "bn_eval", "pool_concat", "invariant", "flatten_dense"],
     )
     def test_layer_gradcheck(self, name):
         rng = RNG(24)
@@ -524,7 +539,6 @@ class TestGradients:
             "relu": (VNReLU(4, 5), {}),
             "bn_train": (VNBatchNorm(4), {"train": True}),
             "bn_eval": (VNBatchNorm(4), {"train": False}),
-            "mean_pool": (VNMeanPool(), {}),
             "pool_concat": (VNPoolConcat(), {}),
             "invariant": (VNInvariant(4, 3, 3, hidden=6, out=5), {}),
             "flatten_dense": (FlattenDense(4), {}),

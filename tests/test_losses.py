@@ -12,7 +12,6 @@ from equipose.losses import (
     LossWeights,
     focal_loss_grad,
     l1_offset_loss_grad,
-    log_softmax,
     so3_loss,
     total_loss,
 )
@@ -22,12 +21,24 @@ RNG = np.random.default_rng
 
 
 class TestFocalLoss:
-    def test_gamma_zero_is_cross_entropy(self):
+    def test_matches_dense_oracle_at_published_constants(self):
+        # -alpha (1 - p_t)^gamma log p_t with alpha = 0.25, gamma = 2 (Lin et
+        # al.), and its gradient through the full softmax jacobian, per point
+        alpha, gamma = 0.25, 2.0
         rng = RNG(0)
         logits = rng.normal(size=(50, 5))
         labels = rng.integers(0, 5, size=50)
-        ce = float(np.mean(-log_softmax(logits)[np.arange(50), labels]))
-        assert abs(focal_loss_grad(logits, labels, gamma=0.0, alpha=1.0)[0] - ce) <= 1e-12
+        losses, grads = [], []
+        for z, t in zip(logits, labels):
+            p = np.exp(z) / np.exp(z).sum()
+            pt = p[t]
+            losses.append(-alpha * (1.0 - pt) ** gamma * np.log(pt))
+            d_pt = alpha * gamma * (1.0 - pt) ** (gamma - 1.0) * np.log(pt) - alpha * (1.0 - pt) ** gamma / pt
+            jacobian = np.diag(p) - np.outer(p, p)  # d p_i / d z_j
+            grads.append(d_pt * jacobian[t] / len(logits))
+        value, grad = focal_loss_grad(logits, labels)
+        assert abs(value - np.mean(losses)) <= 1e-12
+        np.testing.assert_allclose(grad, np.array(grads), rtol=1e-12, atol=1e-15)
 
     def test_confident_correct_logits_drive_loss_to_zero(self):
         labels = np.zeros(4, dtype=int)
@@ -42,7 +53,7 @@ class TestFocalLoss:
 
     def test_closed_form_binary_case(self):
         # two classes, equal logits: p_t = 1/2, loss = 1/4 * (1/2)^2 * ln 2
-        value = focal_loss_grad(np.zeros((1, 2)), [0], gamma=2.0, alpha=0.25)[0]
+        value = focal_loss_grad(np.zeros((1, 2)), [0])[0]
         assert abs(value - 0.25 * 0.25 * np.log(2.0)) <= 1e-12
 
     def test_label_out_of_range(self):

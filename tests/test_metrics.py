@@ -145,7 +145,7 @@ class TestAuc:
         assert auc([0.2, 0.5, np.inf]) == 0.0
 
     def test_single_midpoint_distance(self):
-        assert auc([0.05], max_threshold=0.1) == 50.0
+        assert auc([0.05]) == 50.0
 
     def test_step_curve_oracle(self):
         # dense threshold-grid approximation converges to the exact integral

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from equipose.backproject import _write_ascii_ply
 from equipose.errors import ConfigInvalid, InputError, TooFewVertices
 from equipose.geometry import RigidTransform, Rotation, compose, sample_uniform_rotation
 from equipose.metrics import add_s
@@ -213,3 +214,29 @@ class TestOnDisk:
         (cls, pose), = loaded.gt_poses
         det = next(d for d in detections if d.class_id == cls)
         assert add(pose, det.pose, registry.lookup(cls)) <= 1e-6
+
+
+def test_ply_writer_bytes_match_per_value_reference(tmp_path):
+    # a three-instance scene's table with a negative zero, a tiny normal and
+    # the smallest subnormal in it, and a table without rows
+    recipe = SceneConfig(
+        noise_sigma=0.002,
+        occlusion=(0.0, 0.3),
+        n_background=50,
+        n_instances=3,
+        max_object_points=450,
+        background_margin=0.10,
+    )
+    sample = render_scene(make_default_models(seed=0), recipe, seed=3)
+    cloud = sample.cloud
+    offsets = sample.gt_offsets.reshape(len(cloud), -1)
+    scene = np.hstack([cloud.points, cloud.attributes, sample.labels[:, None], offsets])
+    scene[0, :3] = [-0.0, 1e-300, 5e-324]
+    for table in (scene, np.zeros((0, 4))):
+        names = [f"p{j}" for j in range(table.shape[1])]
+        path = tmp_path / "table.ply"
+        _write_ascii_ply(path, names, table)
+        header = ["ply", "format ascii 1.0", f"element vertex {len(table)}"]
+        header += [f"property float64 {name}" for name in names] + ["end_header"]
+        lines = header + [" ".join(f"{v:.17g}" for v in row) for row in table]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

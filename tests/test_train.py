@@ -22,10 +22,13 @@ from equipose.layers import (
     named_params,
     rotate_feature,
 )
-from equipose.losses import focal_loss_grad, l1_offset_loss_grad, total_loss
+from equipose.losses import FOCAL_ALPHA, FOCAL_GAMMA, focal_loss_grad, l1_offset_loss_grad, total_loss
 from equipose.model import ModelConfig, PoseModel, init_model, load_model, save_model
 from equipose.synth import SceneConfig, make_default_models, render_scene
 from equipose.train import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     TRAINABLE_KINDS,
     Adam,
     TrainConfig,
@@ -107,7 +110,7 @@ class TestAdam:
         from equipose.layers import Param
 
         p = Param("w", np.array([1.0]))
-        opt = Adam([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        opt = Adam([p], lr=0.1)
         grads = [0.3, -0.2, 0.05]
         # independent trace of the standard update equations
         m = v = 0.0
@@ -263,6 +266,18 @@ class TestTrainLoop:
         paragraph = next(p for p in readme.split("\n\n") if "Its keys are" in p)
         listed = paragraph.split("Its keys are", 1)[1].split("Any other key", 1)[0]
         assert set(re.findall(r"`(\w+)`", listed)) == {f.name for f in fields(TrainConfig)}
+
+    def test_readme_names_the_published_constants(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        paragraph = next(p for p in readme.split("\n\n") if "The constants are the published ones" in p)
+        named = {k: float(v) for k, v in re.findall(r"(β1|β2|ε|γ|α) = (\d+(?:\.\d+)?(?:e-?\d+)?)", paragraph)}
+        assert named == {
+            "β1": ADAM_BETA1,
+            "β2": ADAM_BETA2,
+            "ε": ADAM_EPS,
+            "γ": FOCAL_GAMMA,
+            "α": FOCAL_ALPHA,
+        }
 
     def test_invalid_architecture(self):
         with pytest.raises(ConfigInvalid):
