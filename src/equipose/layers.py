@@ -22,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import EmptyInput, NoForwardRecorded, ShapeMismatch
-from .files import parsing, read_json, write_atomic, write_json
 
 # Below this squared norm the learned truncation direction is considered
 # undefined and the input passes through unchanged.
@@ -111,11 +110,11 @@ class Layer:
         return ctx
 
 
-def named_params(layer: Layer, prefix: str = "") -> list:
+def named_params(layer: Layer) -> list:
     """Depth-first (name, Param) pairs with dotted path names."""
-    out = [(prefix + p.name, p) for p in layer.own_params()]
+    out = [(p.name, p) for p in layer.own_params()]
     for child_name, child in layer.children():
-        out.extend(named_params(child, f"{prefix}{child_name}."))
+        out.extend((f"{child_name}.{name}", p) for name, p in named_params(child))
     return out
 
 
@@ -435,45 +434,3 @@ def init_layer_params(layer: Layer, rng: np.random.Generator) -> None:
             p.value[...] = 1.0 if p.name.endswith("var") else 0.0
         p.zero_grad()
 
-
-# parameter container serialization ---------------------------------------
-
-
-def save_params(named, path) -> None:
-    """Flat little-endian f64 blob at `path` plus a JSON manifest at `path`.json."""
-    manifest = []
-    offset = 0
-    payload = []
-    for name, value in named:
-        arr = np.ascontiguousarray(value.value if isinstance(value, Param) else value, dtype="<f8")
-        manifest.append(
-            {"name": name, "shape": list(arr.shape), "offset": offset, "dtype": "<f8"}
-        )
-        payload.append(arr.tobytes())
-        offset += arr.nbytes
-    write_atomic(path, b"".join(payload))
-    write_json(str(path) + ".json", {"tensors": manifest})
-
-
-def load_params(path) -> dict:
-    """Read a container written by save_params: name -> float64 array."""
-    out = {}
-    with read_json(str(path) + ".json") as manifest, parsing(path), open(path, "rb") as f:
-        blob = f.read()
-        for entry in manifest["tensors"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(blob, dtype=entry["dtype"], count=count, offset=entry["offset"])
-            out[entry["name"]] = arr.reshape(shape).astype(np.float64)
-    return out
-
-
-def assign_params(layer: Layer, values: dict, prefix: str = "") -> None:
-    for name, p in named_params(layer, prefix):
-        if name not in values:
-            raise KeyError(f"missing parameter {name} in container")
-        if values[name].shape != p.value.shape:
-            raise ShapeMismatch(
-                f"parameter {name}: container shape {values[name].shape} != {p.value.shape}"
-            )
-        p.value[...] = values[name]

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import ConfigInvalid, check_field_types
-from .files import read_json, write_json
+from .files import parsing, read_json, write_atomic, write_json
 from .geometry import Rotation
 from .heads import AppearanceEncoder, KpHead, SegHead
 from .layers import (
@@ -21,12 +21,9 @@ from .layers import (
     VNLinear,
     VNPoolConcat,
     VNReLU,
-    assign_params,
     init_layer_params,
-    load_params,
     named_params,
     rotate_feature,
-    save_params,
 )
 
 LIFT_CHANNELS = 8
@@ -41,7 +38,7 @@ class ModelConfig:
     lift_cap: float = 2.0
     vn_widths: tuple = (16, 32, 32)
     batch_norm: bool = False
-    pool_mode: str = "every"  # every | final | none
+    pool_mode: str = "every"  # the only value; the checkpoint manifest still lists the field
     invariant_branch: int = 8
     invariant_hidden: int = 64
     invariant_out: int = 64
@@ -55,7 +52,7 @@ class ModelConfig:
             raise ConfigInvalid("n_classes must be at least 1")
         if self.n_keypoints < 1:
             raise ConfigInvalid("n_keypoints must be at least 1")
-        if self.pool_mode not in ("every", "final", "none"):
+        if self.pool_mode != "every":
             raise ConfigInvalid(f"unknown pool_mode {self.pool_mode!r}")
         if len(self.lift_scales) != LIFT_CHANNELS - 3:
             raise ConfigInvalid(f"lift_scales must have {LIFT_CHANNELS - 3} entries")
@@ -136,24 +133,21 @@ class ModelOutputs:
 
 class PoseModel(Layer):
     """Trunk of alternating channel-mix (VNLinear) and direction-gated
-    truncation (VNReLU) blocks, optional norm layers, and a pooled global
-    channel concatenated back per point; heads fan out from the trunk output.
+    truncation (VNReLU) blocks, optional norm layers, and after each block a
+    pooled global channel concatenated back per point; heads fan out from the
+    trunk output.
     """
 
     def __init__(self, cfg: ModelConfig):
         self.cfg = cfg
         blocks = []
         c = LIFT_CHANNELS
-        for i, width in enumerate(cfg.vn_widths):
+        for width in cfg.vn_widths:
             blocks.append(VNLinear(c, width))
             if cfg.batch_norm:
                 blocks.append(VNBatchNorm(width))
-            blocks.append(VNReLU(width, width))
-            c = width
-            last = i == len(cfg.vn_widths) - 1
-            if cfg.pool_mode == "every" or (cfg.pool_mode == "final" and last):
-                blocks.append(VNPoolConcat())
-                c *= 2
+            blocks += [VNReLU(width, width), VNPoolConcat()]
+            c = 2 * width
         self.trunk_channels = c
         self.backbone = Sequential(blocks)
         self.invariant = VNInvariant(
@@ -243,16 +237,43 @@ def init_model(cfg: ModelConfig, seed: int) -> PoseModel:
 
 
 def save_model(model: PoseModel, path) -> None:
-    """Parameter container plus the architecture config in the manifest."""
-    save_params(named_params(model), path)
-    manifest_path = str(path) + ".json"
-    with read_json(manifest_path) as manifest:
-        manifest["model_config"] = model.cfg.to_dict()
-    write_json(manifest_path, manifest)
+    """The parameter container: a flat little-endian float64 blob at `path`,
+    and at `path`.json a manifest {"tensors": [{name, shape, offset, dtype}],
+    "model_config": {...}}. Each file is written once."""
+    tensors, payload, offset = [], [], 0
+    for name, p in named_params(model):
+        arr = np.ascontiguousarray(p.value, dtype="<f8")
+        tensors.append({"name": name, "shape": list(arr.shape), "offset": offset, "dtype": "<f8"})
+        payload.append(arr.tobytes())
+        offset += arr.nbytes
+    write_atomic(path, b"".join(payload))
+    write_json(str(path) + ".json", {"tensors": tensors, "model_config": model.cfg.to_dict()})
 
 
 def load_model(path) -> PoseModel:
+    """Build the model the manifest's config describes and fill its
+    parameters by name from the blob. A manifest whose tensors are not
+    exactly that model's parameters, name for name and shape for shape, is
+    an InputError naming the manifest; a blob too short for them, one naming
+    the blob."""
     with read_json(str(path) + ".json") as manifest:
         model = PoseModel(ModelConfig.from_dict(manifest["model_config"]))
-    assign_params(model, load_params(path))
+        params = dict(named_params(model))
+        shapes = {t["name"]: tuple(t["shape"]) for t in manifest["tensors"]}
+        for name, p in params.items():
+            if shapes.get(name) != p.value.shape:
+                raise ValueError(
+                    f"tensor {name}: the container has {shapes.get(name, 'none')}, "
+                    f"model_config builds {p.value.shape}"
+                )
+        if len(manifest["tensors"]) != len(params):
+            raise ValueError(
+                f"the container has {len(manifest['tensors'])} tensors, model_config builds {len(params)}"
+            )
+        with parsing(path), open(path, "rb") as f:
+            blob = f.read()
+            for t in manifest["tensors"]:
+                p = params[t["name"]]
+                values = np.frombuffer(blob, dtype=t["dtype"], count=p.value.size, offset=t["offset"])
+                p.value[...] = values.reshape(p.value.shape)
     return model

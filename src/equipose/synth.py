@@ -411,11 +411,14 @@ def load_scene(path_stem) -> SceneSample:
         poses = [(int(p["class"]), pose_from_dict(p)) for p in sidecar["poses"]]
         scene_seed = int(sidecar["scene_seed"])
     with parsing(ply_path):  # a missing column or too few offset slots
+        # one row-major copy: rows[:, cols] would be column-major, and numpy
+        # sums a column-major cloud in another order (last-bit differences)
+        xyzrgb = np.take(rows, [names.index(name) for name in "xyzrgb"], axis=1)
         labels = rows[:, names.index("label")].astype(int)
         off_start = names.index("off_0_x")
         offsets = rows[:, off_start : off_start + 3 * n_slots].reshape(len(rows), n_slots, 3)
     return SceneSample(
-        cloud=PointCloud(points=rows[:, :3], attributes=rows[:, 3:6]),
+        cloud=PointCloud(points=xyzrgb[:, :3], attributes=xyzrgb[:, 3:]),
         labels=labels,
         gt_offsets=offsets,
         gt_poses=poses,

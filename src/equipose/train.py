@@ -129,9 +129,9 @@ def scene_tensors(sample, model: PoseModel) -> SceneTensors:
     )
 
 
-def sample_losses(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, scale=1.0, train=True, ctx=None):
-    """One forward of the cloud with the keypoint head on the pair (the
-    cloud, the cloud rotated by R), and the loss assembly.
+def sample_losses(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, scale=1.0, ctx=None):
+    """One training-mode forward of the cloud with the keypoint head on the
+    pair (the cloud, the cloud rotated by R), and the loss assembly.
 
     The segmentation and offset losses read the straight half; the
     consistency term compares the keypoint offsets of both halves. Returns
@@ -139,7 +139,7 @@ def sample_losses(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, 
     `scale`, ready for model.backward with the same ctx.
     """
     w = cfg.weights
-    out = model.forward(t.v, t.app_in, train=train, ctx=ctx, rotation=rotation)
+    out = model.forward(t.v, t.app_in, train=True, ctx=ctx, rotation=rotation)
     n_kp = model.cfg.n_keypoints
     offsets = out.offsets[0]
     seg_value, d_seg = focal_loss_grad(out.logits, t.labels)
@@ -154,8 +154,8 @@ def sample_losses(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, 
 
 
 def sample_losses_and_grads(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, scale=1.0):
-    """sample_losses in train mode, then one backward; parameter gradients
-    are accumulated scaled by `scale`. Returns (LossReport, d v, d app_in)."""
+    """sample_losses, then one backward; parameter gradients are accumulated
+    scaled by `scale`. Returns (LossReport, d v, d app_in)."""
     ctx = {}
     report, d_logits, d_offsets = sample_losses(model, t, cfg, rotation, scale, ctx=ctx)
     dv, d_app = model.backward(d_logits, d_offsets, ctx=ctx)

@@ -291,7 +291,7 @@ def test_criterion_09_consistency_loss_efficacy(object_models):
             t = scene_tensors(scene, model)
             for _ in range(3):
                 rotation = sample_uniform_rotation(rng)
-                values.append(sample_losses(model, t, cfg, rotation, train=False)[0].so3)
+                values.append(sample_losses(model, t, cfg, rotation)[0].so3)
         return float(np.mean(values))
 
     without = final_residual(0.0)

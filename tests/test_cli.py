@@ -532,14 +532,17 @@ def _train_on_edited_dataset_json(edit):
     return case
 
 
-def _eval_on_string_n_classes_params(dataset, tmp_path):
-    params = tmp_path / "params.bin"
-    save_model(init_model(ModelConfig(n_classes=4), seed=0), params)
-    path = tmp_path / "params.bin.json"
-    manifest = json.loads(path.read_text())
-    manifest["model_config"]["n_classes"] = "4"
-    path.write_text(json.dumps(manifest))
-    return _eval_argv(dataset, tmp_path, dataset / "scenes", "--params", str(params)), path
+def _eval_on_edited_params(edit):
+    def case(dataset, tmp_path):
+        params = tmp_path / "params.bin"
+        save_model(init_model(ModelConfig(n_classes=4), seed=0), params)
+        path = tmp_path / "params.bin.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        return _eval_argv(dataset, tmp_path, dataset / "scenes", "--params", str(params)), path
+
+    return case
 
 
 def _train_with_fractional_epochs(dataset, tmp_path):
@@ -567,8 +570,14 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _train_on_edited_dataset_json(lambda meta: meta.update(n_classes="4")),
         _eval_on_truncated_params,
         _eval_on_edited_scene(".ply", lambda text: text.replace(" label\n", " lbl\n", 1)),
-        _eval_on_string_n_classes_params,
+        _eval_on_edited_params(lambda manifest: manifest["model_config"].update(n_classes="4")),
         _train_with_fractional_epochs,
+        _eval_on_edited_params(lambda manifest: manifest["model_config"].update(n_classes=5)),
+        _eval_on_edited_params(lambda manifest: manifest["tensors"].pop()),
+        _eval_on_edited_params(
+            lambda manifest: manifest["tensors"].append(dict(manifest["tensors"][0], name="extra.W"))
+        ),
+        _eval_on_edited_scene(".ply", lambda text: text.replace(" r\n", " red\n", 1)),
     ],
     ids=[
         "no_source",
@@ -581,6 +590,10 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "ply_without_labels",
         "string_n_classes_params",
         "fractional_epochs_config",
+        "params_config_builds_other_shapes",
+        "params_missing_tensor",
+        "params_extra_tensor",
+        "ply_without_red",
     ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):

@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from equipose import model as model_mod
 from equipose.cli import EXIT_OK, main
 from equipose.errors import ConfigInvalid, InputError
 from equipose.files import read_json, write_json
-from equipose.layers import load_params, save_params
+from equipose.model import ModelConfig, init_model, load_model, save_model
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "equipose"
 
@@ -26,6 +27,31 @@ def test_only_files_module_reads_or_writes_json():
         if re.search(r"\bjson\.(dump|loads?)\(", line)
     ]
     assert offenders == []
+
+
+def test_only_model_module_knows_the_parameter_container():
+    assert not re.search(r"^\s*(from|import)\s.*\bfiles\b", (SRC / "layers.py").read_text(), re.M)
+    writers = sorted(path.name for path in SRC.glob("*.py") if "write_atomic(" in path.read_text())
+    assert writers == ["files.py", "model.py"]
+
+
+def test_container_manifest_is_written_once_and_read_once(tmp_path, monkeypatch):
+    calls = []
+
+    def spy(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(model_mod, name, wrapper)
+
+    spy("write_json", write_json)
+    spy("read_json", read_json)
+    path = tmp_path / "params.bin"
+    save_model(init_model(ModelConfig(n_classes=2), seed=0), path)
+    assert calls == ["write_json"]
+    load_model(path)
+    assert calls == ["write_json", "read_json"]
 
 
 def test_write_json_layout_and_replace(tmp_path):
@@ -72,10 +98,11 @@ def test_artifacts_get_the_umask_mode(tmp_path, umask_027):
 
 def test_parameter_blob_gets_the_umask_mode(tmp_path, umask_027):
     path = tmp_path / "params.bin"
-    save_params([("w", np.arange(6.0).reshape(2, 3))], path)
-    assert (path.stat().st_mode & 0o777) == umask_027
-    assert np.array_equal(load_params(path)["w"], np.arange(6.0).reshape(2, 3))
-    assert sorted(os.listdir(tmp_path)) == ["params.bin", "params.bin.json"]
+    model = init_model(ModelConfig(n_classes=2), seed=0)
+    save_model(model, path)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in tmp_path.iterdir()}
+    assert modes == {"params.bin": umask_027, "params.bin.json": umask_027}
+    assert np.array_equal(load_model(path).kp_head.mlp.w2.value, model.kp_head.mlp.w2.value)
 
 
 @pytest.mark.parametrize(

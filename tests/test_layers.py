@@ -1,5 +1,5 @@
 """Tests for the equivariant layer kit: forward semantics, equivariance and
-invariance properties, analytic gradients, and parameter serialization."""
+invariance properties, and analytic gradients."""
 
 import re
 from pathlib import Path
@@ -28,12 +28,9 @@ from equipose.layers import (
     VNLinear,
     VNPoolConcat,
     VNReLU,
-    assign_params,
     init_layer_params,
-    load_params,
     named_params,
     rotate_feature,
-    save_params,
 )
 from equipose.model import ModelConfig, PoseModel
 
@@ -551,45 +548,6 @@ class TestGradients:
         stack = random_stack(rng)
         v = rng.normal(size=(3, 4, 8))
         assert layer_fd_check(stack, v, train=True) <= 1e-5
-
-
-class TestSerialization:
-    def test_roundtrip(self, tmp_path):
-        stack = Sequential([VNLinear(3, 4), VNReLU(4, 4), VNBatchNorm(4), VNInvariant(4)])
-        init_layer_params(stack, RNG(27))
-        path = tmp_path / "params.bin"
-        save_params(named_params(stack), path)
-
-        clone = Sequential([VNLinear(3, 4), VNReLU(4, 4), VNBatchNorm(4), VNInvariant(4)])
-        assign_params(clone, load_params(path))
-        for (name_a, pa), (name_b, pb) in zip(named_params(stack), named_params(clone)):
-            assert name_a == name_b
-            np.testing.assert_array_equal(pa.value, pb.value)
-
-        v = RNG(28).normal(size=(3, 3, 5))
-        np.testing.assert_array_equal(
-            stack.forward(v, ctx={}), clone.forward(v, ctx={})
-        )
-
-    def test_manifest_is_little_endian_f8(self, tmp_path):
-        import json
-
-        layer = fresh(VNLinear(2, 2), seed=29)
-        path = tmp_path / "w.bin"
-        save_params(named_params(layer), path)
-        manifest = json.loads((tmp_path / "w.bin.json").read_text())
-        entry = manifest["tensors"][0]
-        assert entry["dtype"] == "<f8"
-        assert entry["shape"] == [2, 2]
-        assert entry["offset"] == 0
-
-    def test_missing_parameter_rejected(self, tmp_path):
-        layer = fresh(VNLinear(2, 2), seed=30)
-        path = tmp_path / "w.bin"
-        save_params(named_params(layer), path)
-        clone = VNReLU(2, 2)  # expects W and U
-        with pytest.raises(KeyError):
-            assign_params(clone, load_params(path))
 
 
 def test_init_statistics():

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from equipose.backproject import _write_ascii_ply
+from equipose.backproject import _read_ascii_ply, _write_ascii_ply
 from equipose.errors import ConfigInvalid, InputError, TooFewVertices
 from equipose.geometry import RigidTransform, Rotation, compose, sample_uniform_rotation
 from equipose.metrics import add_s
+from equipose.model import ModelConfig, PoseModel
 from equipose.synth import (
     ObjectModel,
     Registry,
@@ -185,6 +186,26 @@ class TestOnDisk:
         for (c1, p1), (c2, p2) in zip(loaded.gt_poses, scene.gt_poses):
             assert c1 == c2
             np.testing.assert_array_equal(p1.rotation.m, p2.rotation.m)
+
+    def test_scene_columns_are_read_by_name(self, tmp_path):
+        models = make_default_models(seed=0, n_vertices=200)
+        scene = render_scene(models, SceneConfig(noise_sigma=0.002, n_background=10), seed=9)
+        save_scene(tmp_path / "scene_00000", scene)
+        names, rows = _read_ascii_ply(tmp_path / "scene_00000.ply")
+        order = [names.index(name) for name in ("label", "b", "r", "z", "x", "g", "y")]
+        order += range(names.index("off_0_x"), len(names))  # the offset slots stay in order
+        _write_ascii_ply(tmp_path / "scene_00000.ply", [names[i] for i in order], rows[:, order])
+        loaded = load_scene(tmp_path / "scene_00000")
+        np.testing.assert_array_equal(loaded.cloud.points, scene.cloud.points)
+        np.testing.assert_array_equal(loaded.cloud.attributes, scene.cloud.attributes)
+        np.testing.assert_array_equal(loaded.labels, scene.labels)
+        np.testing.assert_array_equal(loaded.gt_offsets, scene.gt_offsets)
+        # a column-major copy of the points would change the lift's last bits
+        model = PoseModel(ModelConfig(n_classes=4))
+        np.testing.assert_array_equal(
+            model.lift(loaded.cloud.points, loaded.cloud.attributes),
+            model.lift(scene.cloud.points, scene.cloud.attributes),
+        )
 
     def test_registry_roundtrip(self, tmp_path):
         registry = Registry(make_default_models(seed=0, n_vertices=150))

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equipose.errors import ConfigInvalid, NonFiniteLoss
+from equipose.errors import ConfigInvalid, InputError, NonFiniteLoss
 from equipose.geometry import sample_uniform_rotation
 from equipose.heads import SegHead
 from equipose.layers import (
@@ -468,14 +468,41 @@ class TestGradcheck:
 
 def test_model_save_load_roundtrip(tmp_path):
     model = init_model(TINY_MODEL, seed=17)
+    rng = RNG(18)
+    v = rng.normal(size=(3, 8, 10))
+    app = rng.normal(size=(10, 5))
+    model.forward(v, app, train=True)  # running stats move off their initial values
     path = tmp_path / "params.bin"
     save_model(model, path)
     clone = load_model(path)
     assert clone.cfg == model.cfg
-    rng = RNG(18)
-    v = rng.normal(size=(3, 8, 10))
-    app = rng.normal(size=(10, 5))
+    for (name_a, pa), (name_b, pb) in zip(named_params(model), named_params(clone), strict=True):
+        assert name_a == name_b
+        np.testing.assert_array_equal(pa.value, pb.value)
     a = model.forward(v, app, ctx={})
     b = clone.forward(v, app, ctx={})
     np.testing.assert_array_equal(a.logits, b.logits)
     np.testing.assert_array_equal(a.offsets, b.offsets)
+
+
+def test_manifest_is_little_endian_f8(tmp_path):
+    path = tmp_path / "params.bin"
+    save_model(init_model(TINY_MODEL, seed=19), path)
+    manifest = json.loads((tmp_path / "params.bin.json").read_text())
+    assert list(manifest) == ["tensors", "model_config"]
+    assert ModelConfig.from_dict(manifest["model_config"]) == TINY_MODEL
+    first, second = manifest["tensors"][:2]
+    assert first == {"name": "backbone.0.W", "shape": [3, 8], "offset": 0, "dtype": "<f8"}
+    assert second["offset"] == 3 * 8 * 8
+
+
+def test_missing_parameter_rejected(tmp_path):
+    path = tmp_path / "params.bin"
+    save_model(init_model(TINY_MODEL, seed=20), path)
+    manifest_path = tmp_path / "params.bin.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["tensors"].pop()
+    manifest_path.write_text(json.dumps(manifest))
+    message = f"malformed {manifest_path}: ValueError: tensor kp.mlp.b2: the container has none"
+    with pytest.raises(InputError, match=re.escape(message)):
+        load_model(path)
