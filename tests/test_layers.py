@@ -32,7 +32,7 @@ from equipose.layers import (
     named_params,
     rotate_feature,
 )
-from equipose.model import ModelConfig, PoseModel
+from equipose.model import ModelConfig, PoseModel, init_model, load_model, save_model
 
 RNG = np.random.default_rng
 
@@ -548,6 +548,34 @@ class TestGradients:
         stack = random_stack(rng)
         v = rng.normal(size=(3, 4, 8))
         assert layer_fd_check(stack, v, train=True) <= 1e-5
+
+
+class TestSerialization:
+    def test_roundtrip(self, tmp_path):
+        """Every layer of the trunk kit survives the model's parameter
+        container: each tensor bit for bit, batch-norm running stats
+        included, and the reloaded trunk and invariant give the same output."""
+        cfg = ModelConfig(n_classes=2, vn_widths=(3, 4), batch_norm=True, invariant_branch=3,
+                          invariant_hidden=6, invariant_out=5)
+        model = init_model(cfg, seed=27)
+        v = RNG(28).normal(size=(3, 8, 5))
+        model.backbone.forward(v, train=True)  # running stats move off their initial values
+        path = tmp_path / "params.bin"
+        save_model(model, path)
+        clone = load_model(path)
+
+        kinds = {type(layer) for layer in model.backbone.layers} | {type(model.invariant)}
+        assert kinds == {VNLinear, VNBatchNorm, VNReLU, VNPoolConcat, VNInvariant}
+        for part in ("backbone", "invariant"):
+            pairs = zip(named_params(getattr(model, part)), named_params(getattr(clone, part)), strict=True)
+            for (name_a, pa), (name_b, pb) in pairs:
+                assert name_a == name_b
+                np.testing.assert_array_equal(pa.value, pb.value)
+
+        def trunk(m):
+            return m.invariant.forward(m.backbone.forward(v, ctx={}), ctx={})
+
+        np.testing.assert_array_equal(trunk(model), trunk(clone))
 
 
 def test_init_statistics():
