@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonPositiveDepth, SingularIntrinsics
-from .files import read_json, write_json
+from .files import parsing, read_json, write_json
 
 
 @dataclass(frozen=True)
@@ -181,40 +181,40 @@ def write_pgm_depth(path, depth: DepthImage, ticks_per_meter: float = 10000.0) -
 
 def read_pgm_depth(path, ticks_per_meter: float = 10000.0) -> DepthImage:
     """Read a 16-bit binary PGM (P5, maxval 65535) of depth ticks. A bad or
-    truncated header or a short payload raises InputError."""
+    truncated header or a short payload is an InputError naming the file."""
     with open(path, "rb") as f:
         raw = f.read()
     fields = []
     pos = 0
-    while len(fields) < 4:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if raw[pos : pos + 1] == b"#":  # comment line
-            end = raw.find(b"\n", pos)
-            if end < 0:
-                raise InputError("PGM header comment has no end of line")
-            pos = end + 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos == start:
-            raise InputError(f"truncated PGM header: {len(fields)} of 4 fields")
-        fields.append(raw[start:pos])
-    pos += 1  # single whitespace after maxval
-    magic, *numbers = fields
-    if magic != b"P5":
-        raise InputError(f"not a binary PGM file: magic {magic!r}")
-    try:
+    with parsing(path):
+        while len(fields) < 4:
+            while pos < len(raw) and raw[pos : pos + 1].isspace():
+                pos += 1
+            if raw[pos : pos + 1] == b"#":  # comment line
+                end = raw.find(b"\n", pos)
+                if end < 0:
+                    raise ValueError("PGM header comment has no end of line")
+                pos = end + 1
+                continue
+            start = pos
+            while pos < len(raw) and not raw[pos : pos + 1].isspace():
+                pos += 1
+            if pos == start:
+                raise ValueError(f"truncated PGM header: {len(fields)} of 4 fields")
+            fields.append(raw[start:pos])
+        pos += 1  # single whitespace after maxval
+        magic, *numbers = fields
+        if magic != b"P5":
+            raise ValueError(f"not a binary PGM file: magic {magic!r}")
+        if not all(x.removeprefix(b"-").isdigit() for x in numbers):
+            raise ValueError(f"non-numeric PGM header field in {numbers!r}")
         w, h, maxval = (int(x) for x in numbers)
-    except ValueError:
-        raise InputError(f"non-numeric PGM header field in {numbers!r}") from None
-    if maxval != 65535:
-        raise InputError("only 16-bit PGM depth images are supported")
-    if w < 0 or h < 0:
-        raise InputError(f"negative PGM size {w} x {h}")
-    if len(raw) - pos < 2 * w * h:
-        raise InputError(f"PGM payload is {max(len(raw) - pos, 0)} bytes, expected {2 * w * h}")
+        if maxval != 65535:
+            raise ValueError("only 16-bit PGM depth images are supported")
+        if w < 0 or h < 0:
+            raise ValueError(f"negative PGM size {w} x {h}")
+        if len(raw) - pos < 2 * w * h:
+            raise ValueError(f"PGM payload is {max(len(raw) - pos, 0)} bytes, expected {2 * w * h}")
     ticks = np.frombuffer(raw, dtype=">u2", count=w * h, offset=pos).reshape(h, w)
     return DepthImage(ticks.astype(np.float64) / ticks_per_meter)
 
@@ -224,19 +224,16 @@ def write_ply_cloud(path, cloud: PointCloud) -> None:
     names, rows = ["x", "y", "z"], cloud.points
     if cloud.attributes is not None and cloud.attributes.shape[1] >= 3:
         names, rows = names + ["r", "g", "b"], np.hstack([rows, cloud.attributes[:, :3]])
-    _write_ascii_ply(path, names, rows)
+    write_ply(path, names, rows)
 
 
 def read_ply_cloud(path) -> PointCloud:
-    names, rows = _read_ascii_ply(path)
-    pts = rows[:, [names.index("x"), names.index("y"), names.index("z")]]
-    attrs = None
-    if "r" in names:
-        attrs = rows[:, [names.index("r"), names.index("g"), names.index("b")]]
-    return PointCloud(points=pts, attributes=attrs)
+    table = PlyTable(path)
+    attrs = table.columns("r", "g", "b") if "r" in table.names else None
+    return PointCloud(points=table.columns("x", "y", "z"), attributes=attrs)
 
 
-def _write_ascii_ply(path, names, rows) -> None:
+def write_ply(path, names, rows) -> None:
     """ASCII PLY with one float64 vertex property per name and one line per
     row, each value printed with 17 significant digits (exact round trip)."""
     properties = "".join(f"property float64 {name}\n" for name in names)
@@ -244,33 +241,44 @@ def _write_ascii_ply(path, names, rows) -> None:
     np.savetxt(path, rows, fmt="%.17g", header=header, comments="")
 
 
-def _read_ascii_ply(path):
-    """Parse an ASCII PLY vertex table into (property names, float rows)."""
-    with open(path) as f:
-        if f.readline().strip() != "ply":
-            raise InputError("not a PLY file")
-        names = []
-        n_vertex = 0
-        for line in f:
-            tok = line.split()
-            if tok[0] == "format" and tok[1] != "ascii":
-                raise InputError("only ASCII PLY is supported")
-            elif tok[0] == "element":
-                if tok[1] != "vertex":
-                    raise InputError("only vertex-element PLY files are supported")
-                if not tok[2].isdigit():
-                    raise InputError(f"PLY vertex count is not a number: {tok[2]!r}")
-                n_vertex = int(tok[2])
-            elif tok[0] == "property":
-                names.append(tok[2])
-            elif tok[0] == "end_header":
-                break
-        try:
-            rows = np.loadtxt(f, dtype=np.float64, max_rows=n_vertex, ndmin=2)
-        except ValueError as err:
-            raise InputError(f"PLY vertex table is not numeric: {err}") from None
-    if n_vertex and rows.shape != (n_vertex, len(names)):
-        raise InputError("PLY vertex table has unexpected shape")
-    if n_vertex == 0:
-        rows = np.zeros((0, len(names)))
-    return names, rows
+class PlyTable:
+    """An ASCII PLY vertex table, parsed once: `names` lists its properties in
+    file order and `columns` picks any of them by name. A header fault, a
+    missing column, a table of other than the declared size or a non-finite
+    value is an InputError naming the file."""
+
+    def __init__(self, path):
+        self.path, self.names, n_vertex = path, [], None
+        with parsing(path), open(path) as f:
+            if f.readline().strip() != "ply":
+                raise ValueError("not a PLY file")
+            for line in f:
+                match line.split():
+                    case ["format", "ascii", "1.0"] | ["comment" | "obj_info", *_]:
+                        pass
+                    case ["element", "vertex", count] if n_vertex is None and count.isdigit():
+                        n_vertex = int(count)
+                    case ["property", _, name] if name not in self.names:
+                        self.names.append(name)
+                    case ["end_header"]:
+                        break
+                    case _:  # a blank line, another format or element, a repeated name
+                        raise ValueError(f"bad PLY header line {line.rstrip()!r}")
+            else:
+                raise ValueError("PLY header has no end_header line")
+            if n_vertex is None:
+                raise ValueError("PLY header has no element vertex line")
+            # loadtxt warns on an empty body, so an empty table skips it
+            self.rows = np.loadtxt(f, ndmin=2) if n_vertex else np.zeros((0, len(self.names)))
+            if self.rows.shape != (n_vertex, len(self.names)) or f.read().strip():
+                raise ValueError(f"PLY vertex table is not {n_vertex} rows of {len(self.names)} values")
+            if not np.all(np.isfinite(self.rows)):
+                raise ValueError("PLY vertex table has non-finite values")
+
+    def columns(self, *names) -> np.ndarray:
+        """The named columns in that order, as one row-major (N, len(names)) array."""
+        with parsing(self.path):
+            missing = [name for name in names if name not in self.names]
+            if missing:
+                raise ValueError(f"PLY vertex table has no column {', '.join(missing)}")
+        return np.take(self.rows, [self.names.index(name) for name in names], axis=1)

@@ -188,7 +188,15 @@ def cmd_train(args) -> int:
     from .train import TrainConfig, train
 
     started = time.monotonic()
-    scenes = list(_load_scenes(args.scenes_dir).values())
+    scenes = _load_scenes(args.scenes_dir)
+    n_keypoints = next(iter(scenes.values())).n_keypoints
+    for name, scene in scenes.items():  # one network predicts one keypoint count
+        if scene.n_keypoints != n_keypoints:
+            path = os.path.join(args.scenes_dir, f"{name}.json")
+            raise InputError(
+                f"malformed {path}: {scene.n_keypoints} keypoints, not the first scene's {n_keypoints}"
+            )
+    scenes = list(scenes.values())
     meta_path = os.path.join(os.path.dirname(os.path.abspath(args.scenes_dir)), "dataset.json")
     if os.path.exists(meta_path):
         with read_json(meta_path) as meta:
@@ -197,7 +205,6 @@ def cmd_train(args) -> int:
             ModelConfig(n_classes=n_classes)
     else:  # the ground-truth classes, so a stray label stays out of range
         n_classes = max((cls for s in scenes for cls, _ in s.gt_poses), default=0) + 1
-    n_keypoints = scenes[0].n_keypoints
     if args.config:
         cfg = TrainConfig.from_json(_require_file(args.config, "train config"))
     else:

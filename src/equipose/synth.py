@@ -10,13 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backproject import (
-    PointCloud,
-    _read_ascii_ply,
-    _write_ascii_ply,
-    read_ply_cloud,
-    write_ply_cloud,
-)
+from .backproject import PlyTable, PointCloud, read_ply_cloud, write_ply, write_ply_cloud
 from .errors import ConfigInvalid, InputError, RegistryMiss, TooFewVertices
 from .files import parsing, read_json, write_json
 from .geometry import (
@@ -205,8 +199,8 @@ class SceneConfig:
         lo, hi = (occ, occ) if np.isscalar(occ) else (occ[0], occ[1])
         if not (0.0 <= lo <= hi <= 0.9):
             raise ConfigInvalid("occlusion fraction must lie in [0, 0.9]")
-        if self.noise_sigma < 0.0:
-            raise ConfigInvalid("noise sigma must be non-negative")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise ConfigInvalid(f"noise sigma must be finite and non-negative, got {self.noise_sigma}")
         if self.n_background < 0:
             raise ConfigInvalid("background point count must be non-negative")
 
@@ -394,7 +388,7 @@ def save_scene(path_stem, sample: SceneSample) -> None:
             sample.gt_offsets.reshape(n, -1),
         ]
     )
-    _write_ascii_ply(str(path_stem) + ".ply", names, table)
+    write_ply(str(path_stem) + ".ply", names, table)
     sidecar = {
         "scene_seed": sample.scene_seed,
         "n_keypoints": sample.n_keypoints,
@@ -404,23 +398,20 @@ def save_scene(path_stem, sample: SceneSample) -> None:
 
 
 def load_scene(path_stem) -> SceneSample:
-    ply_path = str(path_stem) + ".ply"
-    names, rows = _read_ascii_ply(ply_path)
+    table = PlyTable(str(path_stem) + ".ply")
     with read_json(str(path_stem) + ".json") as sidecar:
         n_slots = sidecar["n_keypoints"] + 1
+        offset_names = [f"off_{j}_{axis}" for j in range(n_slots) for axis in "xyz"]
         poses = [(int(p["class"]), pose_from_dict(p)) for p in sidecar["poses"]]
         scene_seed = int(sidecar["scene_seed"])
-    with parsing(ply_path):  # a missing column or too few offset slots
-        # one row-major copy: rows[:, cols] would be column-major, and numpy
-        # sums a column-major cloud in another order (last-bit differences)
-        xyzrgb = np.take(rows, [names.index(name) for name in "xyzrgb"], axis=1)
-        labels = rows[:, names.index("label")].astype(int)
-        off_start = names.index("off_0_x")
-        offsets = rows[:, off_start : off_start + 3 * n_slots].reshape(len(rows), n_slots, 3)
+    with parsing(table.path):
+        if {name for name in table.names if name.startswith("off_")} != set(offset_names):
+            raise ValueError(f"the off_* columns are not those of the sidecar's {n_slots} slots")
+    xyzrgb = table.columns(*"xyzrgb")
     return SceneSample(
         cloud=PointCloud(points=xyzrgb[:, :3], attributes=xyzrgb[:, 3:]),
-        labels=labels,
-        gt_offsets=offsets,
+        labels=table.columns("label")[:, 0].astype(int),
+        gt_offsets=table.columns(*offset_names).reshape(len(xyzrgb), n_slots, 3),
         gt_poses=poses,
         scene_seed=scene_seed,
     )

@@ -1,5 +1,9 @@
 """Tests for depth back-projection, pixel projection, and the file formats."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +19,30 @@ from equipose.backproject import (
     write_ply_cloud,
 )
 from equipose.errors import InputError, NonPositiveDepth, SingularIntrinsics
+
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "equipose"
+
+
+def test_only_backproject_module_reads_or_writes_ply():
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "backproject.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\bnp\.(loadtxt|savetxt)\(|end_header", line)
+    ]
+    assert offenders == []
+    # no module imports a private backproject name, such as a deleted _*_ascii_ply
+    private = [
+        f"{path.name}:{alias.name}"
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("backproject")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def random_intrinsics(rng) -> CameraIntrinsics:
@@ -150,8 +178,9 @@ class TestFileFormats:
     def test_pgm_rejects_bad_file(self, tmp_path, payload, message):
         path = tmp_path / "bad.pgm"
         path.write_bytes(payload)
-        with pytest.raises(InputError, match=message):
+        with pytest.raises(InputError, match=message) as caught:
             read_pgm_depth(path)
+        assert f"malformed {path}: " in str(caught.value)
 
     def test_pgm_rejects_out_of_range(self, tmp_path):
         with pytest.raises(ValueError):
@@ -206,6 +235,15 @@ class TestFileFormats:
         write_ply_cloud(path, PointCloud(points=[[1.0, 2.0, 3.0]]))
         path.write_text(path.read_text().replace("element vertex 1", "element vertex one"))
         with pytest.raises(InputError):
+            read_ply_cloud(path)
+
+    def test_ply_empty_table_roundtrip(self, tmp_path):
+        path = tmp_path / "empty.ply"
+        write_ply_cloud(path, PointCloud(points=np.zeros((0, 3))))
+        assert read_ply_cloud(path).points.shape == (0, 3)
+        path.write_text(path.read_text() + "1 2 3\n")
+        message = f"malformed {path}: ValueError: PLY vertex table is not 0 rows"
+        with pytest.raises(InputError, match=re.escape(message)):
             read_ply_cloud(path)
 
     def test_ply_with_face_element_rejected(self, tmp_path):

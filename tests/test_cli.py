@@ -1,6 +1,7 @@
 """Tests for the command-line interface: artifacts, exit codes, manifests."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -190,8 +191,14 @@ class TestSynthGen:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--n-vertices", "60", "--keypoints", "500"], ["--noise-sigma", "-1"], ["--occlusion", "0.95"]],
-        ids=["keypoints_above_vertices", "negative_noise", "occlusion_above_max"],
+        [
+            ["--n-vertices", "60", "--keypoints", "500"],
+            ["--noise-sigma", "-1"],
+            ["--noise-sigma", "nan"],
+            ["--noise-sigma", "inf"],
+            ["--occlusion", "0.95"],
+        ],
+        ids=["keypoints_above_vertices", "negative_noise", "nan_noise", "inf_noise", "occlusion_above_max"],
     )
     def test_bad_flags_create_no_out_dir(self, tmp_path, flags):
         out = tmp_path / "left"
@@ -503,15 +510,70 @@ def _eval_argv(dataset, tmp_path, scenes, *flags):
     return ["eval", "--scenes-dir", str(scenes), *registry, "--out-dir", str(tmp_path / "out"), *flags]
 
 
-def _eval_on_edited_scene(suffix, edit):
+def _train_argv(tmp_path, scenes):
+    return ["train", "--scenes-dir", str(scenes), "--out-dir", str(tmp_path / "run"), "--epochs", "1"]
+
+
+def _on_edited_scene(suffix, edit, command="eval", named=None):
+    """`command` on a copy of the scenes whose first scene has its `suffix`
+    file edited; the error names that scene's `named` file, by default the
+    edited one."""
+
     def case(dataset, tmp_path):
         scenes = tmp_path / "scenes"
         shutil.copytree(dataset / "scenes", scenes)
         path = scenes / f"scene_00000{suffix}"
         path.write_text(edit(path.read_text()))
-        return _eval_argv(dataset, tmp_path, scenes, "--oracle-heads"), path
+        if command == "train":
+            argv = _train_argv(tmp_path, scenes)
+        else:
+            argv = _eval_argv(dataset, tmp_path, scenes, "--oracle-heads")
+        return argv, scenes / f"scene_00000{named or suffix}"
 
     return case
+
+
+def _set_keypoints(n_keypoints):
+    def edit(text):
+        sidecar = json.loads(text)
+        sidecar["n_keypoints"] = n_keypoints
+        return json.dumps(sidecar)
+
+    return edit
+
+
+def _eval_with_nan_offset(dataset, tmp_path):
+    scenes = scenes_with_first_token(dataset, tmp_path, "nan", "off_0_x")
+    return _eval_argv(dataset, tmp_path, scenes, "--oracle-heads"), scenes / "scene_00000.ply"
+
+
+def _eval_on_registry_without_y(dataset, tmp_path):
+    registry = tmp_path / "registry"
+    shutil.copytree(dataset / "registry", registry)
+    path = registry / "model_001.ply"
+    path.write_text(path.read_text().replace("property float64 y\n", "property float64 v\n", 1))
+    argv = ["eval", "--scenes-dir", str(dataset / "scenes"), "--registry-dir", str(registry)]
+    return [*argv, "--out-dir", str(tmp_path / "out"), "--oracle-heads"], path
+
+
+def _train_on_mixed_keypoint_counts(dataset, tmp_path):
+    """Two 5-keypoint scenes after the dataset's 8-keypoint ones; the first is named."""
+    from equipose.synth import SceneConfig, make_default_models, render_scene, save_scene
+
+    scenes = tmp_path / "scenes"
+    shutil.copytree(dataset / "scenes", scenes)
+    models = make_default_models(seed=9, n_vertices=300, n_keypoints=5)
+    for i in (8, 9):
+        save_scene(scenes / f"scene_{i:05d}", render_scene(models, SceneConfig(), seed=i))
+    return _train_argv(tmp_path, scenes), scenes / "scene_00008.json"
+
+
+def _drop_last_row(text):
+    return text[: text.rstrip("\n").rfind("\n") + 1]
+
+
+def _repeat_last_row(text):
+    return text + text.rstrip("\n").rsplit("\n", 1)[1] + "\n"
 
 
 def _skew_first_rotation(text):
@@ -565,11 +627,11 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _fit_pose_on({"target": [[0.0, 0.0, 0.0]] * 4}),
         _fit_pose_on([[0.0, 0.0, 0.0]]),
         _fit_pose_on({"source": [[0.0, 0.0, 0.0]] * 4, "target": "abc"}),
-        _eval_on_edited_scene(".json", _skew_first_rotation),
+        _on_edited_scene(".json", _skew_first_rotation),
         _train_on_edited_dataset_json(lambda meta: meta.pop("n_classes")),
         _train_on_edited_dataset_json(lambda meta: meta.update(n_classes="4")),
         _eval_on_truncated_params,
-        _eval_on_edited_scene(".ply", lambda text: text.replace(" label\n", " lbl\n", 1)),
+        _on_edited_scene(".ply", lambda text: text.replace(" label\n", " lbl\n", 1)),
         _eval_on_edited_params(lambda manifest: manifest["model_config"].update(n_classes="4")),
         _train_with_fractional_epochs,
         _eval_on_edited_params(lambda manifest: manifest["model_config"].update(n_classes=5)),
@@ -577,7 +639,20 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _eval_on_edited_params(
             lambda manifest: manifest["tensors"].append(dict(manifest["tensors"][0], name="extra.W"))
         ),
-        _eval_on_edited_scene(".ply", lambda text: text.replace(" r\n", " red\n", 1)),
+        _on_edited_scene(".ply", lambda text: text.replace(" r\n", " red\n", 1)),
+        _on_edited_scene(".ply", lambda text: text.replace("end_header", "\nend_header", 1)),
+        _on_edited_scene(".ply", lambda text: text.replace("end_header", "\nend_header", 1), "train"),
+        _on_edited_scene(".ply", lambda text: text.replace(" label\n", "\n", 1)),
+        _eval_on_registry_without_y,
+        _on_edited_scene(".ply", lambda text: re.sub(r"element vertex \d+\n", "", text, count=1)),
+        _on_edited_scene(".ply", lambda text: text[: text.index("end_header")]),
+        _on_edited_scene(".ply", _drop_last_row),
+        _on_edited_scene(".ply", _repeat_last_row),
+        _on_edited_scene(".ply", lambda text: text.replace(" off_1_y\n", " off_1_x\n", 1)),
+        _on_edited_scene(".json", _set_keypoints(7), named=".ply"),
+        _on_edited_scene(".json", _set_keypoints(9), named=".ply"),
+        _eval_with_nan_offset,
+        _train_on_mixed_keypoint_counts,
     ],
     ids=[
         "no_source",
@@ -594,6 +669,19 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "params_missing_tensor",
         "params_extra_tensor",
         "ply_without_red",
+        "ply_blank_header_line",
+        "ply_blank_header_line_train",
+        "ply_nameless_property",
+        "registry_ply_without_y",
+        "ply_without_element_vertex",
+        "ply_without_end_header",
+        "ply_row_short",
+        "ply_row_extra",
+        "ply_repeated_column",
+        "sidecar_fewer_keypoints_than_offsets",
+        "sidecar_more_keypoints_than_offsets",
+        "ply_nan_offset",
+        "train_mixed_keypoint_counts",
     ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from equipose.backproject import _read_ascii_ply, _write_ascii_ply
+from equipose.backproject import PlyTable, write_ply
 from equipose.errors import ConfigInvalid, InputError, TooFewVertices
 from equipose.geometry import RigidTransform, Rotation, compose, sample_uniform_rotation
 from equipose.metrics import add_s
@@ -155,6 +155,11 @@ class TestRenderScene:
         with pytest.raises(ConfigInvalid):
             SceneConfig(noise_sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf])
+    def test_non_finite_noise_rejected(self, sigma):
+        with pytest.raises(ConfigInvalid, match="finite"):
+            SceneConfig(noise_sigma=sigma)
+
     def test_noise_added_after_offsets(self):
         # with noise, votes are scattered around the true keypoints instead of
         # landing exactly on them
@@ -191,10 +196,9 @@ class TestOnDisk:
         models = make_default_models(seed=0, n_vertices=200)
         scene = render_scene(models, SceneConfig(noise_sigma=0.002, n_background=10), seed=9)
         save_scene(tmp_path / "scene_00000", scene)
-        names, rows = _read_ascii_ply(tmp_path / "scene_00000.ply")
-        order = [names.index(name) for name in ("label", "b", "r", "z", "x", "g", "y")]
-        order += range(names.index("off_0_x"), len(names))  # the offset slots stay in order
-        _write_ascii_ply(tmp_path / "scene_00000.ply", [names[i] for i in order], rows[:, order])
+        table = PlyTable(tmp_path / "scene_00000.ply")
+        names = ["label", "b", "r", "z", "x", "g", "y"] + table.names[:6:-1]  # offsets reversed
+        write_ply(tmp_path / "scene_00000.ply", names, table.columns(*names))
         loaded = load_scene(tmp_path / "scene_00000")
         np.testing.assert_array_equal(loaded.cloud.points, scene.cloud.points)
         np.testing.assert_array_equal(loaded.cloud.attributes, scene.cloud.attributes)
@@ -207,6 +211,16 @@ class TestOnDisk:
             model.lift(scene.cloud.points, scene.cloud.attributes),
         )
 
+    def test_swapped_offset_columns_load_equal(self, tmp_path):
+        scene = render_scene(make_default_models(seed=0, n_vertices=200), SceneConfig(), seed=9)
+        save_scene(tmp_path / "scene_00000", scene)
+        table = PlyTable(tmp_path / "scene_00000.ply")
+        names = list(table.names)
+        i, j = names.index("off_1_x"), names.index("off_1_z")
+        names[i], names[j] = names[j], names[i]
+        write_ply(tmp_path / "scene_00000.ply", names, table.columns(*names))
+        np.testing.assert_array_equal(load_scene(tmp_path / "scene_00000").gt_offsets, scene.gt_offsets)
+
     def test_registry_roundtrip(self, tmp_path):
         registry = Registry(make_default_models(seed=0, n_vertices=150))
         save_registry(registry, tmp_path / "registry")
@@ -215,6 +229,9 @@ class TestOnDisk:
         for cls in registry:
             a, b = registry.lookup(cls), loaded.lookup(cls)
             np.testing.assert_array_equal(a.vertices, b.vertices)
+            np.testing.assert_array_equal(a.colors, b.colors)
+            # row-major like the generator's, so a lift or a sum sees the same order
+            assert b.vertices.flags.c_contiguous and b.colors.flags.c_contiguous
             np.testing.assert_array_equal(a.keypoints, b.keypoints)
             assert a.symmetric == b.symmetric
             assert a.diameter == b.diameter
@@ -256,7 +273,7 @@ def test_ply_writer_bytes_match_per_value_reference(tmp_path):
     for table in (scene, np.zeros((0, 4))):
         names = [f"p{j}" for j in range(table.shape[1])]
         path = tmp_path / "table.ply"
-        _write_ascii_ply(path, names, table)
+        write_ply(path, names, table)
         header = ["ply", "format ascii 1.0", f"element vertex {len(table)}"]
         header += [f"property float64 {name}" for name in names] + ["end_header"]
         lines = header + [" ".join(f"{v:.17g}" for v in row) for row in table]
