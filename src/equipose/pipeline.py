@@ -38,6 +38,37 @@ def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pair_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances (len(a),) between paired rows a[i] and b[i], with
+    _sq_dist's own arithmetic: each entry is bit-identical to _sq_dist's."""
+    out = np.zeros(len(a))
+    for a_j, b_j in zip(a.T, b.T):
+        diff = a_j - b_j
+        out += np.multiply(diff, diff, out=diff)
+    return out
+
+
+def _open_rows(m, x, centre, rhs, x_radius, h2):
+    """Flat-kernel neighbour rows [|m_i - x_j|^2 <= h2] as float 0/1, shape
+    (len(m), len(x)), from one GEMM on coordinates centred at `centre`:
+    [m~, |m~|^2, 1] @ rhs with m~ = m - centre and rhs = [-2 x~^T; 1; |x~|^2 - h2],
+    x~ = x - centre, x_radius = max |x~|. With S = h2 + (max |m~| + x_radius)^2,
+    the product's rounding error is at most about 10 * 2^-53 * S, so its sign
+    is right for every entry farther than 1e-9 * S from 0, a margin over 10^5
+    times that error. The entries within the margin are decided by
+    _pair_sq_dist on the original coordinates, which is the exact test itself."""
+    mc = m - centre
+    mc_sq = np.einsum("ij,ij->i", mc, mc)
+    g = np.column_stack([mc, mc_sq, np.ones(len(m))]) @ rhs
+    within = (g <= 0.0).astype(np.float64)
+    band = 1e-9 * (h2 + (np.sqrt(mc_sq.max(initial=0.0)) + x_radius) ** 2)
+    unsure = np.flatnonzero(np.abs(g, out=g) <= band)
+    if unsure.size:
+        i, j = np.divmod(unsure, len(x))
+        within[i, j] = _pair_sq_dist(m[i], x[j]) <= h2
+    return within
+
+
 def _distinct_rows(a: np.ndarray):
     """np.unique(a, axis=0, return_inverse=True) for a 2-D array: the distinct
     rows in lexicographic order, and the index of each row among them."""
@@ -64,19 +95,23 @@ def mean_shift_modes(
     seeds that reach one position move together for good: each iteration
     advances only the distinct positions, and each seed keeps the index of its
     own. A position's neighbours are the points x with |m - x|^2 <= h^2 (h the
-    bandwidth), each tested exactly, except where a full-ball certificate
-    decides the whole row: with c the points' centroid and rho = max |x - c|,
-    a position with |m - c| <= h (1 - 1e-9) - rho holds every point by the
-    triangle inequality, so its row is all true and no distance row is built.
-    The 1e-9 margin is far wider than the rounding of either side, so a
-    certified row never differs from the exact test. Every position then moves
-    to the mean of its neighbours. Converged positions are merged within one
-    bandwidth, densest first, ties going to the one holding the lowest seed
-    index. Returns (modes (k, d), counts (k,)) ordered by decreasing support,
-    count being the number of points within one bandwidth of the mode.
-    Neighbour sets and counts equal those of iterating every seed separately;
-    a mean can differ from that in its last bits, because BLAS sums a row of
-    a product differently depending on how many rows the product has.
+    bandwidth), decided exactly for every pair. A full-ball certificate decides
+    a whole row: with c the points' centroid and rho = max |x - c|, a position
+    with |m - c| <= h (1 - 1e-9) - rho holds every point by the triangle
+    inequality, so its row is all ones and nothing is computed for it. The
+    1e-9 margin is far wider than the rounding of either side, so a certified
+    row never differs from the exact test. The other rows come from one GEMM
+    on centred coordinates (_open_rows), whose sign is certain outside a
+    narrow band around h^2; the few pairs inside the band get the exact
+    per-pair test. Every position then moves to the mean of its neighbours,
+    (within @ x) / counts with the 0/1 neighbour matrix `within`. Converged
+    positions are merged within one bandwidth, densest first, ties going to
+    the one holding the lowest seed index. Returns (modes (k, d), counts (k,))
+    ordered by decreasing support, count being the number of points within
+    one bandwidth of the mode. Neighbour sets and counts equal those of
+    iterating every seed separately; a mean can differ from that in its last
+    bits, because BLAS sums a row of a product differently depending on how
+    many rows the product has.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -86,17 +121,24 @@ def mean_shift_modes(
     modes, seed_at = _distinct_rows(x[::stride])
     h2 = bandwidth * bandwidth
     centre = x.mean(axis=0)
-    reach = bandwidth * (1.0 - 1e-9) - np.linalg.norm(x - centre, axis=1).max()
+    xc = x - centre
+    xc_sq = np.einsum("ij,ij->i", xc, xc)
+    x_radius = np.sqrt(xc_sq.max())
+    reach = bandwidth * (1.0 - 1e-9) - x_radius
+    rhs = np.vstack([-2.0 * xc.T, np.ones(n), xc_sq - h2])
+    ones = np.ones(n)
 
     def neighbours(modes):
-        within = np.ones((len(modes), n), dtype=bool)
         open_rows = np.linalg.norm(modes - centre, axis=1) > reach
-        within[open_rows] = _sq_dist(modes[open_rows], x) <= h2
+        if open_rows.all():
+            return _open_rows(modes, x, centre, rhs, x_radius, h2)
+        within = np.ones((len(modes), n))
+        within[open_rows] = _open_rows(modes[open_rows], x, centre, rhs, x_radius, h2)
         return within
 
     for _ in range(max_iter):
         within = neighbours(modes)
-        counts = within.sum(axis=1)
+        counts = within @ ones
         new_modes = (within @ x) / np.maximum(counts, 1)[:, None]
         empty = counts == 0  # an isolated position stays put
         new_modes[empty] = modes[empty]
@@ -105,7 +147,7 @@ def mean_shift_modes(
         seed_at = step[seed_at]
         if shift < tol:
             break
-    counts = neighbours(modes).sum(axis=1)
+    counts = (neighbours(modes) @ ones).astype(int)
     _, first_seed = np.unique(seed_at, return_index=True)
     order = np.lexsort((first_seed, -counts))
     modes, counts = modes[order], counts[order]

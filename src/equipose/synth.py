@@ -404,13 +404,16 @@ def load_scene(path_stem) -> SceneSample:
         offset_names = [f"off_{j}_{axis}" for j in range(n_slots) for axis in "xyz"]
         poses = [(int(p["class"]), pose_from_dict(p)) for p in sidecar["poses"]]
         scene_seed = int(sidecar["scene_seed"])
+    labels = table.columns("label")[:, 0]
     with parsing(table.path):
         if {name for name in table.names if name.startswith("off_")} != set(offset_names):
             raise ValueError(f"the off_* columns are not those of the sidecar's {n_slots} slots")
+        if np.any(labels != np.round(labels)):
+            raise ValueError("label column holds a value that is not a whole number")
     xyzrgb = table.columns(*"xyzrgb")
     return SceneSample(
         cloud=PointCloud(points=xyzrgb[:, :3], attributes=xyzrgb[:, 3:]),
-        labels=table.columns("label")[:, 0].astype(int),
+        labels=labels.astype(int),
         gt_offsets=table.columns(*offset_names).reshape(len(xyzrgb), n_slots, 3),
         gt_poses=poses,
         scene_seed=scene_seed,

@@ -547,6 +547,11 @@ def _eval_with_nan_offset(dataset, tmp_path):
     return _eval_argv(dataset, tmp_path, scenes, "--oracle-heads"), scenes / "scene_00000.ply"
 
 
+def _eval_with_fractional_label(dataset, tmp_path):
+    scenes = scenes_with_first_token(dataset, tmp_path, "1.5", "label")
+    return _eval_argv(dataset, tmp_path, scenes, "--oracle-heads"), scenes / "scene_00000.ply"
+
+
 def _eval_on_registry_without_y(dataset, tmp_path):
     registry = tmp_path / "registry"
     shutil.copytree(dataset / "registry", registry)
@@ -652,6 +657,7 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _on_edited_scene(".json", _set_keypoints(7), named=".ply"),
         _on_edited_scene(".json", _set_keypoints(9), named=".ply"),
         _eval_with_nan_offset,
+        _eval_with_fractional_label,
         _train_on_mixed_keypoint_counts,
     ],
     ids=[
@@ -681,6 +687,7 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "sidecar_fewer_keypoints_than_offsets",
         "sidecar_more_keypoints_than_offsets",
         "ply_nan_offset",
+        "fractional_label",
         "train_mixed_keypoint_counts",
     ],
 )

@@ -131,6 +131,15 @@ def _vote_at_exactly_h():
     return x, {"bandwidth": 0.625, "max_iter": 1}
 
 
+def _assert_matches_dense(x, kw):
+    """Same counts as dense_mean_shift_modes and modes within 1e-12."""
+    modes, counts = mean_shift_modes(x, **kw)
+    ref_modes, ref_counts = dense_mean_shift_modes(x, **kw)
+    assert len(modes) == len(ref_modes)
+    np.testing.assert_array_equal(counts, ref_counts)
+    np.testing.assert_allclose(modes, ref_modes, rtol=0, atol=1e-12)
+
+
 class TestMeanShiftMatchesDenseReference:
     @pytest.mark.parametrize(
         "make",
@@ -147,11 +156,7 @@ class TestMeanShiftMatchesDenseReference:
     )
     def test_same_modes_and_counts(self, make):
         x, kw = make()
-        modes, counts = mean_shift_modes(x, **kw)
-        ref_modes, ref_counts = dense_mean_shift_modes(x, **kw)
-        assert len(modes) == len(ref_modes)
-        np.testing.assert_array_equal(counts, ref_counts)
-        np.testing.assert_allclose(modes, ref_modes, rtol=0, atol=1e-12)
+        _assert_matches_dense(x, kw)
 
     def test_ties_go_to_lowest_seed_index(self):
         x, kw = _equal_count_ties()
@@ -173,17 +178,91 @@ class TestMeanShiftMatchesDenseReference:
 
 
 def _distance_rows(monkeypatch):
-    """Spy on pipeline._sq_dist: the row count of each call against n points,
-    as (rows, n) pairs in call order."""
+    """Spy on pipeline._open_rows, which builds every neighbour row the
+    certificate leaves open: the row count of each call against n points, as
+    (rows, n) pairs in call order."""
     calls = []
-    real = pipeline._sq_dist
+    real = pipeline._open_rows
+
+    def spy(m, x, *rest):
+        calls.append((len(m), len(x)))
+        return real(m, x, *rest)
+
+    monkeypatch.setattr(pipeline, "_open_rows", spy)
+    return calls
+
+
+def _exact_pairs(monkeypatch):
+    """Spy on pipeline._pair_sq_dist, the exact per-pair test for entries in
+    the GEMM's rounding band: the number of pairs of each call."""
+    calls = []
+    real = pipeline._pair_sq_dist
 
     def spy(a, b):
-        calls.append((len(a), len(b)))
+        calls.append(len(a))
         return real(a, b)
 
-    monkeypatch.setattr(pipeline, "_sq_dist", spy)
+    monkeypatch.setattr(pipeline, "_pair_sq_dist", spy)
     return calls
+
+
+def _gaussian():
+    # learned-vote scale: a 1 cm spread against a 2 cm bandwidth
+    return RNG(14).normal(0.0, 0.01, size=(400, 3)), {"bandwidth": 0.02}
+
+
+def _lattice(h, shift=0.0):
+    # a 5 x 5 x 5 grid whose spacing is h: every lattice neighbour sits at
+    # h (up to the rounding of i * h), on the boundary of the neighbour test
+    grid = np.stack(np.meshgrid(*[np.arange(5) * h] * 3, indexing="ij"), axis=-1)
+    return grid.reshape(-1, 3) + shift, {"bandwidth": h}
+
+
+def _moved(make, scale=1.0, shift=0.0):
+    def moved():
+        x, kw = make()
+        return x * scale + shift, {**kw, "bandwidth": kw["bandwidth"] * scale}
+
+    return moved
+
+
+class TestExactFallback:
+    def test_boundary_pairs_take_the_exact_test(self, monkeypatch):
+        x, kw = _vote_at_exactly_h()
+        calls = _exact_pairs(monkeypatch)
+        mean_shift_modes(x, **kw)
+        assert sum(calls) == 2
+
+    def test_gaussian_pool_needs_no_exact_test(self, monkeypatch):
+        x, kw = _gaussian()
+        calls = _exact_pairs(monkeypatch)
+        mean_shift_modes(x, **kw)
+        assert sum(calls) == 0
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3], ids=["origin", "shifted_1e3"])
+    @pytest.mark.parametrize("h", [0.02, 0.25, 1.0])
+    def test_lattice_at_bandwidth_spacing(self, h, shift):
+        x, kw = _lattice(h, shift)
+        _assert_matches_dense(x, kw)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            _moved(_gaussian, shift=1e3),
+            _moved(_gaussian, shift=-1e3),
+            _moved(_gaussian, scale=1e-4),
+            _moved(_outliers, shift=1e3),
+            _moved(_outliers, scale=1e-4),
+        ],
+        ids=["gaussian+1e3", "gaussian-1e3", "gaussian*1e-4", "outliers+1e3", "outliers*1e-4"],
+    )
+    def test_band_follows_the_cloud_scale(self, monkeypatch, make):
+        # the band is relative to the centred cloud's extent: translating or
+        # shrinking a pool sends no more pairs to the exact test
+        x, kw = make()
+        calls = _exact_pairs(monkeypatch)
+        _assert_matches_dense(x, kw)
+        assert sum(calls) == 0
 
 
 class TestFullBallCertificate:
