@@ -183,10 +183,20 @@ def cmd_synth_gen(args) -> int:
     return EXIT_OK
 
 
+# The train flags a --config file replaces, and their defaults without one.
+TRAIN_FLAG_DEFAULTS = {"epochs": 2, "learning_rate": 1e-3, "seed": 0}
+
+
 def cmd_train(args) -> int:
     from .model import ModelConfig, init_model, save_model
     from .train import TrainConfig, train
 
+    given = [name for name in TRAIN_FLAG_DEFAULTS if hasattr(args, name)]
+    if args.config and given:
+        flag = "--" + given[0].replace("_", "-")
+        raise InputError(f"{flag} cannot be given with --config: the file sets every training field")
+    for name, default in TRAIN_FLAG_DEFAULTS.items():  # before the manifest digests args
+        setattr(args, name, getattr(args, name, default))
     started = time.monotonic()
     scenes = _load_scenes(args.scenes_dir)
     n_keypoints = next(iter(scenes.values())).n_keypoints
@@ -361,9 +371,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes-dir", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None, help="TrainConfig JSON file")
-    p.add_argument("--epochs", type=int, default=2)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--seed", type=non_negative_int, default=0)
+    # SUPPRESS leaves a flag that is not given off args, so cmd_train sees which were
+    for flag, kind in (("--epochs", int), ("--learning-rate", float), ("--seed", non_negative_int)):
+        default = TRAIN_FLAG_DEFAULTS[flag[2:].replace("-", "_")]
+        p.add_argument(flag, type=kind, default=argparse.SUPPRESS, help=f"default {default}; not with --config")
     p.set_defaults(func=cmd_train)
 
     p = sub("eval", "run the pipeline over scenes and score it")

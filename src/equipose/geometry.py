@@ -32,7 +32,7 @@ class Rotation:
 
     def __post_init__(self):
         m = _as_array(self.m, (3, 3))
-        if np.max(np.abs(m.T @ m - np.eye(3))) > ORTHONORMAL_TOL:
+        if not np.max(np.abs(m.T @ m - np.eye(3))) <= ORTHONORMAL_TOL:  # NaN fails too
             raise ValueError("matrix columns are not orthonormal")
         if abs(np.linalg.det(m) - 1.0) > ORTHONORMAL_TOL:
             raise ValueError("matrix is not a proper rotation (det != +1)")
@@ -212,7 +212,10 @@ def pose_to_dict(t: RigidTransform) -> dict:
 
 
 def pose_from_dict(d: dict) -> RigidTransform:
-    return RigidTransform(Rotation(np.asarray(d["rotation"])), np.asarray(d["translation"]))
+    rotation, translation = _as_array(d["rotation"]), _as_array(d["translation"])
+    if not (np.isfinite(rotation).all() and np.isfinite(translation).all()):
+        raise ValueError("pose has a non-finite entry")
+    return RigidTransform(Rotation(rotation), translation)
 
 
 def save_pose_json(path, t: RigidTransform) -> None:

@@ -98,20 +98,23 @@ def mean_shift_modes(
     bandwidth), decided exactly for every pair. A full-ball certificate decides
     a whole row: with c the points' centroid and rho = max |x - c|, a position
     with |m - c| <= h (1 - 1e-9) - rho holds every point by the triangle
-    inequality, so its row is all ones and nothing is computed for it. The
-    1e-9 margin is far wider than the rounding of either side, so a certified
-    row never differs from the exact test. The other rows come from one GEMM
-    on centred coordinates (_open_rows), whose sign is certain outside a
-    narrow band around h^2; the few pairs inside the band get the exact
-    per-pair test. Every position then moves to the mean of its neighbours,
-    (within @ x) / counts with the 0/1 neighbour matrix `within`. Converged
-    positions are merged within one bandwidth, densest first, ties going to
-    the one holding the lowest seed index. Returns (modes (k, d), counts (k,))
-    ordered by decreasing support, count being the number of points within
-    one bandwidth of the mode. Neighbour sets and counts equal those of
-    iterating every seed separately; a mean can differ from that in its last
-    bits, because BLAS sums a row of a product differently depending on how
-    many rows the product has.
+    inequality, so no row is built for it: its count is n, and every certified
+    position moves to one shared mean of all points, computed at most once per
+    call. The 1e-9 margin is far wider than the rounding of either side, so a
+    certified row never differs from the exact test. The open rows come from
+    one GEMM on centred coordinates (_open_rows), whose sign is certain outside
+    a narrow band around h^2; the few pairs inside the band get the exact
+    per-pair test. Every open position then moves to the mean of its
+    neighbours, (within @ x) / counts with the 0/1 neighbour matrix `within`,
+    even when its row holds every point. When the certificate passes every
+    position, all seeds meet at the shared mean. Converged positions are
+    merged within one bandwidth, densest first, ties going to the one holding
+    the lowest seed index. Returns (modes (k, d), counts (k,)) ordered by
+    decreasing support, count being the number of points within one bandwidth
+    of the mode. Neighbour sets and counts equal those of iterating every seed
+    separately; a mean can differ from that in its last bits, because BLAS
+    sums a row of a product differently depending on how many rows the
+    product has.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -127,27 +130,45 @@ def mean_shift_modes(
     reach = bandwidth * (1.0 - 1e-9) - x_radius
     rhs = np.vstack([-2.0 * xc.T, np.ones(n), xc_sq - h2])
     ones = np.ones(n)
+    full_mean = None  # the one mean of every certified position, made on first use
 
     def neighbours(modes):
-        open_rows = np.linalg.norm(modes - centre, axis=1) > reach
-        if open_rows.all():
-            return _open_rows(modes, x, centre, rhs, x_radius, h2)
-        within = np.ones((len(modes), n))
-        within[open_rows] = _open_rows(modes[open_rows], x, centre, rhs, x_radius, h2)
-        return within
+        """The positions the certificate leaves open, and their neighbour rows
+        (None when it leaves none open)."""
+        is_open = np.linalg.norm(modes - centre, axis=1) > reach
+        if not is_open.any():
+            return is_open, None
+        return is_open, _open_rows(modes[is_open], x, centre, rhs, x_radius, h2)
 
     for _ in range(max_iter):
-        within = neighbours(modes)
-        counts = within @ ones
-        new_modes = (within @ x) / np.maximum(counts, 1)[:, None]
-        empty = counts == 0  # an isolated position stays put
-        new_modes[empty] = modes[empty]
+        is_open, within = neighbours(modes)
+        if full_mean is None and not is_open.all():
+            full_mean = (np.ones((1, n)) @ x) / n
+        new_modes = full_mean  # every position holds every point: all meet at its mean
+        if within is not None:
+            counts = within @ ones
+            moved = (within @ x) / np.maximum(counts, 1)[:, None]
+            empty = counts == 0  # an isolated position stays put
+            moved[empty] = modes[is_open][empty]
+            new_modes = np.empty_like(modes)
+            new_modes[is_open] = moved
+            if full_mean is not None:
+                new_modes[~is_open] = full_mean
         shift = np.linalg.norm(new_modes - modes, axis=1).max()
-        modes, step = _distinct_rows(new_modes)
-        seed_at = step[seed_at]
+        if within is None:
+            seed_at = np.zeros_like(seed_at)
+        elif len(new_modes) > 1:
+            new_modes, step = _distinct_rows(new_modes)
+            seed_at = step[seed_at]
+        modes = new_modes
         if shift < tol:
             break
-    counts = (neighbours(modes) @ ones).astype(int)
+    is_open, within = neighbours(modes)
+    counts = np.full(len(modes), n)
+    if within is not None:
+        counts[is_open] = within @ ones
+    if len(modes) == 1:
+        return modes, counts
     _, first_seed = np.unique(seed_at, return_index=True)
     order = np.lexsort((first_seed, -counts))
     modes, counts = modes[order], counts[order]

@@ -435,6 +435,19 @@ class TestTrainCommand:
         assert code == EXIT_BAD_INPUT
         assert "error: bad input" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag", [["--epochs", "5"], ["--learning-rate", "0.5"], ["--seed", "3"]], ids=lambda f: f[0]
+    )
+    def test_flag_with_config_exits_2_naming_it(self, dataset, tmp_path, flag, capsys):
+        # the file would win silently: {"epochs": 1} trained 1 epoch under --epochs 5
+        cfg_path = tmp_path / "train.json"
+        cfg_path.write_text(json.dumps({"epochs": 1, "seed": 2}))
+        out = tmp_path / "run"
+        argv = ["train", "--scenes-dir", str(dataset / "scenes"), "--out-dir", str(out)]
+        assert main([*argv, "--config", str(cfg_path), *flag]) == EXIT_BAD_INPUT
+        assert f"error: bad input: {flag[0]} cannot be given with --config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_label_out_of_range_exits_2(self, dataset, tmp_path, capsys):
         scenes = scenes_with_first_token(dataset, tmp_path, "7", "label")
         code = main(["train", "--scenes-dir", str(scenes), "--out-dir", str(tmp_path / "run"), "--epochs", "1"])
@@ -587,6 +600,26 @@ def _skew_first_rotation(text):
     return json.dumps(sidecar)
 
 
+def _nan_first_translation(text):
+    sidecar = json.loads(text)
+    sidecar["poses"][0]["translation"][0] = float("nan")
+    return json.dumps(sidecar)
+
+
+def _metrics_on_nan_rotation(dataset, tmp_path):
+    """`metrics` on oracle-head detections whose first scene's first pose has
+    a NaN rotation entry."""
+    argv = _eval_argv(dataset, tmp_path, dataset / "scenes", "--oracle-heads")
+    assert main(argv) == EXIT_OK
+    detections = tmp_path / "out" / "detections"
+    path = detections / "scene_00000.json"
+    doc = json.loads(path.read_text())
+    doc["detections"][0]["pose"]["rotation"][0][0] = float("nan")
+    path.write_text(json.dumps(doc))
+    scenes = ["--scenes-dir", str(dataset / "scenes"), "--registry-dir", str(dataset / "registry")]
+    return ["metrics", "--detections-dir", str(detections), *scenes, "--out", str(tmp_path / "r.csv")], path
+
+
 def _train_on_edited_dataset_json(edit):
     def case(dataset, tmp_path):
         shutil.copytree(dataset / "scenes", tmp_path / "scenes")
@@ -659,6 +692,8 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _eval_with_nan_offset,
         _eval_with_fractional_label,
         _train_on_mixed_keypoint_counts,
+        _on_edited_scene(".json", _nan_first_translation),
+        _metrics_on_nan_rotation,
     ],
     ids=[
         "no_source",
@@ -689,6 +724,8 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "ply_nan_offset",
         "fractional_label",
         "train_mixed_keypoint_counts",
+        "sidecar_nan_translation",
+        "detections_nan_rotation",
     ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):

@@ -51,6 +51,12 @@ class TestRotationSampling:
         with pytest.raises(ValueError):
             Rotation(np.eye(3) * 2.0)
 
+    def test_rejects_nan_entry(self):
+        m = np.eye(3)
+        m[0, 0] = np.nan
+        with pytest.raises(ValueError, match="orthonormal"):
+            Rotation(m)
+
 
 class TestCompose:
     def test_identity(self):

@@ -122,6 +122,15 @@ def _both_sides_of_bound():
     return np.vstack([core, ring]) + np.array([0.3, 0.1, -0.2]), {"bandwidth": BALL_H}
 
 
+def _open_row_holding_every_point():
+    # a tight core and one vote 0.6 h away: the core passes the certificate
+    # (reach ~0.4 h), the far vote does not, yet every vote lies within h of it
+    rng = RNG(10)
+    core = rng.normal(0.0, 0.02 * BALL_H, size=(100, 3))
+    far = core.mean(axis=0) + [0.6 * BALL_H, 0.0, 0.0]
+    return np.vstack([core, far]) + np.array([-0.1, 0.2, 0.3]), {"bandwidth": BALL_H}
+
+
 def _vote_at_exactly_h():
     # binary-exact coordinates: P1 - P0 = (0.375, 0.5, 0) has length 0.625 = h
     # exactly; P2 sits 2^-20 beyond h from P0. One step moves P0 and P1 to their
@@ -271,8 +280,37 @@ class TestFullBallCertificate:
         calls = _distance_rows(monkeypatch)
         modes, counts = mean_shift_modes(x, **kw)
         assert len(modes) == 1 and counts[0] == len(x)
-        against_votes = [rows for rows, n in calls if n == len(x)]
-        assert against_votes and all(rows == 0 for rows in against_votes)
+        assert sum(rows for rows, _ in calls) == 0
+        _assert_matches_dense(x, kw)
+
+    def test_certified_positions_share_one_mean(self, monkeypatch):
+        # every seed collapses onto the one shared mean: only the initial seed
+        # dedupe sorts positions
+        x, kw = _one_ball()
+        calls = []
+        real = pipeline._distinct_rows
+
+        def spy(a):
+            calls.append(len(a))
+            return real(a)
+
+        monkeypatch.setattr(pipeline, "_distinct_rows", spy)
+        mean_shift_modes(x, **kw)
+        assert calls == [150]  # the 300 votes strided to at most 256 seeds
+
+    def test_open_position_holding_every_point_takes_the_open_row(self, monkeypatch):
+        x, kw = _open_row_holding_every_point()
+        full_rows = []
+        real = pipeline._open_rows
+
+        def spy(m, points, *rest):
+            within = real(m, points, *rest)
+            full_rows.append(int((within.sum(axis=1) == len(points)).sum()))
+            return within
+
+        monkeypatch.setattr(pipeline, "_open_rows", spy)
+        _assert_matches_dense(x, kw)
+        assert full_rows[0] == 1
 
     def test_only_uncertified_positions_build_rows(self, monkeypatch):
         x, kw = _both_sides_of_bound()
