@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NonPositiveDepth, SingularIntrinsics
-from .files import parsing, read_json, write_json
+from .files import parsing, read_json, write_atomic, write_json
 
 
 @dataclass(frozen=True)
@@ -174,9 +174,7 @@ def write_pgm_depth(path, depth: DepthImage, ticks_per_meter: float = 10000.0) -
     if np.any(ticks > 65535):
         raise ValueError("depth exceeds 16-bit range at this tick scale")
     header = f"P5\n{depth.width} {depth.height}\n65535\n".encode("ascii")
-    with open(path, "wb") as f:
-        f.write(header)
-        f.write(ticks.astype(">u2").tobytes())
+    write_atomic(path, header + ticks.astype(">u2").tobytes())
 
 
 def read_pgm_depth(path, ticks_per_meter: float = 10000.0) -> DepthImage:
@@ -237,8 +235,9 @@ def write_ply(path, names, rows) -> None:
     """ASCII PLY with one float64 vertex property per name and one line per
     row, each value printed with 17 significant digits (exact round trip)."""
     properties = "".join(f"property float64 {name}\n" for name in names)
-    header = f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n{properties}end_header"
-    np.savetxt(path, rows, fmt="%.17g", header=header, comments="")
+    header = f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n{properties}end_header\n"
+    line = " ".join(["%.17g"] * len(names)) + "\n"
+    write_atomic(path, header + (line * len(rows)) % tuple(np.ravel(rows).tolist()))
 
 
 class PlyTable:

@@ -240,7 +240,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from .model import load_model
-    from .pipeline import PipelineConfig, detections_to_json, run_pipeline
+    from .pipeline import detections_to_json, run_pipeline
     from .synth import load_registry
 
     if args.params is None and not args.oracle_heads:
@@ -256,11 +256,10 @@ def cmd_eval(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     det_dir = os.path.join(args.out_dir, "detections")
     os.makedirs(det_dir, exist_ok=True)
-    cfg = PipelineConfig()
     detections_by_scene = []
     for i, (name, scene) in enumerate(scenes.items()):
         oracle = (scene.labels, scene.gt_offsets) if args.oracle_heads else None
-        detections = run_pipeline(scene.cloud, model, registry, cfg, oracle=oracle)
+        detections = run_pipeline(scene.cloud, model, registry, oracle=oracle)
         detections_by_scene.append(detections)
         detections_to_json(os.path.join(det_dir, f"{name}.json"), detections, i)
     report_path = os.path.join(args.out_dir, "report.csv")

@@ -149,14 +149,14 @@ class Correspondences:
             raise InputError(f"source/target shapes differ: {src.shape} vs {dst.shape}")
         if src.shape[0] < 3:
             raise InputError("at least 3 correspondences required")
-        if self.weights is None:
-            w = np.ones(src.shape[0])
-        else:
-            w = _as_array(self.weights, (src.shape[0],))
-            if np.any(w < 0.0):
-                raise InputError("weights must be non-negative")
-            if w.sum() <= 0.0:
-                raise InputError("weights must not sum to zero")
+        w = np.ones(len(src)) if self.weights is None else _as_array(self.weights, (len(src),))
+        for name, a in (("source", src), ("target", dst), ("weights", w)):
+            if not np.isfinite(a).all():  # a ValueError, as in pose_from_dict, so a reader names its file
+                raise ValueError(f"{name} has a non-finite entry")
+        if np.any(w < 0.0):
+            raise InputError("weights must be non-negative")
+        if w.sum() <= 0.0:
+            raise InputError("weights must not sum to zero")
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", dst)
         object.__setattr__(self, "weights", w)

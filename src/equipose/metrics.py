@@ -10,7 +10,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import EmptyInput
-from .files import write_json
+from .files import write_atomic, write_json
 from .geometry import RigidTransform
 
 # Upper end, in meters, of the accuracy-vs-threshold curve every AUC integrates.
@@ -169,12 +169,10 @@ def evaluate_dataset(detections_by_scene, gt_by_scene, registry) -> PoseMetricsR
 def report_to_csv(report: PoseMetricsReport, path) -> None:
     """One line per rows() entry under a header of its keys; floats to 6 decimals."""
     rows = list(report.rows())
-    with open(path, "w") as f:
-        if rows:
-            f.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            cells = (f"{v:.6f}" if isinstance(v, float) else str(v) for v in row.values())
-            f.write(",".join(cells) + "\n")
+    lines = [",".join(rows[0])] if rows else []
+    for row in rows:
+        lines.append(",".join(f"{v:.6f}" if isinstance(v, float) else str(v) for v in row.values()))
+    write_atomic(path, "".join(line + "\n" for line in lines))
 
 
 def distances_to_json(report: PoseMetricsReport, path) -> None:

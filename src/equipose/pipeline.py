@@ -28,6 +28,10 @@ class PipelineConfig:
     min_points: int = 20
 
 
+# The second stage's bandwidths and minimum instance size; no caller varies them.
+CONFIG = PipelineConfig()
+
+
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances (len(a), len(b)) between the rows of a and b, summed
     one coordinate plane at a time: no (len(a), len(b), d) difference tensor."""
@@ -180,36 +184,31 @@ def mean_shift_modes(
     return modes[keep], counts[keep]
 
 
-def mean_shift_cluster(x: np.ndarray, bandwidth: float):
-    """Cluster points by nearest converged mode: (assignments (n,), modes)."""
-    modes, _ = mean_shift_modes(x, bandwidth)
-    if len(modes) == 0:
-        return np.zeros(len(x), dtype=int), modes
-    return _sq_dist(x, modes).argmin(axis=1), modes
-
-
-def assign_instances(labels, center_votes, cfg: PipelineConfig = PipelineConfig()):
-    """Group foreground points into instances by class and center-vote cluster.
+def assign_instances(labels, center_votes):
+    """Group foreground points into instances by class and center-vote cluster:
+    each point of a class joins its nearest converged center-vote mode.
 
     Returns a list of (class_id, point index array); clusters supported by
-    fewer than cfg.min_points points are dropped. Label 0 is background.
+    fewer than CONFIG.min_points points are dropped. Label 0 is background.
     """
     labels = np.asarray(labels)
     center_votes = np.asarray(center_votes, dtype=np.float64)
     instances = []
     for cls in sorted(int(c) for c in np.unique(labels) if c != 0):
         idx = np.nonzero(labels == cls)[0]
-        if idx.size < cfg.min_points:
+        if idx.size < CONFIG.min_points:
             continue
-        assign, modes = mean_shift_cluster(center_votes[idx], cfg.center_bandwidth)
+        votes = center_votes[idx]
+        modes, _ = mean_shift_modes(votes, CONFIG.center_bandwidth)
+        nearest = _sq_dist(votes, modes).argmin(axis=1)
         for mode_index in range(len(modes)):
-            members = idx[assign == mode_index]
-            if members.size >= cfg.min_points:
+            members = idx[nearest == mode_index]
+            if members.size >= CONFIG.min_points:
                 instances.append((cls, members))
     return instances
 
 
-def vote_keypoints(points, offsets, members, cfg: PipelineConfig = PipelineConfig()):
+def vote_keypoints(points, offsets, members):
     """Aggregate per-point keypoint votes into positions by mode seeking.
 
     points: (N, 3); offsets: (N, M + 1, 3) with the center in the last slot;
@@ -227,17 +226,10 @@ def vote_keypoints(points, offsets, members, cfg: PipelineConfig = PipelineConfi
     fractions = np.zeros(n_slots)
     for j in range(n_slots):
         candidates = points[members] + offsets[members, j]
-        modes, counts = mean_shift_modes(candidates, cfg.keypoint_bandwidth)
+        modes, counts = mean_shift_modes(candidates, CONFIG.keypoint_bandwidth)
         voted[j] = modes[0]
         fractions[j] = counts[0] / candidates.shape[0]
     return voted[:-1], voted[-1], float(fractions.mean())
-
-
-def estimate_pose(voted_keypoints, model) -> RigidTransform:
-    """Rigid least squares from the model's keypoints onto the voted ones."""
-    return fit_rigid_least_squares(
-        Correspondences(source=model.keypoints, target=np.asarray(voted_keypoints))
-    )
 
 
 @dataclass
@@ -271,15 +263,31 @@ class InstanceDetection:
         )
 
 
-def run_second_stage(points, labels, offsets, registry, cfg: PipelineConfig = PipelineConfig()):
-    """Labels + offsets -> detections. A degenerate instance is skipped with a
-    warning; the remaining instances still go through."""
+def run_pipeline(cloud: PointCloud, model, registry, oracle=None):
+    """Full inference: network forward, then the second stage: instance
+    grouping by center votes, keypoint voting and a rigid least-squares fit
+    from the registry model's keypoints onto the voted ones. A degenerate
+    instance is skipped with a warning; the remaining instances still go
+    through.
+
+    oracle, when given as (labels, offsets), replaces the network outputs so
+    the geometric second stage can be exercised in isolation.
+    """
+    if len(cloud) == 0:
+        return []
+    if oracle is not None:
+        labels, offsets = oracle
+    else:
+        v = model.lift(cloud.points, cloud.attributes)
+        out = model.forward(v, appearance_input(cloud))
+        labels, offsets = out.logits.argmax(axis=-1), out.offsets
+    points, offsets = cloud.points, np.asarray(offsets, dtype=np.float64)
     detections = []
-    for cls, members in assign_instances(labels, offsets_center_votes(points, offsets), cfg):
-        model = registry.lookup(cls)
+    for cls, members in assign_instances(labels, points + offsets[:, -1]):
+        model_keypoints = registry.lookup(cls).keypoints
         try:
-            kps, center, frac = vote_keypoints(points, offsets, members, cfg)
-            pose = estimate_pose(kps, model)
+            kps, center, frac = vote_keypoints(points, offsets, members)
+            pose = fit_rigid_least_squares(Correspondences(source=model_keypoints, target=kps))
         except DegenerateConfiguration as err:
             warnings.warn(f"instance of class {cls} dropped: {err}")
             continue
@@ -294,36 +302,6 @@ def run_second_stage(points, labels, offsets, registry, cfg: PipelineConfig = Pi
             )
         )
     return detections
-
-
-def offsets_center_votes(points, offsets) -> np.ndarray:
-    """Center votes: point + predicted center offset (last slot)."""
-    return np.asarray(points, dtype=np.float64) + np.asarray(offsets, dtype=np.float64)[:, -1]
-
-
-def run_pipeline(
-    cloud: PointCloud,
-    model,
-    registry,
-    cfg: PipelineConfig = PipelineConfig(),
-    oracle=None,
-):
-    """Full inference: network forward, instance grouping, voting, pose fit.
-
-    oracle, when given as (labels, offsets), replaces the network outputs so
-    the geometric second stage can be exercised in isolation.
-    """
-    if len(cloud) == 0:
-        return []
-    if oracle is not None:
-        labels, offsets = oracle
-    else:
-        v = model.lift(cloud.points, cloud.attributes)
-        app_in = appearance_input(cloud)
-        out = model.forward(v, app_in)
-        labels = out.logits.argmax(axis=-1)
-        offsets = out.offsets
-    return run_second_stage(cloud.points, labels, offsets, registry, cfg)
 
 
 def detections_to_json(path, detections, scene_index: int = 0) -> None:

@@ -131,9 +131,9 @@ def generate_object(
     size=None,
     class_id: int = 1,
     n_keypoints: int = 8,
-    symmetric: bool = None,
 ) -> ObjectModel:
-    """Surface-sampled model of the given kind, deterministic per seed."""
+    """Surface-sampled model of the given kind, deterministic per seed; a box
+    or a cylinder is symmetric, a blob is not."""
     if n_vertices < 50:
         raise ConfigInvalid("n_vertices must be at least 50")
     if kind not in DEFAULT_SIZES:
@@ -157,8 +157,6 @@ def generate_object(
     else:
         colors = base + 0.25 * verts / scale
     colors = np.clip(colors, 0.0, 1.0)
-    if symmetric is None:
-        symmetric = kind in ("box", "cylinder")
     return ObjectModel(
         id=class_id,
         vertices=verts,
@@ -166,7 +164,7 @@ def generate_object(
         center=verts.mean(axis=0),
         diameter=model_diameter(verts),
         colors=colors,
-        symmetric=symmetric,
+        symmetric=kind in ("box", "cylinder"),
         kind=kind,
     )
 
@@ -180,6 +178,11 @@ def make_default_models(seed: int = 0, n_vertices: int = 600, n_keypoints: int =
     ]
 
 
+# Corners of the box, in camera coordinates (meters), that drawn translations fill.
+TRANSLATION_LOW = (-0.12, -0.12, 0.45)
+TRANSLATION_HIGH = (0.12, 0.12, 0.75)
+
+
 @dataclass(frozen=True)
 class SceneConfig:
     """Scene recipe; occlusion may be a fixed fraction or a (lo, hi) range."""
@@ -189,8 +192,6 @@ class SceneConfig:
     n_background: int = 0
     n_instances: int = 1
     max_object_points: int = None
-    translation_low: tuple = (-0.12, -0.12, 0.45)
-    translation_high: tuple = (0.12, 0.12, 0.75)
     background_margin: float = 0.25
     poses: list = None  # optional [(class_id, RigidTransform)]
 
@@ -269,7 +270,7 @@ def render_scene(objects, config: SceneConfig, seed: int) -> SceneSample:
         for _ in range(config.n_instances):
             obj = objects[rng.integers(0, len(objects))]
             rot = sample_uniform_rotation(rng)
-            t = rng.uniform(config.translation_low, config.translation_high)
+            t = rng.uniform(TRANSLATION_LOW, TRANSLATION_HIGH)
             instances.append((obj.id, RigidTransform(rot, t)))
 
     points, colors, labels, offsets = [], [], [], []

@@ -64,6 +64,19 @@ class TestFitPose:
         code = main(["fit-pose", "--input", str(corr), "--out", str(tmp_path / "p.json")])
         assert code == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("key", ["source", "target", "weights"])
+    def test_non_finite_entry_exits_2_naming_the_file(self, tmp_path, capsys, key):
+        corr = tmp_path / "corr.json"
+        write_correspondences(corr)
+        doc = json.loads(corr.read_text())
+        doc["weights"] = [1.0] * len(doc["source"])
+        doc[key][1] = [float("nan")] * 3 if key != "weights" else float("nan")
+        corr.write_text(json.dumps(doc))  # json writes the NaN as a bare NaN token, which it reads back
+        code = main(["fit-pose", "--input", str(corr), "--out", str(tmp_path / "p.json")])
+        assert code == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert str(corr) in err and f"{key} has a non-finite entry" in err
+
     def test_degenerate_input_exits_3(self, tmp_path):
         line = np.outer(np.linspace(0, 1, 5), [1.0, 2.0, 3.0])
         corr = tmp_path / "corr.json"

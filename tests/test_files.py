@@ -1,5 +1,6 @@
 """Tests for the one file owner: atomic writes, file modes and the JSON reader."""
 
+import ast
 import json
 import os
 import re
@@ -32,7 +33,30 @@ def test_only_files_module_reads_or_writes_json():
 def test_only_model_module_knows_the_parameter_container():
     assert not re.search(r"^\s*(from|import)\s.*\bfiles\b", (SRC / "layers.py").read_text(), re.M)
     writers = sorted(path.name for path in SRC.glob("*.py") if "write_atomic(" in path.read_text())
-    assert writers == ["files.py", "model.py"]
+    assert writers == ["backproject.py", "files.py", "metrics.py", "model.py"]
+
+
+def _writes_a_file(call: ast.Call) -> bool:
+    """An open() whose mode writes, or a numpy or pathlib call that writes a file itself."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name == "open":
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), None
+        )
+        return isinstance(mode, ast.Constant) and bool(set(str(mode.value)) & set("wax+"))
+    return name in {"write_text", "write_bytes", "tofile", "save", "savez", "savetxt"}
+
+
+def test_only_files_module_opens_a_file_for_writing():
+    # train streams loss.csv one row per step, so a crash keeps the rows written so far
+    offenders = [
+        f"{path.name}: {ast.get_source_segment(path.read_text(), node)}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "files.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _writes_a_file(node)
+    ]
+    assert offenders == ['train.py: open(csv_path, "w")']
 
 
 def test_container_manifest_is_written_once_and_read_once(tmp_path, monkeypatch):

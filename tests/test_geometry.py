@@ -216,6 +216,22 @@ class TestCorrespondencesValidation:
         with pytest.raises(ValueError):
             Correspondences(pts, pts, weights=[0.0, 0.0, 0.0])
 
+    def test_non_finite_source(self):
+        pts = np.eye(3)
+        with pytest.raises(ValueError, match="source has a non-finite entry"):
+            Correspondences([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], pts)
+
+    def test_non_finite_target(self):
+        pts = np.eye(3)
+        with pytest.raises(ValueError, match="target has a non-finite entry"):
+            Correspondences(pts, [[1.0, 0.0, 0.0], [0.0, np.inf, 0.0], [0.0, 0.0, 1.0]])
+
+    def test_non_finite_weights(self):
+        # NaN passes both `w < 0` and `w.sum() <= 0`, so it needs its own check
+        pts = np.eye(3)
+        with pytest.raises(ValueError, match="weights has a non-finite entry"):
+            Correspondences(pts, pts, weights=[1.0, np.nan, 1.0])
+
 
 def test_json_roundtrip(tmp_path):
     rng = np.random.default_rng(15)
