@@ -34,16 +34,25 @@ def write_json(path, doc) -> None:
 @contextmanager
 def parsing(path):
     """A KeyError, IndexError, TypeError or ValueError raised in the block
-    becomes an InputError naming `path`, and a ConfigInvalid a ConfigInvalid
-    naming it; other EquiposeErrors pass unchanged."""
+    becomes an InputError naming `path`, and an InputError or ConfigInvalid
+    one of its own type naming it, unless an inner block named its file
+    already; other EquiposeErrors pass unchanged."""
     try:
         yield
-    except ConfigInvalid as err:
-        raise ConfigInvalid(f"malformed {path}: {err}") from err
+    except (InputError, ConfigInvalid) as err:
+        if hasattr(err, "path"):
+            raise
+        raise _naming(type(err), path, err) from err
     except EquiposeError:
         raise
     except (KeyError, IndexError, TypeError, ValueError) as err:
-        raise InputError(f"malformed {path}: {type(err).__name__}: {err}") from err
+        raise _naming(InputError, path, f"{type(err).__name__}: {err}") from err
+
+
+def _naming(kind, path, what) -> EquiposeError:
+    err = kind(f"malformed {path}: {what}")
+    err.path = path
+    return err
 
 
 @contextmanager

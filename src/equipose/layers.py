@@ -124,6 +124,13 @@ def _mix_grad(grad: np.ndarray, v: np.ndarray) -> np.ndarray:
     return per_plane.reshape((-1,) + per_plane.shape[-2:]).sum(axis=0)
 
 
+def _sum_to(a: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum a broadcast result back down to the shape it was broadcast from."""
+    lead = a.ndim - len(shape)
+    axes = tuple(i for i in range(a.ndim) if i < lead or (shape[i - lead] == 1 and a.shape[i] > 1))
+    return a.sum(axis=axes).reshape(shape) if axes else a
+
+
 def _check_channels(v: np.ndarray, expected: int, who: str):
     if v.ndim < 3 or v.shape[-3] != 3:
         raise ShapeMismatch(f"{who}: expected a (..., 3, C, N) component-major feature, got {v.shape}")
@@ -308,7 +315,14 @@ class VNBatchNorm(Layer):
 
 
 class Mlp2(Layer):
-    """Two dense layers with a pointwise max(0, .) between: (..., F_in) -> (..., F_out)."""
+    """Two dense layers with a pointwise max(0, .) between: (..., F_in) -> (..., F_out).
+
+    The input comes as column blocks of W1, in W1's column order, whose
+    leading axes broadcast: h = sum_b x_b @ W1[:, cols_b].T + b1. A block
+    shared by many rows (one per cloud, say) is multiplied once, at its own
+    size, and backward returns one gradient per block, summed down to that
+    block's shape. One block is the plain dense layer.
+    """
 
     def __init__(self, n_in: int, n_hidden: int, n_out: int):
         self.n_in = n_in
@@ -320,28 +334,42 @@ class Mlp2(Layer):
     def own_params(self):
         return [self.w1, self.b1, self.w2, self.b2]
 
-    def forward(self, x, train=False, ctx=None):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != self.n_in:
-            raise ShapeMismatch(f"Mlp2: expected {self.n_in} input features, got {x.shape[-1]}")
+    def forward(self, *blocks, train=False, ctx=None):
+        blocks = [np.asarray(x, dtype=np.float64) for x in blocks]
+        widths = [x.shape[-1] for x in blocks]
+        if sum(widths) != self.n_in:
+            raise ShapeMismatch(f"Mlp2: expected {self.n_in} input features, got {widths}")
+        try:
+            lead = np.broadcast_shapes(*(x.shape[:-1] for x in blocks))
+        except ValueError:
+            raise ShapeMismatch(f"Mlp2: block shapes {[x.shape for x in blocks]} do not broadcast") from None
         cache = self._new_cache(ctx)
-        h = x @ self.w1.value.T + self.b1.value
+        edges = np.cumsum([0] + widths)
+        spans = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]
+        h = np.empty(lead + self.b1.value.shape)
+        h[...] = self.b1.value
+        for x, cols in zip(blocks, spans):
+            h += x @ self.w1.value[:, cols].T
         relu = np.maximum(h, 0.0)
         out = relu @ self.w2.value.T + self.b2.value
-        cache.update(x=x, h=h, relu=relu)
+        cache.update(blocks=blocks, spans=spans, h=h, relu=relu)
         return out
 
     def backward(self, grad, ctx=None):
         cache = self._get_cache(ctx)
-        x, h, relu = cache["x"], cache["h"], cache["relu"]
+        h, relu = cache["h"], cache["relu"]
         g2 = grad.reshape(-1, grad.shape[-1])
         self.w2.grad += g2.T @ relu.reshape(g2.shape[0], -1)
         self.b2.grad += g2.sum(axis=0)
         d_h = (grad @ self.w2.value) * (h > 0.0)
-        dh2 = d_h.reshape(-1, d_h.shape[-1])
-        self.w1.grad += dh2.T @ x.reshape(dh2.shape[0], -1)
-        self.b1.grad += dh2.sum(axis=0)
-        return d_h @ self.w1.value
+        self.b1.grad += d_h.reshape(-1, d_h.shape[-1]).sum(axis=0)
+        out = []
+        for x, cols in zip(cache["blocks"], cache["spans"]):
+            d_hx = _sum_to(d_h, x.shape[:-1] + d_h.shape[-1:])
+            dh2 = d_hx.reshape(-1, d_hx.shape[-1])
+            self.w1.grad[:, cols] += dh2.T @ x.reshape(dh2.shape[0], -1)
+            out.append(d_hx @ self.w1.value[:, cols])
+        return tuple(out)
 
 
 class VNInvariant(Layer):
@@ -385,7 +413,7 @@ class VNInvariant(Layer):
     def backward(self, grad, ctx=None):
         cache = self._get_cache(ctx)
         v, va, vb = cache["v"], cache["va"], cache["vb"]
-        d_flat = self.mlp.backward(grad, ctx=cache["mlp"])
+        (d_flat,) = self.mlp.backward(grad, ctx=cache["mlp"])
         d_gram = d_flat.reshape(d_flat.shape[:-1] + (self.branch_a, self.branch_b))
         d_va = np.matmul(d_gram, vb)
         d_vb = np.matmul(np.swapaxes(d_gram, -1, -2), va)

@@ -180,12 +180,17 @@ class PoseModel(Layer):
         (..., N, 5) appearance inputs. Leading axes stack clouds: pooling
         stays per cloud, batch-norm statistics span every cloud.
 
+        The trunk ends in VNPoolConcat, so the second half of its channels is
+        one mean per cloud broadcast to every point: the keypoint head reads
+        the first half per point and the second at point 0 only.
+
         With a rotation R, the keypoint head also sees the rotated cloud: it
         runs on the pair (equi, rotate_feature(equi, R)), which equals the
         trunk's output on the rotated input because every trunk layer is
         exactly equivariant, so the trunk, invariant branch and segmentation
-        head run once. offsets then gains a leading pair axis,
-        (2, ..., N, M + 1, 3)."""
+        head run once, and the appearance features, which rotation does not
+        change, reach the head once for both halves. offsets then gains a
+        leading pair axis, (2, ..., N, M + 1, 3)."""
         cache = self._new_cache(ctx)
         for key in ("backbone", "invariant", "appearance", "seg", "kp"):
             cache[key] = {}
@@ -193,27 +198,33 @@ class PoseModel(Layer):
         inv = self.invariant.forward(equi, train=train, ctx=cache["invariant"])
         app = self.appearance.forward(app_in, train=train, ctx=cache["appearance"])
         logits = self.seg_head.forward(inv, app, train=train, ctx=cache["seg"])
-        kp_equi, kp_app = equi, app
+        half = self.trunk_channels // 2
+        local, pooled = equi[..., :half, :], equi[..., half:, :1]
         if rotation is not None:
             cache["rotation"] = rotation.m
-            kp_equi = rotate_feature(equi, np.stack([np.eye(3), rotation.m]))
-            kp_app = np.broadcast_to(app, (2,) + app.shape)
-        offsets = self.kp_head.forward(kp_equi, kp_app, train=train, ctx=cache["kp"])
+            pair = np.stack([np.eye(3), rotation.m])
+            local, pooled = rotate_feature(local, pair), rotate_feature(pooled, pair)
+        offsets = self.kp_head.forward(local, pooled, app, train=train, ctx=cache["kp"])
         return ModelOutputs(logits, offsets)
 
     def backward(self, d_logits, d_offsets, ctx=None):
         """Returns (d v, d app_in), d v component-major like v, and
         accumulates parameter gradients. After a forward with a rotation,
         d_offsets carries the pair axis and the rotated half's gradient folds
-        back onto the trunk output through rotate_feature(., R^T)."""
+        back onto the trunk output through rotate_feature(., R^T). The pooled
+        half's gradient lands on point 0, as VNPoolConcat.backward sums the
+        pooled channels over points anyway."""
         cache = self._get_cache(ctx)
         d_inv, d_app_seg = self.seg_head.backward(d_logits, ctx=cache["seg"])
-        d_equi_kp, d_app_kp = self.kp_head.backward(d_offsets, ctx=cache["kp"])
+        d_local, d_pooled, d_app_kp = self.kp_head.backward(d_offsets, ctx=cache["kp"])
         if "rotation" in cache:
-            d_equi_kp = d_equi_kp[0] + rotate_feature(d_equi_kp[1], cache["rotation"].T)
-            d_app_kp = d_app_kp[0] + d_app_kp[1]
+            r_t = cache["rotation"].T
+            d_local = d_local[0] + rotate_feature(d_local[1], r_t)
+            d_pooled = d_pooled[0] + rotate_feature(d_pooled[1], r_t)
         d_equi = self.invariant.backward(d_inv, ctx=cache["invariant"])
-        d_equi += d_equi_kp
+        half = self.trunk_channels // 2
+        d_equi[..., :half, :] += d_local
+        d_equi[..., half:, :1] += d_pooled
         dv = self.backbone.backward(d_equi, ctx=cache["backbone"])
         d_app_in = self.appearance.backward(d_app_seg + d_app_kp, ctx=cache["appearance"])
         return dv, d_app_in

@@ -210,8 +210,18 @@ class TestSynthGen:
             ["--noise-sigma", "nan"],
             ["--noise-sigma", "inf"],
             ["--occlusion", "0.95"],
+            ["--occlusion", "nan"],
+            ["--occlusion", "-0.5"],
         ],
-        ids=["keypoints_above_vertices", "negative_noise", "nan_noise", "inf_noise", "occlusion_above_max"],
+        ids=[
+            "keypoints_above_vertices",
+            "negative_noise",
+            "nan_noise",
+            "inf_noise",
+            "occlusion_above_max",
+            "nan_occlusion",
+            "negative_occlusion",
+        ],
     )
     def test_bad_flags_create_no_out_dir(self, tmp_path, flags):
         out = tmp_path / "left"
@@ -707,6 +717,8 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _train_on_mixed_keypoint_counts,
         _on_edited_scene(".json", _nan_first_translation),
         _metrics_on_nan_rotation,
+        _fit_pose_on({"source": np.eye(3).tolist(), "target": np.eye(3).tolist(), "weights": [-1, 1, 1]}),
+        _fit_pose_on({"source": np.eye(3).tolist(), "target": np.eye(3)[:2].tolist()}),
     ],
     ids=[
         "no_source",
@@ -739,6 +751,8 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "train_mixed_keypoint_counts",
         "sidecar_nan_translation",
         "detections_nan_rotation",
+        "negative_weight",
+        "target_rows_differ",
     ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):

@@ -11,8 +11,8 @@ import pytest
 
 from equipose import model as model_mod
 from equipose.cli import EXIT_OK, main
-from equipose.errors import ConfigInvalid, InputError
-from equipose.files import read_json, write_json
+from equipose.errors import ConfigInvalid, DegenerateConfiguration, InputError, LabelOutOfRange
+from equipose.files import parsing, read_json, write_json
 from equipose.model import ModelConfig, init_model, load_model, save_model
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "equipose"
@@ -151,8 +151,8 @@ def test_parse_errors_become_input_errors_naming_the_file(tmp_path, text, use, k
 def test_package_errors_and_missing_files_pass_through(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text("{}")
-    err = InputError("bad flag")
-    with pytest.raises(InputError) as caught:
+    err = DegenerateConfiguration("collinear points")
+    with pytest.raises(DegenerateConfiguration) as caught:
         with read_json(path):
             raise err
     assert caught.value is err
@@ -168,4 +168,16 @@ def test_config_errors_keep_their_type_and_name_the_file(tmp_path):
     with pytest.raises(ConfigInvalid, match=re.escape(f"malformed {path}: bad range")) as caught:
         with read_json(path):
             raise err
+    assert caught.value.__cause__ is err
+
+
+def test_input_errors_keep_their_type_and_are_named_once(tmp_path):
+    # the innermost block names the file; an outer block leaves the name alone
+    outer, inner = tmp_path / "outer.json", tmp_path / "inner.ply"
+    outer.write_text("{}")
+    err = LabelOutOfRange("label 7 of 4 classes")
+    with pytest.raises(LabelOutOfRange) as caught:
+        with read_json(outer), parsing(inner):
+            raise err
+    assert str(caught.value) == f"malformed {inner}: label 7 of 4 classes"
     assert caught.value.__cause__ is err

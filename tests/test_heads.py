@@ -1,9 +1,12 @@
-"""Tests for the appearance encoder and the two fusion heads."""
+"""Tests for the appearance encoder, the block MLP and the two fusion heads."""
+
+import copy
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import layer_fd_check
 from equipose.backproject import PointCloud
 from equipose.errors import MissingAttributes, ShapeMismatch
 from equipose.geometry import sample_uniform_rotation
@@ -16,9 +19,10 @@ from equipose.heads import (
 )
 from equipose.layers import init_layer_params
 from equipose.model import ModelConfig, init_model
-from equipose.train import central_differences
+from equipose.train import central_differences, max_relative_error
 
 RNG = np.random.default_rng
+SRC = Path(__file__).resolve().parent.parent / "src" / "equipose"
 
 
 def fresh(layer, seed=0):
@@ -112,65 +116,166 @@ class TestSegHead:
             assert np.array_equal(logits.argmax(axis=-1), base.logits.argmax(axis=-1))
 
 
+def kp_inputs(rng, n_points, half, n_appearance, pair=False):
+    """(local, pooled, appearance) for a KpHead: one pooled mean per cloud,
+    and with pair=True a leading pair axis on the two trunk halves only."""
+    lead = (2,) if pair else ()
+    local = rng.normal(size=lead + (3, half, n_points))
+    pooled = rng.normal(size=lead + (3, half, 1))
+    return local, pooled, rng.normal(size=(n_points, n_appearance))
+
+
 class TestKpHead:
     def test_zero_weights_constant_offsets(self):
         head = KpHead(6, 4, 8, n_keypoints=3)
         bias = RNG(11).normal(size=12)
         head.mlp.b2.value[...] = bias
-        out = head.forward(np.zeros((3, 6, 5)), np.zeros((5, 4)), ctx={})
+        out = head.forward(np.zeros((3, 3, 5)), np.zeros((3, 3, 1)), np.zeros((5, 4)), ctx={})
         assert out.shape == (5, 4, 3)
         np.testing.assert_allclose(out, np.tile(bias.reshape(4, 3), (5, 1, 1)), atol=1e-15)
 
     def test_shape_mismatch(self):
         head = KpHead(6, 4, 8, n_keypoints=3)
-        with pytest.raises(ShapeMismatch):
-            head.forward(np.zeros((5, 6, 3)), np.zeros((5, 4)), ctx={})  # a vector list
-        with pytest.raises(ShapeMismatch):
-            head.forward(np.zeros((3, 6, 5)), np.zeros((4, 4)), ctx={})  # 4 points, not 5
-        with pytest.raises(ShapeMismatch):
-            head.forward(np.zeros((3, 6, 5)), np.zeros((5, 3)), ctx={})  # 3 appearance features
+        local, pooled, app = np.zeros((3, 3, 5)), np.zeros((3, 3, 1)), np.zeros((5, 4))
+        bad = [
+            (np.zeros((5, 3, 3)), pooled, app),  # a vector list
+            (np.zeros((3, 6, 5)), pooled, app),  # the whole trunk, not its per-point half
+            (local, np.zeros((3, 6, 1)), app),  # the whole pooled trunk
+            (local, pooled, np.zeros((4, 4))),  # 4 points, not 5
+            (local, pooled, np.zeros((5, 3))),  # 3 appearance features
+            (np.zeros((2, 3, 3, 5)), np.zeros((3, 3, 3, 1)), app),  # pair axes that do not broadcast
+        ]
+        for args in bad:
+            with pytest.raises(ShapeMismatch):
+                head.forward(*args, ctx={})
 
     def test_matches_dense_oracle(self):
-        # the oracle's rows are (N, C, 3) vector lists flattened channel-major
-        # then xyz, the column order of kp.mlp.W1 in saved parameters; the head
-        # gets the component-major transpose of the same draw
-        head = fresh(KpHead(5, 4, 9, n_keypoints=2), seed=12)
+        # the oracle's rows are (N, C, 3) vector lists, the pooled mean appended
+        # to every point, flattened channel-major then xyz: the column order of
+        # kp.mlp.W1 in saved parameters. The head gets the component-major
+        # transposes of the same draw, the pooled half once
+        head = fresh(KpHead(6, 4, 9, n_keypoints=2), seed=12)
         rng = RNG(13)
-        equi = rng.normal(size=(6, 5, 3))
-        app = rng.normal(size=(6, 4))
-        out = head.forward(equi.T, app, ctx={})
-        fused = np.concatenate([equi.reshape(6, 15), app], axis=1)
+        local = rng.normal(size=(7, 3, 3))
+        pooled = rng.normal(size=(1, 3, 3))
+        app = rng.normal(size=(7, 4))
+        out = head.forward(local.T, pooled.T, app, ctx={})
+        equi = np.concatenate([local, np.repeat(pooled, 7, axis=0)], axis=1)
+        fused = np.concatenate([equi.reshape(7, 18), app], axis=1)
         hidden = np.maximum(fused @ head.mlp.w1.value.T + head.mlp.b1.value, 0.0)
-        expected = (hidden @ head.mlp.w2.value.T + head.mlp.b2.value).reshape(6, 3, 3)
+        expected = (hidden @ head.mlp.w2.value.T + head.mlp.b2.value).reshape(7, 3, 3)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_appearance_path_homogeneous_when_equi_zeroed(self):
         # zero biases + zero equivariant input: relu is positively homogeneous,
         # so doubling appearance doubles the output exactly
-        head = fresh(KpHead(5, 4, 9, n_keypoints=2), seed=14)
+        head = fresh(KpHead(6, 4, 9, n_keypoints=2), seed=14)
         head.mlp.b1.value[...] = 0.0
         head.mlp.b2.value[...] = 0.0
         app = RNG(15).normal(size=(6, 4))
-        zero_equi = np.zeros((3, 5, 6))
-        once = head.forward(zero_equi, app, ctx={})
-        twice = head.forward(zero_equi, 2.0 * app, ctx={})
+        zeros = np.zeros((3, 3, 6)), np.zeros((3, 3, 1))
+        once = head.forward(*zeros, app, ctx={})
+        twice = head.forward(*zeros, 2.0 * app, ctx={})
         np.testing.assert_allclose(twice, 2.0 * once, atol=1e-12)
 
     def test_permutation_equivariance_over_points(self):
-        head = fresh(KpHead(5, 4, 9, n_keypoints=2), seed=16)
+        head = fresh(KpHead(6, 4, 9, n_keypoints=2), seed=16)
         rng = RNG(17)
-        equi = rng.normal(size=(3, 5, 10))
-        app = rng.normal(size=(10, 4))
-        base = head.forward(equi, app, ctx={})
+        local, pooled, app = kp_inputs(rng, 10, 3, 4)
+        base = head.forward(local, pooled, app, ctx={})
         perm = rng.permutation(10)
-        np.testing.assert_array_equal(head.forward(equi[..., perm], app[perm], ctx={}), base[perm])
+        np.testing.assert_array_equal(head.forward(local[..., perm], pooled, app[perm], ctx={}), base[perm])
+
+    def test_pair_matches_each_half(self):
+        # a pair axis on the trunk halves gives each half's own offsets, the
+        # appearance features shared
+        head = fresh(KpHead(6, 4, 9, n_keypoints=2), seed=18)
+        local, pooled, app = kp_inputs(RNG(19), 8, 3, 4, pair=True)
+        out = head.forward(local, pooled, app, ctx={})
+        for i in range(2):
+            np.testing.assert_allclose(out[i], head.forward(local[i], pooled[i], app, ctx={}), atol=1e-14)
+
+
+def dense_mlp2(mlp, x):
+    """Mlp2 on one concatenated input, written out: (output, relu mask, hidden)."""
+    h = x @ mlp.w1.value.T + mlp.b1.value
+    relu = np.maximum(h, 0.0)
+    return relu @ mlp.w2.value.T + mlp.b2.value, h > 0.0, relu
+
+
+class TestMlp2Blocks:
+    def test_one_block_is_the_dense_layer_bit_for_bit(self):
+        mlp = fresh(Mlp2(7, 6, 5), seed=30)
+        rng = RNG(31)
+        x, upstream = rng.normal(size=(2, 8, 7)), rng.normal(size=(2, 8, 5))
+        ctx = {}
+        out = mlp.forward(x, ctx=ctx)
+        (d_x,) = mlp.backward(upstream, ctx=ctx)
+        expected, mask, relu = dense_mlp2(mlp, x)
+        d_h = (upstream @ mlp.w2.value) * mask
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(d_x, d_h @ mlp.w1.value)
+        np.testing.assert_array_equal(mlp.w1.grad, d_h.reshape(-1, 6).T @ x.reshape(-1, 7))
+        np.testing.assert_array_equal(mlp.w2.grad, upstream.reshape(-1, 5).T @ relu.reshape(-1, 6))
+
+    def three_blocks(self, seed):
+        """A block with a pair axis, one with a size-1 point axis and one
+        without the pair axis, and their dense concatenation (2, 7, 9)."""
+        rng = RNG(seed)
+        blocks = rng.normal(size=(2, 7, 4)), rng.normal(size=(2, 1, 3)), rng.normal(size=(7, 2))
+        dense = np.concatenate([np.broadcast_to(b, (2, 7, b.shape[-1])) for b in blocks], axis=-1)
+        return blocks, dense, rng.normal(size=(2, 7, 5))
+
+    def test_blocks_match_the_dense_concatenation(self):
+        mlp = fresh(Mlp2(9, 6, 5), seed=32)
+        blocks, dense, upstream = self.three_blocks(33)
+        reference = copy.deepcopy(mlp)
+        ctx, ref_ctx = {}, {}
+        out = mlp.forward(*blocks, ctx=ctx)
+        d_blocks = mlp.backward(upstream, ctx=ctx)
+        ref_out = reference.forward(dense, ctx=ref_ctx)
+        (d_dense,) = reference.backward(upstream, ctx=ref_ctx)
+        np.testing.assert_allclose(out, ref_out, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(out, dense_mlp2(mlp, dense)[0], rtol=0.0, atol=1e-12)
+        edges = np.cumsum([0] + [b.shape[-1] for b in blocks])
+        for block, d, a, b in zip(blocks, d_blocks, edges[:-1], edges[1:]):
+            assert d.shape == block.shape
+            # the dense gradient of a broadcast block, summed down to its shape
+            ref = d_dense[..., a:b]
+            ref = ref.sum(axis=1, keepdims=True) if block.shape[1] == 1 else ref
+            ref = ref if block.ndim == 3 else ref.sum(axis=0)
+            np.testing.assert_allclose(d, ref, rtol=0.0, atol=1e-12)
+        for p, ref in zip(mlp.own_params(), reference.own_params()):
+            np.testing.assert_allclose(p.grad, ref.grad, rtol=0.0, atol=1e-12, err_msg=p.name)
+
+    def test_block_widths_and_shapes_are_checked(self):
+        mlp = Mlp2(9, 6, 5)
+        blocks, _, _ = self.three_blocks(34)
+        with pytest.raises(ShapeMismatch):
+            mlp.forward(*blocks[:2], ctx={})  # 7 of 9 columns
+        with pytest.raises(ShapeMismatch):
+            mlp.forward(blocks[0], blocks[1], np.zeros((6, 2)), ctx={})  # 6 points against 7
 
 
 class TestHeadGradients:
     def test_mlp2_gradcheck(self):
-        mlp = fresh(Mlp2(7, 6, 5), seed=18)
-        x = RNG(19).normal(size=(8, 7))
-        assert layer_fd_check(mlp, x) <= 1e-5
+        # each block's gradient and every parameter's against central differences
+        mlp = fresh(Mlp2(9, 6, 5), seed=18)
+        blocks, _, upstream = TestMlp2Blocks().three_blocks(19)
+        mlp.zero_grad()
+        ctx = {}
+        mlp.forward(*blocks, ctx=ctx)
+        analytic = dict(zip(("x0", "x1", "x2"), mlp.backward(upstream, ctx=ctx)))
+        numeric = {}
+
+        def loss():
+            return float(np.sum(mlp.forward(*blocks, ctx={}) * upstream))
+
+        for name, block in zip(("x0", "x1", "x2"), blocks):
+            numeric[name] = central_differences(loss, block, 1e-6)
+        for p in mlp.own_params():
+            analytic[p.name], numeric[p.name] = p.grad, central_differences(loss, p.value, 1e-6)
+        assert max_relative_error(analytic, numeric) <= 1e-5
 
     def test_seg_head_gradcheck(self):
         head = fresh(SegHead(5, 3, 6, 4), seed=20)
@@ -191,19 +296,31 @@ class TestHeadGradients:
             np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-9)
 
     def test_kp_head_gradcheck(self):
+        # on the training pair: the appearance features shared by both halves
         head = fresh(KpHead(4, 3, 6, n_keypoints=2), seed=22)
         rng = RNG(23)
-        equi = rng.normal(size=(3, 4, 5))
-        app = rng.normal(size=(5, 3))
-        upstream = rng.normal(size=(5, 3, 3))
+        inputs = kp_inputs(rng, 5, 2, 3, pair=True)
+        upstream = rng.normal(size=(2, 5, 3, 3))
         head.zero_grad()
         ctx = {}
-        head.forward(equi, app, ctx=ctx)
-        d_equi, d_app = head.backward(upstream, ctx=ctx)
+        head.forward(*inputs, ctx=ctx)
+        grads = head.backward(upstream, ctx=ctx)
 
         def loss():
-            return float(np.sum(head.forward(equi, app, ctx={}) * upstream))
+            return float(np.sum(head.forward(*inputs, ctx={}) * upstream))
 
-        for arr, grad in ((equi, d_equi), (app, d_app)):
+        for arr, grad in zip(inputs, grads):
+            assert grad.shape == arr.shape
             num = central_differences(loss, arr, 1e-6)
             np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-9)
+
+
+def test_heads_hand_mlp_inputs_over_as_blocks():
+    # a concatenation or broadcast in heads.py would copy an input block shared
+    # by many points to per-point size; Mlp2 takes the blocks as they are
+    offenders = [
+        f"heads.py:{n}"
+        for n, line in enumerate((SRC / "heads.py").read_text().splitlines(), 1)
+        if re.search(r"\bnp\.(concatenate|broadcast_to)\(", line)
+    ]
+    assert offenders == []

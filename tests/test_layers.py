@@ -294,7 +294,7 @@ class TestVNInvariant:
         v = np.array([[[0.0, 3.0, 4.0]]]).T
         ctx = {}
         layer.forward(v, ctx=ctx)
-        np.testing.assert_allclose(ctx["mlp"]["x"], [[25.0]], atol=1e-12)
+        np.testing.assert_allclose(ctx["mlp"]["blocks"][0], [[25.0]], atol=1e-12)
 
     def test_named_params_order(self):
         layer = VNInvariant(4, branch_a=3, branch_b=2, hidden=6, out=5)

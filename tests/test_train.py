@@ -11,7 +11,7 @@ import pytest
 
 from equipose.errors import ConfigInvalid, InputError, NonFiniteLoss
 from equipose.geometry import sample_uniform_rotation
-from equipose.heads import SegHead
+from equipose.heads import KpHead, SegHead
 from equipose.layers import (
     BN_MOMENTUM,
     Sequential,
@@ -42,6 +42,7 @@ from equipose.train import (
     train,
 )
 from conftest import layer_fd_check
+from test_acceptance import SCENE_RECIPE
 
 RNG = np.random.default_rng
 
@@ -315,6 +316,58 @@ def stacked_pair_reference(model, t, cfg, rotation):
     return report, grads, dv[0] + rotate_feature(dv[1], rotation.m.T), d_app[0] + d_app[1]
 
 
+class DenseKpHead(KpHead):
+    """The keypoint head with one dense first-layer input: the pooled half
+    copied to every point, the appearance features to every cloud, and the
+    whole concatenated per point."""
+
+    @classmethod
+    def sharing(cls, head):
+        dense = cls(head.n_channels, 0, 1, head.n_keypoints)
+        dense.mlp = head.mlp  # the same parameters, not a copy
+        return dense
+
+    def forward(self, local, pooled, appearance, train=False, ctx=None):
+        lead = np.broadcast_shapes(local.shape[:-3], pooled.shape[:-3], appearance.shape[:-2])
+        n, half = local.shape[-1], self.n_channels // 2
+        equi = np.concatenate(
+            [np.broadcast_to(local, lead + (3, half, n)), np.broadcast_to(pooled, lead + (3, half, n))],
+            axis=-2,
+        )
+        rows = np.swapaxes(equi, -1, -3).reshape(lead + (n, 3 * self.n_channels))
+        app = np.broadcast_to(appearance, lead + appearance.shape[-2:])
+        cache = self._new_cache(ctx)
+        cache.update(mlp={}, app_shape=appearance.shape)
+        out = self.mlp.forward(np.concatenate([rows, app], axis=-1), train=train, ctx=cache["mlp"])
+        return out.reshape(out.shape[:-1] + (self.n_keypoints + 1, 3))
+
+    def backward(self, grad, ctx=None):
+        cache = self._get_cache(ctx)
+        (d_fused,) = self.mlp.backward(grad.reshape(grad.shape[:-2] + (-1,)), ctx=cache["mlp"])
+        c, half = self.n_channels, self.n_channels // 2
+        d_equi = np.swapaxes(d_fused[..., : 3 * c].reshape(d_fused.shape[:-1] + (c, 3)), -1, -3)
+        d_app = d_fused[..., 3 * c :]
+        d_app = d_app.sum(axis=tuple(range(d_app.ndim - len(cache["app_shape"]))))
+        return d_equi[..., :half, :], d_equi[..., half:, :].sum(axis=-1, keepdims=True), d_app
+
+
+def assert_matches_the_stacked_pair(model, reference, t, cfg, rotation):
+    """sample_losses_and_grads on `model` against stacked_pair_reference on
+    `reference`, a copy with the same parameters: losses to 1e-12 relative,
+    the input and parameter gradients to 1e-10 of each one's largest entry."""
+    ref_report, ref_grads, ref_dv, ref_dapp = stacked_pair_reference(reference, t, cfg, rotation)
+    model.zero_grad()
+    report, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation)
+    for name in ("seg", "kp", "center", "so3", "total"):
+        np.testing.assert_allclose(getattr(report, name), getattr(ref_report, name), rtol=1e-12, atol=0.0)
+    grads = {n: p.grad for n, p in named_params(model) if p.kind != "stat"}
+    grads["input.v"], grads["input.app"] = dv, d_app
+    ref_grads["input.v"], ref_grads["input.app"] = ref_dv, ref_dapp
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[name], ref, rtol=0.0, atol=1e-10 * np.abs(ref).max(), err_msg=name)
+
+
 class TestOnePassPerSample:
     def test_one_forward_and_backward_of_the_pair(self, monkeypatch):
         model = init_model(TINY_MODEL, seed=3)
@@ -351,23 +404,21 @@ class TestOnePassPerSample:
         t = scene_tensors(small_scenes(1, seed=70)[0], model)
         rng = RNG(5)
         for _ in range(3):
-            rotation = sample_uniform_rotation(rng)
+            assert_matches_the_stacked_pair(model, copy.deepcopy(model), t, cfg, sample_uniform_rotation(rng))
+
+    @pytest.mark.parametrize("batch_norm", [False, True])
+    def test_matches_the_dense_first_layer(self, batch_norm):
+        # the keypoint head's blocks against the stacked pair run through one
+        # concatenated first-layer input per point
+        cfg = TrainConfig()
+        model = init_model(ModelConfig(n_classes=4, batch_norm=batch_norm), seed=1)
+        object_models = make_default_models(seed=0, n_vertices=600)
+        rng = RNG(6)
+        for i in range(3):
+            t = scene_tensors(render_scene(object_models, SCENE_RECIPE, seed=10_000 + i), model)
             reference = copy.deepcopy(model)
-            ref_report, ref_grads, ref_dv, ref_dapp = stacked_pair_reference(reference, t, cfg, rotation)
-            model.zero_grad()
-            report, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation)
-            for name in ("seg", "kp", "center", "so3", "total"):
-                np.testing.assert_allclose(
-                    getattr(report, name), getattr(ref_report, name), rtol=1e-12, atol=0.0
-                )
-            grads = {n: p.grad for n, p in named_params(model) if p.kind != "stat"}
-            grads["input.v"], grads["input.app"] = dv, d_app
-            ref_grads["input.v"], ref_grads["input.app"] = ref_dv, ref_dapp
-            assert grads.keys() == ref_grads.keys()
-            for name, ref in ref_grads.items():
-                np.testing.assert_allclose(
-                    grads[name], ref, rtol=0.0, atol=1e-10 * np.abs(ref).max(), err_msg=name
-                )
+            reference.kp_head = DenseKpHead.sharing(reference.kp_head)
+            assert_matches_the_stacked_pair(model, reference, t, cfg, sample_uniform_rotation(rng))
 
     def test_running_stats_move_once_per_sample(self):
         model = init_model(TINY_MODEL, seed=3)
