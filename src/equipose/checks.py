@@ -1,5 +1,5 @@
-"""Runnable property suites: layer equivariance, invariance of the scalar
-path, and rotation-consistency sanity on intact vs broken stacks."""
+"""Runnable property suites: equivariance of the trunk's layer kit and
+invariance of the scalar path."""
 
 from __future__ import annotations
 
@@ -9,55 +9,23 @@ from .backproject import PointCloud
 from .geometry import sample_uniform_rotation
 from .heads import appearance_input
 from .layers import (
-    Layer,
-    Param,
     Sequential,
     VNBatchNorm,
     VNInvariant,
     VNLinear,
     VNPoolConcat,
     VNReLU,
-    _mix_grad,
     init_layer_params,
     rotate_feature,
 )
-from .losses import so3_loss
 from .model import ModelConfig, init_model
 
-# Sizes of the random draws: the layer reports' features, random_stack's
-# compositions and consistency_report's feature.
+# Sizes of the random draws: the layer reports' features and random_stack's
+# compositions.
 REPORT_POINTS = 16
 REPORT_CHANNELS = 6
 STACK_CHANNELS = 4
 STACK_DEPTH = 6
-CONSISTENCY_POINTS = 32
-CONSISTENCY_CHANNELS = 4
-
-
-class FlattenDense(Layer):
-    """Dense mix across the flattened component-and-channel axes of each
-    point: W @ v.reshape(3C, N). Deliberately breaks equivariance; exists so
-    broken stacks can be constructed on purpose."""
-
-    def __init__(self, channels: int):
-        self.channels = channels
-        self.w = Param("W", np.zeros((3 * channels, 3 * channels)))
-
-    def own_params(self):
-        return [self.w]
-
-    def forward(self, v, train=False, ctx=None):
-        v = np.asarray(v, dtype=np.float64)
-        cache = self._new_cache(ctx)
-        flat = v.reshape(v.shape[:-3] + (3 * self.channels, v.shape[-1]))
-        cache["flat"] = flat
-        return (self.w.value @ flat).reshape(v.shape)
-
-    def backward(self, grad, ctx=None):
-        flat = self._get_cache(ctx)["flat"]
-        g = np.asarray(grad).reshape(flat.shape)
-        self.w.grad += _mix_grad(g, flat)
-        return (self.w.value.T @ g).reshape(np.shape(grad))
 
 
 def equivariance_residual(layer, v, r, train=False) -> float:
@@ -167,23 +135,6 @@ def invariance_report(trials: int = 1000, seed: int = 0) -> dict:
         flips += int((logits.argmax(axis=-1) != base_labels).sum())
     worst["seg_argmax_flips"] = float(flips)
     return worst
-
-
-def consistency_report(seed: int = 0) -> dict:
-    """Rotation-consistency loss on an intact stack vs one with a
-    flatten+dense layer spliced in."""
-    rng = np.random.default_rng(seed)
-    c = CONSISTENCY_CHANNELS
-    v = rng.normal(size=(3, c, CONSISTENCY_POINTS))
-    rot = sample_uniform_rotation(rng)
-    intact = Sequential([VNLinear(c, 8), VNReLU(8, 8), VNLinear(8, 6)])
-    init_layer_params(intact, rng)
-    broken = Sequential([VNLinear(c, 8), VNReLU(8, 8), FlattenDense(8), VNLinear(8, 6)])
-    init_layer_params(broken, rng)
-    return {
-        "intact_stack": so3_loss(intact, v, rot),
-        "broken_stack": so3_loss(broken, v, rot),
-    }
 
 
 def full_report(trials: int = 1000, seed: int = 0) -> dict:

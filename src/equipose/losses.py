@@ -1,5 +1,6 @@
-"""Training losses: focal segmentation, L1 offset losses, the rotation-consistency
-penalty on equivariant stacks, and their weighted sum."""
+"""Training losses: focal segmentation, L1 offset losses, and the weighted
+sum of these with the rotation-consistency penalty, which
+model.PoseModel.so3_term computes on the keypoint offsets."""
 
 from __future__ import annotations
 
@@ -9,8 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMaskWarning, InputError, LabelOutOfRange
-from .geometry import Rotation
-from .layers import rotate_feature
 
 # The focal loss's published constants (Lin et al., arXiv 1708.02002).
 FOCAL_GAMMA = 2.0
@@ -107,21 +106,6 @@ def l1_offset_loss_grad(pred, gt, mask):
     loss = float(np.abs(diff).sum() / n_vectors)
     grad[mask] = np.sign(diff) / n_vectors
     return loss, grad
-
-
-def so3_loss(stack, v, rotation: Rotation) -> float:
-    """Mean absolute value of f(v) - f(vR) R^T over all output entries, for
-    a component-major feature v (..., 3, C, N), where vR is
-    rotate_feature(v, R).
-
-    Vanishes (up to float error) whenever the stack is built purely from the
-    equivariant layer kit; strictly positive once any channel-flattening dense
-    layer breaks equivariance.
-    """
-    r = rotation.m
-    out_straight = stack.forward(v, ctx={})
-    out_rotated = stack.forward(rotate_feature(v, r), ctx={})
-    return float(np.mean(np.abs(out_straight - rotate_feature(out_rotated, r.T))))
 
 
 def total_loss(parts, weights: LossWeights) -> LossReport:

@@ -15,7 +15,7 @@ from .geometry import RigidTransform
 
 # Upper end, in meters, of the accuracy-vs-threshold curve every AUC integrates.
 AUC_CAP_M = 0.1
-# Rows per block of the pairwise-distance loops; bounds their memory.
+# Rows per block of model_diameter's pairwise-distance loop; bounds its memory.
 BLOCK_ROWS = 512
 
 
@@ -35,23 +35,11 @@ def add(gt: RigidTransform, pred: RigidTransform, model) -> float:
 
 def add_s(gt: RigidTransform, pred: RigidTransform, model) -> float:
     """Mean nearest-point distance from GT-posed vertices to predicted-posed
-    ones, by KD-tree query; add_s_brute is the reference."""
+    ones, by KD-tree query; the tests check it against a brute-force
+    reference."""
     verts = _vertices(model)
     dist, _ = cKDTree(pred.apply(verts)).query(gt.apply(verts), k=1)
     return float(np.mean(dist))
-
-
-def add_s_brute(gt: RigidTransform, pred: RigidTransform, model) -> float:
-    """O(m^2) reference: explicit pairwise distances, min over the second pose."""
-    verts = _vertices(model)
-    a = gt.apply(verts)
-    b = pred.apply(verts)
-    mins = np.empty(len(a))
-    for start in range(0, len(a), BLOCK_ROWS):
-        block = a[start : start + BLOCK_ROWS]
-        d = np.sqrt(((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
-        mins[start : start + BLOCK_ROWS] = d.min(axis=1)
-    return float(mins.mean())
 
 
 def auc(distances) -> float:

@@ -6,12 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from equipose.checks import (
-    FlattenDense,
-    consistency_report,
-    equivariance_report,
-    invariance_report,
-)
+from conftest import add_s_brute, stack_pair
+from equipose.backproject import PointCloud
+from equipose.checks import equivariance_report, invariance_report
 from equipose.geometry import (
     Correspondences,
     RigidTransform,
@@ -19,19 +16,19 @@ from equipose.geometry import (
     geodesic_distance,
     sample_uniform_rotation,
 )
+from equipose.heads import appearance_input
 from equipose.layers import (
     Sequential,
     VNLinear,
     VNReLU,
     init_layer_params,
 )
-from equipose.losses import LossWeights, so3_loss
+from equipose.losses import LossWeights
 from equipose.metrics import (
     ObjectMetrics,
     PoseMetricsReport,
     add,
     add_s,
-    add_s_brute,
     auc,
     evaluate_dataset,
 )
@@ -108,22 +105,36 @@ def test_criterion_02_invariance_suite():
 
 
 def test_criterion_03_so3_loss_sanity():
+    # PoseModel.so3_term, the penalty training uses, on intact VN stacks and
+    # on a fresh model's own keypoint head, whose flattening fusion is not
+    # equivariant
     started = time.monotonic()
+    model = init_model(ModelConfig(n_classes=4), seed=1)
     rng = RNG(0)
     worst_intact = 0.0
     for trial in range(100):
         stack = Sequential([VNLinear(4, 8), VNReLU(8, 8), VNLinear(8, 6)])
         init_layer_params(stack, rng)
         v = rng.normal(size=(3, 4, 16))
-        worst_intact = max(worst_intact, so3_loss(stack, v, sample_uniform_rotation(rng)))
-    report = consistency_report(seed=1)
+        rot = sample_uniform_rotation(rng)
+        worst_intact = max(worst_intact, model.so3_term(stack_pair(stack, v, rot.m), rot)[0])
+    rng = RNG(1)
+    points = rng.uniform(-0.1, 0.1, size=(200, 3)) + np.array([0.0, 0.0, 0.6])
+    colors = rng.uniform(0.0, 1.0, size=(200, 3))
+    v = model.lift(points, colors)
+    app_in = appearance_input(PointCloud(points=points, attributes=colors))
+    least_broken = np.inf
+    for _ in range(10):
+        rot = sample_uniform_rotation(rng)
+        offsets = model.forward(v, app_in, ctx={}, rotation=rot).offsets
+        least_broken = min(least_broken, model.so3_term(offsets, rot)[0])
     elapsed = time.monotonic() - started
     assert worst_intact <= 1e-10
-    assert report["broken_stack"] > 1e-3
+    assert least_broken > 1e-3
     assert elapsed < 10.0
     print(
         f"\nACCEPTANCE 3 (rotation-consistency loss sanity): PASS - intact stacks "
-        f"<= {worst_intact:.2e}, flatten+dense stack {report['broken_stack']:.3f} > 1e-3, "
+        f"<= {worst_intact:.2e}, fresh model's keypoint head >= {least_broken:.3f} > 1e-3, "
         f"{elapsed:.1f}s"
     )
 

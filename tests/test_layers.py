@@ -1,15 +1,18 @@
 """Tests for the equivariant layer kit: forward semantics, equivariance and
 invariance properties, and analytic gradients."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import equipose
 from conftest import layer_fd_check
 from equipose.checks import (
-    FlattenDense,
     equivariance_report,
     full_report,
     equivariance_residual,
@@ -21,6 +24,7 @@ from equipose.geometry import sample_uniform_rotation
 from equipose.layers import (
     BN_EPS,
     K_DEGENERATE_SQ,
+    Layer,
     Param,
     Sequential,
     VNBatchNorm,
@@ -356,12 +360,31 @@ class TestStacks:
             r = sample_uniform_rotation(rng).m
             assert equivariance_residual(stack, v, r, train=True) <= 1e-10
 
-    def test_flatten_dense_breaks_equivariance(self):
+    def test_residual_flags_a_componentwise_map(self):
+        # max(v, 0) per xyz component depends on the frame
         rng = RNG(22)
-        layer = fresh(FlattenDense(4), seed=23)
+        layer = SimpleNamespace(forward=lambda v, train, ctx: np.maximum(v, 0.0))
         v = rng.normal(size=(3, 4, 10))
         r = sample_uniform_rotation(rng).m
         assert equivariance_residual(layer, v, r) > 1e-3
+
+    def test_every_layer_class_builds_the_model(self):
+        # a Layer in equipose that no model holds is code only tests reach
+        for module in pkgutil.iter_modules(equipose.__path__):
+            importlib.import_module(f"equipose.{module.name}")
+        defined, pending = set(), [Layer]
+        while pending:
+            for cls in pending.pop().__subclasses__():
+                pending.append(cls)
+                if cls.__module__.startswith("equipose."):
+                    defined.add(cls)
+
+        def used(layer):
+            yield type(layer)
+            for _, child in layer.children():
+                yield from used(child)
+
+        assert defined <= set(used(PoseModel(ModelConfig(n_classes=4, batch_norm=True))))
 
     def test_equivariance_report_covers_the_trunk_kit(self):
         # VNPoolConcat -> vn_pool_concat, VNBatchNorm -> vn_batch_norm, ...
@@ -526,7 +549,7 @@ class TestLayoutReference:
 class TestGradients:
     @pytest.mark.parametrize(
         "name",
-        ["linear", "relu", "bn_train", "bn_eval", "pool_concat", "invariant", "flatten_dense"],
+        ["linear", "relu", "bn_train", "bn_eval", "pool_concat", "invariant"],
     )
     def test_layer_gradcheck(self, name):
         rng = RNG(24)
@@ -538,7 +561,6 @@ class TestGradients:
             "bn_eval": (VNBatchNorm(4), {"train": False}),
             "pool_concat": (VNPoolConcat(), {}),
             "invariant": (VNInvariant(4, 3, 3, hidden=6, out=5), {}),
-            "flatten_dense": (FlattenDense(4), {}),
         }[name]
         fresh(layer, seed=25)
         assert layer_fd_check(layer, v, **kwargs) <= 1e-6

@@ -3,18 +3,20 @@
 import numpy as np
 import pytest
 
-from equipose.checks import FlattenDense
+from conftest import stack_pair
+from equipose.backproject import PointCloud
 from equipose.errors import EmptyMaskWarning, LabelOutOfRange
 from equipose.geometry import Rotation, sample_uniform_rotation
+from equipose.heads import appearance_input
 from equipose.layers import Sequential, VNLinear, VNReLU, init_layer_params
 from equipose.losses import (
     LossReport,
     LossWeights,
     focal_loss_grad,
     l1_offset_loss_grad,
-    so3_loss,
     total_loss,
 )
+from equipose.model import ModelConfig, init_model
 from equipose.train import central_differences
 
 RNG = np.random.default_rng
@@ -127,37 +129,46 @@ class TestOffsetLosses:
         np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-12)
 
 
+SMALL_MODEL = ModelConfig(n_classes=4, n_keypoints=4, vn_widths=(8, 8))
+
+
 def make_pure_stack(seed=0):
     stack = Sequential([VNLinear(4, 8), VNReLU(8, 8), VNLinear(8, 6)])
     init_layer_params(stack, RNG(seed))
     return stack
 
 
-def make_broken_stack(seed=0):
-    stack = Sequential([VNLinear(4, 8), VNReLU(8, 8), FlattenDense(8), VNLinear(8, 6)])
-    init_layer_params(stack, RNG(seed))
-    return stack
-
-
 class TestSo3Loss:
+    """PoseModel.so3_term, the rotation-consistency penalty of training, on
+    the output pairs of equivariant stacks and of a model's keypoint head."""
+
     def test_identity_rotation_is_exactly_zero(self):
         stack = make_pure_stack(6)
         v = RNG(7).normal(size=(3, 4, 10))
-        assert so3_loss(stack, v, Rotation.identity()) == 0.0
+        model = init_model(SMALL_MODEL, seed=0)
+        assert model.so3_term(stack_pair(stack, v, np.eye(3)), Rotation.identity())[0] == 0.0
 
     def test_vanishes_on_pure_stacks(self):
+        model = init_model(SMALL_MODEL, seed=0)
         rng = RNG(8)
         for _ in range(100):
             stack = make_pure_stack(int(rng.integers(1 << 30)))
             v = rng.normal(size=(3, 4, 12))
-            assert so3_loss(stack, v, sample_uniform_rotation(rng)) <= 1e-10
+            rot = sample_uniform_rotation(rng)
+            assert model.so3_term(stack_pair(stack, v, rot.m), rot)[0] <= 1e-10
 
     def test_positive_on_broken_stack(self):
+        # the keypoint head's flattening fusion is not equivariant, and a
+        # fresh model has not been trained toward consistency
         rng = RNG(9)
         for _ in range(10):
-            stack = make_broken_stack(int(rng.integers(1 << 30)))
-            v = rng.normal(size=(3, 4, 12))
-            assert so3_loss(stack, v, sample_uniform_rotation(rng)) > 1e-3
+            model = init_model(SMALL_MODEL, seed=int(rng.integers(1 << 30)))
+            points = rng.uniform(-0.1, 0.1, size=(40, 3))
+            colors = rng.uniform(0.0, 1.0, size=(40, 3))
+            app_in = appearance_input(PointCloud(points=points, attributes=colors))
+            rot = sample_uniform_rotation(rng)
+            offsets = model.forward(model.lift(points, colors), app_in, ctx={}, rotation=rot).offsets
+            assert model.so3_term(offsets, rot)[0] > 1e-3
 
 
 class TestTotalLoss:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import add_s_brute
 from equipose.errors import EmptyInput, RegistryMiss
 from equipose.geometry import (
     RigidTransform,
@@ -15,7 +16,6 @@ from equipose.metrics import (
     PoseMetricsReport,
     add,
     add_s,
-    add_s_brute,
     auc,
     evaluate_dataset,
     model_diameter,

@@ -317,9 +317,9 @@ def stacked_pair_reference(model, t, cfg, rotation):
 
 
 class DenseKpHead(KpHead):
-    """The keypoint head with one dense first-layer input: the pooled half
-    copied to every point, the appearance features to every cloud, and the
-    whole concatenated per point."""
+    """The keypoint head on the full trunk output (..., 3, C, N), its pooled
+    channels at every point, with the appearance features copied to every
+    cloud: one concatenated first-layer input per point."""
 
     @classmethod
     def sharing(cls, head):
@@ -327,13 +327,8 @@ class DenseKpHead(KpHead):
         dense.mlp = head.mlp  # the same parameters, not a copy
         return dense
 
-    def forward(self, local, pooled, appearance, train=False, ctx=None):
-        lead = np.broadcast_shapes(local.shape[:-3], pooled.shape[:-3], appearance.shape[:-2])
-        n, half = local.shape[-1], self.n_channels // 2
-        equi = np.concatenate(
-            [np.broadcast_to(local, lead + (3, half, n)), np.broadcast_to(pooled, lead + (3, half, n))],
-            axis=-2,
-        )
+    def forward(self, equi, appearance, train=False, ctx=None):
+        lead, n = equi.shape[:-3], equi.shape[-1]
         rows = np.swapaxes(equi, -1, -3).reshape(lead + (n, 3 * self.n_channels))
         app = np.broadcast_to(appearance, lead + appearance.shape[-2:])
         cache = self._new_cache(ctx)
@@ -342,20 +337,54 @@ class DenseKpHead(KpHead):
         return out.reshape(out.shape[:-1] + (self.n_keypoints + 1, 3))
 
     def backward(self, grad, ctx=None):
+        """Returns (d equi, d appearance), each the shape of its input."""
         cache = self._get_cache(ctx)
         (d_fused,) = self.mlp.backward(grad.reshape(grad.shape[:-2] + (-1,)), ctx=cache["mlp"])
-        c, half = self.n_channels, self.n_channels // 2
+        c = self.n_channels
         d_equi = np.swapaxes(d_fused[..., : 3 * c].reshape(d_fused.shape[:-1] + (c, 3)), -1, -3)
         d_app = d_fused[..., 3 * c :]
-        d_app = d_app.sum(axis=tuple(range(d_app.ndim - len(cache["app_shape"]))))
-        return d_equi[..., :half, :], d_equi[..., half:, :].sum(axis=-1, keepdims=True), d_app
+        return d_equi, d_app.sum(axis=tuple(range(d_app.ndim - len(cache["app_shape"]))))
+
+
+def hand_folded_reference(model, t, cfg, rotation):
+    """The sample's losses and gradients from the model's parts, without
+    PoseModel.forward/backward: the backbone on the stacked pair (v, v
+    rotated by R), the invariant branch, appearance encoder and segmentation
+    head on the straight half, and DenseKpHead on the whole trunk output of
+    both halves. The gradients fold by hand: the invariant branch's onto the
+    straight half, the input's as dv[0] + rotate_feature(dv[1], R^T).
+    Returns (LossReport, parameter gradients, d v, d app_in)."""
+    w, n_kp = cfg.weights, model.cfg.n_keypoints
+    kp_head = DenseKpHead.sharing(model.kp_head)
+    ctx = {part: {} for part in ("backbone", "invariant", "appearance", "seg", "kp")}
+    model.zero_grad()
+    v = np.stack([t.v, rotate_feature(t.v, rotation.m)])
+    equi = model.backbone.forward(v, train=True, ctx=ctx["backbone"])
+    inv = model.invariant.forward(equi[0], train=True, ctx=ctx["invariant"])
+    app = model.appearance.forward(t.app_in, train=True, ctx=ctx["appearance"])
+    logits = model.seg_head.forward(inv, app, train=True, ctx=ctx["seg"])
+    offsets = kp_head.forward(equi, app, train=True, ctx=ctx["kp"])
+    seg_value, d_seg = focal_loss_grad(logits, t.labels)
+    kp_value, d_kp = l1_offset_loss_grad(offsets[0, :, :n_kp], t.gt_offsets[:, :n_kp], t.fg_mask)
+    center_value, d_center = l1_offset_loss_grad(offsets[0, :, n_kp:], t.gt_offsets[:, n_kp:], t.fg_mask)
+    so3_value, d_offsets = model.so3_term(offsets, rotation, weight=w.so3)
+    d_offsets[0] += np.concatenate([w.kp * d_kp, w.center * d_center], axis=1)
+    d_equi, d_app_kp = kp_head.backward(d_offsets, ctx=ctx["kp"])
+    d_inv, d_app_seg = model.seg_head.backward(w.seg * d_seg, ctx=ctx["seg"])
+    d_equi[0] += model.invariant.backward(d_inv, ctx=ctx["invariant"])
+    dv = model.backbone.backward(d_equi, ctx=ctx["backbone"])
+    d_app = model.appearance.backward(d_app_seg + d_app_kp, ctx=ctx["appearance"])
+    report = total_loss((seg_value, kp_value, center_value, so3_value), w)
+    grads = {n: p.grad.copy() for n, p in named_params(model) if p.kind != "stat"}
+    return report, grads, dv[0] + rotate_feature(dv[1], rotation.m.T), d_app
 
 
 def assert_matches_the_stacked_pair(model, reference, t, cfg, rotation):
-    """sample_losses_and_grads on `model` against stacked_pair_reference on
-    `reference`, a copy with the same parameters: losses to 1e-12 relative,
-    the input and parameter gradients to 1e-10 of each one's largest entry."""
-    ref_report, ref_grads, ref_dv, ref_dapp = stacked_pair_reference(reference, t, cfg, rotation)
+    """sample_losses_and_grads on `model` against `reference`, one of the
+    stacked-pair references above, run on a copy of `model`: losses to 1e-12
+    relative, the input and parameter gradients to 1e-10 of each one's
+    largest entry."""
+    ref_report, ref_grads, ref_dv, ref_dapp = reference(copy.deepcopy(model), t, cfg, rotation)
     model.zero_grad()
     report, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation)
     for name in ("seg", "kp", "center", "so3", "total"):
@@ -404,11 +433,12 @@ class TestOnePassPerSample:
         t = scene_tensors(small_scenes(1, seed=70)[0], model)
         rng = RNG(5)
         for _ in range(3):
-            assert_matches_the_stacked_pair(model, copy.deepcopy(model), t, cfg, sample_uniform_rotation(rng))
+            assert_matches_the_stacked_pair(model, stacked_pair_reference, t, cfg, sample_uniform_rotation(rng))
 
     @pytest.mark.parametrize("batch_norm", [False, True])
     def test_matches_the_dense_first_layer(self, batch_norm):
-        # the keypoint head's blocks against the stacked pair run through one
+        # the keypoint head's blocks and PoseModel's slicing and folding of the
+        # trunk output against the model's parts folded by hand, with one
         # concatenated first-layer input per point
         cfg = TrainConfig()
         model = init_model(ModelConfig(n_classes=4, batch_norm=batch_norm), seed=1)
@@ -416,9 +446,7 @@ class TestOnePassPerSample:
         rng = RNG(6)
         for i in range(3):
             t = scene_tensors(render_scene(object_models, SCENE_RECIPE, seed=10_000 + i), model)
-            reference = copy.deepcopy(model)
-            reference.kp_head = DenseKpHead.sharing(reference.kp_head)
-            assert_matches_the_stacked_pair(model, reference, t, cfg, sample_uniform_rotation(rng))
+            assert_matches_the_stacked_pair(model, hand_folded_reference, t, cfg, sample_uniform_rotation(rng))
 
     def test_running_stats_move_once_per_sample(self):
         model = init_model(TINY_MODEL, seed=3)
