@@ -265,8 +265,8 @@ def load_model(path) -> PoseModel:
     """Build the model the manifest's config describes and fill its
     parameters by name from the blob. A manifest whose tensors are not
     exactly that model's parameters, name for name and shape for shape, is
-    an InputError naming the manifest; a blob too short for them, one naming
-    the blob."""
+    an InputError naming the manifest; a blob too short for them or holding
+    a non-finite value, one naming the blob."""
     with read_json(str(path) + ".json") as manifest:
         model = PoseModel(ModelConfig.from_dict(manifest["model_config"]))
         params = dict(named_params(model))
@@ -287,4 +287,6 @@ def load_model(path) -> PoseModel:
                 p = params[t["name"]]
                 values = np.frombuffer(blob, dtype=t["dtype"], count=p.value.size, offset=t["offset"])
                 p.value[...] = values.reshape(p.value.shape)
+                if not np.isfinite(p.value).all():
+                    raise ValueError(f"tensor {t['name']} has a non-finite value")
     return model

@@ -111,11 +111,17 @@ def mean_shift_modes(
     per-pair test. Every open position then moves to the mean of its
     neighbours, (within @ x) / counts with the 0/1 neighbour matrix `within`,
     even when its row holds every point. When the certificate passes every
-    position, all seeds meet at the shared mean. Converged positions are
-    merged within one bandwidth, densest first, ties going to the one holding
-    the lowest seed index. Returns (modes (k, d), counts (k,)) ordered by
-    decreasing support, count being the number of points within one bandwidth
-    of the mode. Neighbour sets and counts equal those of iterating every seed
+    position, all seeds meet at the shared mean. When it passes every point
+    (2 rho <= h (1 - 1e-9), tested with the arithmetic the loop uses for
+    positions), it passes every seed: iteration 0 sends all seeds to the
+    shared mean, which lies within rounding of c and passes again, so the
+    loop would end on that one mode with count n. The call returns it at
+    once, from the loop's own single-row product, so the bits are the loop's;
+    with max_iter = 0 the loop returns a seed instead, so it still runs.
+    Converged positions are merged within one bandwidth, densest first, ties
+    going to the one holding the lowest seed index. Returns (modes (k, d),
+    counts (k,)) ordered by decreasing support, count being the number of
+    points within one bandwidth of the mode. Neighbour sets and counts equal those of iterating every seed
     separately; a mean can differ from that in its last bits, because BLAS
     sums a row of a product differently depending on how many rows the
     product has.
@@ -124,14 +130,16 @@ def mean_shift_modes(
     n = x.shape[0]
     if n == 0:
         return np.zeros((0, x.shape[1] if x.ndim == 2 else 0)), np.zeros(0, dtype=int)
-    stride = max(1, int(np.ceil(n / max_seeds)))
-    modes, seed_at = _distinct_rows(x[::stride])
-    h2 = bandwidth * bandwidth
     centre = x.mean(axis=0)
     xc = x - centre
     xc_sq = np.einsum("ij,ij->i", xc, xc)
     x_radius = np.sqrt(xc_sq.max())
     reach = bandwidth * (1.0 - 1e-9) - x_radius
+    if x_radius <= reach and max_iter >= 1:  # every vote certifies every seed
+        return (np.ones((1, n)) @ x) / n, np.array([n])
+    stride = max(1, int(np.ceil(n / max_seeds)))
+    modes, seed_at = _distinct_rows(x[::stride])
+    h2 = bandwidth * bandwidth
     rhs = np.vstack([-2.0 * xc.T, np.ones(n), xc_sq - h2])
     ones = np.ones(n)
     full_mean = None  # the one mean of every certified position, made on first use
@@ -139,7 +147,8 @@ def mean_shift_modes(
     def neighbours(modes):
         """The positions the certificate leaves open, and their neighbour rows
         (None when it leaves none open)."""
-        is_open = np.linalg.norm(modes - centre, axis=1) > reach
+        mc = modes - centre
+        is_open = np.sqrt(np.einsum("ij,ij->i", mc, mc)) > reach  # x_radius's own arithmetic
         if not is_open.any():
             return is_open, None
         return is_open, _open_rows(modes[is_open], x, centre, rhs, x_radius, h2)

@@ -38,6 +38,10 @@ class ObjectModel:
         self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
         self.keypoints = np.asarray(self.keypoints, dtype=np.float64).reshape(-1, 3)
         self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
+        if not (np.isfinite(self.keypoints).all() and np.isfinite(self.center).all()):
+            raise InputError(f"model {self.id} has a non-finite keypoint or center entry")
+        if not (np.isfinite(self.diameter) and self.diameter > 0.0):
+            raise InputError(f"model {self.id} diameter must be finite and positive, got {self.diameter}")
         if self.colors is not None:
             self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
 

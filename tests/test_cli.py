@@ -597,6 +597,22 @@ def _eval_on_registry_without_y(dataset, tmp_path):
     return [*argv, "--out-dir", str(tmp_path / "out"), "--oracle-heads"], path
 
 
+def _eval_on_edited_model_json(edit):
+    """`eval --oracle-heads` on a copy of the registry whose model_001.json is edited."""
+
+    def case(dataset, tmp_path):
+        registry = tmp_path / "registry"
+        shutil.copytree(dataset / "registry", registry)
+        path = registry / "model_001.json"
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+        argv = ["eval", "--scenes-dir", str(dataset / "scenes"), "--registry-dir", str(registry)]
+        return [*argv, "--out-dir", str(tmp_path / "out"), "--oracle-heads"], path
+
+    return case
+
+
 def _train_on_mixed_keypoint_counts(dataset, tmp_path):
     """Two 5-keypoint scenes after the dataset's 8-keypoint ones; the first is named."""
     from equipose.synth import SceneConfig, make_default_models, render_scene, save_scene
@@ -675,6 +691,13 @@ def _train_with_fractional_epochs(dataset, tmp_path):
     return [*argv, "--config", str(path)], path
 
 
+def _eval_on_nan_params(dataset, tmp_path):
+    path = tmp_path / "params.bin"
+    save_model(init_model(ModelConfig(n_classes=4), seed=0), path)
+    path.write_bytes(np.full(path.stat().st_size // 8, np.nan).tobytes())
+    return _eval_argv(dataset, tmp_path, dataset / "scenes", "--params", str(path)), path
+
+
 def _eval_on_truncated_params(dataset, tmp_path):
     path = tmp_path / "params.bin"
     save_model(init_model(ModelConfig(n_classes=4), seed=0), path)
@@ -719,6 +742,10 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _metrics_on_nan_rotation,
         _fit_pose_on({"source": np.eye(3).tolist(), "target": np.eye(3).tolist(), "weights": [-1, 1, 1]}),
         _fit_pose_on({"source": np.eye(3).tolist(), "target": np.eye(3)[:2].tolist()}),
+        _eval_on_nan_params,
+        _eval_on_edited_model_json(lambda meta: meta["keypoints"][0].__setitem__(0, float("nan"))),
+        _eval_on_edited_model_json(lambda meta: meta.update(diameter=float("nan"))),
+        _eval_on_edited_model_json(lambda meta: meta["center"].__setitem__(1, float("inf"))),
     ],
     ids=[
         "no_source",
@@ -753,6 +780,10 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "detections_nan_rotation",
         "negative_weight",
         "target_rows_differ",
+        "params_nan_value",
+        "registry_nan_keypoint",
+        "registry_nan_diameter",
+        "registry_inf_center",
     ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):

@@ -26,6 +26,7 @@ from equipose.pipeline import (
     vote_keypoints,
 )
 from equipose.synth import Registry, SceneConfig, make_default_models, render_scene
+from test_acceptance import SCENE_RECIPE
 
 RNG = np.random.default_rng
 
@@ -109,6 +110,15 @@ def _one_ball():
     return votes, {"bandwidth": BALL_H}
 
 
+def _certified_seeds_one_far_vote():
+    # the 300 votes stride to the 150 even-index seeds, all within ~0.1 h of
+    # the centroid; vote 1, which is no seed, lies 0.6 h out, so 2 rho > h and
+    # the call runs the loop, yet every seed passes the certificate
+    votes = RNG(15).normal(0.0, 0.02 * BALL_H, size=(300, 3))
+    votes[1] = [0.6 * BALL_H, 0.0, 0.0]
+    return votes + np.array([0.1, -0.2, 0.4]), {"bandwidth": BALL_H}
+
+
 RING = 40
 
 
@@ -159,6 +169,7 @@ class TestMeanShiftMatchesDenseReference:
             _equal_count_ties,
             _stopped_early,
             _one_ball,
+            _certified_seeds_one_far_vote,
             _both_sides_of_bound,
             _vote_at_exactly_h,
         ],
@@ -198,6 +209,20 @@ def _distance_rows(monkeypatch):
         return real(m, x, *rest)
 
     monkeypatch.setattr(pipeline, "_open_rows", spy)
+    return calls
+
+
+def _seed_sorts(monkeypatch):
+    """Spy on pipeline._distinct_rows, which sorts the seeds and then the
+    positions of each iteration: the row count of each call."""
+    calls = []
+    real = pipeline._distinct_rows
+
+    def spy(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(pipeline, "_distinct_rows", spy)
     return calls
 
 
@@ -276,7 +301,7 @@ class TestExactFallback:
 
 class TestFullBallCertificate:
     def test_certified_positions_build_no_distance_row(self, monkeypatch):
-        x, kw = _one_ball()
+        x, kw = _certified_seeds_one_far_vote()
         calls = _distance_rows(monkeypatch)
         modes, counts = mean_shift_modes(x, **kw)
         assert len(modes) == 1 and counts[0] == len(x)
@@ -286,15 +311,8 @@ class TestFullBallCertificate:
     def test_certified_positions_share_one_mean(self, monkeypatch):
         # every seed collapses onto the one shared mean: only the initial seed
         # dedupe sorts positions
-        x, kw = _one_ball()
-        calls = []
-        real = pipeline._distinct_rows
-
-        def spy(a):
-            calls.append(len(a))
-            return real(a)
-
-        monkeypatch.setattr(pipeline, "_distinct_rows", spy)
+        x, kw = _certified_seeds_one_far_vote()
+        calls = _seed_sorts(monkeypatch)
         mean_shift_modes(x, **kw)
         assert calls == [150]  # the 300 votes strided to at most 256 seeds
 
@@ -318,6 +336,47 @@ class TestFullBallCertificate:
         mean_shift_modes(x, **kw)
         first_rows, n = calls[0]
         assert n == len(x) and first_rows == RING
+
+
+def _fits_at(side):
+    # a core and two opposite votes: the bandwidth puts 2 rho a relative 1e-12
+    # below or above h (1 - 1e-9), rho measured as mean_shift_modes does
+    rng = RNG(16)
+    x = np.vstack([rng.normal(0.0, 0.01, size=(60, 3)), [[0.3, 0.0, 0.0], [-0.3, 0.0, 0.0]]])
+    x += np.array([0.2, 0.1, -0.3])
+    xc = x - x.mean(axis=0)
+    rho = np.sqrt(np.einsum("ij,ij->i", xc, xc).max())
+    h = 2.0 * rho / (1.0 - 1e-9) * (1.0 + {"below": 1e-12, "above": -1e-12}[side])
+    return x, {"bandwidth": h}
+
+
+class TestWholeSetCertificate:
+    def test_set_within_half_a_bandwidth_returns_its_mean_at_once(self, monkeypatch):
+        x, kw = _one_ball()
+        sorts, rows = _seed_sorts(monkeypatch), _distance_rows(monkeypatch)
+        modes, counts = mean_shift_modes(x, **kw)
+        np.testing.assert_array_equal(modes, (np.ones((1, len(x))) @ x) / len(x))
+        np.testing.assert_array_equal(counts, [len(x)])
+        assert sorts == [] and rows == []
+        _assert_matches_dense(x, kw)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    def test_bound_decides_between_mean_and_loop(self, monkeypatch, side):
+        x, kw = _fits_at(side)
+        sorts = _seed_sorts(monkeypatch)
+        _assert_matches_dense(x, kw)
+        assert (len(sorts) == 0) == (side == "below")
+
+    def test_zero_iterations_return_the_first_seed(self, monkeypatch):
+        # the loop never moves a seed, so the call keeps seed 0, which holds
+        # every vote and the lowest seed index
+        x, kw = _one_ball()
+        sorts = _seed_sorts(monkeypatch)
+        modes, counts = mean_shift_modes(x, **kw, max_iter=0)
+        np.testing.assert_array_equal(modes, x[:1])
+        np.testing.assert_array_equal(counts, [len(x)])
+        assert sorts == [150]
+        _assert_matches_dense(x, {**kw, "max_iter": 0})
 
 
 def test_distinct_rows_matches_unique():
@@ -582,6 +641,18 @@ class TestSecondStage:
                 np.testing.assert_allclose(got_d[key], ref_d[key], rtol=0, atol=1e-12)
             for key in ("rotation", "translation"):
                 np.testing.assert_allclose(got_d["pose"][key], ref_d["pose"][key], rtol=0, atol=1e-12)
+
+    def test_oracle_votes_take_no_seed_sort_and_no_row(self, monkeypatch):
+        # every oracle vote of a single-instance scene fits within half a
+        # bandwidth, so each call returns its mean at once
+        models = make_default_models(seed=0, n_vertices=600)
+        registry = Registry(models)
+        sorts, rows = _seed_sorts(monkeypatch), _distance_rows(monkeypatch)
+        for seed in range(500, 530):
+            scene = render_scene(models, SCENE_RECIPE, seed=seed)
+            detections = run_pipeline(scene.cloud, None, registry, oracle=(scene.labels, scene.gt_offsets))
+            assert len(detections) == 1
+            assert sorts == [] and rows == [], f"scene {seed}"
 
     def test_every_traced_step_is_reached_through_the_module(self, monkeypatch):
         # the benchmark's tracer patches these module attributes, so a call

@@ -56,6 +56,13 @@ class TestGenerateObject:
         with pytest.raises(ConfigInvalid):
             generate_object("torus", 100, seed=0)
 
+    @pytest.mark.parametrize("diameter", [np.inf, 0.0, -0.1])
+    def test_diameter_must_be_finite_and_positive(self, diameter):
+        # the NaN and non-finite keypoint/center cases run through `eval` in test_cli
+        model = generate_object("box", 200, seed=0)
+        with pytest.raises(InputError):
+            ObjectModel(1, model.vertices, model.keypoints, model.center, diameter)
+
     def test_keypoints_inside_bounding_sphere(self):
         for model in make_default_models(seed=1, n_vertices=300):
             radius = np.linalg.norm(model.vertices - model.center, axis=1).max()
