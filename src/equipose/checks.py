@@ -125,7 +125,7 @@ def invariance_report(trials: int = 1000, seed: int = 0) -> dict:
     for _ in range(trials):
         v = rng.normal(size=(3, REPORT_CHANNELS, REPORT_POINTS))
         r = sample_uniform_rotation(rng).m
-        head = _fresh(VNInvariant(REPORT_CHANNELS, branch_a=4, branch_b=4, hidden=8, out=8), rng)
+        head = _fresh(VNInvariant(REPORT_CHANNELS, branch=4, hidden=8, out=8), rng)
         worst["invariant_head"] = max(worst["invariant_head"], invariance_residual(head, v, r))
 
         rot = sample_uniform_rotation(rng)

@@ -81,10 +81,7 @@ class Layer:
         return []
 
     def params(self) -> list:
-        out = list(self.own_params())
-        for _, child in self.children():
-            out.extend(child.params())
-        return out
+        return [p for _, p in named_params(self)]
 
     def zero_grad(self):
         for p in self.params():
@@ -373,27 +370,19 @@ class Mlp2(Layer):
 
 
 class VNInvariant(Layer):
-    """Equivariant-to-invariant conversion: two linear vector branches form a
-    per-point Gram matrix (rotation cancels in v_a @ v_b.T), whose flattened
-    entries feed an Mlp2. The Mlp2's parameters are listed as the layer's own
-    (Wa, Wb, W1, b1, W2, b2), so saved names stay e.g. invariant.W1, not
-    invariant.mlp.W1.
+    """Equivariant-to-invariant conversion: two linear vector branches of one
+    width form a per-point Gram matrix (rotation cancels in v_a @ v_b.T), whose
+    flattened entries feed an Mlp2. The Mlp2's parameters are listed as the
+    layer's own (Wa, Wb, W1, b1, W2, b2), so saved names stay e.g.
+    invariant.W1, not invariant.mlp.W1.
     """
 
-    def __init__(
-        self,
-        in_channels: int,
-        branch_a: int = None,
-        branch_b: int = None,
-        hidden: int = 64,
-        out: int = 64,
-    ):
+    def __init__(self, in_channels: int, branch: int, hidden: int, out: int):
         self.in_channels = in_channels
-        self.branch_a = in_channels if branch_a is None else branch_a
-        self.branch_b = in_channels if branch_b is None else branch_b
-        self.wa = Param("Wa", np.zeros((self.branch_a, in_channels)))
-        self.wb = Param("Wb", np.zeros((self.branch_b, in_channels)))
-        self.mlp = Mlp2(self.branch_a * self.branch_b, hidden, out)
+        self.branch = branch
+        self.wa = Param("Wa", np.zeros((branch, in_channels)))
+        self.wb = Param("Wb", np.zeros((branch, in_channels)))
+        self.mlp = Mlp2(branch * branch, hidden, out)
 
     def own_params(self):
         return [self.wa, self.wb] + self.mlp.own_params()
@@ -402,11 +391,11 @@ class VNInvariant(Layer):
         v = np.asarray(v, dtype=np.float64)
         _check_channels(v, self.in_channels, "VNInvariant")
         cache = self._new_cache(ctx)
-        # the branches as per-point (A, 3) and (B, 3) matrices
+        # the branches as per-point (B, 3) matrices
         va = np.swapaxes(np.matmul(self.wa.value, v), -1, -3)
         vb = np.swapaxes(np.matmul(self.wb.value, v), -1, -3)
         gram = np.matmul(va, np.swapaxes(vb, -1, -2))
-        flat = gram.reshape(gram.shape[:-2] + (self.branch_a * self.branch_b,))
+        flat = gram.reshape(gram.shape[:-2] + (self.branch * self.branch,))
         cache.update(v=v, va=va, vb=vb, mlp={})
         return self.mlp.forward(flat, train=train, ctx=cache["mlp"])
 
@@ -414,7 +403,7 @@ class VNInvariant(Layer):
         cache = self._get_cache(ctx)
         v, va, vb = cache["v"], cache["va"], cache["vb"]
         (d_flat,) = self.mlp.backward(grad, ctx=cache["mlp"])
-        d_gram = d_flat.reshape(d_flat.shape[:-1] + (self.branch_a, self.branch_b))
+        d_gram = d_flat.reshape(d_flat.shape[:-1] + (self.branch, self.branch))
         d_va = np.matmul(d_gram, vb)
         d_vb = np.matmul(np.swapaxes(d_gram, -1, -2), va)
         # back from per-point matrices to contiguous planes

@@ -150,13 +150,7 @@ class PoseModel(Layer):
             c = 2 * width
         self.trunk_channels = c
         self.backbone = Sequential(blocks)
-        self.invariant = VNInvariant(
-            c,
-            branch_a=cfg.invariant_branch,
-            branch_b=cfg.invariant_branch,
-            hidden=cfg.invariant_hidden,
-            out=cfg.invariant_out,
-        )
+        self.invariant = VNInvariant(c, cfg.invariant_branch, cfg.invariant_hidden, cfg.invariant_out)
         self.appearance = AppearanceEncoder(cfg.app_hidden, cfg.app_out)
         self.seg_head = SegHead(cfg.invariant_out, cfg.app_out, cfg.head_hidden, cfg.n_classes)
         self.kp_head = KpHead(c, cfg.app_out, cfg.head_hidden, cfg.n_keypoints)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -52,7 +53,7 @@ def _pair_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _open_rows(m, x, centre, rhs, x_radius, h2):
+def _neighbour_rows(m, x, centre, rhs, x_radius, h2):
     """Flat-kernel neighbour rows [|m_i - x_j|^2 <= h2] as float 0/1, shape
     (len(m), len(x)), from one GEMM on coordinates centred at `centre`:
     [m~, |m~|^2, 1] @ rhs with m~ = m - centre and rhs = [-2 x~^T; 1; |x~|^2 - h2],
@@ -99,32 +100,24 @@ def mean_shift_modes(
     seeds that reach one position move together for good: each iteration
     advances only the distinct positions, and each seed keeps the index of its
     own. A position's neighbours are the points x with |m - x|^2 <= h^2 (h the
-    bandwidth), decided exactly for every pair. A full-ball certificate decides
-    a whole row: with c the points' centroid and rho = max |x - c|, a position
-    with |m - c| <= h (1 - 1e-9) - rho holds every point by the triangle
-    inequality, so no row is built for it: its count is n, and every certified
-    position moves to one shared mean of all points, computed at most once per
-    call. The 1e-9 margin is far wider than the rounding of either side, so a
-    certified row never differs from the exact test. The open rows come from
-    one GEMM on centred coordinates (_open_rows), whose sign is certain outside
-    a narrow band around h^2; the few pairs inside the band get the exact
-    per-pair test. Every open position then moves to the mean of its
-    neighbours, (within @ x) / counts with the 0/1 neighbour matrix `within`,
-    even when its row holds every point. When the certificate passes every
-    position, all seeds meet at the shared mean. When it passes every point
-    (2 rho <= h (1 - 1e-9), tested with the arithmetic the loop uses for
-    positions), it passes every seed: iteration 0 sends all seeds to the
-    shared mean, which lies within rounding of c and passes again, so the
-    loop would end on that one mode with count n. The call returns it at
-    once, from the loop's own single-row product, so the bits are the loop's;
-    with max_iter = 0 the loop returns a seed instead, so it still runs.
-    Converged positions are merged within one bandwidth, densest first, ties
-    going to the one holding the lowest seed index. Returns (modes (k, d),
-    counts (k,)) ordered by decreasing support, count being the number of
-    points within one bandwidth of the mode. Neighbour sets and counts equal those of iterating every seed
-    separately; a mean can differ from that in its last bits, because BLAS
-    sums a row of a product differently depending on how many rows the
-    product has.
+    bandwidth), decided exactly for every pair: the rows come from one GEMM on
+    centred coordinates (_neighbour_rows), whose sign is certain outside a
+    narrow band around h^2, and the few pairs inside the band get the exact
+    per-pair test. Every position then moves to the mean of its neighbours,
+    (within @ x) / counts with the 0/1 neighbour matrix `within`. When every
+    point lies within half a bandwidth of the points' centroid c (2 rho <=
+    h (1 - 1e-9), rho = max |x - c|), every point lies within h of every other,
+    so iteration 0 sends all seeds to the mean of all points and the loop
+    would end on that one mode with count n. The call returns that mean at
+    once, as a single-row product; the loop would form it as a k-row product,
+    so the two agree within rounding. With max_iter = 0 the loop returns a
+    seed instead, so it still runs. Converged positions are merged within one
+    bandwidth, densest first, ties going to the one holding the lowest seed
+    index. Returns (modes (k, d), counts (k,)) ordered by decreasing support,
+    count being the number of points within one bandwidth of the mode.
+    Neighbour sets and counts equal those of iterating every seed separately;
+    a mean can differ from that in its last bits, because BLAS sums a row of
+    a product differently depending on how many rows the product has.
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
@@ -135,51 +128,27 @@ def mean_shift_modes(
     xc_sq = np.einsum("ij,ij->i", xc, xc)
     x_radius = np.sqrt(xc_sq.max())
     reach = bandwidth * (1.0 - 1e-9) - x_radius
-    if x_radius <= reach and max_iter >= 1:  # every vote certifies every seed
+    if x_radius <= reach and max_iter >= 1:  # every vote lies within h of every vote
         return (np.ones((1, n)) @ x) / n, np.array([n])
     stride = max(1, int(np.ceil(n / max_seeds)))
     modes, seed_at = _distinct_rows(x[::stride])
     h2 = bandwidth * bandwidth
     rhs = np.vstack([-2.0 * xc.T, np.ones(n), xc_sq - h2])
     ones = np.ones(n)
-    full_mean = None  # the one mean of every certified position, made on first use
-
-    def neighbours(modes):
-        """The positions the certificate leaves open, and their neighbour rows
-        (None when it leaves none open)."""
-        mc = modes - centre
-        is_open = np.sqrt(np.einsum("ij,ij->i", mc, mc)) > reach  # x_radius's own arithmetic
-        if not is_open.any():
-            return is_open, None
-        return is_open, _open_rows(modes[is_open], x, centre, rhs, x_radius, h2)
-
     for _ in range(max_iter):
-        is_open, within = neighbours(modes)
-        if full_mean is None and not is_open.all():
-            full_mean = (np.ones((1, n)) @ x) / n
-        new_modes = full_mean  # every position holds every point: all meet at its mean
-        if within is not None:
-            counts = within @ ones
-            moved = (within @ x) / np.maximum(counts, 1)[:, None]
-            empty = counts == 0  # an isolated position stays put
-            moved[empty] = modes[is_open][empty]
-            new_modes = np.empty_like(modes)
-            new_modes[is_open] = moved
-            if full_mean is not None:
-                new_modes[~is_open] = full_mean
+        within = _neighbour_rows(modes, x, centre, rhs, x_radius, h2)
+        counts = within @ ones
+        new_modes = (within @ x) / np.maximum(counts, 1)[:, None]
+        empty = counts == 0  # an isolated position stays put
+        new_modes[empty] = modes[empty]
         shift = np.linalg.norm(new_modes - modes, axis=1).max()
-        if within is None:
-            seed_at = np.zeros_like(seed_at)
-        elif len(new_modes) > 1:
+        if len(new_modes) > 1:
             new_modes, step = _distinct_rows(new_modes)
             seed_at = step[seed_at]
         modes = new_modes
         if shift < tol:
             break
-    is_open, within = neighbours(modes)
-    counts = np.full(len(modes), n)
-    if within is not None:
-        counts[is_open] = within @ ones
+    counts = (_neighbour_rows(modes, x, centre, rhs, x_radius, h2) @ ones).astype(int)
     if len(modes) == 1:
         return modes, counts
     _, first_seed = np.unique(seed_at, return_index=True)
@@ -262,9 +231,16 @@ class InstanceDetection:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InstanceDetection":
+        """The inverse of to_dict; a class or index that is not an integer, a
+        bool included, or a missing `indices` list raises ValueError or KeyError."""
+        class_id, indices = d["class"], np.asarray(d["indices"])
+        if isinstance(class_id, bool) or not isinstance(class_id, Integral):
+            raise ValueError(f"class must be an integer, got {class_id!r}")
+        if indices.ndim != 1 or (indices.size and indices.dtype.kind not in "iu"):
+            raise ValueError("indices must be a list of integers")
         return cls(
-            class_id=int(d["class"]),
-            indices=np.asarray(d.get("indices", []), dtype=int),
+            class_id=int(class_id),
+            indices=indices.astype(int),
             keypoints=np.asarray(d["keypoints"], dtype=np.float64),
             center=np.asarray(d["center"], dtype=np.float64),
             pose=pose_from_dict(d["pose"]),

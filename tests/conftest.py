@@ -2,12 +2,22 @@
 output pair of a layer stack in the form PoseModel.so3_term takes, and the
 brute-force ADD-S reference."""
 
-import numpy as np
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import equipose
 from equipose.geometry import RigidTransform
 from equipose.layers import named_params, rotate_feature
 from equipose.metrics import BLOCK_ROWS, _vertices
 from equipose.train import central_differences, max_relative_error
+
+# The tests exercise the checkout: pyproject.toml puts <root>/src first on
+# sys.path, and an equipose imported from anywhere else ends the session.
+SRC = Path(__file__).resolve().parent.parent / "src"
+if Path(equipose.__file__).resolve().parent != SRC / "equipose":
+    pytest.exit(f"tests: imported equipose from {equipose.__file__}, not {SRC}", returncode=4)
 
 
 def layer_fd_check(layer, x, train=False, step=1e-6, seed=99):

@@ -645,18 +645,22 @@ def _nan_first_translation(text):
     return json.dumps(sidecar)
 
 
-def _metrics_on_nan_rotation(dataset, tmp_path):
-    """`metrics` on oracle-head detections whose first scene's first pose has
-    a NaN rotation entry."""
-    argv = _eval_argv(dataset, tmp_path, dataset / "scenes", "--oracle-heads")
-    assert main(argv) == EXIT_OK
-    detections = tmp_path / "out" / "detections"
-    path = detections / "scene_00000.json"
-    doc = json.loads(path.read_text())
-    doc["detections"][0]["pose"]["rotation"][0][0] = float("nan")
-    path.write_text(json.dumps(doc))
-    scenes = ["--scenes-dir", str(dataset / "scenes"), "--registry-dir", str(dataset / "registry")]
-    return ["metrics", "--detections-dir", str(detections), *scenes, "--out", str(tmp_path / "r.csv")], path
+def _metrics_on_edited_detections(edit):
+    """`metrics` on oracle-head detections whose first scene's first detection
+    is edited."""
+
+    def case(dataset, tmp_path):
+        argv = _eval_argv(dataset, tmp_path, dataset / "scenes", "--oracle-heads")
+        assert main(argv) == EXIT_OK
+        detections = tmp_path / "out" / "detections"
+        path = detections / "scene_00000.json"
+        doc = json.loads(path.read_text())
+        edit(doc["detections"][0])
+        path.write_text(json.dumps(doc))
+        scenes = ["--scenes-dir", str(dataset / "scenes"), "--registry-dir", str(dataset / "registry")]
+        return ["metrics", "--detections-dir", str(detections), *scenes, "--out", str(tmp_path / "r.csv")], path
+
+    return case
 
 
 def _train_on_edited_dataset_json(edit):
@@ -739,7 +743,11 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _eval_with_fractional_label,
         _train_on_mixed_keypoint_counts,
         _on_edited_scene(".json", _nan_first_translation),
-        _metrics_on_nan_rotation,
+        _metrics_on_edited_detections(lambda det: det["pose"]["rotation"][0].__setitem__(0, float("nan"))),
+        _metrics_on_edited_detections(lambda det: det.update({"class": 1.5})),
+        _metrics_on_edited_detections(lambda det: det.update({"class": True})),
+        _metrics_on_edited_detections(lambda det: det.update(indices=[i + 0.7 for i in det["indices"]])),
+        _metrics_on_edited_detections(lambda det: det.pop("indices")),
         _fit_pose_on({"source": np.eye(3).tolist(), "target": np.eye(3).tolist(), "weights": [-1, 1, 1]}),
         _fit_pose_on({"source": np.eye(3).tolist(), "target": np.eye(3)[:2].tolist()}),
         _eval_on_nan_params,
@@ -778,6 +786,10 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "train_mixed_keypoint_counts",
         "sidecar_nan_translation",
         "detections_nan_rotation",
+        "detections_fractional_class",
+        "detections_bool_class",
+        "detections_fractional_index",
+        "detections_without_indices",
         "negative_weight",
         "target_rows_differ",
         "params_nan_value",

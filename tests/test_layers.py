@@ -49,7 +49,7 @@ def inline_invariant_reference(layer, v, grad):
     w1, b1, w2, b2 = (p.value for p in layer.mlp.own_params())
     va, vb = np.swapaxes(np.matmul(wa, v), -1, -3), np.swapaxes(np.matmul(wb, v), -1, -3)
     gram = np.matmul(va, np.swapaxes(vb, -1, -2))
-    flat = gram.reshape(gram.shape[:-2] + (layer.branch_a * layer.branch_b,))
+    flat = gram.reshape(gram.shape[:-2] + (layer.branch * layer.branch,))
     h = flat @ w1.T + b1
     relu = np.maximum(h, 0.0)
     out = relu @ w2.T + b2
@@ -60,12 +60,12 @@ def inline_invariant_reference(layer, v, grad):
     grads["W1"] = dh2.T @ flat.reshape(dh2.shape[0], -1)
     grads["b1"] = dh2.sum(axis=0)
     d_flat = d_h @ w1
-    d_gram = d_flat.reshape(d_flat.shape[:-1] + (layer.branch_a, layer.branch_b))
+    d_gram = d_flat.reshape(d_flat.shape[:-1] + (layer.branch, layer.branch))
     d_va = np.swapaxes(np.matmul(d_gram, vb), -1, -3)
     d_vb = np.swapaxes(np.matmul(np.swapaxes(d_gram, -1, -2), va), -1, -3)
     v_t = np.swapaxes(v, -1, -2)
-    grads["Wa"] = np.matmul(d_va, v_t).reshape(-1, layer.branch_a, layer.in_channels).sum(axis=0)
-    grads["Wb"] = np.matmul(d_vb, v_t).reshape(-1, layer.branch_b, layer.in_channels).sum(axis=0)
+    grads["Wa"] = np.matmul(d_va, v_t).reshape(-1, layer.branch, layer.in_channels).sum(axis=0)
+    grads["Wb"] = np.matmul(d_vb, v_t).reshape(-1, layer.branch, layer.in_channels).sum(axis=0)
     dv = np.matmul(wa.T, d_va) + np.matmul(wb.T, d_vb)
     return out, dv, grads
 
@@ -292,7 +292,7 @@ class TestVNBatchNorm:
 
 class TestVNInvariant:
     def test_tied_branches_gram_value(self):
-        layer = VNInvariant(1, branch_a=1, branch_b=1, hidden=1, out=1)
+        layer = VNInvariant(1, branch=1, hidden=1, out=1)
         layer.wa.value[...] = 1.0
         layer.wb.value[...] = 1.0
         v = np.array([[[0.0, 3.0, 4.0]]]).T
@@ -301,15 +301,15 @@ class TestVNInvariant:
         np.testing.assert_allclose(ctx["mlp"]["blocks"][0], [[25.0]], atol=1e-12)
 
     def test_named_params_order(self):
-        layer = VNInvariant(4, branch_a=3, branch_b=2, hidden=6, out=5)
+        layer = VNInvariant(4, branch=3, hidden=6, out=5)
         named = named_params(layer)
         assert [name for name, _ in named] == ["Wa", "Wb", "W1", "b1", "W2", "b2"]
-        assert [p.value.shape for _, p in named] == [(3, 4), (2, 4), (6, 6), (6,), (5, 6), (5,)]
+        assert [p.value.shape for _, p in named] == [(3, 4), (3, 4), (6, 9), (6,), (5, 6), (5,)]
 
     @pytest.mark.parametrize("shape", [(3, 4, 9), (2, 3, 4, 9)], ids=["cloud", "stacked"])
     def test_matches_inline_mlp_reference(self, shape):
         rng = RNG(21)
-        layer = fresh(VNInvariant(4, branch_a=3, branch_b=2, hidden=6, out=5), seed=22)
+        layer = fresh(VNInvariant(4, branch=3, hidden=6, out=5), seed=22)
         v = rng.normal(size=shape)
         grad = rng.normal(size=shape[:-3] + (shape[-1], 5))
         ctx = {}
@@ -327,7 +327,7 @@ class TestVNInvariant:
         rng = RNG(17)
         for _ in range(200):
             layer = fresh(
-                VNInvariant(4, branch_a=3, branch_b=2, hidden=6, out=5),
+                VNInvariant(4, branch=3, hidden=6, out=5),
                 seed=int(rng.integers(1 << 30)),
             )
             v = rng.normal(size=(3, 4, 7))
@@ -335,7 +335,7 @@ class TestVNInvariant:
             assert invariance_residual(layer, v, r) <= 1e-10
 
     def test_zero_input_yields_scalar_bias_path(self):
-        layer = fresh(VNInvariant(3, hidden=6, out=4), seed=18)
+        layer = fresh(VNInvariant(3, branch=3, hidden=6, out=4), seed=18)
         mlp = layer.mlp
         mlp.b1.value[...] = RNG(18).normal(size=6)
         mlp.b2.value[...] = RNG(19).normal(size=4)
@@ -517,7 +517,7 @@ class TestLayoutReference:
             "pool_concat": (VNPoolConcat(), False),
             "bn_train": (VNBatchNorm(4), True),
             "bn_eval": (VNBatchNorm(4), False),
-            "invariant": (VNInvariant(4, 3, 2, hidden=6, out=5), False),
+            "invariant": (VNInvariant(4, 3, hidden=6, out=5), False),
         }[name]
         fresh(layer, seed=41)
         for _, p in named_params(layer):
@@ -560,7 +560,7 @@ class TestGradients:
             "bn_train": (VNBatchNorm(4), {"train": True}),
             "bn_eval": (VNBatchNorm(4), {"train": False}),
             "pool_concat": (VNPoolConcat(), {}),
-            "invariant": (VNInvariant(4, 3, 3, hidden=6, out=5), {}),
+            "invariant": (VNInvariant(4, 3, hidden=6, out=5), {}),
         }[name]
         fresh(layer, seed=25)
         assert layer_fd_check(layer, v, **kwargs) <= 1e-6

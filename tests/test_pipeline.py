@@ -104,8 +104,8 @@ BALL_H = 0.02
 
 
 def _one_ball():
-    # every vote lies within 0.26 h of the centroid, so every position the
-    # seeds visit passes the full-ball certificate
+    # every vote lies within 0.26 h of the centroid, so the call returns the
+    # mean of all votes at once
     votes = np.array([0.1, -0.2, 0.4]) + RNG(8).uniform(-0.15, 0.15, size=(300, 3)) * BALL_H
     return votes, {"bandwidth": BALL_H}
 
@@ -113,28 +113,25 @@ def _one_ball():
 def _certified_seeds_one_far_vote():
     # the 300 votes stride to the 150 even-index seeds, all within ~0.1 h of
     # the centroid; vote 1, which is no seed, lies 0.6 h out, so 2 rho > h and
-    # the call runs the loop, yet every seed passes the certificate
+    # the call runs the loop, yet every seed's row holds every vote
     votes = RNG(15).normal(0.0, 0.02 * BALL_H, size=(300, 3))
     votes[1] = [0.6 * BALL_H, 0.0, 0.0]
     return votes + np.array([0.1, -0.2, 0.4]), {"bandwidth": BALL_H}
 
 
-RING = 40
-
-
 def _both_sides_of_bound():
-    # a tight core near the centroid passes the certificate (|x - c| <= ~0.1 h
-    # against a reach of ~0.28 h); the ring at 0.7 h does not
+    # a tight core near the centroid (|x - c| <= ~0.1 h) holds every vote in
+    # its rows; a ring vote at 0.7 h does not reach the far side of the ring
     rng = RNG(9)
     core = rng.normal(0.0, 0.02 * BALL_H, size=(200, 3))
-    ring = rng.normal(size=(RING, 3))
+    ring = rng.normal(size=(40, 3))
     ring *= 0.7 * BALL_H / np.linalg.norm(ring, axis=1, keepdims=True)
     return np.vstack([core, ring]) + np.array([0.3, 0.1, -0.2]), {"bandwidth": BALL_H}
 
 
 def _open_row_holding_every_point():
-    # a tight core and one vote 0.6 h away: the core passes the certificate
-    # (reach ~0.4 h), the far vote does not, yet every vote lies within h of it
+    # a tight core and one vote 0.6 h away: 2 rho > h, so the call runs the
+    # loop, yet every vote lies within h of the far vote, whose row holds them all
     rng = RNG(10)
     core = rng.normal(0.0, 0.02 * BALL_H, size=(100, 3))
     far = core.mean(axis=0) + [0.6 * BALL_H, 0.0, 0.0]
@@ -171,6 +168,7 @@ class TestMeanShiftMatchesDenseReference:
             _one_ball,
             _certified_seeds_one_far_vote,
             _both_sides_of_bound,
+            _open_row_holding_every_point,
             _vote_at_exactly_h,
         ],
     )
@@ -197,18 +195,18 @@ class TestMeanShiftMatchesDenseReference:
         np.testing.assert_array_equal(counts, [2, 1])
 
 
-def _distance_rows(monkeypatch):
-    """Spy on pipeline._open_rows, which builds every neighbour row the
-    certificate leaves open: the row count of each call against n points, as
-    (rows, n) pairs in call order."""
+def _neighbour_row_builds(monkeypatch):
+    """Spy on pipeline._neighbour_rows, which builds every neighbour row: the
+    row count of each call against n points, as (rows, n) pairs in call
+    order."""
     calls = []
-    real = pipeline._open_rows
+    real = pipeline._neighbour_rows
 
     def spy(m, x, *rest):
         calls.append((len(m), len(x)))
         return real(m, x, *rest)
 
-    monkeypatch.setattr(pipeline, "_open_rows", spy)
+    monkeypatch.setattr(pipeline, "_neighbour_rows", spy)
     return calls
 
 
@@ -299,45 +297,6 @@ class TestExactFallback:
         assert sum(calls) == 0
 
 
-class TestFullBallCertificate:
-    def test_certified_positions_build_no_distance_row(self, monkeypatch):
-        x, kw = _certified_seeds_one_far_vote()
-        calls = _distance_rows(monkeypatch)
-        modes, counts = mean_shift_modes(x, **kw)
-        assert len(modes) == 1 and counts[0] == len(x)
-        assert sum(rows for rows, _ in calls) == 0
-        _assert_matches_dense(x, kw)
-
-    def test_certified_positions_share_one_mean(self, monkeypatch):
-        # every seed collapses onto the one shared mean: only the initial seed
-        # dedupe sorts positions
-        x, kw = _certified_seeds_one_far_vote()
-        calls = _seed_sorts(monkeypatch)
-        mean_shift_modes(x, **kw)
-        assert calls == [150]  # the 300 votes strided to at most 256 seeds
-
-    def test_open_position_holding_every_point_takes_the_open_row(self, monkeypatch):
-        x, kw = _open_row_holding_every_point()
-        full_rows = []
-        real = pipeline._open_rows
-
-        def spy(m, points, *rest):
-            within = real(m, points, *rest)
-            full_rows.append(int((within.sum(axis=1) == len(points)).sum()))
-            return within
-
-        monkeypatch.setattr(pipeline, "_open_rows", spy)
-        _assert_matches_dense(x, kw)
-        assert full_rows[0] == 1
-
-    def test_only_uncertified_positions_build_rows(self, monkeypatch):
-        x, kw = _both_sides_of_bound()
-        calls = _distance_rows(monkeypatch)
-        mean_shift_modes(x, **kw)
-        first_rows, n = calls[0]
-        assert n == len(x) and first_rows == RING
-
-
 def _fits_at(side):
     # a core and two opposite votes: the bandwidth puts 2 rho a relative 1e-12
     # below or above h (1 - 1e-9), rho measured as mean_shift_modes does
@@ -353,7 +312,7 @@ def _fits_at(side):
 class TestWholeSetCertificate:
     def test_set_within_half_a_bandwidth_returns_its_mean_at_once(self, monkeypatch):
         x, kw = _one_ball()
-        sorts, rows = _seed_sorts(monkeypatch), _distance_rows(monkeypatch)
+        sorts, rows = _seed_sorts(monkeypatch), _neighbour_row_builds(monkeypatch)
         modes, counts = mean_shift_modes(x, **kw)
         np.testing.assert_array_equal(modes, (np.ones((1, len(x))) @ x) / len(x))
         np.testing.assert_array_equal(counts, [len(x)])
@@ -616,8 +575,8 @@ class TestSecondStage:
 
     @pytest.mark.parametrize("offset_noise", [0.0, 0.004], ids=["oracle", "noisy_offsets"])
     def test_same_detections_as_dense_reference(self, monkeypatch, offset_noise):
-        # the certificate decides ~95% of first positions on oracle votes and
-        # ~12% with noisy offsets, where the exact test decides the rest
+        # most calls on oracle offsets return the mean of all votes at once;
+        # most calls on noisy offsets run the loop
         models = make_default_models(seed=0, n_vertices=400)
         registry = Registry(models)
         scene = render_scene(
@@ -647,7 +606,7 @@ class TestSecondStage:
         # bandwidth, so each call returns its mean at once
         models = make_default_models(seed=0, n_vertices=600)
         registry = Registry(models)
-        sorts, rows = _seed_sorts(monkeypatch), _distance_rows(monkeypatch)
+        sorts, rows = _seed_sorts(monkeypatch), _neighbour_row_builds(monkeypatch)
         for seed in range(500, 530):
             scene = render_scene(models, SCENE_RECIPE, seed=seed)
             detections = run_pipeline(scene.cloud, None, registry, oracle=(scene.labels, scene.gt_offsets))
