@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import ConfigInvalid, EquiposeError, InputError, NonFiniteLoss, RegistryMiss
+from .errors import EquiposeError, InputError, NonFiniteLoss
 from .files import read_json, write_json
 from .geometry import (
     load_correspondences_json,
@@ -68,14 +68,7 @@ def non_negative_int(text: str) -> int:
     return seed
 
 
-def _require_file(path, what: str):
-    if not os.path.exists(path):
-        raise InputError(f"{what} not found: {path}")
-    return path
-
-
 def _scene_stems(directory):
-    _require_file(directory, "scene directory")
     stems = sorted(
         os.path.join(directory, name[:-4])
         for name in os.listdir(directory)
@@ -216,7 +209,7 @@ def cmd_train(args) -> int:
     else:  # the ground-truth classes, so a stray label stays out of range
         n_classes = max((cls for s in scenes for cls, _ in s.gt_poses), default=0) + 1
     if args.config:
-        cfg = TrainConfig.from_json(_require_file(args.config, "train config"))
+        cfg = TrainConfig.from_json(args.config)
     else:
         cfg = TrainConfig(
             learning_rate=args.learning_rate, epochs=args.epochs, seed=args.seed
@@ -228,9 +221,8 @@ def cmd_train(args) -> int:
     history = train(scenes, model, cfg, csv_path=csv_path)
     params_path = os.path.join(args.out_dir, "params.bin")
     save_model(model, params_path)
-    _write_manifest(
-        args.out_dir, "train", args, cfg.seed, [params_path, csv_path], started
-    )
+    artifacts = [params_path, params_path + ".json", csv_path]
+    _write_manifest(args.out_dir, "train", args, cfg.seed, artifacts, started)
     print(
         f"trained {len(history.reports)} steps; final total {history.reports[-1].total:.6f}; "
         f"descent={'ok' if history.descent_ok else 'FAILED'}"
@@ -247,12 +239,8 @@ def cmd_eval(args) -> int:
         raise InputError("eval needs --params (a parameter container from train) or --oracle-heads")
     started = time.monotonic()
     scenes = _load_scenes(args.scenes_dir)
-    registry = load_registry(_require_file(args.registry_dir, "registry directory"))
-    model = None
-    if not args.oracle_heads:
-        _require_file(args.params, "parameter container")
-        _require_file(str(args.params) + ".json", "parameter manifest")
-        model = load_model(args.params)
+    registry = load_registry(args.registry_dir)
+    model = None if args.oracle_heads else load_model(args.params)
     os.makedirs(args.out_dir, exist_ok=True)
     det_dir = os.path.join(args.out_dir, "detections")
     os.makedirs(det_dir, exist_ok=True)
@@ -273,7 +261,7 @@ def cmd_eval(args) -> int:
 
 def cmd_fit_pose(args) -> int:
     started = time.monotonic()
-    corr = load_correspondences_json(_require_file(args.input, "correspondences file"))
+    corr = load_correspondences_json(args.input)
     pose = fit_rigid_least_squares(corr)
     save_pose_json(args.out, pose)
     _write_manifest(args.out, "fit-pose", args, None, [args.out], started)
@@ -287,14 +275,15 @@ def cmd_metrics(args) -> int:
 
     started = time.monotonic()
     scenes = _load_scenes(args.scenes_dir)
-    registry = load_registry(_require_file(args.registry_dir, "registry directory"))
-    _require_file(args.detections_dir, "detections directory")
+    registry = load_registry(args.registry_dir)
+    stored = set(os.listdir(args.detections_dir))
     detections_by_scene = []
     for name in scenes:  # paired by stem; a missing file is a miss
         path = os.path.join(args.detections_dir, f"{name}.json")
-        detections_by_scene.append(detections_from_json(path) if os.path.exists(path) else [])
-    _score(detections_by_scene, scenes, registry, args.out, args.out + ".distances.json")
-    _write_manifest(args.out, "metrics", args, None, [args.out], started)
+        detections_by_scene.append(detections_from_json(path) if f"{name}.json" in stored else [])
+    distances_path = args.out + ".distances.json"
+    _score(detections_by_scene, scenes, registry, args.out, distances_path)
+    _write_manifest(args.out, "metrics", args, None, [args.out, distances_path], started)
     return EXIT_OK
 
 
@@ -412,7 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ConfigInvalid, RegistryMiss, FileNotFoundError) as err:
+    except (InputError, OSError) as err:
         print(f"error: bad input: {err}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except NonFiniteLoss as err:

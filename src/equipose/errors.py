@@ -48,7 +48,7 @@ class TooFewVertices(InputError):
     """Model has fewer vertices than the number of requested keypoints."""
 
 
-class ConfigInvalid(EquiposeError):
+class ConfigInvalid(InputError):
     """Configuration value outside its documented range."""
 
 
@@ -64,7 +64,7 @@ def check_field_types(config) -> None:
             raise ConfigInvalid(f"{f.name} must be {what}, got {value!r}")
 
 
-class RegistryMiss(EquiposeError):
+class RegistryMiss(InputError):
     """Unknown class id looked up in the object model registry."""
 
 

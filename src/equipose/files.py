@@ -7,7 +7,7 @@ import os
 import uuid
 from contextlib import contextmanager
 
-from .errors import ConfigInvalid, EquiposeError, InputError
+from .errors import InputError
 
 
 def write_atomic(path, data) -> None:
@@ -33,23 +33,20 @@ def write_json(path, doc) -> None:
 
 @contextmanager
 def parsing(path):
-    """A KeyError, IndexError, TypeError or ValueError raised in the block
-    becomes an InputError naming `path`, and an InputError or ConfigInvalid
-    one of its own type naming it, unless an inner block named its file
-    already; other EquiposeErrors pass unchanged."""
+    """An InputError raised in the block becomes one of its own type naming
+    `path`, unless an inner block named its file already; a KeyError,
+    IndexError, TypeError or ValueError becomes an InputError naming it."""
     try:
         yield
-    except (InputError, ConfigInvalid) as err:
+    except InputError as err:
         if hasattr(err, "path"):
             raise
         raise _naming(type(err), path, err) from err
-    except EquiposeError:
-        raise
     except (KeyError, IndexError, TypeError, ValueError) as err:
         raise _naming(InputError, path, f"{type(err).__name__}: {err}") from err
 
 
-def _naming(kind, path, what) -> EquiposeError:
+def _naming(kind, path, what) -> InputError:
     err = kind(f"malformed {path}: {what}")
     err.path = path
     return err

@@ -175,8 +175,6 @@ def fit_rigid_least_squares(c: Correspondences) -> RigidTransform:
     less than a plane (cross-covariance rank < 2), since the rotation is then
     not unique.
     """
-    if len(c) < 3:
-        raise DegenerateConfiguration("need at least 3 correspondences")
     w = c.weights / c.weights.sum()
     centroid_src = w @ c.source
     centroid_dst = w @ c.target

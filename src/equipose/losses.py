@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyMaskWarning, InputError, LabelOutOfRange
+from .errors import ConfigInvalid, EmptyMaskWarning, LabelOutOfRange, check_field_types
 
 # The focal loss's published constants (Lin et al., arXiv 1708.02002).
 FOCAL_GAMMA = 2.0
@@ -18,7 +18,7 @@ FOCAL_ALPHA = 0.25
 
 @dataclass(frozen=True)
 class LossWeights:
-    """Weights for the total objective; all must be non-negative."""
+    """Weights for the total objective; all must be finite and non-negative."""
 
     seg: float = 1.0
     kp: float = 1.0
@@ -26,9 +26,10 @@ class LossWeights:
     so3: float = 0.5
 
     def __post_init__(self):
-        for name in ("seg", "kp", "center", "so3"):
-            if getattr(self, name) < 0.0:
-                raise InputError(f"loss weight {name} must be >= 0")
+        check_field_types(self)
+        for name, value in zip(("seg", "kp", "center", "so3"), self.as_tuple()):
+            if not (np.isfinite(value) and value >= 0.0):
+                raise ConfigInvalid(f"loss weight {name} must be finite and non-negative, got {value}")
 
     def as_tuple(self):
         return (self.seg, self.kp, self.center, self.so3)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: artifacts, exit codes, manifests."""
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -9,13 +10,9 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import SRC
 from equipose.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
-from equipose.geometry import (
-    Correspondences,
-    RigidTransform,
-    load_pose_json,
-    sample_uniform_rotation,
-)
+from equipose.geometry import RigidTransform, load_pose_json, sample_uniform_rotation
 from equipose.model import ModelConfig, init_model, save_model
 
 RNG = np.random.default_rng
@@ -160,6 +157,13 @@ def dataset(tmp_path_factory):
     return root
 
 
+def assert_manifest_lists_every_created_file(manifest_path, before):
+    """The manifest's artifacts are the files its command created beside it,
+    besides the manifest itself; `before` is what the directory held."""
+    created = set(manifest_path.parent.iterdir()) - before - {manifest_path}
+    assert sorted(json.loads(manifest_path.read_text())["artifacts"]) == sorted(map(str, created))
+
+
 def scenes_with_first_token(dataset, tmp_path, token, prop, with_meta=True):
     """Copy of the dataset's scenes whose first scene has its first vertex's
     `prop` value replaced by `token`, next to a copy of dataset.json unless
@@ -268,6 +272,7 @@ class TestEvalAndMetrics:
             ]
         )
         report = tmp_path / "report.csv"
+        before = set(tmp_path.iterdir())
         code = main(
             [
                 "metrics",
@@ -287,7 +292,7 @@ class TestEvalAndMetrics:
             fields = row.split(",")
             # detections equal GT: every AUC row prints as 100.000000
             assert fields[1] == "100.000000" and fields[2] == "100.000000"
-        assert (tmp_path / "report.csv.manifest.json").exists()
+        assert_manifest_lists_every_created_file(tmp_path / "report.csv.manifest.json", before)
 
     def test_metrics_pairs_scenes_by_stem(self, dataset, tmp_path):
         # detections of scenes 0-2, scored against scenes 1-2 only: each scene
@@ -395,7 +400,7 @@ class TestTrainCommand:
         assert (out / "params.bin").exists()
         assert (out / "params.bin.json").exists()
         assert (out / "loss.csv").read_text().startswith("step,seg,kp,center,so3,total")
-        assert (out / "manifest.json").exists()
+        assert_manifest_lists_every_created_file(out / "manifest.json", set())
 
     def test_train_config_json(self, dataset, tmp_path):
         cfg_path = tmp_path / "train.json"
@@ -438,12 +443,26 @@ class TestTrainCommand:
             {"epochs": 1, "seed": 1.5},
             {"epochs": 1.5},
             {"epochs": True},
+            {"epochs": 1, "weights": {"so3": float("nan")}},
+            {"epochs": 1, "weights": {"kp": float("inf")}},
+            {"epochs": 1, "weights": {"seg": True}},
         ],
-        ids=["unknown_key", "negative_weight", "removed_key", "negative_seed", "seed_float", "epochs_float", "epochs_bool"],
+        ids=[
+            "unknown_key",
+            "negative_weight",
+            "removed_key",
+            "negative_seed",
+            "seed_float",
+            "epochs_float",
+            "epochs_bool",
+            "nan_weight",
+            "inf_weight",
+            "bool_weight",
+        ],
     )
     def test_bad_config_exits_2(self, dataset, tmp_path, config, capsys):
         cfg_path = tmp_path / "train.json"
-        cfg_path.write_text(json.dumps(config))
+        cfg_path.write_text(json.dumps(config))  # a NaN or inf weight is written as a bare token
         code = main(
             [
                 "train",
@@ -456,7 +475,7 @@ class TestTrainCommand:
             ]
         )
         assert code == EXIT_BAD_INPUT
-        assert "error: bad input" in capsys.readouterr().err
+        assert f"error: bad input: malformed {cfg_path}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag", [["--epochs", "5"], ["--learning-rate", "0.5"], ["--seed", "3"]], ids=lambda f: f[0]
@@ -804,6 +823,53 @@ def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys)
     assert f"error: bad input: malformed {path}: " in capsys.readouterr().err
 
 
+def _path_flags(dataset, tmp_path):
+    """Flags with which each command gets past its path arguments."""
+    scenes, registry = ["--scenes-dir", str(dataset / "scenes")], ["--registry-dir", str(dataset / "registry")]
+    return {
+        "train": [*scenes, "--out-dir", str(tmp_path / "run")],
+        "fit-pose": ["--input", str(tmp_path / "corr.json"), "--out", str(tmp_path / "pose.json")],
+        "eval": [*scenes, *registry, "--out-dir", str(tmp_path / "out"), "--oracle-heads"],
+        "synth-gen": ["--out-dir", str(tmp_path / "data"), "--n-scenes", "1", "--n-vertices", "100"],
+        "check-equivariance": ["--trials", "1", "--out", str(tmp_path / "r.json")],
+        "metrics": ["--detections-dir", str(tmp_path), *scenes, *registry, "--out", str(tmp_path / "r.csv")],
+    }
+
+
+@pytest.mark.parametrize(
+    "command, flag, kind",
+    [
+        ("train", "--config", "dir"),
+        ("fit-pose", "--input", "dir"),
+        ("eval", "--scenes-dir", "file"),
+        ("eval", "--registry-dir", "file"),
+        ("eval", "--out-dir", "file"),
+        ("synth-gen", "--out-dir", "file"),
+        ("check-equivariance", "--out", "dir"),
+        ("metrics", "--detections-dir", "file"),
+        ("train", "--config", "missing"),
+        ("eval", "--registry-dir", "missing"),
+        ("metrics", "--detections-dir", "missing"),
+        ("metrics", "--scenes-dir", "missing"),
+        ("eval", "--scenes-dir", "dir"),  # no scene_*.ply files
+        ("eval", "--registry-dir", "dir"),  # no model files
+    ],
+    ids=lambda v: v.lstrip("-"),
+)
+def test_unusable_path_exits_2_naming_it(dataset, tmp_path, capsys, command, flag, kind):
+    # a file where a directory is expected, the reverse, an empty directory, or nothing at all
+    path = tmp_path / kind
+    if kind == "file":
+        path.write_text("")
+    elif kind == "dir":
+        path.mkdir()
+    write_correspondences(tmp_path / "corr.json")
+    argv = [command, *_path_flags(dataset, tmp_path)[command], flag, str(path)]  # the last flag wins
+    assert main(argv) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input: ") and str(path) in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -823,8 +889,11 @@ def test_negative_seed_exits_2(argv, capsys):
 
 
 def test_version_via_subprocess():
+    # pytest's pythonpath setting does not reach a child process
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "equipose.cli", "--version"],
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -11,7 +11,7 @@ import pytest
 
 from equipose import model as model_mod
 from equipose.cli import EXIT_OK, main
-from equipose.errors import ConfigInvalid, DegenerateConfiguration, InputError, LabelOutOfRange
+from equipose.errors import ConfigInvalid, DegenerateConfiguration, InputError, LabelOutOfRange, RegistryMiss
 from equipose.files import parsing, read_json, write_json
 from equipose.model import ModelConfig, init_model, load_model, save_model
 
@@ -169,6 +169,11 @@ def test_config_errors_keep_their_type_and_name_the_file(tmp_path):
         with read_json(path):
             raise err
     assert caught.value.__cause__ is err
+
+
+def test_config_and_registry_errors_are_input_errors():
+    # parsing names an InputError's file, and the CLI exits 2 on one, by this type alone
+    assert issubclass(ConfigInvalid, InputError) and issubclass(RegistryMiss, InputError)
 
 
 def test_input_errors_keep_their_type_and_are_named_once(tmp_path):

@@ -25,7 +25,6 @@ from equipose.layers import (
     BN_EPS,
     K_DEGENERATE_SQ,
     Layer,
-    Param,
     Sequential,
     VNBatchNorm,
     VNInvariant,

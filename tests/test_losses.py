@@ -5,7 +5,7 @@ import pytest
 
 from conftest import stack_pair
 from equipose.backproject import PointCloud
-from equipose.errors import EmptyMaskWarning, LabelOutOfRange
+from equipose.errors import ConfigInvalid, EmptyMaskWarning, LabelOutOfRange
 from equipose.geometry import Rotation, sample_uniform_rotation
 from equipose.heads import appearance_input
 from equipose.layers import Sequential, VNLinear, VNReLU, init_layer_params
@@ -204,6 +204,13 @@ class TestTotalLoss:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(seg=-0.1)
+
+    @pytest.mark.parametrize(
+        "weight", [{"so3": float("nan")}, {"kp": float("inf")}, {"seg": True}], ids=["nan", "inf", "bool"]
+    )
+    def test_non_finite_or_non_real_weight_rejected(self, weight):
+        with pytest.raises(ConfigInvalid, match=next(iter(weight))):
+            LossWeights(**weight)
 
     def test_csv_row_format(self):
         row = LossReport(1.0, 2.0, 3.0, 4.0, 8.0).csv_row(7)

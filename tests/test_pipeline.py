@@ -8,7 +8,6 @@ from equipose.backproject import PointCloud
 from equipose.geometry import (
     Correspondences,
     RigidTransform,
-    Rotation,
     compose,
     fit_rigid_least_squares,
     geodesic_distance,
@@ -16,7 +15,6 @@ from equipose.geometry import (
 )
 from equipose.metrics import add
 from equipose.pipeline import (
-    InstanceDetection,
     PipelineConfig,
     assign_instances,
     detections_from_json,
