@@ -11,7 +11,7 @@ from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import EmptyInput
 from .files import write_atomic, write_json
-from .geometry import RigidTransform
+from .geometry import RigidTransform, sq_dist
 
 # Upper end, in meters, of the accuracy-vs-threshold curve every AUC integrates.
 AUC_CAP_M = 0.1
@@ -71,8 +71,7 @@ def model_diameter(model_or_vertices) -> float:
         pass
     best = 0.0
     for start in range(0, len(verts), BLOCK_ROWS):
-        d2 = ((verts[start : start + BLOCK_ROWS, None, :] - verts[None, :, :]) ** 2).sum(axis=-1)
-        best = max(best, float(d2.max()))
+        best = max(best, float(sq_dist(verts[start : start + BLOCK_ROWS], verts).max()))
     return float(np.sqrt(best))
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
 from .errors import ConfigInvalid, check_field_types
@@ -70,6 +71,17 @@ class ModelConfig:
         return cls(**d)
 
 
+def _neighbour_mean(points: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """points[neighbours].mean(axis=1) without the (N, k, 3) gather: one
+    product with the 0/1 CSR matrix whose row i holds neighbours[i] in order.
+    The product adds a row's entries in stored order, as the mean adds its
+    axis, so the two agree bit for bit."""
+    n, k = neighbours.shape
+    indptr = np.arange(0, n * k + 1, k)
+    rows = csr_array((np.ones(n * k), neighbours.ravel(), indptr), shape=(n, len(points)))
+    return (rows @ points) / k
+
+
 def lift_cloud(points: np.ndarray, attributes, neighbors: int, scales, cap: float) -> np.ndarray:
     """Per-point equivariant input channels, a contiguous component-major
     feature of shape (3, 8, N).
@@ -94,11 +106,9 @@ def lift_cloud(points: np.ndarray, attributes, neighbors: int, scales, cap: floa
     k_near = min(neighbors, n - 1)
     k_far = min(4 * neighbors, n - 1)
     if k_near >= 1:
-        tree = cKDTree(points)
-        _, idx = tree.query(points, k=k_far + 1)
-        idx = np.atleast_2d(idx)
-        edge_near = points[idx[:, 1 : k_near + 1]].mean(axis=1) - points
-        edge_far = points[idx[:, 1:]].mean(axis=1) - points
+        _, idx = cKDTree(points).query(points, k=k_far + 1)
+        edge_near = _neighbour_mean(points, idx[:, 1 : k_near + 1]) - points
+        edge_far = _neighbour_mean(points, idx[:, 1:]) - points
     else:
         edge_near = np.zeros_like(points)
         edge_far = np.zeros_like(points)

@@ -16,8 +16,10 @@ from .geometry import (
     Correspondences,
     RigidTransform,
     fit_rigid_least_squares,
+    pair_sq_dist,
     pose_from_dict,
     pose_to_dict,
+    sq_dist,
 )
 from .heads import appearance_input
 
@@ -33,26 +35,6 @@ class PipelineConfig:
 CONFIG = PipelineConfig()
 
 
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances (len(a), len(b)) between the rows of a and b, summed
-    one coordinate plane at a time: no (len(a), len(b), d) difference tensor."""
-    out = np.zeros((len(a), len(b)))
-    for a_j, b_j in zip(a.T, np.ascontiguousarray(b.T)):
-        diff = np.subtract.outer(a_j, b_j)
-        out += np.multiply(diff, diff, out=diff)
-    return out
-
-
-def _pair_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances (len(a),) between paired rows a[i] and b[i], with
-    _sq_dist's own arithmetic: each entry is bit-identical to _sq_dist's."""
-    out = np.zeros(len(a))
-    for a_j, b_j in zip(a.T, b.T):
-        diff = a_j - b_j
-        out += np.multiply(diff, diff, out=diff)
-    return out
-
-
 def _neighbour_rows(m, x, centre, rhs, x_radius, h2):
     """Flat-kernel neighbour rows [|m_i - x_j|^2 <= h2] as float 0/1, shape
     (len(m), len(x)), from one GEMM on coordinates centred at `centre`:
@@ -61,7 +43,7 @@ def _neighbour_rows(m, x, centre, rhs, x_radius, h2):
     the product's rounding error is at most about 10 * 2^-53 * S, so its sign
     is right for every entry farther than 1e-9 * S from 0, a margin over 10^5
     times that error. The entries within the margin are decided by
-    _pair_sq_dist on the original coordinates, which is the exact test itself."""
+    pair_sq_dist on the original coordinates, which is the exact test itself."""
     mc = m - centre
     mc_sq = np.einsum("ij,ij->i", mc, mc)
     g = np.column_stack([mc, mc_sq, np.ones(len(m))]) @ rhs
@@ -70,7 +52,7 @@ def _neighbour_rows(m, x, centre, rhs, x_radius, h2):
     unsure = np.flatnonzero(np.abs(g, out=g) <= band)
     if unsure.size:
         i, j = np.divmod(unsure, len(x))
-        within[i, j] = _pair_sq_dist(m[i], x[j]) <= h2
+        within[i, j] = pair_sq_dist(m[i], x[j]) <= h2
     return within
 
 
@@ -154,7 +136,7 @@ def mean_shift_modes(
     _, first_seed = np.unique(seed_at, return_index=True)
     order = np.lexsort((first_seed, -counts))
     modes, counts = modes[order], counts[order]
-    apart = _sq_dist(modes, modes) > h2
+    apart = sq_dist(modes, modes) > h2
     keep = np.ones(len(modes), dtype=bool)
     for i in range(len(modes)):
         if keep[i]:
@@ -178,7 +160,7 @@ def assign_instances(labels, center_votes):
             continue
         votes = center_votes[idx]
         modes, _ = mean_shift_modes(votes, CONFIG.center_bandwidth)
-        nearest = _sq_dist(votes, modes).argmin(axis=1)
+        nearest = sq_dist(votes, modes).argmin(axis=1)
         for mode_index in range(len(modes)):
             members = idx[nearest == mode_index]
             if members.size >= CONFIG.min_points:

@@ -1,16 +1,18 @@
 """Shared helpers: a finite-difference gradient check for single layers, the
-output pair of a layer stack in the form PoseModel.so3_term takes, and the
-brute-force ADD-S reference."""
+output pair of a layer stack in the form PoseModel.so3_term takes, the
+brute-force ADD-S reference, and the gather-formula lift reference."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import equipose
 from equipose.geometry import RigidTransform
 from equipose.layers import named_params, rotate_feature
 from equipose.metrics import BLOCK_ROWS, _vertices
+from equipose.model import LIFT_CHANNELS
 from equipose.train import central_differences, max_relative_error
 
 # The tests exercise the checkout: pyproject.toml puts <root>/src first on
@@ -62,3 +64,36 @@ def add_s_brute(gt: RigidTransform, pred: RigidTransform, model) -> float:
         d = np.sqrt(((block[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1))
         mins[start : start + BLOCK_ROWS] = d.min(axis=1)
     return float(mins.mean())
+
+
+def lift_cloud_gather(points, attributes, neighbors: int, scales, cap: float) -> np.ndarray:
+    """model.lift_cloud with its neighbour means taken by gathering the
+    (N, k, 3) neighbour coordinates and averaging them."""
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    n = points.shape[0]
+    if n == 0:
+        return np.zeros((3, LIFT_CHANNELS, 0))
+    centered = points - points.mean(axis=0)
+    k_near = min(neighbors, n - 1)
+    k_far = min(4 * neighbors, n - 1)
+    if k_near >= 1:
+        _, idx = cKDTree(points).query(points, k=k_far + 1)
+        edge_near = points[idx[:, 1 : k_near + 1]].mean(axis=1) - points
+        edge_far = points[idx[:, 1:]].mean(axis=1) - points
+    else:
+        edge_near = edge_far = np.zeros_like(points)
+    radial = centered / np.maximum(np.linalg.norm(centered, axis=1, keepdims=True), 1e-12)
+    if attributes is not None and attributes.shape[1] >= 3:
+        tint = np.asarray(attributes, dtype=np.float64)[:, :3] - 0.5
+    else:
+        tint = np.zeros((n, 3))
+    channels = [
+        scales[0] * centered,
+        scales[1] * edge_far,
+        scales[2] * edge_near,
+        scales[3] * np.cross(centered, edge_far),
+        scales[4] * np.cross(edge_far, edge_near),
+    ] + [2.0 * tint[:, c : c + 1] * radial for c in range(3)]
+    v = np.ascontiguousarray(np.stack(channels, axis=1).T)
+    norms = np.linalg.norm(v, axis=0)
+    return v * np.minimum(1.0, cap / np.maximum(norms, 1e-30))

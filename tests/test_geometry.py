@@ -15,8 +15,10 @@ from equipose.geometry import (
     geodesic_distance,
     load_correspondences_json,
     load_pose_json,
+    pair_sq_dist,
     sample_uniform_rotation,
     save_pose_json,
+    sq_dist,
 )
 
 
@@ -103,6 +105,18 @@ class TestGeodesic:
         for _ in range(50):
             a, b = sample_uniform_rotation(rng), sample_uniform_rotation(rng)
             assert abs(geodesic_distance(a, b) - geodesic_distance(b, a)) <= 1e-12
+
+
+def test_squared_distances_equal_the_broadcast_sum():
+    # one coordinate plane at a time sums left to right, like numpy's sum over
+    # a length-3 last axis: the same bits, without the (m, n, 3) tensor
+    rng = np.random.default_rng(3)
+    for scale in (1e-3, 1.0, 1e3):
+        a = rng.normal(scale=scale, size=(70, 3))
+        b = rng.normal(scale=scale, size=(50, 3))
+        broadcast = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+        assert np.array_equal(sq_dist(a, b), broadcast)
+        assert np.array_equal(pair_sq_dist(a[:50], b), np.diagonal(broadcast))
 
 
 class TestRigidFit:

@@ -223,16 +223,16 @@ def _seed_sorts(monkeypatch):
 
 
 def _exact_pairs(monkeypatch):
-    """Spy on pipeline._pair_sq_dist, the exact per-pair test for entries in
+    """Spy on pipeline.pair_sq_dist, the exact per-pair test for entries in
     the GEMM's rounding band: the number of pairs of each call."""
     calls = []
-    real = pipeline._pair_sq_dist
+    real = pipeline.pair_sq_dist
 
     def spy(a, b):
         calls.append(len(a))
         return real(a, b)
 
-    monkeypatch.setattr(pipeline, "_pair_sq_dist", spy)
+    monkeypatch.setattr(pipeline, "pair_sq_dist", spy)
     return calls
 
 

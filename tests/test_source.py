@@ -21,3 +21,19 @@ def test_every_imported_name_is_read():
             if (alias.asname or alias.name.split(".")[0]) not in read
         ]
     assert unused == []
+
+
+def test_pairwise_squared_distances_have_one_owner():
+    # geometry.sq_dist and pair_sq_dist sum squared distances one coordinate
+    # plane at a time; an outer difference elsewhere is a second copy of that
+    # arithmetic, free to round another way
+    users = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "outer"
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "subtract"
+    }
+    assert users == {"geometry.py"}
