@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NonPositiveDepth, SingularIntrinsics
+from .errors import EquiposeError, InputError
 from .files import parsing, read_json, write_atomic, write_json
 
 
@@ -36,7 +36,7 @@ class CameraIntrinsics:
     def k_inv(self) -> np.ndarray:
         k = self.k
         if abs(np.linalg.det(k)) <= 1e-12:
-            raise SingularIntrinsics(f"intrinsic matrix is singular: det={np.linalg.det(k)}")
+            raise EquiposeError(f"intrinsic matrix is singular: det={np.linalg.det(k)}")
         return np.linalg.inv(k)
 
     @classmethod
@@ -163,7 +163,7 @@ def project_to_pixels(cloud: PointCloud, intrinsics: CameraIntrinsics) -> np.nda
     """Project points to (pixel x, pixel y, depth) rows; requires z > 0."""
     pts = cloud.points
     if np.any(pts[:, 2] <= 0.0):
-        raise NonPositiveDepth("all points must have z > 0 to project")
+        raise EquiposeError("all points must have z > 0 to project")
     uvw = pts @ intrinsics.k.T
     return np.column_stack([uvw[:, 0] / uvw[:, 2], uvw[:, 1] / uvw[:, 2], uvw[:, 2]])
 

@@ -1,5 +1,5 @@
 """Runnable property suites: equivariance of the trunk's layer kit and
-invariance of the scalar path."""
+invariance of the scalar path; and the gradient check's tiny model and scene."""
 
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ from .layers import (
     rotate_feature,
 )
 from .model import ModelConfig, init_model
+from .synth import SceneConfig, make_default_models, render_scene
 
 # Sizes of the random draws: the layer reports' features and random_stack's
 # compositions.
@@ -26,6 +27,30 @@ REPORT_POINTS = 16
 REPORT_CHANNELS = 6
 STACK_CHANNELS = 4
 STACK_DEPTH = 6
+
+# The gradient check's model: every layer kind and both heads in one graph,
+# small enough to difference every parameter and input entry.
+TINY_MODEL = ModelConfig(
+    n_classes=4,
+    n_keypoints=4,
+    lift_neighbors=4,
+    vn_widths=(3, 4),
+    batch_norm=True,
+    invariant_branch=3,
+    invariant_hidden=6,
+    invariant_out=6,
+    app_hidden=5,
+    app_out=5,
+    head_hidden=8,
+)
+
+
+def tiny_scene(objects_seed: int, scene_seed: int):
+    """The gradient check's scene: one instance of the 60-vertex, 4-keypoint
+    default objects, at most 10 of its points, and 4 background points."""
+    objects = make_default_models(seed=objects_seed, n_vertices=60, n_keypoints=4)
+    recipe = SceneConfig(noise_sigma=0.002, n_background=4, max_object_points=10)
+    return render_scene(objects, recipe, seed=scene_seed)
 
 
 def equivariance_residual(layer, v, r, train=False) -> float:

@@ -288,32 +288,14 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .model import ModelConfig, init_model
-    from .synth import SceneConfig, make_default_models, render_scene
+    from .checks import TINY_MODEL, tiny_scene
+    from .model import init_model
     from .train import TrainConfig, gradcheck, scene_tensors
 
     _require_tolerance(args.tolerance)
     started = time.monotonic()
-    models = make_default_models(seed=args.seed, n_vertices=60, n_keypoints=4)
-    scene = render_scene(
-        models,
-        SceneConfig(noise_sigma=0.002, n_background=4, max_object_points=10),
-        seed=args.seed + 8,
-    )
-    cfg = ModelConfig(
-        n_classes=4,
-        n_keypoints=4,
-        lift_neighbors=4,
-        vn_widths=(3, 4),
-        batch_norm=True,
-        invariant_branch=3,
-        invariant_hidden=6,
-        invariant_out=6,
-        app_hidden=5,
-        app_out=5,
-        head_hidden=8,
-    )
-    model = init_model(cfg, seed=args.seed + 3)
+    scene = tiny_scene(args.seed, args.seed + 8)
+    model = init_model(TINY_MODEL, seed=args.seed + 3)
     tensors = scene_tensors(scene, model)
     rotation = sample_uniform_rotation(np.random.default_rng(args.seed + 1))
     err = gradcheck(model, tensors, TrainConfig(seed=args.seed), rotation, step=args.step)

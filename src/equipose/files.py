@@ -33,21 +33,21 @@ def write_json(path, doc) -> None:
 
 @contextmanager
 def parsing(path):
-    """An InputError raised in the block becomes one of its own type naming
-    `path`, unless an inner block named its file already; a KeyError,
-    IndexError, TypeError or ValueError becomes an InputError naming it."""
+    """An InputError raised in the block becomes an InputError naming `path`,
+    unless an inner block named its file already; so does a KeyError,
+    IndexError, TypeError or ValueError."""
     try:
         yield
     except InputError as err:
         if hasattr(err, "path"):
             raise
-        raise _naming(type(err), path, err) from err
+        raise _naming(path, err) from err
     except (KeyError, IndexError, TypeError, ValueError) as err:
-        raise _naming(InputError, path, f"{type(err).__name__}: {err}") from err
+        raise _naming(path, f"{type(err).__name__}: {err}") from err
 
 
-def _naming(kind, path, what) -> InputError:
-    err = kind(f"malformed {path}: {what}")
+def _naming(path, what) -> InputError:
+    err = InputError(f"malformed {path}: {what}")
     err.path = path
     return err
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backproject import PointCloud
-from .errors import MissingAttributes, ShapeMismatch
+from .errors import EquiposeError
 from .layers import Layer, Mlp2
 
 APPEARANCE_INPUT_DIM = 5  # r, g, b, normalized pixel x, normalized pixel y
@@ -46,7 +46,7 @@ def appearance_input(cloud: PointCloud) -> np.ndarray:
     zero when the cloud was not back-projected from an image.
     """
     if cloud.attributes is None or cloud.attributes.shape[1] < 3:
-        raise MissingAttributes("cloud has no RGB attributes")
+        raise EquiposeError("cloud has no RGB attributes")
     n = len(cloud)
     out = np.zeros((n, APPEARANCE_INPUT_DIM))
     out[:, :3] = cloud.attributes[:, :3]
@@ -68,7 +68,7 @@ class SegHead(Layer):
 
     def forward(self, invariant, appearance, train=False, ctx=None):
         if np.shape(invariant)[:-1] != np.shape(appearance)[:-1]:
-            raise ShapeMismatch("invariant and appearance point counts differ")
+            raise EquiposeError("invariant and appearance point counts differ")
         return self.mlp.forward(invariant, appearance, train=train, ctx=ctx)
 
     def backward(self, grad, ctx=None):
@@ -121,7 +121,7 @@ class KpHead(Layer):
         local, pooled = np.asarray(local, dtype=np.float64), np.asarray(pooled, dtype=np.float64)
         half = (3, self.n_channels // 2)
         if local.shape[-3:-1] != half or pooled.shape[-3:-1] != half:
-            raise ShapeMismatch(
+            raise EquiposeError(
                 f"KpHead: expected two (..., 3, {half[1]}, n) halves, got {local.shape} and {pooled.shape}"
             )
         out = self.mlp.forward(_rows(local), _rows(pooled), appearance, train=train, ctx=ctx)

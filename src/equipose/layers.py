@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyInput, NoForwardRecorded, ShapeMismatch
+from .errors import EquiposeError
 
 # Below this squared norm the learned truncation direction is considered
 # undefined and the input passes through unchanged.
@@ -103,7 +103,7 @@ class Layer:
 
     def _get_cache(self, ctx: dict) -> dict:
         if not ctx:
-            raise NoForwardRecorded(f"{type(self).__name__}.backward without a recorded forward")
+            raise EquiposeError(f"{type(self).__name__}.backward without a recorded forward")
         return ctx
 
 
@@ -130,14 +130,14 @@ def _sum_to(a: np.ndarray, shape: tuple) -> np.ndarray:
 
 def _check_channels(v: np.ndarray, expected: int, who: str):
     if v.ndim < 3 or v.shape[-3] != 3:
-        raise ShapeMismatch(f"{who}: expected a (..., 3, C, N) component-major feature, got {v.shape}")
+        raise EquiposeError(f"{who}: expected a (..., 3, C, N) component-major feature, got {v.shape}")
     if v.shape[-2] != expected:
-        raise ShapeMismatch(f"{who}: expected {expected} channels, got {v.shape[-2]}")
+        raise EquiposeError(f"{who}: expected {expected} channels, got {v.shape[-2]}")
 
 
 def _check_points(v: np.ndarray, who: str):
     if v.ndim < 3 or v.shape[-1] == 0:
-        raise EmptyInput(f"{who} requires at least one point")
+        raise EquiposeError(f"{who} requires at least one point")
 
 
 class VNLinear(Layer):
@@ -335,11 +335,11 @@ class Mlp2(Layer):
         blocks = [np.asarray(x, dtype=np.float64) for x in blocks]
         widths = [x.shape[-1] for x in blocks]
         if sum(widths) != self.n_in:
-            raise ShapeMismatch(f"Mlp2: expected {self.n_in} input features, got {widths}")
+            raise EquiposeError(f"Mlp2: expected {self.n_in} input features, got {widths}")
         try:
             lead = np.broadcast_shapes(*(x.shape[:-1] for x in blocks))
         except ValueError:
-            raise ShapeMismatch(f"Mlp2: block shapes {[x.shape for x in blocks]} do not broadcast") from None
+            raise EquiposeError(f"Mlp2: block shapes {[x.shape for x in blocks]} do not broadcast") from None
         cache = self._new_cache(ctx)
         edges = np.cumsum([0] + widths)
         spans = [slice(a, b) for a, b in zip(edges[:-1], edges[1:])]

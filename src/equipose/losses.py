@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigInvalid, EmptyMaskWarning, LabelOutOfRange, check_field_types
+from .errors import InputError, check_field_types
 
 # The focal loss's published constants (Lin et al., arXiv 1708.02002).
 FOCAL_GAMMA = 2.0
@@ -29,7 +29,7 @@ class LossWeights:
         check_field_types(self)
         for name, value in zip(("seg", "kp", "center", "so3"), self.as_tuple()):
             if not (np.isfinite(value) and value >= 0.0):
-                raise ConfigInvalid(f"loss weight {name} must be finite and non-negative, got {value}")
+                raise InputError(f"loss weight {name} must be finite and non-negative, got {value}")
 
     def as_tuple(self):
         return (self.seg, self.kp, self.center, self.so3)
@@ -57,7 +57,7 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 def _check_labels(labels: np.ndarray, n_classes: int):
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise LabelOutOfRange(
+        raise InputError(
             f"labels must lie in [0, {n_classes}), got range [{labels.min()}, {labels.max()}]"
         )
     return labels.astype(int)
@@ -91,8 +91,8 @@ def focal_loss_grad(logits, labels):
 def l1_offset_loss_grad(pred, gt, mask):
     """(loss, d loss / d pred). The loss is the mean over masked points (and
     keypoint slots) of the L1 norm of the per-slot 3-vector error; the
-    gradient is zero outside the mask. Empty masks return 0 with
-    EmptyMaskWarning."""
+    gradient is zero outside the mask. Empty masks return 0 with a
+    UserWarning."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     if pred.shape != gt.shape:
@@ -100,7 +100,7 @@ def l1_offset_loss_grad(pred, gt, mask):
     mask = np.asarray(mask, dtype=bool)
     grad = np.zeros_like(pred)
     if not mask.any():
-        warnings.warn("offset loss over empty mask; returning 0", EmptyMaskWarning)
+        warnings.warn("offset loss over empty mask; returning 0")
         return 0.0, grad
     diff = pred[mask] - gt[mask]
     n_vectors = diff.size // 3

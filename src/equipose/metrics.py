@@ -9,7 +9,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
-from .errors import EmptyInput
+from .errors import EquiposeError
 from .files import write_atomic, write_json
 from .geometry import RigidTransform, sq_dist
 
@@ -23,7 +23,7 @@ def _vertices(model_or_vertices) -> np.ndarray:
     v = getattr(model_or_vertices, "vertices", model_or_vertices)
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
-        raise EmptyInput("model has no vertices")
+        raise EquiposeError("model has no vertices")
     return v.reshape(-1, 3)
 
 
@@ -49,7 +49,7 @@ def auc(distances) -> float:
     """
     d = np.asarray(distances, dtype=np.float64)
     if d.size == 0:
-        raise EmptyInput("auc of an empty distance list")
+        raise EquiposeError("auc of an empty distance list")
     if np.any(d < 0.0):
         raise ValueError("distances must be non-negative")
     mass = np.clip(AUC_CAP_M - d, 0.0, None)

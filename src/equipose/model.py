@@ -10,7 +10,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.spatial import cKDTree
 
-from .errors import ConfigInvalid, check_field_types
+from .errors import InputError, check_field_types
 from .files import parsing, read_json, write_atomic, write_json
 from .geometry import Rotation
 from .heads import AppearanceEncoder, KpHead, SegHead
@@ -50,15 +50,19 @@ class ModelConfig:
     def __post_init__(self):
         check_field_types(self)
         if self.n_classes < 1:
-            raise ConfigInvalid("n_classes must be at least 1")
+            raise InputError("n_classes must be at least 1")
         if self.n_keypoints < 1:
-            raise ConfigInvalid("n_keypoints must be at least 1")
+            raise InputError("n_keypoints must be at least 1")
         if self.pool_mode != "every":
-            raise ConfigInvalid(f"unknown pool_mode {self.pool_mode!r}")
+            raise InputError(f"unknown pool_mode {self.pool_mode!r}")
         if len(self.lift_scales) != LIFT_CHANNELS - 3:
-            raise ConfigInvalid(f"lift_scales must have {LIFT_CHANNELS - 3} entries")
+            raise InputError(f"lift_scales must have {LIFT_CHANNELS - 3} entries")
+        if not np.all(np.isfinite(self.lift_scales)):
+            raise InputError(f"lift_scales must be finite, got {self.lift_scales}")
+        if not (np.isfinite(self.lift_cap) and self.lift_cap > 0.0):
+            raise InputError(f"lift_cap must be finite and positive, got {self.lift_cap}")
         if not self.vn_widths or any(w < 1 for w in self.vn_widths):
-            raise ConfigInvalid("vn_widths must be positive")
+            raise InputError("vn_widths must be positive")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backproject import PlyTable, PointCloud, read_ply_cloud, write_ply, write_ply_cloud
-from .errors import ConfigInvalid, InputError, RegistryMiss, TooFewVertices
+from .errors import InputError
 from .files import parsing, read_json, write_json
 from .geometry import (
     RigidTransform,
@@ -52,7 +52,7 @@ def select_keypoints(model, m: int) -> np.ndarray:
     index)."""
     verts = np.asarray(getattr(model, "vertices", model), dtype=np.float64).reshape(-1, 3)
     if m > len(verts):
-        raise TooFewVertices(f"requested {m} keypoints from {len(verts)} vertices")
+        raise InputError(f"requested {m} keypoints from {len(verts)} vertices")
     if m < 1:
         raise InputError(f"need at least one keypoint, got {m}")
     centroid = verts.mean(axis=0)
@@ -139,9 +139,9 @@ def generate_object(
     """Surface-sampled model of the given kind, deterministic per seed; a box
     or a cylinder is symmetric, a blob is not."""
     if n_vertices < 50:
-        raise ConfigInvalid("n_vertices must be at least 50")
+        raise InputError("n_vertices must be at least 50")
     if kind not in DEFAULT_SIZES:
-        raise ConfigInvalid(f"unknown object kind {kind!r}")
+        raise InputError(f"unknown object kind {kind!r}")
     rng = np.random.default_rng(seed)
     size = DEFAULT_SIZES[kind] if size is None else size
     if kind == "box":
@@ -203,11 +203,11 @@ class SceneConfig:
         occ = self.occlusion
         lo, hi = (occ, occ) if np.isscalar(occ) else (occ[0], occ[1])
         if not (0.0 <= lo <= hi <= 0.9):
-            raise ConfigInvalid("occlusion fraction must lie in [0, 0.9]")
+            raise InputError("occlusion fraction must lie in [0, 0.9]")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ConfigInvalid(f"noise sigma must be finite and non-negative, got {self.noise_sigma}")
+            raise InputError(f"noise sigma must be finite and non-negative, got {self.noise_sigma}")
         if self.n_background < 0:
-            raise ConfigInvalid("background point count must be non-negative")
+            raise InputError("background point count must be non-negative")
 
     def draw_occlusion(self, rng: np.random.Generator) -> float:
         if np.isscalar(self.occlusion):
@@ -331,7 +331,7 @@ class Registry:
 
     def lookup(self, class_id: int) -> ObjectModel:
         if class_id not in self.models:
-            raise RegistryMiss(f"no model registered for class {class_id}")
+            raise InputError(f"no model registered for class {class_id}")
         return self.models[class_id]
 
     def __iter__(self):
@@ -360,7 +360,11 @@ def load_registry(directory) -> Registry:
     for name in sorted(os.listdir(directory)):
         if not (name.startswith("model_") and name.endswith(".json")):
             continue
-        cloud = read_ply_cloud(os.path.join(directory, name[:-5] + ".ply"))
+        ply = os.path.join(directory, name[:-5] + ".ply")
+        with parsing(ply):
+            cloud = read_ply_cloud(ply)
+            if len(cloud) == 0:
+                raise InputError("model has no vertices")
         with read_json(os.path.join(directory, name)) as meta:
             models.append(
                 ObjectModel(
@@ -375,7 +379,7 @@ def load_registry(directory) -> Registry:
                 )
             )
     if not models:
-        raise RegistryMiss(f"no model files found in {directory}")
+        raise InputError(f"no model files found in {directory}")
     return Registry(models)
 
 

@@ -14,7 +14,7 @@ try:
 except ImportError:  # Windows has no resource module: loss.csv's minflt stays empty
     resource = None
 
-from .errors import ConfigInvalid, NonFiniteLoss, check_field_types
+from .errors import InputError, NonFiniteLoss, check_field_types
 from .files import read_json
 from .geometry import Rotation, sample_uniform_rotation
 from .heads import appearance_input
@@ -52,20 +52,20 @@ class TrainConfig:
     def __post_init__(self):
         check_field_types(self)
         if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
-            raise ConfigInvalid(f"learning rate must be finite and non-negative, got {self.learning_rate}")
+            raise InputError(f"learning rate must be finite and non-negative, got {self.learning_rate}")
         if not (np.isfinite(self.lr_decay) and self.lr_decay >= 0.0):
-            raise ConfigInvalid(f"lr_decay must be finite and non-negative, got {self.lr_decay}")
+            raise InputError(f"lr_decay must be finite and non-negative, got {self.lr_decay}")
         if self.batch_size < 1:
-            raise ConfigInvalid("batch size must be at least 1")
+            raise InputError("batch size must be at least 1")
         if self.epochs < 1:
-            raise ConfigInvalid("epochs must be at least 1")
+            raise InputError("epochs must be at least 1")
         if self.seed < 0:
-            raise ConfigInvalid(f"seed must be non-negative, got {self.seed}")
+            raise InputError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_json(cls, path) -> "TrainConfig":
         """Read a config file; unknown keys, at the top level or under
-        "weights", raise ConfigInvalid naming them."""
+        "weights", raise InputError naming them."""
         with read_json(path) as data:
             _check_keys(data, cls, "train config")
             if "weights" in data:
@@ -77,7 +77,7 @@ class TrainConfig:
 def _check_keys(data: dict, cls, what: str) -> None:
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
-        raise ConfigInvalid(f"unknown {what} keys: {', '.join(unknown)}")
+        raise InputError(f"unknown {what} keys: {', '.join(unknown)}")
 
 
 class Adam:
@@ -181,7 +181,7 @@ def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHis
     of steps below the first tenth's mean.
     """
     if len(scenes) == 0:
-        raise ConfigInvalid("training requires a non-empty dataset")
+        raise InputError("training requires a non-empty dataset")
     tensors = [scene_tensors(s, model) for s in scenes]
     rng = np.random.default_rng(cfg.seed)
     opt = make_optimizer(model, cfg)
@@ -313,7 +313,7 @@ def gradcheck(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, step
     """Max relative error between analytic and central-difference gradients of
     the total objective with respect to every parameter and network input."""
     if not (np.isfinite(step) and step > 0.0):
-        raise ConfigInvalid(f"finite-difference step must be finite and positive, got {step}")
+        raise InputError(f"finite-difference step must be finite and positive, got {step}")
     analytic = analytic_gradients(model, t, cfg, rotation)
     numeric = numeric_gradients(model, t, cfg, rotation, step)
     return max_relative_error(analytic, numeric)

@@ -14,16 +14,25 @@ tests/test_golden.py compares the code's numbers with both files.
 
     python tests/golden/make_golden.py
 
-A change that means to move these numbers regenerates the files and says so.
+Run as a script, it pins BLAS to one thread, as perfbench/run.py does: the
+last bits of both files depend on the thread count, so every regeneration
+uses the same one. A change that means to move these numbers regenerates the
+files and says so.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# Must precede the first import of numpy; an importing test keeps its own.
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent.parent

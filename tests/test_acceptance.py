@@ -8,7 +8,7 @@ import pytest
 
 from conftest import add_s_brute, stack_pair
 from equipose.backproject import PointCloud
-from equipose.checks import equivariance_report, invariance_report
+from equipose.checks import TINY_MODEL, equivariance_report, invariance_report, tiny_scene
 from equipose.geometry import (
     Correspondences,
     RigidTransform,
@@ -142,24 +142,8 @@ def test_criterion_03_so3_loss_sanity():
 def test_criterion_04_gradient_oracle(object_models):
     started = time.monotonic()
     # full kit: every layer kind, both heads, all four losses in one graph
-    cfg = ModelConfig(
-        n_classes=4,
-        n_keypoints=4,
-        lift_neighbors=4,
-        vn_widths=(3, 4),
-        batch_norm=True,
-        invariant_branch=3,
-        invariant_hidden=6,
-        invariant_out=6,
-        app_hidden=5,
-        app_out=5,
-        head_hidden=8,
-    )
-    models = make_default_models(seed=0, n_vertices=60, n_keypoints=4)
-    scene = render_scene(
-        models, SceneConfig(noise_sigma=0.002, n_background=4, max_object_points=10), seed=8
-    )
-    model = init_model(cfg, seed=3)
+    scene = tiny_scene(0, 8)
+    model = init_model(TINY_MODEL, seed=3)
     tensors = scene_tensors(scene, model)
     rotation = sample_uniform_rotation(RNG(0))
     worst = gradcheck(model, tensors, TrainConfig(seed=0), rotation, step=1e-5)

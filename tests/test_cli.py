@@ -607,13 +607,23 @@ def _eval_with_fractional_label(dataset, tmp_path):
     return _eval_argv(dataset, tmp_path, scenes, "--oracle-heads"), scenes / "scene_00000.ply"
 
 
-def _eval_on_registry_without_y(dataset, tmp_path):
-    registry = tmp_path / "registry"
-    shutil.copytree(dataset / "registry", registry)
-    path = registry / "model_001.ply"
-    path.write_text(path.read_text().replace("property float64 y\n", "property float64 v\n", 1))
-    argv = ["eval", "--scenes-dir", str(dataset / "scenes"), "--registry-dir", str(registry)]
-    return [*argv, "--out-dir", str(tmp_path / "out"), "--oracle-heads"], path
+def _eval_on_edited_registry_ply(edit):
+    """`eval --oracle-heads` on a copy of the registry whose model_001.ply is edited."""
+
+    def case(dataset, tmp_path):
+        registry = tmp_path / "registry"
+        shutil.copytree(dataset / "registry", registry)
+        path = registry / "model_001.ply"
+        path.write_text(edit(path.read_text()))
+        argv = ["eval", "--scenes-dir", str(dataset / "scenes"), "--registry-dir", str(registry)]
+        return [*argv, "--out-dir", str(tmp_path / "out"), "--oracle-heads"], path
+
+    return case
+
+
+def _no_vertices(text):
+    header = text[: text.index("end_header\n") + len("end_header\n")]
+    return re.sub(r"element vertex \d+", "element vertex 0", header, count=1)
 
 
 def _eval_on_edited_model_json(edit):
@@ -750,7 +760,9 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _on_edited_scene(".ply", lambda text: text.replace("end_header", "\nend_header", 1)),
         _on_edited_scene(".ply", lambda text: text.replace("end_header", "\nend_header", 1), "train"),
         _on_edited_scene(".ply", lambda text: text.replace(" label\n", "\n", 1)),
-        _eval_on_registry_without_y,
+        _eval_on_edited_registry_ply(
+            lambda text: text.replace("property float64 y\n", "property float64 v\n", 1)
+        ),
         _on_edited_scene(".ply", lambda text: re.sub(r"element vertex \d+\n", "", text, count=1)),
         _on_edited_scene(".ply", lambda text: text[: text.index("end_header")]),
         _on_edited_scene(".ply", _drop_last_row),
@@ -773,6 +785,13 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _eval_on_edited_model_json(lambda meta: meta["keypoints"][0].__setitem__(0, float("nan"))),
         _eval_on_edited_model_json(lambda meta: meta.update(diameter=float("nan"))),
         _eval_on_edited_model_json(lambda meta: meta["center"].__setitem__(1, float("inf"))),
+        _eval_on_edited_params(lambda manifest: manifest["model_config"].update(lift_cap=float("nan"))),
+        _eval_on_edited_params(lambda manifest: manifest["model_config"].update(lift_cap=0.0)),
+        _eval_on_edited_params(lambda manifest: manifest["model_config"].update(lift_cap=-2.0)),
+        _eval_on_edited_params(
+            lambda manifest: manifest["model_config"]["lift_scales"].__setitem__(2, float("inf"))
+        ),
+        _eval_on_edited_registry_ply(_no_vertices),
     ],
     ids=[
         "no_source",
@@ -815,6 +834,11 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "registry_nan_keypoint",
         "registry_nan_diameter",
         "registry_inf_center",
+        "params_nan_lift_cap",
+        "params_zero_lift_cap",
+        "params_negative_lift_cap",
+        "params_inf_lift_scale",
+        "registry_ply_without_vertices",
     ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):

@@ -11,7 +11,7 @@ import pytest
 
 from equipose import model as model_mod
 from equipose.cli import EXIT_OK, main
-from equipose.errors import ConfigInvalid, DegenerateConfiguration, InputError, LabelOutOfRange, RegistryMiss
+from equipose.errors import DegenerateConfiguration, InputError
 from equipose.files import parsing, read_json, write_json
 from equipose.model import ModelConfig, init_model, load_model, save_model
 
@@ -164,24 +164,19 @@ def test_package_errors_and_missing_files_pass_through(tmp_path):
 def test_config_errors_keep_their_type_and_name_the_file(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text("{}")
-    err = ConfigInvalid("bad range")
-    with pytest.raises(ConfigInvalid, match=re.escape(f"malformed {path}: bad range")) as caught:
+    err = InputError("bad range")
+    with pytest.raises(InputError, match=re.escape(f"malformed {path}: bad range")) as caught:
         with read_json(path):
             raise err
     assert caught.value.__cause__ is err
-
-
-def test_config_and_registry_errors_are_input_errors():
-    # parsing names an InputError's file, and the CLI exits 2 on one, by this type alone
-    assert issubclass(ConfigInvalid, InputError) and issubclass(RegistryMiss, InputError)
 
 
 def test_input_errors_keep_their_type_and_are_named_once(tmp_path):
     # the innermost block names the file; an outer block leaves the name alone
     outer, inner = tmp_path / "outer.json", tmp_path / "inner.ply"
     outer.write_text("{}")
-    err = LabelOutOfRange("label 7 of 4 classes")
-    with pytest.raises(LabelOutOfRange) as caught:
+    err = InputError("label 7 of 4 classes")
+    with pytest.raises(InputError, match="label 7 of 4 classes") as caught:
         with read_json(outer), parsing(inner):
             raise err
     assert str(caught.value) == f"malformed {inner}: label 7 of 4 classes"

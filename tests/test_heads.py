@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from equipose.backproject import PointCloud
-from equipose.errors import MissingAttributes, ShapeMismatch
+from equipose.errors import EquiposeError
 from equipose.geometry import sample_uniform_rotation
 from equipose.heads import (
     AppearanceEncoder,
@@ -56,7 +56,7 @@ class TestAppearanceEncoder:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_missing_attributes(self):
-        with pytest.raises(MissingAttributes):
+        with pytest.raises(EquiposeError, match="no RGB attributes"):
             appearance_input(PointCloud(points=np.zeros((3, 3))))
 
     def test_pixel_normalization(self):
@@ -90,7 +90,7 @@ class TestSegHead:
 
     def test_point_count_mismatch(self):
         head = SegHead(6, 4, 8, 3)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EquiposeError, match="point counts differ"):
             head.forward(np.zeros((7, 6)), np.zeros((6, 4)), ctx={})
 
     def test_single_class_argmax_constant(self):
@@ -137,16 +137,17 @@ class TestKpHead:
     def test_shape_mismatch(self):
         head = KpHead(6, 4, 8, n_keypoints=3)
         local, pooled, app = np.zeros((3, 3, 5)), np.zeros((3, 3, 1)), np.zeros((5, 4))
+        halves, broadcast, width = "expected two", "do not broadcast", "input features"
         bad = [
-            (np.zeros((5, 3, 3)), pooled, app),  # a vector list
-            (np.zeros((3, 6, 5)), pooled, app),  # the whole trunk, not its per-point half
-            (local, np.zeros((3, 6, 1)), app),  # the whole pooled trunk
-            (local, pooled, np.zeros((4, 4))),  # 4 points, not 5
-            (local, pooled, np.zeros((5, 3))),  # 3 appearance features
-            (np.zeros((2, 3, 3, 5)), np.zeros((3, 3, 3, 1)), app),  # pair axes that do not broadcast
+            ((np.zeros((5, 3, 3)), pooled, app), halves),  # a vector list
+            ((np.zeros((3, 6, 5)), pooled, app), halves),  # the whole trunk, not its per-point half
+            ((local, np.zeros((3, 6, 1)), app), halves),  # the whole pooled trunk
+            ((local, pooled, np.zeros((4, 4))), broadcast),  # 4 points, not 5
+            ((local, pooled, np.zeros((5, 3))), width),  # 3 appearance features
+            ((np.zeros((2, 3, 3, 5)), np.zeros((3, 3, 3, 1)), app), broadcast),  # pair axes that clash
         ]
-        for args in bad:
-            with pytest.raises(ShapeMismatch):
+        for args, message in bad:
+            with pytest.raises(EquiposeError, match=message):
                 head.forward(*args, ctx={})
 
     def test_matches_dense_oracle(self):
@@ -251,9 +252,9 @@ class TestMlp2Blocks:
     def test_block_widths_and_shapes_are_checked(self):
         mlp = Mlp2(9, 6, 5)
         blocks, _, _ = self.three_blocks(34)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EquiposeError, match="expected 9 input features"):
             mlp.forward(*blocks[:2], ctx={})  # 7 of 9 columns
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EquiposeError, match="do not broadcast"):
             mlp.forward(blocks[0], blocks[1], np.zeros((6, 2)), ctx={})  # 6 points against 7
 
 

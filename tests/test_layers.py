@@ -19,7 +19,7 @@ from equipose.checks import (
     invariance_residual,
     random_stack,
 )
-from equipose.errors import EmptyInput, NoForwardRecorded, ShapeMismatch
+from equipose.errors import EquiposeError
 from equipose.geometry import sample_uniform_rotation
 from equipose.layers import (
     BN_EPS,
@@ -131,17 +131,17 @@ class TestVNLinear:
 
     def test_shape_mismatch(self):
         layer = VNLinear(4, 6)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EquiposeError, match="expected 4 channels"):
             layer.forward(np.zeros((3, 3, 5)), ctx={})  # 3 channels, not 4
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(EquiposeError, match="component-major feature"):
             layer.forward(np.zeros((5, 4, 3)), ctx={})  # a vector list
 
     def test_backward_requires_forward(self):
         layer = VNLinear(2, 2)
-        with pytest.raises(NoForwardRecorded):
+        with pytest.raises(EquiposeError, match="without a recorded forward"):
             layer.backward(np.zeros((3, 2, 1)))
         layer.forward(np.zeros((3, 2, 1)))  # no ctx: nothing is recorded
-        with pytest.raises(NoForwardRecorded):
+        with pytest.raises(EquiposeError, match="without a recorded forward"):
             layer.backward(np.zeros((3, 2, 1)))
 
 
@@ -224,7 +224,7 @@ class TestVNPoolConcat:
             )
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(EquiposeError, match="requires at least one point"):
             VNPoolConcat().forward(np.zeros((3, 3, 0)), ctx={})
 
 
@@ -399,7 +399,7 @@ class TestStacks:
 
     def test_sequential_backward_requires_forward(self):
         stack = Sequential([VNLinear(2, 2)])
-        with pytest.raises(NoForwardRecorded):
+        with pytest.raises(EquiposeError, match="without a recorded forward"):
             stack.backward(np.zeros((3, 2, 1)))
 
 

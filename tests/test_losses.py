@@ -5,7 +5,7 @@ import pytest
 
 from conftest import stack_pair
 from equipose.backproject import PointCloud
-from equipose.errors import ConfigInvalid, EmptyMaskWarning, LabelOutOfRange
+from equipose.errors import InputError
 from equipose.geometry import Rotation, sample_uniform_rotation
 from equipose.heads import appearance_input
 from equipose.layers import Sequential, VNLinear, VNReLU, init_layer_params
@@ -59,9 +59,9 @@ class TestFocalLoss:
         assert abs(value - 0.25 * 0.25 * np.log(2.0)) <= 1e-12
 
     def test_label_out_of_range(self):
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(InputError, match="labels must lie in"):
             focal_loss_grad(np.zeros((2, 3)), [0, 3])
-        with pytest.raises(LabelOutOfRange):
+        with pytest.raises(InputError, match="labels must lie in"):
             focal_loss_grad(np.zeros((2, 3)), [-1, 0])
 
     def test_gradient_matches_finite_differences(self):
@@ -110,7 +110,7 @@ class TestOffsetLosses:
 
     def test_empty_mask_warns_and_returns_zero(self):
         pred = np.ones((4, 2, 3))
-        with pytest.warns(EmptyMaskWarning):
+        with pytest.warns(UserWarning, match="empty mask"):
             value = l1_offset_loss_grad(pred, np.zeros_like(pred), np.zeros(4, dtype=bool))[0]
         assert value == 0.0
 
@@ -209,7 +209,7 @@ class TestTotalLoss:
         "weight", [{"so3": float("nan")}, {"kp": float("inf")}, {"seg": True}], ids=["nan", "inf", "bool"]
     )
     def test_non_finite_or_non_real_weight_rejected(self, weight):
-        with pytest.raises(ConfigInvalid, match=next(iter(weight))):
+        with pytest.raises(InputError, match=next(iter(weight))):
             LossWeights(**weight)
 
     def test_csv_row_format(self):

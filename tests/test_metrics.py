@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import add_s_brute
-from equipose.errors import EmptyInput, RegistryMiss
+from equipose.errors import EquiposeError, InputError
 from equipose.geometry import (
     RigidTransform,
     Rotation,
@@ -164,7 +164,7 @@ class TestAuc:
         assert auc(d2) >= base
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(EquiposeError, match="empty distance list"):
             auc([])
 
 
@@ -290,7 +290,7 @@ class TestEvaluateDataset:
         assert report.hit_rate_01d(cls) == 75.0
 
     def test_unknown_class_raises(self):
-        with pytest.raises(RegistryMiss):
+        with pytest.raises(InputError, match="no model registered for class 42"):
             evaluate_dataset([[]], [[(42, random_pose(self.rng))]], self.registry)
 
     def test_csv_and_json_outputs(self, tmp_path):

@@ -37,3 +37,17 @@ def test_pairwise_squared_distances_have_one_owner():
         and node.value.attr == "subtract"
     }
     assert users == {"geometry.py"}
+
+
+def test_every_error_type_is_caught_somewhere():
+    # a type is worth defining when some handler tells it apart; one no
+    # `except` names behaves as its base class everywhere
+    defined = {
+        node.name for node in ast.parse((SRC / "errors.py").read_text()).body if isinstance(node, ast.ClassDef)
+    }
+    caught = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {name.id for name in ast.walk(node.type) if isinstance(name, ast.Name)}
+    assert sorted(defined - caught) == []

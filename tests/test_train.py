@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equipose.errors import ConfigInvalid, InputError, NonFiniteLoss
+from equipose.checks import TINY_MODEL, tiny_scene
+from equipose.errors import InputError, NonFiniteLoss
 from equipose.geometry import sample_uniform_rotation
 from equipose.heads import KpHead, SegHead
 from equipose.layers import (
@@ -45,28 +46,6 @@ from conftest import layer_fd_check
 from test_acceptance import SCENE_RECIPE
 
 RNG = np.random.default_rng
-
-TINY_MODEL = ModelConfig(
-    n_classes=4,
-    n_keypoints=4,
-    lift_neighbors=4,
-    vn_widths=(3, 4),
-    batch_norm=True,
-    invariant_branch=3,
-    invariant_hidden=6,
-    invariant_out=6,
-    app_hidden=5,
-    app_out=5,
-    head_hidden=8,
-)
-
-
-def tiny_scene(seed=8):
-    models = make_default_models(seed=0, n_vertices=60, n_keypoints=4)
-    return render_scene(
-        models, SceneConfig(noise_sigma=0.002, n_background=4, max_object_points=10), seed=seed
-    )
-
 
 def small_scenes(n, seed=0):
     models = make_default_models(seed=0, n_vertices=200, n_keypoints=4)
@@ -188,7 +167,7 @@ class TestTrainLoop:
             train(scenes, model, TrainConfig(epochs=1, seed=5))
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(InputError, match="non-empty dataset"):
             train([], init_model(TINY_MODEL, seed=13), TrainConfig())
 
     def test_batching_matches_manual_average(self):
@@ -224,13 +203,13 @@ class TestTrainLoop:
                 np.testing.assert_array_equal(a.value, b.value, err_msg=name)
 
     def test_invalid_config(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(InputError, match="epochs must be at least 1"):
             TrainConfig(epochs=0)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(InputError, match="batch size must be at least 1"):
             TrainConfig(batch_size=0)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(InputError, match="learning rate must be finite"):
             TrainConfig(learning_rate=-1.0)
-        with pytest.raises(ConfigInvalid, match="seed"):  # numpy's generators need seed >= 0
+        with pytest.raises(InputError, match="seed"):  # numpy's generators need seed >= 0
             TrainConfig(seed=-1)
 
     @pytest.mark.parametrize(
@@ -245,7 +224,7 @@ class TestTrainLoop:
         ids=["lr_nan", "lr_inf", "decay_negative", "decay_nan", "decay_inf"],
     )
     def test_non_finite_or_negative_rates_rejected(self, kwargs):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(InputError, match="must be finite and non-negative"):
             TrainConfig(**kwargs)
         TrainConfig(lr_decay=0.0)  # a zero decay stays valid
 
@@ -256,7 +235,7 @@ class TestTrainLoop:
             ({"weights": {"so3": 0.5, "rot": 1.0}}, "rot"),
         ):
             path.write_text(json.dumps(data))
-            with pytest.raises(ConfigInvalid, match=named):
+            with pytest.raises(InputError, match=f"unknown .* keys: {named}"):
                 TrainConfig.from_json(path)
         path.write_text(json.dumps({"epochs": 3, "weights": {"so3": 0.25}}))
         cfg = TrainConfig.from_json(path)
@@ -281,15 +260,15 @@ class TestTrainLoop:
         }
 
     def test_invalid_architecture(self):
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(InputError, match="n_classes must be at least 1"):
             ModelConfig(n_classes=0)
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(InputError, match="unknown pool_mode 'sometimes'"):
             ModelConfig(n_classes=4, pool_mode="sometimes")
-        with pytest.raises(ConfigInvalid):
+        with pytest.raises(InputError, match="vn_widths must be positive"):
             ModelConfig(n_classes=4, vn_widths=())
-        with pytest.raises(ConfigInvalid, match="n_classes must be an integer"):
+        with pytest.raises(InputError, match="n_classes must be an integer"):
             ModelConfig(n_classes="4")
-        with pytest.raises(ConfigInvalid, match="lift_cap must be a real number"):
+        with pytest.raises(InputError, match="lift_cap must be a real number"):
             ModelConfig(n_classes=4, lift_cap=True)
 
 
@@ -400,7 +379,7 @@ def assert_matches_the_stacked_pair(model, reference, t, cfg, rotation):
 class TestOnePassPerSample:
     def test_one_forward_and_backward_of_the_pair(self, monkeypatch):
         model = init_model(TINY_MODEL, seed=3)
-        t = scene_tensors(tiny_scene(seed=8), model)
+        t = scene_tensors(tiny_scene(0, 8), model)
         calls = []
         for cls, method in (
             (PoseModel, "forward"),
@@ -450,7 +429,7 @@ class TestOnePassPerSample:
 
     def test_running_stats_move_once_per_sample(self):
         model = init_model(TINY_MODEL, seed=3)
-        t = scene_tensors(tiny_scene(seed=8), model)
+        t = scene_tensors(tiny_scene(0, 8), model)
         reference, ctx = copy.deepcopy(model), {}
         reference.forward(t.v, t.app_in, train=True, ctx=ctx)
         sample_losses_and_grads(model, t, TrainConfig(), sample_uniform_rotation(RNG(0)))
@@ -496,14 +475,14 @@ class TestGradcheck:
         # generic draw: every |.|-loss entry sits away from its kink, so the
         # central differences are in their linear regime at this step
         model = init_model(TINY_MODEL, seed=3)
-        t = scene_tensors(tiny_scene(seed=8), model)
+        t = scene_tensors(tiny_scene(0, 8), model)
         rotation = sample_uniform_rotation(RNG(0))
         err = gradcheck(model, t, TrainConfig(seed=0), rotation, step=1e-5)
         assert err <= 1e-4
 
     def test_corrupted_gradient_flagged(self):
         model = init_model(TINY_MODEL, seed=3)
-        t = scene_tensors(tiny_scene(seed=8), model)
+        t = scene_tensors(tiny_scene(0, 8), model)
         rotation = sample_uniform_rotation(RNG(0))
         cfg = TrainConfig(seed=0)
         analytic = analytic_gradients(model, t, cfg, rotation)
@@ -515,7 +494,7 @@ class TestGradcheck:
 
     def test_running_stats_left_alone(self):
         model = init_model(TINY_MODEL, seed=3)
-        t = scene_tensors(tiny_scene(seed=8), model)
+        t = scene_tensors(tiny_scene(0, 8), model)
         before = {n: p.value.copy() for n, p in named_params(model) if p.kind == "stat"}
         assert before
         gradcheck(model, t, TrainConfig(seed=0), sample_uniform_rotation(RNG(0)), step=1e-5)
@@ -525,15 +504,15 @@ class TestGradcheck:
 
     def test_rejects_bad_step(self):
         model = init_model(TINY_MODEL, seed=3)
-        t = scene_tensors(tiny_scene(seed=8), model)
-        with pytest.raises(ConfigInvalid):
+        t = scene_tensors(tiny_scene(0, 8), model)
+        with pytest.raises(InputError, match="finite-difference step"):
             gradcheck(model, t, TrainConfig(seed=0), sample_uniform_rotation(RNG(1)), step=0.0)
 
     @pytest.mark.parametrize("step", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_rejects_non_finite_step(self, step):
         model = init_model(TINY_MODEL, seed=3)
-        t = scene_tensors(tiny_scene(seed=8), model)
-        with pytest.raises(ConfigInvalid):
+        t = scene_tensors(tiny_scene(0, 8), model)
+        with pytest.raises(InputError, match="finite-difference step"):
             gradcheck(model, t, TrainConfig(seed=0), sample_uniform_rotation(RNG(1)), step=step)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
