@@ -132,28 +132,6 @@ def geodesic_distance(a: Rotation, b: Rotation) -> float:
     return float(np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
-def sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances (len(a), len(b)) between the rows of a and b, summed
-    one coordinate plane at a time: no (len(a), len(b), d) difference tensor.
-    The sum runs left to right like numpy's sum over a length-d last axis, so
-    each entry equals ((a[:, None] - b[None]) ** 2).sum(axis=-1)'s."""
-    out = np.zeros((len(a), len(b)))
-    for a_j, b_j in zip(a.T, np.ascontiguousarray(b.T)):
-        diff = np.subtract.outer(a_j, b_j)
-        out += np.multiply(diff, diff, out=diff)
-    return out
-
-
-def pair_sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances (len(a),) between paired rows a[i] and b[i], with
-    sq_dist's own arithmetic: each entry is bit-identical to sq_dist's."""
-    out = np.zeros(len(a))
-    for a_j, b_j in zip(a.T, b.T):
-        diff = a_j - b_j
-        out += np.multiply(diff, diff, out=diff)
-    return out
-
-
 @dataclass(frozen=True)
 class Correspondences:
     """Paired 3D points: source in the object frame, target in the camera frame."""

@@ -8,10 +8,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial.distance import cdist
 
 from .errors import EquiposeError
 from .files import write_atomic, write_json
-from .geometry import RigidTransform, sq_dist
+from .geometry import RigidTransform
 
 # Upper end, in meters, of the accuracy-vs-threshold curve every AUC integrates.
 AUC_CAP_M = 0.1
@@ -71,7 +72,7 @@ def model_diameter(model_or_vertices) -> float:
         pass
     best = 0.0
     for start in range(0, len(verts), BLOCK_ROWS):
-        best = max(best, float(sq_dist(verts[start : start + BLOCK_ROWS], verts).max()))
+        best = max(best, float(cdist(verts[start : start + BLOCK_ROWS], verts, "sqeuclidean").max()))
     return float(np.sqrt(best))
 
 

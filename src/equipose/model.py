@@ -49,16 +49,17 @@ class ModelConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.n_classes < 1:
-            raise InputError("n_classes must be at least 1")
-        if self.n_keypoints < 1:
-            raise InputError("n_keypoints must be at least 1")
+        sizes = ("n_classes", "n_keypoints", "lift_neighbors", "invariant_branch", "invariant_hidden",
+                 "invariant_out", "app_hidden", "app_out", "head_hidden")
+        for name in sizes:
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.pool_mode != "every":
             raise InputError(f"unknown pool_mode {self.pool_mode!r}")
         if len(self.lift_scales) != LIFT_CHANNELS - 3:
             raise InputError(f"lift_scales must have {LIFT_CHANNELS - 3} entries")
-        if not np.all(np.isfinite(self.lift_scales)):
-            raise InputError(f"lift_scales must be finite, got {self.lift_scales}")
+        if not (np.all(np.isfinite(self.lift_scales)) and min(self.lift_scales) > 0.0):
+            raise InputError(f"lift_scales must be finite and positive, got {self.lift_scales}")
         if not (np.isfinite(self.lift_cap) and self.lift_cap > 0.0):
             raise InputError(f"lift_cap must be finite and positive, got {self.lift_cap}")
         if not self.vn_widths or any(w < 1 for w in self.vn_widths):

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from numbers import Integral
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .backproject import PointCloud
 from .errors import DegenerateConfiguration
@@ -16,10 +17,8 @@ from .geometry import (
     Correspondences,
     RigidTransform,
     fit_rigid_least_squares,
-    pair_sq_dist,
     pose_from_dict,
     pose_to_dict,
-    sq_dist,
 )
 from .heads import appearance_input
 
@@ -35,25 +34,12 @@ class PipelineConfig:
 CONFIG = PipelineConfig()
 
 
-def _neighbour_rows(m, x, centre, rhs, x_radius, h2):
+def _neighbour_rows(m, x, h2):
     """Flat-kernel neighbour rows [|m_i - x_j|^2 <= h2] as float 0/1, shape
-    (len(m), len(x)), from one GEMM on coordinates centred at `centre`:
-    [m~, |m~|^2, 1] @ rhs with m~ = m - centre and rhs = [-2 x~^T; 1; |x~|^2 - h2],
-    x~ = x - centre, x_radius = max |x~|. With S = h2 + (max |m~| + x_radius)^2,
-    the product's rounding error is at most about 10 * 2^-53 * S, so its sign
-    is right for every entry farther than 1e-9 * S from 0, a margin over 10^5
-    times that error. The entries within the margin are decided by
-    pair_sq_dist on the original coordinates, which is the exact test itself."""
-    mc = m - centre
-    mc_sq = np.einsum("ij,ij->i", mc, mc)
-    g = np.column_stack([mc, mc_sq, np.ones(len(m))]) @ rhs
-    within = (g <= 0.0).astype(np.float64)
-    band = 1e-9 * (h2 + (np.sqrt(mc_sq.max(initial=0.0)) + x_radius) ** 2)
-    unsure = np.flatnonzero(np.abs(g, out=g) <= band)
-    if unsure.size:
-        i, j = np.divmod(unsure, len(x))
-        within[i, j] = pair_sq_dist(m[i], x[j]) <= h2
-    return within
+    (len(m), len(x)). cdist's squared distances are bit-equal to the
+    broadcast sum ((m[:, None] - x[None]) ** 2).sum(-1), so every pair gets
+    the exact test."""
+    return (cdist(m, x, "sqeuclidean") <= h2).astype(np.float64)
 
 
 def _distinct_rows(a: np.ndarray):
@@ -82,10 +68,8 @@ def mean_shift_modes(
     seeds that reach one position move together for good: each iteration
     advances only the distinct positions, and each seed keeps the index of its
     own. A position's neighbours are the points x with |m - x|^2 <= h^2 (h the
-    bandwidth), decided exactly for every pair: the rows come from one GEMM on
-    centred coordinates (_neighbour_rows), whose sign is certain outside a
-    narrow band around h^2, and the few pairs inside the band get the exact
-    per-pair test. Every position then moves to the mean of its neighbours,
+    bandwidth), one exact squared-distance test per position-point pair
+    (_neighbour_rows). Every position then moves to the mean of its neighbours,
     (within @ x) / counts with the 0/1 neighbour matrix `within`. When every
     point lies within half a bandwidth of the points' centroid c (2 rho <=
     h (1 - 1e-9), rho = max |x - c|), every point lies within h of every other,
@@ -105,20 +89,17 @@ def mean_shift_modes(
     n = x.shape[0]
     if n == 0:
         return np.zeros((0, x.shape[1] if x.ndim == 2 else 0)), np.zeros(0, dtype=int)
-    centre = x.mean(axis=0)
-    xc = x - centre
-    xc_sq = np.einsum("ij,ij->i", xc, xc)
-    x_radius = np.sqrt(xc_sq.max())
+    xc = x - x.mean(axis=0)
+    x_radius = np.sqrt(np.einsum("ij,ij->i", xc, xc).max())
     reach = bandwidth * (1.0 - 1e-9) - x_radius
     if x_radius <= reach and max_iter >= 1:  # every vote lies within h of every vote
         return (np.ones((1, n)) @ x) / n, np.array([n])
     stride = max(1, int(np.ceil(n / max_seeds)))
     modes, seed_at = _distinct_rows(x[::stride])
     h2 = bandwidth * bandwidth
-    rhs = np.vstack([-2.0 * xc.T, np.ones(n), xc_sq - h2])
     ones = np.ones(n)
     for _ in range(max_iter):
-        within = _neighbour_rows(modes, x, centre, rhs, x_radius, h2)
+        within = _neighbour_rows(modes, x, h2)
         counts = within @ ones
         new_modes = (within @ x) / np.maximum(counts, 1)[:, None]
         empty = counts == 0  # an isolated position stays put
@@ -130,13 +111,13 @@ def mean_shift_modes(
         modes = new_modes
         if shift < tol:
             break
-    counts = (_neighbour_rows(modes, x, centre, rhs, x_radius, h2) @ ones).astype(int)
+    counts = (_neighbour_rows(modes, x, h2) @ ones).astype(int)
     if len(modes) == 1:
         return modes, counts
     _, first_seed = np.unique(seed_at, return_index=True)
     order = np.lexsort((first_seed, -counts))
     modes, counts = modes[order], counts[order]
-    apart = sq_dist(modes, modes) > h2
+    apart = cdist(modes, modes, "sqeuclidean") > h2
     keep = np.ones(len(modes), dtype=bool)
     for i in range(len(modes)):
         if keep[i]:
@@ -160,7 +141,7 @@ def assign_instances(labels, center_votes):
             continue
         votes = center_votes[idx]
         modes, _ = mean_shift_modes(votes, CONFIG.center_bandwidth)
-        nearest = sq_dist(votes, modes).argmin(axis=1)
+        nearest = cdist(votes, modes, "sqeuclidean").argmin(axis=1)
         for mode_index in range(len(modes)):
             members = idx[nearest == mode_index]
             if members.size >= CONFIG.min_points:
@@ -184,11 +165,13 @@ def vote_keypoints(points, offsets, members):
     n_slots = offsets.shape[1]
     voted = np.zeros((n_slots, 3))
     fractions = np.zeros(n_slots)
+    # slot-major, so each slot's votes are C-contiguous: numpy's matmul sums a
+    # strided operand in another order, which moves the whole-set mean's bits
+    candidates = np.ascontiguousarray(offsets[members].swapaxes(0, 1)) + points[members]
     for j in range(n_slots):
-        candidates = points[members] + offsets[members, j]
-        modes, counts = mean_shift_modes(candidates, CONFIG.keypoint_bandwidth)
+        modes, counts = mean_shift_modes(candidates[j], CONFIG.keypoint_bandwidth)
         voted[j] = modes[0]
-        fractions[j] = counts[0] / candidates.shape[0]
+        fractions[j] = counts[0] / members.size
     return voted[:-1], voted[-1], float(fractions.mean())
 
 

@@ -791,6 +791,9 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _eval_on_edited_params(
             lambda manifest: manifest["model_config"]["lift_scales"].__setitem__(2, float("inf"))
         ),
+        _eval_on_edited_params(lambda manifest: manifest["model_config"]["lift_scales"].__setitem__(2, 0.0)),
+        _eval_on_edited_params(lambda manifest: manifest["model_config"]["lift_scales"].__setitem__(1, -60.0)),
+        _eval_on_edited_params(lambda manifest: manifest["model_config"].update(lift_neighbors=0)),
         _eval_on_edited_registry_ply(_no_vertices),
     ],
     ids=[
@@ -838,6 +841,9 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "params_zero_lift_cap",
         "params_negative_lift_cap",
         "params_inf_lift_scale",
+        "params_zero_lift_scale",
+        "params_negative_lift_scale",
+        "params_zero_lift_neighbors",
         "registry_ply_without_vertices",
     ],
 )

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from equipose.errors import DegenerateConfiguration, InputError
 from equipose.geometry import (
@@ -15,10 +16,8 @@ from equipose.geometry import (
     geodesic_distance,
     load_correspondences_json,
     load_pose_json,
-    pair_sq_dist,
     sample_uniform_rotation,
     save_pose_json,
-    sq_dist,
 )
 
 
@@ -108,15 +107,26 @@ class TestGeodesic:
 
 
 def test_squared_distances_equal_the_broadcast_sum():
-    # one coordinate plane at a time sums left to right, like numpy's sum over
-    # a length-3 last axis: the same bits, without the (m, n, 3) tensor
+    # the neighbour test of mean shift and every other pairwise squared
+    # distance in the package is cdist's "sqeuclidean"; it must round exactly
+    # as the broadcast sum does, or the flat kernel's boundary moves
+    def broadcast(a, b):
+        return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
+
     rng = np.random.default_rng(3)
-    for scale in (1e-3, 1.0, 1e3):
-        a = rng.normal(scale=scale, size=(70, 3))
-        b = rng.normal(scale=scale, size=(50, 3))
-        broadcast = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=-1)
-        assert np.array_equal(sq_dist(a, b), broadcast)
-        assert np.array_equal(pair_sq_dist(a[:50], b), np.diagonal(broadcast))
+    pairs = []
+    for scale in (1e-4, 1e-3, 1.0, 1e3):
+        for shift in (0.0, 1e3, -1e3):
+            a, b = rng.normal(scale=scale, size=(70, 3)), rng.normal(scale=scale, size=(50, 3))
+            pairs.append((a + shift, b + shift))
+    for h in (0.02, 0.25, 1.0):
+        grid = np.stack(np.meshgrid(*[np.arange(5) * h] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+        pairs += [(grid, grid), (grid + 1e3, grid + 1e3)]
+    wide = rng.normal(size=(70, 6))
+    pairs.append((wide[:, ::2], wide[:40, 1::2]))
+    assert not pairs[-1][0].flags.c_contiguous
+    for a, b in pairs:
+        assert np.array_equal(cdist(a, b, "sqeuclidean"), broadcast(a, b))
 
 
 class TestRigidFit:

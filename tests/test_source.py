@@ -24,19 +24,22 @@ def test_every_imported_name_is_read():
 
 
 def test_pairwise_squared_distances_have_one_owner():
-    # geometry.sq_dist and pair_sq_dist sum squared distances one coordinate
-    # plane at a time; an outer difference elsewhere is a second copy of that
-    # arithmetic, free to round another way
-    users = {
-        path.name
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text()))
-        if isinstance(node, ast.Attribute)
-        and node.attr == "outer"
-        and isinstance(node.value, ast.Attribute)
-        and node.value.attr == "subtract"
-    }
-    assert users == {"geometry.py"}
+    # every pairwise squared distance is scipy's cdist "sqeuclidean", whose
+    # rounding test_geometry pins to the broadcast sum; an outer difference or
+    # another cdist metric is a second copy of that arithmetic, free to round
+    # another way
+    outer, metrics = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "outer":
+                if isinstance(node.value, ast.Attribute) and node.value.attr == "subtract":
+                    outer.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "cdist":
+                given = node.args[2:] + [k.value for k in node.keywords if k.arg == "metric"]
+                metric = given[0] if given else None
+                if not (isinstance(metric, ast.Constant) and metric.value == "sqeuclidean"):
+                    metrics.append(f"{path.name}:{node.lineno}")
+    assert outer == [] and metrics == []
 
 
 def test_every_error_type_is_caught_somewhere():

@@ -271,6 +271,19 @@ class TestTrainLoop:
         with pytest.raises(InputError, match="lift_cap must be a real number"):
             ModelConfig(n_classes=4, lift_cap=True)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["lift_neighbors", "invariant_branch", "invariant_hidden", "invariant_out", "app_hidden", "app_out", "head_hidden"],
+    )
+    def test_layer_size_below_one(self, field):
+        with pytest.raises(InputError, match=f"{field} must be at least 1, got 0"):
+            ModelConfig(n_classes=4, **{field: 0})
+
+    @pytest.mark.parametrize("scale", [0.0, -60.0])
+    def test_lift_scale_not_positive(self, scale):
+        with pytest.raises(InputError, match="lift_scales must be finite and positive"):
+            ModelConfig(n_classes=4, lift_scales=(10.0, scale, 240.0, 600.0, 6000.0))
+
 
 def stacked_pair_reference(model, t, cfg, rotation):
     """The trunk run on the stacked pair (v, v rotated by R): every layer
