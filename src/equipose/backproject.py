@@ -105,13 +105,13 @@ class PointCloud:
     image_size: tuple = None
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        pts = np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3)
         if not np.all(np.isfinite(pts)):
             raise InputError("point cloud contains non-finite coordinates")
         self.points = pts
         n = pts.shape[0]
         if self.attributes is not None:
-            a = np.asarray(self.attributes, dtype=np.float64)
+            a = np.ascontiguousarray(self.attributes, dtype=np.float64)
             if a.shape[0] != n:
                 raise InputError(f"attributes rows {a.shape[0]} != point count {n}")
             if not np.all(np.isfinite(a)):
@@ -218,7 +218,7 @@ def read_pgm_depth(path, ticks_per_meter: float = 10000.0) -> DepthImage:
 
 
 def write_ply_cloud(path, cloud: PointCloud) -> None:
-    """ASCII PLY with x,y,z and, when attributes are present, r,g,b floats."""
+    """Binary PLY with x,y,z and, when attributes are present, r,g,b doubles."""
     names, rows = ["x", "y", "z"], cloud.points
     if cloud.attributes is not None and cloud.attributes.shape[1] >= 3:
         names, rows = names + ["r", "g", "b"], np.hstack([rows, cloud.attributes[:, :3]])
@@ -232,45 +232,47 @@ def read_ply_cloud(path) -> PointCloud:
 
 
 def write_ply(path, names, rows) -> None:
-    """ASCII PLY with one float64 vertex property per name and one line per
-    row, each value printed with 17 significant digits (exact round trip)."""
+    """Binary little-endian PLY with one float64 vertex property per name and
+    the rows as raw doubles, so the round trip keeps every bit."""
     properties = "".join(f"property float64 {name}\n" for name in names)
-    header = f"ply\nformat ascii 1.0\nelement vertex {len(rows)}\n{properties}end_header\n"
-    line = " ".join(["%.17g"] * len(names)) + "\n"
-    write_atomic(path, header + (line * len(rows)) % tuple(np.ravel(rows).tolist()))
+    header = f"ply\nformat binary_little_endian 1.0\nelement vertex {len(rows)}\n{properties}end_header\n"
+    write_atomic(path, header.encode() + np.ascontiguousarray(rows, "<f8").tobytes())
 
 
 class PlyTable:
-    """An ASCII PLY vertex table, parsed once: `names` lists its properties in
-    file order and `columns` picks any of them by name. A header fault, a
-    missing column, a table of other than the declared size or a non-finite
-    value is an InputError naming the file."""
+    """A binary little-endian PLY vertex table of float64 properties, read
+    once: `names` lists its properties in file order and `columns` picks any
+    of them by name. A header fault (another format or property type
+    included), a missing column, a body other than the declared rows x
+    columns doubles or a non-finite value is an InputError naming the file."""
 
     def __init__(self, path):
         self.path, self.names, n_vertex = path, [], None
-        with parsing(path), open(path) as f:
-            if f.readline().strip() != "ply":
+        with parsing(path), open(path, "rb") as f:
+            if f.readline().strip() != b"ply":
                 raise ValueError("not a PLY file")
-            for line in f:
+            for line in map(bytes.decode, f):  # a header line that is not UTF-8 is a ValueError
                 match line.split():
-                    case ["format", "ascii", "1.0"] | ["comment" | "obj_info", *_]:
+                    case ["format", "binary_little_endian", "1.0"] | ["comment" | "obj_info", *_]:
                         pass
                     case ["element", "vertex", count] if n_vertex is None and count.isdigit():
                         n_vertex = int(count)
-                    case ["property", _, name] if name not in self.names:
+                    case ["property", "float64", name] if name not in self.names:
                         self.names.append(name)
                     case ["end_header"]:
                         break
-                    case _:  # a blank line, another format or element, a repeated name
+                    case _:  # a blank line, another format, element or type, a repeated name
                         raise ValueError(f"bad PLY header line {line.rstrip()!r}")
             else:
                 raise ValueError("PLY header has no end_header line")
             if n_vertex is None:
                 raise ValueError("PLY header has no element vertex line")
-            # loadtxt warns on an empty body, so an empty table skips it
-            self.rows = np.loadtxt(f, ndmin=2) if n_vertex else np.zeros((0, len(self.names)))
-            if self.rows.shape != (n_vertex, len(self.names)) or f.read().strip():
-                raise ValueError(f"PLY vertex table is not {n_vertex} rows of {len(self.names)} values")
+            body = f.read()
+            if len(body) != 8 * n_vertex * len(self.names):
+                raise ValueError(
+                    f"PLY vertex table is not {n_vertex} rows of {len(self.names)} values: {len(body)} bytes"
+                )
+            self.rows = np.frombuffer(body, "<f8").reshape(n_vertex, len(self.names))
             if not np.all(np.isfinite(self.rows)):
                 raise ValueError("PLY vertex table has non-finite values")
 

@@ -141,8 +141,8 @@ class Correspondences:
     weights: np.ndarray = None
 
     def __post_init__(self):
-        src = np.asarray(self.source, dtype=np.float64)
-        dst = np.asarray(self.target, dtype=np.float64)
+        src = np.ascontiguousarray(self.source, dtype=np.float64)
+        dst = np.ascontiguousarray(self.target, dtype=np.float64)
         if src.ndim != 2 or src.shape[1] != 3:
             raise InputError(f"source must be (M, 3), got {src.shape}")
         if dst.shape != src.shape:

@@ -103,7 +103,7 @@ def lift_cloud(points: np.ndarray, attributes, neighbors: int, scales, cap: floa
     channels collapse onto the centered one and the per-point frame
     degenerates.
     """
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
     n = points.shape[0]
     if n == 0:
         return np.zeros((3, LIFT_CHANNELS, 0))
@@ -200,6 +200,8 @@ class PoseModel(Layer):
         head run once, and the appearance features, which rotation does not
         change, reach the head once for both halves. offsets then gains a
         leading pair axis, (2, ..., N, M + 1, 3)."""
+        v = np.ascontiguousarray(v, dtype=np.float64)
+        app_in = np.ascontiguousarray(app_in, dtype=np.float64)
         cache = self._new_cache(ctx)
         for key in ("backbone", "invariant", "appearance", "seg", "kp"):
             cache[key] = {}

@@ -85,7 +85,7 @@ def mean_shift_modes(
     a mean can differ from that in its last bits, because BLAS sums a row of
     a product differently depending on how many rows the product has.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.shape[0]
     if n == 0:
         return np.zeros((0, x.shape[1] if x.ndim == 2 else 0)), np.zeros(0, dtype=int)
@@ -165,9 +165,7 @@ def vote_keypoints(points, offsets, members):
     n_slots = offsets.shape[1]
     voted = np.zeros((n_slots, 3))
     fractions = np.zeros(n_slots)
-    # slot-major, so each slot's votes are C-contiguous: numpy's matmul sums a
-    # strided operand in another order, which moves the whole-set mean's bits
-    candidates = np.ascontiguousarray(offsets[members].swapaxes(0, 1)) + points[members]
+    candidates = offsets[members].swapaxes(0, 1) + points[members]
     for j in range(n_slots):
         modes, counts = mean_shift_modes(candidates[j], CONFIG.keypoint_bandwidth)
         voted[j] = modes[0]

@@ -384,7 +384,7 @@ def load_registry(directory) -> Registry:
 
 
 def save_scene(path_stem, sample: SceneSample) -> None:
-    """ASCII PLY (points, colors, label, offsets) plus a JSON pose sidecar."""
+    """Binary float64 PLY (points, colors, label, offsets) plus a JSON pose sidecar."""
     n = len(sample.cloud)
     names = ["x", "y", "z", "r", "g", "b", "label"]
     for j in range(sample.gt_offsets.shape[1]):

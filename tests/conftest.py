@@ -1,6 +1,7 @@
 """Shared helpers: a finite-difference gradient check for single layers, the
 output pair of a layer stack in the form PoseModel.so3_term takes, the
-brute-force ADD-S reference, and the gather-formula lift reference."""
+brute-force ADD-S reference, the gather-formula lift reference, and an editor
+of binary PLY files."""
 
 from pathlib import Path
 
@@ -97,3 +98,17 @@ def lift_cloud_gather(points, attributes, neighbors: int, scales, cap: float) ->
     v = np.ascontiguousarray(np.stack(channels, axis=1).T)
     norms = np.linalg.norm(v, axis=0)
     return v * np.minimum(1.0, cap / np.maximum(norms, 1e-30))
+
+
+def edit_ply(path, header=lambda text: text, rows=lambda table, names: table):
+    """Rewrite the binary PLY at `path`: `header` maps its header text, "ply"
+    through "end_header" and its newline, to new text, and `rows` maps its
+    (N, len(names)) float64 table and the column names to the table whose
+    rows are written after the new header as little-endian doubles."""
+    raw = Path(path).read_bytes()
+    end = raw.index(b"end_header\n") + len(b"end_header\n")
+    text = raw[:end].decode()
+    names = [line.split()[-1] for line in text.splitlines() if line.startswith("property ")]
+    table = np.frombuffer(raw[end:], "<f8").reshape(-1, len(names)).copy()
+    body = np.ascontiguousarray(rows(table, names), "<f8").tobytes()
+    Path(path).write_bytes(header(text).encode() + body)

@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import SRC
+from conftest import SRC, edit_ply
+from equipose.backproject import PlyTable
 from equipose.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
 from equipose.geometry import RigidTransform, load_pose_json, sample_uniform_rotation
 from equipose.model import ModelConfig, init_model, save_model
@@ -164,22 +165,20 @@ def assert_manifest_lists_every_created_file(manifest_path, before):
     assert sorted(json.loads(manifest_path.read_text())["artifacts"]) == sorted(map(str, created))
 
 
-def scenes_with_first_token(dataset, tmp_path, token, prop, with_meta=True):
+def scenes_with_first_value(dataset, tmp_path, value, prop, with_meta=True):
     """Copy of the dataset's scenes whose first scene has its first vertex's
-    `prop` value replaced by `token`, next to a copy of dataset.json unless
+    `prop` value replaced by `value`, next to a copy of dataset.json unless
     with_meta is False."""
     scenes = tmp_path / "scenes"
     shutil.copytree(dataset / "scenes", scenes)
     if with_meta:
         shutil.copy(dataset / "dataset.json", tmp_path)
-    ply = sorted(scenes.glob("scene_*.ply"))[0]
-    lines = ply.read_text().splitlines()
-    header_end = lines.index("end_header")
-    props = [line.split()[-1] for line in lines[:header_end] if line.startswith("property")]
-    row = lines[header_end + 1].split()
-    row[props.index(prop)] = token
-    lines[header_end + 1] = " ".join(row)
-    ply.write_text("\n".join(lines) + "\n")
+
+    def edit(table, names):
+        table[0, names.index(prop)] = value
+        return table
+
+    edit_ply(sorted(scenes.glob("scene_*.ply"))[0], rows=edit)
     return scenes
 
 
@@ -323,30 +322,23 @@ class TestEvalAndMetrics:
             assert float(row.split(",")[3]) == 100.0  # hit_rate_01d
 
     @staticmethod
-    def eval_with_first_token(dataset, tmp_path, token, prop="x"):
+    def eval_with_first_value(dataset, tmp_path, value, prop="x"):
         """Run oracle-head eval after replacing the first scene's first `prop` value."""
-        scenes = scenes_with_first_token(dataset, tmp_path, token, prop)
-        return main(
-            [
-                "eval",
-                "--scenes-dir",
-                str(scenes),
-                "--registry-dir",
-                str(dataset / "registry"),
-                "--out-dir",
-                str(tmp_path / "out"),
-                "--oracle-heads",
-            ]
-        )
+        scenes = scenes_with_first_value(dataset, tmp_path, value, prop)
+        return main(_eval_argv(dataset, tmp_path, scenes, "--oracle-heads"))
 
     def test_nan_coordinate_exits_2(self, dataset, tmp_path):
-        assert self.eval_with_first_token(dataset, tmp_path, "nan") == EXIT_BAD_INPUT
+        assert self.eval_with_first_value(dataset, tmp_path, np.nan) == EXIT_BAD_INPUT
 
-    def test_non_numeric_coordinate_exits_2(self, dataset, tmp_path):
-        assert self.eval_with_first_token(dataset, tmp_path, "abc") == EXIT_BAD_INPUT
+    def test_partial_double_body_exits_2(self, dataset, tmp_path):
+        scenes = tmp_path / "scenes"
+        shutil.copytree(dataset / "scenes", scenes)
+        ply = scenes / "scene_00000.ply"
+        ply.write_bytes(ply.read_bytes() + b"abc")
+        assert main(_eval_argv(dataset, tmp_path, scenes, "--oracle-heads")) == EXIT_BAD_INPUT
 
     def test_nan_colour_exits_2(self, dataset, tmp_path):
-        assert self.eval_with_first_token(dataset, tmp_path, "nan", prop="r") == EXIT_BAD_INPUT
+        assert self.eval_with_first_value(dataset, tmp_path, np.nan, prop="r") == EXIT_BAD_INPUT
 
     def test_neither_params_nor_oracle_heads_exits_2(self, dataset, tmp_path, capsys):
         code = main(
@@ -491,14 +483,14 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_label_out_of_range_exits_2(self, dataset, tmp_path, capsys):
-        scenes = scenes_with_first_token(dataset, tmp_path, "7", "label")
+        scenes = scenes_with_first_value(dataset, tmp_path, 7.0, "label")
         code = main(["train", "--scenes-dir", str(scenes), "--out-dir", str(tmp_path / "run"), "--epochs", "1"])
         assert code == EXIT_BAD_INPUT
         assert "labels must lie in [0, 4)" in capsys.readouterr().err
 
     def test_without_dataset_json_classes_come_from_ground_truth(self, dataset, tmp_path, capsys):
         # n_classes is read from the sidecars' GT classes, not from max(label) + 1
-        scenes = scenes_with_first_token(dataset, tmp_path / "bad", "7", "label", with_meta=False)
+        scenes = scenes_with_first_value(dataset, tmp_path / "bad", 7.0, "label", with_meta=False)
         assert not (tmp_path / "bad" / "dataset.json").exists()
         code = main(["train", "--scenes-dir", str(scenes), "--out-dir", str(tmp_path / "run"), "--epochs", "1"])
         assert code == EXIT_BAD_INPUT
@@ -571,14 +563,18 @@ def _train_argv(tmp_path, scenes):
 
 def _on_edited_scene(suffix, edit, command="eval", named=None):
     """`command` on a copy of the scenes whose first scene has its `suffix`
-    file edited; the error names that scene's `named` file, by default the
+    file edited, a sidecar's text by `edit(text)` and a PLY file in place by
+    `edit(path)`; the error names that scene's `named` file, by default the
     edited one."""
 
     def case(dataset, tmp_path):
         scenes = tmp_path / "scenes"
         shutil.copytree(dataset / "scenes", scenes)
         path = scenes / f"scene_00000{suffix}"
-        path.write_text(edit(path.read_text()))
+        if suffix == ".ply":
+            edit(path)
+        else:
+            path.write_text(edit(path.read_text()))
         if command == "train":
             argv = _train_argv(tmp_path, scenes)
         else:
@@ -598,32 +594,54 @@ def _set_keypoints(n_keypoints):
 
 
 def _eval_with_nan_offset(dataset, tmp_path):
-    scenes = scenes_with_first_token(dataset, tmp_path, "nan", "off_0_x")
+    scenes = scenes_with_first_value(dataset, tmp_path, np.nan, "off_0_x")
     return _eval_argv(dataset, tmp_path, scenes, "--oracle-heads"), scenes / "scene_00000.ply"
 
 
 def _eval_with_fractional_label(dataset, tmp_path):
-    scenes = scenes_with_first_token(dataset, tmp_path, "1.5", "label")
+    scenes = scenes_with_first_value(dataset, tmp_path, 1.5, "label")
     return _eval_argv(dataset, tmp_path, scenes, "--oracle-heads"), scenes / "scene_00000.ply"
 
 
 def _eval_on_edited_registry_ply(edit):
-    """`eval --oracle-heads` on a copy of the registry whose model_001.ply is edited."""
+    """`eval --oracle-heads` on a copy of the registry whose model_001.ply is
+    edited in place by `edit(path)`."""
 
     def case(dataset, tmp_path):
         registry = tmp_path / "registry"
         shutil.copytree(dataset / "registry", registry)
         path = registry / "model_001.ply"
-        path.write_text(edit(path.read_text()))
+        edit(path)
         argv = ["eval", "--scenes-dir", str(dataset / "scenes"), "--registry-dir", str(registry)]
         return [*argv, "--out-dir", str(tmp_path / "out"), "--oracle-heads"], path
 
     return case
 
 
-def _no_vertices(text):
-    header = text[: text.index("end_header\n") + len("end_header\n")]
-    return re.sub(r"element vertex \d+", "element vertex 0", header, count=1)
+def _ply_header(pattern, repl):
+    """An in-place edit of a PLY file whose header's first match of `pattern` becomes `repl`."""
+    return lambda path: edit_ply(path, header=lambda text: re.sub(pattern, repl, text, count=1))
+
+
+def _no_vertices(path):
+    edit_ply(
+        path,
+        header=lambda text: re.sub(r"element vertex \d+", "element vertex 0", text, count=1),
+        rows=lambda table, names: table[:0],
+    )
+
+
+def _without_end_header(path):
+    edit_ply(path, header=lambda text: text[: text.index("end_header")], rows=lambda table, names: table[:0])
+
+
+def _as_ascii_ply(path):
+    """The PLY file rewritten in the ASCII format older datasets were written in."""
+    table = PlyTable(path)
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(table.rows)}"]
+    lines += [f"property float64 {name}" for name in table.names] + ["end_header"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in table.rows]
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _eval_on_edited_model_json(edit):
@@ -654,12 +672,12 @@ def _train_on_mixed_keypoint_counts(dataset, tmp_path):
     return _train_argv(tmp_path, scenes), scenes / "scene_00008.json"
 
 
-def _drop_last_row(text):
-    return text[: text.rstrip("\n").rfind("\n") + 1]
+def _drop_last_row(path):
+    edit_ply(path, rows=lambda table, names: table[:-1])
 
 
-def _repeat_last_row(text):
-    return text + text.rstrip("\n").rsplit("\n", 1)[1] + "\n"
+def _repeat_last_row(path):
+    edit_ply(path, rows=lambda table, names: np.vstack([table, table[-1:]]))
 
 
 def _skew_first_rotation(text):
@@ -748,7 +766,7 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _train_on_edited_dataset_json(lambda meta: meta.pop("n_classes")),
         _train_on_edited_dataset_json(lambda meta: meta.update(n_classes="4")),
         _eval_on_truncated_params,
-        _on_edited_scene(".ply", lambda text: text.replace(" label\n", " lbl\n", 1)),
+        _on_edited_scene(".ply", _ply_header(" label\n", " lbl\n")),
         _eval_on_edited_params(lambda manifest: manifest["model_config"].update(n_classes="4")),
         _train_with_fractional_epochs,
         _eval_on_edited_params(lambda manifest: manifest["model_config"].update(n_classes=5)),
@@ -756,18 +774,16 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _eval_on_edited_params(
             lambda manifest: manifest["tensors"].append(dict(manifest["tensors"][0], name="extra.W"))
         ),
-        _on_edited_scene(".ply", lambda text: text.replace(" r\n", " red\n", 1)),
-        _on_edited_scene(".ply", lambda text: text.replace("end_header", "\nend_header", 1)),
-        _on_edited_scene(".ply", lambda text: text.replace("end_header", "\nend_header", 1), "train"),
-        _on_edited_scene(".ply", lambda text: text.replace(" label\n", "\n", 1)),
-        _eval_on_edited_registry_ply(
-            lambda text: text.replace("property float64 y\n", "property float64 v\n", 1)
-        ),
-        _on_edited_scene(".ply", lambda text: re.sub(r"element vertex \d+\n", "", text, count=1)),
-        _on_edited_scene(".ply", lambda text: text[: text.index("end_header")]),
+        _on_edited_scene(".ply", _ply_header(" r\n", " red\n")),
+        _on_edited_scene(".ply", _ply_header("end_header", "\nend_header")),
+        _on_edited_scene(".ply", _ply_header("end_header", "\nend_header"), "train"),
+        _on_edited_scene(".ply", _ply_header(" label\n", "\n")),
+        _eval_on_edited_registry_ply(_ply_header("property float64 y\n", "property float64 v\n")),
+        _on_edited_scene(".ply", _ply_header(r"element vertex \d+\n", "")),
+        _on_edited_scene(".ply", _without_end_header),
         _on_edited_scene(".ply", _drop_last_row),
         _on_edited_scene(".ply", _repeat_last_row),
-        _on_edited_scene(".ply", lambda text: text.replace(" off_1_y\n", " off_1_x\n", 1)),
+        _on_edited_scene(".ply", _ply_header(" off_1_y\n", " off_1_x\n")),
         _on_edited_scene(".json", _set_keypoints(7), named=".ply"),
         _on_edited_scene(".json", _set_keypoints(9), named=".ply"),
         _eval_with_nan_offset,
@@ -795,6 +811,8 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _eval_on_edited_params(lambda manifest: manifest["model_config"]["lift_scales"].__setitem__(1, -60.0)),
         _eval_on_edited_params(lambda manifest: manifest["model_config"].update(lift_neighbors=0)),
         _eval_on_edited_registry_ply(_no_vertices),
+        _on_edited_scene(".ply", _as_ascii_ply),
+        _eval_on_edited_registry_ply(_as_ascii_ply),
     ],
     ids=[
         "no_source",
@@ -845,6 +863,8 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "params_negative_lift_scale",
         "params_zero_lift_neighbors",
         "registry_ply_without_vertices",
+        "ply_ascii_format",
+        "registry_ply_ascii_format",
     ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):

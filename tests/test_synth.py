@@ -199,6 +199,19 @@ class TestOnDisk:
             assert c1 == c2
             np.testing.assert_array_equal(p1.rotation.m, p2.rotation.m)
 
+    def test_scene_roundtrip_keeps_every_bit(self, tmp_path):
+        # negative zeros and subnormals in the points, colours and offsets
+        scene = render_scene(make_default_models(seed=0, n_vertices=200), SceneConfig(), seed=7)
+        scene.cloud.points[0] = [-0.0, 1e-310, 5e-324]
+        scene.cloud.attributes[0, 0] = -0.0
+        scene.gt_offsets[0, 0] = [5e-324, -0.0, -1e-310]
+        save_scene(tmp_path / "scene_00000", scene)
+        loaded = load_scene(tmp_path / "scene_00000")
+        for name in ("points", "attributes"):
+            assert getattr(loaded.cloud, name).tobytes() == getattr(scene.cloud, name).tobytes()
+        assert loaded.gt_offsets.tobytes() == scene.gt_offsets.tobytes()
+        np.testing.assert_array_equal(loaded.labels, scene.labels)
+
     def test_scene_columns_are_read_by_name(self, tmp_path):
         models = make_default_models(seed=0, n_vertices=200)
         scene = render_scene(models, SceneConfig(noise_sigma=0.002, n_background=10), seed=9)
@@ -281,7 +294,6 @@ def test_ply_writer_bytes_match_per_value_reference(tmp_path):
         names = [f"p{j}" for j in range(table.shape[1])]
         path = tmp_path / "table.ply"
         write_ply(path, names, table)
-        header = ["ply", "format ascii 1.0", f"element vertex {len(table)}"]
+        header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(table)}"]
         header += [f"property float64 {name}" for name in names] + ["end_header"]
-        lines = header + [" ".join(f"{v:.17g}" for v in row) for row in table]
-        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert path.read_bytes() == ("\n".join(header) + "\n").encode() + table.astype("<f8").tobytes()
