@@ -1,9 +1,5 @@
-"""Depth-image back-projection to camera-frame point clouds, and the reverse projection.
-
-Pixel convention: (x, y) are zero-based column/row indices taken at pixel
-centers. Depths are meters everywhere in memory; file loaders apply a tick
-scale on the way in/out.
-"""
+"""Camera-frame point clouds and the binary PLY vertex table that stores
+them: `write_ply` and `PlyTable` are the table's one writer and one reader."""
 
 from __future__ import annotations
 
@@ -11,83 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EquiposeError, InputError
-from .files import parsing, read_json, write_atomic, write_json
-
-
-@dataclass(frozen=True)
-class CameraIntrinsics:
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    skew: float = 0.0
-
-    @property
-    def k(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.fx, self.skew, self.cx],
-                [0.0, self.fy, self.cy],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-
-    def k_inv(self) -> np.ndarray:
-        k = self.k
-        if abs(np.linalg.det(k)) <= 1e-12:
-            raise EquiposeError(f"intrinsic matrix is singular: det={np.linalg.det(k)}")
-        return np.linalg.inv(k)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(
-            fx=float(d["fx"]),
-            fy=float(d["fy"]),
-            cx=float(d["cx"]),
-            cy=float(d["cy"]),
-            skew=float(d.get("skew", 0.0)),
-        )
-
-    def to_dict(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy, "skew": self.skew}
-
-    @classmethod
-    def load_json(cls, path) -> "CameraIntrinsics":
-        with read_json(path) as d:
-            return cls.from_dict(d)
-
-    def save_json(self, path) -> None:
-        write_json(path, self.to_dict())
-
-
-@dataclass(frozen=True)
-class DepthImage:
-    """Depth map in meters, shape (height, width). Zero marks invalid pixels."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 2:
-            raise InputError(f"depth data must be 2-D, got shape {d.shape}")
-        if not np.all(np.isfinite(d)):
-            raise InputError("depth data contains non-finite values")
-        if np.any(d < 0.0):
-            raise InputError("negative depths are forbidden")
-        object.__setattr__(self, "data", d)
-
-    @property
-    def height(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def valid_mask(self) -> np.ndarray:
-        return self.data > 0.0
+from .errors import InputError
+from .files import parsing, write_atomic
 
 
 @dataclass
@@ -95,14 +16,10 @@ class PointCloud:
     """Camera-frame points with optional per-point appearance attributes.
 
     attributes: (N, A) floats, e.g. RGB in [0, 1].
-    pixel_origin: (N, 2) integer (x, y) source pixels, when back-projected.
-    image_size: (width, height) of the source image, when known.
     """
 
     points: np.ndarray
     attributes: np.ndarray = None
-    pixel_origin: np.ndarray = None
-    image_size: tuple = None
 
     def __post_init__(self):
         pts = np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -117,104 +34,9 @@ class PointCloud:
             if not np.all(np.isfinite(a)):
                 raise InputError("point cloud contains non-finite attributes")
             self.attributes = a
-        if self.pixel_origin is not None:
-            p = np.asarray(self.pixel_origin)
-            if p.shape != (n, 2):
-                raise InputError(f"pixel_origin must be ({n}, 2), got {p.shape}")
-            self.pixel_origin = p
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-def depth_to_cloud(
-    depth: DepthImage,
-    intrinsics: CameraIntrinsics,
-    mask: np.ndarray = None,
-    attribute_image: np.ndarray = None,
-) -> PointCloud:
-    """Back-project valid depth pixels: point = D(x, y) * K^-1 @ [x, y, 1].
-
-    mask optionally restricts to a boolean (H, W) pixel set. attribute_image
-    (H, W, A) attaches per-pixel values (e.g. RGB) to the resulting points.
-    """
-    k_inv = intrinsics.k_inv()
-    select = depth.valid_mask
-    if mask is not None:
-        select = select & np.asarray(mask, dtype=bool)
-    ys, xs = np.nonzero(select)
-    d = depth.data[ys, xs]
-    rays = np.column_stack([xs, ys, np.ones_like(d)]) @ k_inv.T
-    points = rays * d[:, None]
-    attrs = None
-    if attribute_image is not None:
-        attrs = np.asarray(attribute_image, dtype=np.float64)[ys, xs]
-        if attrs.ndim == 1:
-            attrs = attrs[:, None]
-    return PointCloud(
-        points=points.reshape(-1, 3),
-        attributes=attrs,
-        pixel_origin=np.column_stack([xs, ys]) if len(d) else np.zeros((0, 2), dtype=int),
-        image_size=(depth.width, depth.height),
-    )
-
-
-def project_to_pixels(cloud: PointCloud, intrinsics: CameraIntrinsics) -> np.ndarray:
-    """Project points to (pixel x, pixel y, depth) rows; requires z > 0."""
-    pts = cloud.points
-    if np.any(pts[:, 2] <= 0.0):
-        raise EquiposeError("all points must have z > 0 to project")
-    uvw = pts @ intrinsics.k.T
-    return np.column_stack([uvw[:, 0] / uvw[:, 2], uvw[:, 1] / uvw[:, 2], uvw[:, 2]])
-
-
-def write_pgm_depth(path, depth: DepthImage, ticks_per_meter: float = 10000.0) -> None:
-    """Write a binary 16-bit PGM (P5, big-endian samples per the netpbm spec)."""
-    ticks = np.round(depth.data * ticks_per_meter)
-    if np.any(ticks > 65535):
-        raise ValueError("depth exceeds 16-bit range at this tick scale")
-    header = f"P5\n{depth.width} {depth.height}\n65535\n".encode("ascii")
-    write_atomic(path, header + ticks.astype(">u2").tobytes())
-
-
-def read_pgm_depth(path, ticks_per_meter: float = 10000.0) -> DepthImage:
-    """Read a 16-bit binary PGM (P5, maxval 65535) of depth ticks. A bad or
-    truncated header or a short payload is an InputError naming the file."""
-    with open(path, "rb") as f:
-        raw = f.read()
-    fields = []
-    pos = 0
-    with parsing(path):
-        while len(fields) < 4:
-            while pos < len(raw) and raw[pos : pos + 1].isspace():
-                pos += 1
-            if raw[pos : pos + 1] == b"#":  # comment line
-                end = raw.find(b"\n", pos)
-                if end < 0:
-                    raise ValueError("PGM header comment has no end of line")
-                pos = end + 1
-                continue
-            start = pos
-            while pos < len(raw) and not raw[pos : pos + 1].isspace():
-                pos += 1
-            if pos == start:
-                raise ValueError(f"truncated PGM header: {len(fields)} of 4 fields")
-            fields.append(raw[start:pos])
-        pos += 1  # single whitespace after maxval
-        magic, *numbers = fields
-        if magic != b"P5":
-            raise ValueError(f"not a binary PGM file: magic {magic!r}")
-        if not all(x.removeprefix(b"-").isdigit() for x in numbers):
-            raise ValueError(f"non-numeric PGM header field in {numbers!r}")
-        w, h, maxval = (int(x) for x in numbers)
-        if maxval != 65535:
-            raise ValueError("only 16-bit PGM depth images are supported")
-        if w < 0 or h < 0:
-            raise ValueError(f"negative PGM size {w} x {h}")
-        if len(raw) - pos < 2 * w * h:
-            raise ValueError(f"PGM payload is {max(len(raw) - pos, 0)} bytes, expected {2 * w * h}")
-    ticks = np.frombuffer(raw, dtype=">u2", count=w * h, offset=pos).reshape(h, w)
-    return DepthImage(ticks.astype(np.float64) / ticks_per_meter)
 
 
 def write_ply_cloud(path, cloud: PointCloud) -> None:

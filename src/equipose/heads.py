@@ -15,11 +15,15 @@ from .backproject import PointCloud
 from .errors import EquiposeError
 from .layers import Layer, Mlp2
 
-APPEARANCE_INPUT_DIM = 5  # r, g, b, normalized pixel x, normalized pixel y
+# r, g, b, then two columns of zero padding, kept only because the committed
+# perfbench/checkpoint/crit8.params has a (32, 5) appearance.mlp.W1; they go
+# when that checkpoint is converted (ROADMAP F)
+APPEARANCE_INPUT_DIM = 5
 
 
 class AppearanceEncoder(Layer):
-    """Per-point two-layer perceptron over [rgb, normalized pixel x/y].
+    """Per-point two-layer perceptron over appearance_input's rows: r, g, b
+    and two zero-padding columns (see APPEARANCE_INPUT_DIM).
 
     Reads attributes only, so rotating the 3D points never changes its output.
     """
@@ -40,20 +44,12 @@ class AppearanceEncoder(Layer):
 
 
 def appearance_input(cloud: PointCloud) -> np.ndarray:
-    """(N, 5) encoder input from a cloud's attributes and pixel origins.
-
-    Pixel coordinates are normalized by the source image size and default to
-    zero when the cloud was not back-projected from an image.
-    """
+    """(N, 5) encoder input: a cloud's first three attributes (r, g, b), then
+    two columns of exact zeros (see APPEARANCE_INPUT_DIM)."""
     if cloud.attributes is None or cloud.attributes.shape[1] < 3:
         raise EquiposeError("cloud has no RGB attributes")
-    n = len(cloud)
-    out = np.zeros((n, APPEARANCE_INPUT_DIM))
+    out = np.zeros((len(cloud), APPEARANCE_INPUT_DIM))
     out[:, :3] = cloud.attributes[:, :3]
-    if cloud.pixel_origin is not None and cloud.image_size is not None:
-        w, h = cloud.image_size
-        out[:, 3] = (cloud.pixel_origin[:, 0] + 0.5) / w
-        out[:, 4] = (cloud.pixel_origin[:, 1] + 0.5) / h
     return out
 
 

@@ -59,16 +59,16 @@ class TestAppearanceEncoder:
         with pytest.raises(EquiposeError, match="no RGB attributes"):
             appearance_input(PointCloud(points=np.zeros((3, 3))))
 
-    def test_pixel_normalization(self):
-        cloud = PointCloud(
-            points=np.zeros((2, 3)),
-            attributes=np.full((2, 3), 0.5),
-            pixel_origin=np.array([[0, 0], [639, 479]]),
-            image_size=(640, 480),
-        )
-        x = appearance_input(cloud)
-        np.testing.assert_allclose(x[0, 3:], [0.5 / 640, 0.5 / 480])
-        np.testing.assert_allclose(x[1, 3:], [639.5 / 640, 479.5 / 480])
+    @pytest.mark.parametrize("n_attributes", [3, 4])
+    def test_rgb_columns_then_exact_zero_padding(self, n_attributes):
+        # the converted checkpoint drops W1's last two columns and must keep
+        # every logit bit for bit, which holds only while they read exact zeros
+        attrs = RNG(11).uniform(-1.0, 1.0, size=(7, n_attributes))
+        attrs[0, :3] = [-0.0, 5e-324, 1e-300]
+        x = appearance_input(PointCloud(points=np.zeros((7, 3)), attributes=attrs))
+        assert x.shape == (7, 5) and x.dtype == np.float64
+        assert x[:, :3].tobytes() == np.ascontiguousarray(attrs[:, :3]).tobytes()
+        assert x[:, 3:].tobytes() == np.zeros((7, 2)).tobytes()
 
     def test_rotation_of_points_changes_nothing(self):
         enc = fresh(AppearanceEncoder(), seed=5)

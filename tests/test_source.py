@@ -1,6 +1,7 @@
 """Guards that read the source tree itself rather than run it."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -54,3 +55,35 @@ def test_every_error_type_is_caught_somewhere():
             if isinstance(node, ast.ExceptHandler) and node.type is not None:
                 caught |= {name.id for name in ast.walk(node.type) if isinstance(name, ast.Name)}
     assert sorted(defined - caught) == []
+
+
+# the SE(3) helpers the tests use as their reference: no library code needs
+# them, but a test of composed or parsed poses is written in their terms
+REFERENCE_HELPERS = ("geometry.compose", "geometry.geodesic_distance", "geometry.load_pose_json")
+
+
+def test_every_public_definition_is_reached():
+    # a public top-level function or class that no library or benchmark code
+    # names outside its own body is reached only by its own tests: nothing the
+    # program runs depends on it. The exemptions must stay exactly the unreached
+    # ones, so the tuple cannot go stale
+    def names(tree):
+        return Counter(
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))
+        )
+
+    modules = {path: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    named = sum((names(tree) for tree in modules.values()), Counter())
+    for path in sorted((TESTS.parent / "perfbench").rglob("*.py")):
+        named += names(ast.parse(path.read_text()))
+    unreached = [
+        f"{path.stem}.{node.name}"
+        for path, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and named[node.name] <= names(node)[node.name]
+    ]
+    assert sorted(unreached) == sorted(REFERENCE_HELPERS)
