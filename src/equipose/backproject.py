@@ -13,44 +13,26 @@ from .files import parsing, write_atomic
 
 @dataclass
 class PointCloud:
-    """Camera-frame points with optional per-point appearance attributes.
+    """Camera-frame points and their colors.
 
-    attributes: (N, A) floats, e.g. RGB in [0, 1].
+    points: (N, 3) floats; attributes: (N, 3) floats, r, g, b in [0, 1].
     """
 
     points: np.ndarray
-    attributes: np.ndarray = None
+    attributes: np.ndarray
 
     def __post_init__(self):
-        pts = np.ascontiguousarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if not np.all(np.isfinite(pts)):
-            raise InputError("point cloud contains non-finite coordinates")
-        self.points = pts
-        n = pts.shape[0]
-        if self.attributes is not None:
-            a = np.ascontiguousarray(self.attributes, dtype=np.float64)
-            if a.shape[0] != n:
-                raise InputError(f"attributes rows {a.shape[0]} != point count {n}")
-            if not np.all(np.isfinite(a)):
-                raise InputError("point cloud contains non-finite attributes")
-            self.attributes = a
+        self.points = np.ascontiguousarray(self.points, dtype=np.float64)
+        self.attributes = np.ascontiguousarray(self.attributes, dtype=np.float64)
+        shape = self.points.shape[:1] + (3,)
+        if self.points.shape != shape or self.attributes.shape != shape:
+            shapes = f"{self.points.shape} and {self.attributes.shape}"
+            raise InputError(f"a cloud is (n, 3) points and (n, 3) colors, got {shapes}")
+        if not (np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.attributes))):
+            raise InputError("point cloud contains a non-finite coordinate or color")
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-
-def write_ply_cloud(path, cloud: PointCloud) -> None:
-    """Binary PLY with x,y,z and, when attributes are present, r,g,b doubles."""
-    names, rows = ["x", "y", "z"], cloud.points
-    if cloud.attributes is not None and cloud.attributes.shape[1] >= 3:
-        names, rows = names + ["r", "g", "b"], np.hstack([rows, cloud.attributes[:, :3]])
-    write_ply(path, names, rows)
-
-
-def read_ply_cloud(path) -> PointCloud:
-    table = PlyTable(path)
-    attrs = table.columns("r", "g", "b") if "r" in table.names else None
-    return PointCloud(points=table.columns("x", "y", "z"), attributes=attrs)
 
 
 def write_ply(path, names, rows) -> None:

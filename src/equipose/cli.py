@@ -150,7 +150,7 @@ def cmd_synth_gen(args) -> int:
     )
     config = SceneConfig(
         noise_sigma=args.noise_sigma,
-        occlusion=0.0 if args.occlusion == 0.0 else (0.0, args.occlusion),
+        occlusion=(0.0, args.occlusion),
         n_background=args.background,
     )
     registry_dir = os.path.join(args.out_dir, "registry")

@@ -107,19 +107,9 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     return RigidTransform(r, t)
 
 
-def _rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def sample_uniform_rotation(seed) -> Rotation:
-    """Haar-uniform rotation via a normalized 4-component Gaussian quaternion.
-
-    ``seed`` is an int or a numpy Generator; an int gives a reproducible
-    single draw, a Generator advances its state.
-    """
-    rng = _rng(seed)
+def sample_uniform_rotation(rng: np.random.Generator) -> Rotation:
+    """Haar-uniform rotation via a normalized 4-component Gaussian quaternion;
+    advances the generator's state."""
     q = rng.normal(size=4)
     while np.linalg.norm(q) < 1e-12:
         q = rng.normal(size=4)

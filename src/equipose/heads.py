@@ -44,12 +44,10 @@ class AppearanceEncoder(Layer):
 
 
 def appearance_input(cloud: PointCloud) -> np.ndarray:
-    """(N, 5) encoder input: a cloud's first three attributes (r, g, b), then
-    two columns of exact zeros (see APPEARANCE_INPUT_DIM)."""
-    if cloud.attributes is None or cloud.attributes.shape[1] < 3:
-        raise EquiposeError("cloud has no RGB attributes")
+    """(N, 5) encoder input: a cloud's r, g, b, then two columns of exact
+    zeros (see APPEARANCE_INPUT_DIM)."""
     out = np.zeros((len(cloud), APPEARANCE_INPUT_DIM))
-    out[:, :3] = cloud.attributes[:, :3]
+    out[:, :3] = cloud.attributes
     return out
 
 

@@ -25,7 +25,7 @@ def _vertices(model_or_vertices) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise EquiposeError("model has no vertices")
-    return v.reshape(-1, 3)
+    return v
 
 
 def add(gt: RigidTransform, pred: RigidTransform, model) -> float:

@@ -65,9 +65,6 @@ class ModelConfig:
         if not self.vn_widths or any(w < 1 for w in self.vn_widths):
             raise InputError("vn_widths must be positive")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
@@ -94,7 +91,7 @@ def lift_cloud(points: np.ndarray, attributes, neighbors: int, scales, cap: floa
     Geometry channels: position centered on the cloud mean, mean edge vectors
     to the nearest k and 4k neighbours (two scales of local geometry), and two
     cross products tying them together. Color channels: the centered direction
-    scaled by each (attribute - 1/2); rotation-invariant scalars riding on an
+    scaled by each (color - 1/2); rotation-invariant scalars riding on an
     equivariant direction, which lets the trunk's invariant gates read
     appearance without breaking equivariance. Channel norms saturate at `cap`
     (direction kept; the rescale reads only the rotation-invariant norm) so
@@ -103,7 +100,7 @@ def lift_cloud(points: np.ndarray, attributes, neighbors: int, scales, cap: floa
     channels collapse onto the centered one and the per-point frame
     degenerates.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64).reshape(-1, 3)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     n = points.shape[0]
     if n == 0:
         return np.zeros((3, LIFT_CHANNELS, 0))
@@ -118,10 +115,7 @@ def lift_cloud(points: np.ndarray, attributes, neighbors: int, scales, cap: floa
         edge_near = np.zeros_like(points)
         edge_far = np.zeros_like(points)
     radial = centered / np.maximum(np.linalg.norm(centered, axis=1, keepdims=True), 1e-12)
-    if attributes is not None and attributes.shape[1] >= 3:
-        tint = np.asarray(attributes, dtype=np.float64)[:, :3] - 0.5
-    else:
-        tint = np.zeros((n, 3))
+    tint = np.asarray(attributes, dtype=np.float64) - 0.5
     v = np.stack(
         [
             scales[0] * centered,
@@ -179,7 +173,7 @@ class PoseModel(Layer):
             ("kp", self.kp_head),
         ]
 
-    def lift(self, points, attributes=None) -> np.ndarray:
+    def lift(self, points, attributes) -> np.ndarray:
         return lift_cloud(
             points, attributes, self.cfg.lift_neighbors, self.cfg.lift_scales, self.cfg.lift_cap
         )
@@ -269,7 +263,7 @@ def save_model(model: PoseModel, path) -> None:
         payload.append(arr.tobytes())
         offset += arr.nbytes
     write_atomic(path, b"".join(payload))
-    write_json(str(path) + ".json", {"tensors": tensors, "model_config": model.cfg.to_dict()})
+    write_json(str(path) + ".json", {"tensors": tensors, "model_config": asdict(model.cfg)})
 
 
 def load_model(path) -> PoseModel:

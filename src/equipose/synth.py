@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backproject import PlyTable, PointCloud, read_ply_cloud, write_ply, write_ply_cloud
+from .backproject import PlyTable, PointCloud, write_ply
 from .errors import InputError
 from .files import parsing, read_json, write_json
 from .geometry import (
@@ -30,27 +30,34 @@ class ObjectModel:
     keypoints: np.ndarray  # (M, 3) object frame
     center: np.ndarray  # (3,)
     diameter: float
-    colors: np.ndarray = None  # (m, 3) in [0, 1]
+    colors: np.ndarray  # (m, 3) in [0, 1]
     symmetric: bool = False
     kind: str = ""
 
     def __post_init__(self):
-        self.vertices = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
-        self.keypoints = np.asarray(self.keypoints, dtype=np.float64).reshape(-1, 3)
-        self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
+        rows = np.shape(self.vertices)[:1]
+        shapes = {
+            "vertices": rows + (3,),
+            "keypoints": np.shape(self.keypoints)[:1] + (3,),
+            "center": (3,),
+            "colors": rows + (3,),
+        }
+        for name, shape in shapes.items():
+            value = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if value.shape != shape:
+                raise InputError(f"model {self.id} {name} must have shape {shape}, got {value.shape}")
+            setattr(self, name, value)
         if not (np.isfinite(self.keypoints).all() and np.isfinite(self.center).all()):
             raise InputError(f"model {self.id} has a non-finite keypoint or center entry")
         if not (np.isfinite(self.diameter) and self.diameter > 0.0):
             raise InputError(f"model {self.id} diameter must be finite and positive, got {self.diameter}")
-        if self.colors is not None:
-            self.colors = np.asarray(self.colors, dtype=np.float64).reshape(-1, 3)
 
 
 def select_keypoints(model, m: int) -> np.ndarray:
     """Farthest point sampling over the vertices, seeded at the vertex
     farthest from the centroid; deterministic (ties resolve to the lowest
     index)."""
-    verts = np.asarray(getattr(model, "vertices", model), dtype=np.float64).reshape(-1, 3)
+    verts = np.asarray(getattr(model, "vertices", model), dtype=np.float64)
     if m > len(verts):
         raise InputError(f"requested {m} keypoints from {len(verts)} vertices")
     if m < 1:
@@ -132,7 +139,6 @@ def generate_object(
     kind: str,
     n_vertices: int = 600,
     seed: int = 0,
-    size=None,
     class_id: int = 1,
     n_keypoints: int = 8,
 ) -> ObjectModel:
@@ -143,7 +149,7 @@ def generate_object(
     if kind not in DEFAULT_SIZES:
         raise InputError(f"unknown object kind {kind!r}")
     rng = np.random.default_rng(seed)
-    size = DEFAULT_SIZES[kind] if size is None else size
+    size = DEFAULT_SIZES[kind]
     if kind == "box":
         verts = _box_surface(n_vertices, size, rng)
         scale = max(size) / 2.0
@@ -189,10 +195,11 @@ TRANSLATION_HIGH = (0.12, 0.12, 0.75)
 
 @dataclass(frozen=True)
 class SceneConfig:
-    """Scene recipe; occlusion may be a fixed fraction or a (lo, hi) range."""
+    """Scene recipe; each instance loses a sector holding a fraction drawn
+    uniformly from occlusion = (lo, hi), or exactly lo when lo == hi."""
 
     noise_sigma: float = 0.0
-    occlusion: object = 0.0
+    occlusion: tuple = (0.0, 0.0)
     n_background: int = 0
     n_instances: int = 1
     max_object_points: int = None
@@ -200,8 +207,7 @@ class SceneConfig:
     poses: list = None  # optional [(class_id, RigidTransform)]
 
     def __post_init__(self):
-        occ = self.occlusion
-        lo, hi = (occ, occ) if np.isscalar(occ) else (occ[0], occ[1])
+        lo, hi = self.occlusion
         if not (0.0 <= lo <= hi <= 0.9):
             raise InputError("occlusion fraction must lie in [0, 0.9]")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
@@ -210,9 +216,8 @@ class SceneConfig:
             raise InputError("background point count must be non-negative")
 
     def draw_occlusion(self, rng: np.random.Generator) -> float:
-        if np.isscalar(self.occlusion):
-            return float(self.occlusion)
-        return float(rng.uniform(self.occlusion[0], self.occlusion[1]))
+        lo, hi = self.occlusion
+        return float(lo) if lo == hi else float(rng.uniform(lo, hi))
 
 
 @dataclass
@@ -342,8 +347,8 @@ def save_registry(registry: Registry, directory) -> None:
     os.makedirs(directory, exist_ok=True)
     for cls in registry:
         model = registry.lookup(cls)
-        cloud = PointCloud(points=model.vertices, attributes=model.colors)
-        write_ply_cloud(os.path.join(directory, f"model_{cls:03d}.ply"), cloud)
+        ply = os.path.join(directory, f"model_{cls:03d}.ply")
+        write_ply(ply, list("xyzrgb"), np.hstack([model.vertices, model.colors]))
         meta = {
             "id": model.id,
             "kind": model.kind,
@@ -361,19 +366,19 @@ def load_registry(directory) -> Registry:
         if not (name.startswith("model_") and name.endswith(".json")):
             continue
         ply = os.path.join(directory, name[:-5] + ".ply")
+        xyzrgb = PlyTable(ply).columns(*"xyzrgb")
         with parsing(ply):
-            cloud = read_ply_cloud(ply)
-            if len(cloud) == 0:
+            if len(xyzrgb) == 0:
                 raise InputError("model has no vertices")
         with read_json(os.path.join(directory, name)) as meta:
             models.append(
                 ObjectModel(
                     id=int(meta["id"]),
-                    vertices=cloud.points,
-                    keypoints=np.asarray(meta["keypoints"]),
-                    center=np.asarray(meta["center"]),
+                    vertices=xyzrgb[:, :3],
+                    keypoints=meta["keypoints"],
+                    center=meta["center"],
                     diameter=float(meta["diameter"]),
-                    colors=cloud.attributes,
+                    colors=xyzrgb[:, 3:],
                     symmetric=bool(meta["symmetric"]),
                     kind=meta.get("kind", ""),
                 )
@@ -392,7 +397,7 @@ def save_scene(path_stem, sample: SceneSample) -> None:
     table = np.hstack(
         [
             sample.cloud.points,
-            sample.cloud.attributes[:, :3],
+            sample.cloud.attributes,
             sample.labels[:, None].astype(np.float64),
             sample.gt_offsets.reshape(n, -1),
         ]

@@ -167,9 +167,6 @@ class TrainHistory:
     reports: list
     descent_ok: bool
 
-    def totals(self) -> np.ndarray:
-        return np.array([r.total for r in self.reports])
-
 
 def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHistory:
     """Minimize the weighted objective over the scene list.

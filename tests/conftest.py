@@ -70,7 +70,7 @@ def add_s_brute(gt: RigidTransform, pred: RigidTransform, model) -> float:
 def lift_cloud_gather(points, attributes, neighbors: int, scales, cap: float) -> np.ndarray:
     """model.lift_cloud with its neighbour means taken by gathering the
     (N, k, 3) neighbour coordinates and averaging them."""
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if n == 0:
         return np.zeros((3, LIFT_CHANNELS, 0))
@@ -84,10 +84,7 @@ def lift_cloud_gather(points, attributes, neighbors: int, scales, cap: float) ->
     else:
         edge_near = edge_far = np.zeros_like(points)
     radial = centered / np.maximum(np.linalg.norm(centered, axis=1, keepdims=True), 1e-12)
-    if attributes is not None and attributes.shape[1] >= 3:
-        tint = np.asarray(attributes, dtype=np.float64)[:, :3] - 0.5
-    else:
-        tint = np.zeros((n, 3))
+    tint = np.asarray(attributes, dtype=np.float64) - 0.5
     channels = [
         scales[0] * centered,
         scales[1] * edge_far,

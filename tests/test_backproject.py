@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from conftest import edit_ply
 
-from equipose.backproject import PointCloud, read_ply_cloud, write_ply_cloud
+from equipose.backproject import PlyTable, PointCloud, write_ply
 from equipose.errors import InputError
 
 TESTS = Path(__file__).resolve().parent
@@ -36,72 +36,76 @@ def test_only_backproject_module_reads_or_writes_ply():
     assert private == []
 
 
+XYZ = list("xyz")
+TWO_ROWS = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+
+
 class TestFileFormats:
     def test_ply_roundtrip_with_colors(self, tmp_path):
         rng = np.random.default_rng(4)
-        cloud = PointCloud(
-            points=rng.normal(size=(17, 3)),
-            attributes=rng.uniform(size=(17, 3)),
-        )
+        points, colors = rng.normal(size=(17, 3)), rng.uniform(size=(17, 3))
         path = tmp_path / "cloud.ply"
-        write_ply_cloud(path, cloud)
-        loaded = read_ply_cloud(path)
-        np.testing.assert_array_equal(loaded.points, cloud.points)
-        np.testing.assert_array_equal(loaded.attributes, cloud.attributes)
-
-    def test_ply_roundtrip_bare_points(self, tmp_path):
-        cloud = PointCloud(points=[[1.0, 2.0, 3.0]])
-        path = tmp_path / "bare.ply"
-        write_ply_cloud(path, cloud)
-        loaded = read_ply_cloud(path)
-        np.testing.assert_array_equal(loaded.points, cloud.points)
-        assert loaded.attributes is None
+        write_ply(path, list("xyzrgb"), np.hstack([points, colors]))
+        table = PlyTable(path)
+        assert table.names == list("xyzrgb")
+        np.testing.assert_array_equal(table.columns(*"xyz"), points)
+        np.testing.assert_array_equal(table.columns(*"rgb"), colors)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_cloud_rejects_non_finite_points(self, bad):
         with pytest.raises(InputError):
-            PointCloud(points=[[0.1, 0.2, 0.3], [bad, 0.0, 1.0]])
+            PointCloud(points=[[0.1, 0.2, 0.3], [bad, 0.0, 1.0]], attributes=np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_cloud_rejects_non_finite_attributes(self, bad):
         with pytest.raises(InputError):
             PointCloud(points=np.zeros((2, 3)), attributes=[[0.1, 0.2, 0.3], [bad, 0.5, 0.5]])
 
+    @pytest.mark.parametrize(
+        "points, colors",
+        [((3, 4), (4, 3)), ((3, 3), (3, 4)), ((3, 3), (2, 3)), ((3,), (1, 3))],
+        ids=["points_of_four_values", "colors_of_four_values", "fewer_colors", "flat_points"],
+    )
+    def test_cloud_rejects_other_shapes(self, points, colors):
+        # a cloud is (n, 3) points and (n, 3) r, g, b: no other shape is read as one
+        with pytest.raises(InputError, match=re.escape(f"got {points} and {colors}")):
+            PointCloud(points=np.zeros(points), attributes=np.zeros(colors))
+
     def test_ply_with_nan_coordinate_rejected(self, tmp_path):
         path = tmp_path / "nan.ply"
-        write_ply_cloud(path, PointCloud(points=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        write_ply(path, XYZ, TWO_ROWS)
         edit_ply(path, rows=lambda table, names: np.where(table == 5.0, np.nan, table))
         with pytest.raises(InputError):
-            read_ply_cloud(path)
+            PlyTable(path)
 
     def test_ply_with_partial_double_rejected(self, tmp_path):
         path = tmp_path / "partial.ply"
-        write_ply_cloud(path, PointCloud(points=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        write_ply(path, XYZ, TWO_ROWS)
         path.write_bytes(path.read_bytes() + b"abc")
         with pytest.raises(InputError):
-            read_ply_cloud(path)
+            PlyTable(path)
 
     def test_ply_with_non_numeric_vertex_count_rejected(self, tmp_path):
         path = tmp_path / "count.ply"
-        write_ply_cloud(path, PointCloud(points=[[1.0, 2.0, 3.0]]))
+        write_ply(path, XYZ, [[1.0, 2.0, 3.0]])
         edit_ply(path, header=lambda text: text.replace("element vertex 1", "element vertex one"))
         with pytest.raises(InputError):
-            read_ply_cloud(path)
+            PlyTable(path)
 
     def test_ply_empty_table_roundtrip(self, tmp_path):
         path = tmp_path / "empty.ply"
-        write_ply_cloud(path, PointCloud(points=np.zeros((0, 3))))
-        assert read_ply_cloud(path).points.shape == (0, 3)
+        write_ply(path, XYZ, np.zeros((0, 3)))
+        assert PlyTable(path).columns(*"xyz").shape == (0, 3)
         path.write_text(path.read_text() + "1 2 3\n")
         message = f"malformed {path}: ValueError: PLY vertex table is not 0 rows"
         with pytest.raises(InputError, match=re.escape(message)):
-            read_ply_cloud(path)
+            PlyTable(path)
 
     def test_ply_with_face_element_rejected(self, tmp_path):
         path = tmp_path / "mesh.ply"
         path.write_bytes(b"ply\nformat binary_little_endian 1.0\nelement face 1\nend_header\n" + bytes(13))
         with pytest.raises(InputError, match="element face 1"):
-            read_ply_cloud(path)
+            PlyTable(path)
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -122,8 +126,7 @@ class TestFileFormats:
     )
     def test_ply_rejects_bad_binary_file(self, tmp_path, edit, message):
         path = tmp_path / "bad.ply"
-        write_ply_cloud(path, PointCloud(points=[[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        write_ply(path, XYZ, TWO_ROWS)
         path.write_bytes(edit(path.read_bytes()))
         with pytest.raises(InputError, match=re.escape(f"malformed {path}: ValueError: {message}")):
-            read_ply_cloud(path)
-
+            PlyTable(path)

@@ -635,6 +635,15 @@ def _without_end_header(path):
     edit_ply(path, header=lambda text: text[: text.index("end_header")], rows=lambda table, names: table[:0])
 
 
+def _without_rgb(path):
+    """The registry PLY with its r, g, b columns dropped."""
+    edit_ply(
+        path,
+        header=lambda text: re.sub(r"property float64 [rgb]\n", "", text),
+        rows=lambda table, names: table[:, [names.index(axis) for axis in "xyz"]],
+    )
+
+
 def _as_ascii_ply(path):
     """The PLY file rewritten in the ASCII format older datasets were written in."""
     table = PlyTable(path)
@@ -813,6 +822,9 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _eval_on_edited_registry_ply(_no_vertices),
         _on_edited_scene(".ply", _as_ascii_ply),
         _eval_on_edited_registry_ply(_as_ascii_ply),
+        _eval_on_edited_registry_ply(_without_rgb),
+        _eval_on_edited_model_json(lambda meta: meta.update(keypoints=np.zeros((6, 4)).tolist())),
+        _eval_on_edited_model_json(lambda meta: meta.update(center=[meta["center"]])),
     ],
     ids=[
         "no_source",
@@ -865,6 +877,9 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "registry_ply_without_vertices",
         "ply_ascii_format",
         "registry_ply_ascii_format",
+        "registry_ply_without_rgb",
+        "registry_keypoints_of_four_values",
+        "registry_center_as_a_row",
     ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):

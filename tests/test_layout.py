@@ -52,7 +52,9 @@ MEMBERS = np.nonzero(SCENE.labels > 0)[0]
 V = MODEL.lift(CLOUD, ATTRS)
 APP_IN = appearance_input(SCENE.cloud)
 VERTICES = MODELS[0].vertices
-GT, PRED = (RigidTransform(sample_uniform_rotation(seed), [0.01 * seed, 0.0, 0.5]) for seed in (1, 2))
+GT, PRED = (
+    RigidTransform(sample_uniform_rotation(np.random.default_rng(seed)), [0.01 * seed, 0.0, 0.5]) for seed in (1, 2)
+)
 
 ENTRY_POINTS = {
     "lift_cloud": (lambda p, a: MODEL.lift(p, a), (CLOUD, ATTRS)),

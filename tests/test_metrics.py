@@ -23,7 +23,7 @@ from equipose.metrics import (
     distances_to_json,
 )
 from equipose.pipeline import InstanceDetection
-from equipose.synth import ObjectModel, Registry, generate_object, make_default_models
+from equipose.synth import DEFAULT_SIZES, ObjectModel, Registry, generate_object, make_default_models
 
 RNG = np.random.default_rng
 
@@ -43,6 +43,7 @@ def sphere_model(n=2000, radius=0.1, seed=0) -> ObjectModel:
         keypoints=verts[:4],
         center=np.zeros(3),
         diameter=model_diameter(verts),
+        colors=np.full((n, 3), 0.5),
         symmetric=True,
     )
 
@@ -204,8 +205,8 @@ class TestDiameterAndHit:
             assert report.hit_rate_01d(1) == 50.0
 
     def test_box_diameter_matches_analytic(self):
-        model = generate_object("box", 600, seed=10, size=(0.1, 0.2, 0.3))
-        expected = np.sqrt(0.01 + 0.04 + 0.09)
+        model = generate_object("box", 600, seed=10)
+        expected = np.linalg.norm(DEFAULT_SIZES["box"])
         assert abs(model.diameter - expected) <= 0.02 * expected
 
 

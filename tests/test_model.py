@@ -23,7 +23,7 @@ def pool_clouds():
     return [render_scene(objects, SCENE_RECIPE, seed=POOL_SEED0 + i).cloud for i in range(64)]
 
 
-def _both(points, attributes=None, neighbors=DEFAULT.lift_neighbors):
+def _both(points, attributes, neighbors=DEFAULT.lift_neighbors):
     args = (neighbors, DEFAULT.lift_scales, DEFAULT.lift_cap)
     return lift_cloud(points, attributes, *args), lift_cloud_gather(points, attributes, *args)
 
@@ -57,7 +57,7 @@ class TestLiftMatchesGather:
         rng = RNG(5)
         half = rng.normal(0.0, 0.05, size=(60, 3))
         points = np.concatenate([half, half, half[:7]])
-        got, ref = _both(points, None, 4)
+        got, ref = _both(points, rng.uniform(size=points.shape), 4)
         assert np.array_equal(got, ref)
 
 

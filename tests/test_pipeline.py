@@ -490,7 +490,7 @@ class TestSecondStage:
         for seed in range(5):
             scene = render_scene(
                 models,
-                SceneConfig(noise_sigma=0.0, occlusion=0.2, n_background=40),
+                SceneConfig(noise_sigma=0.0, occlusion=(0.2, 0.2), n_background=40),
                 seed=100 + seed,
             )
             detections = run_pipeline(
@@ -504,14 +504,15 @@ class TestSecondStage:
 
     def test_empty_cloud(self):
         registry = Registry(make_default_models(seed=0, n_vertices=60, n_keypoints=4))
-        assert run_pipeline(PointCloud(points=np.zeros((0, 3))), None, registry) == []
+        empty = PointCloud(points=np.zeros((0, 3)), attributes=np.zeros((0, 3)))
+        assert run_pipeline(empty, None, registry) == []
 
     def test_second_stage_equivariance(self):
         # rotating cloud and oracle offsets together rotates the fitted pose
         models = make_default_models(seed=0, n_vertices=400)
         registry = Registry(models)
         scene = render_scene(
-            models, SceneConfig(noise_sigma=0.0, occlusion=0.1), seed=200
+            models, SceneConfig(noise_sigma=0.0, occlusion=(0.1, 0.1)), seed=200
         )
         base = run_pipeline(
             scene.cloud, None, registry, oracle=(scene.labels, scene.gt_offsets)
@@ -534,7 +535,7 @@ class TestSecondStage:
         models = make_default_models(seed=0, n_vertices=300)
         registry = Registry(models)
         scene = render_scene(
-            models, SceneConfig(noise_sigma=0.003, occlusion=0.2, n_background=30), seed=300
+            models, SceneConfig(noise_sigma=0.003, occlusion=(0.2, 0.2), n_background=30), seed=300
         )
         a = run_pipeline(scene.cloud, None, registry, oracle=(scene.labels, scene.gt_offsets))
         b = run_pipeline(scene.cloud, None, registry, oracle=(scene.labels, scene.gt_offsets))
@@ -551,7 +552,7 @@ class TestSecondStage:
         registry = Registry(models)
         scene = render_scene(
             models,
-            SceneConfig(noise_sigma=0.002, occlusion=0.2, n_background=40, n_instances=3),
+            SceneConfig(noise_sigma=0.002, occlusion=(0.2, 0.2), n_background=40, n_instances=3),
             seed=500,
         )
         offsets = scene.gt_offsets + RNG(13).normal(0.0, offset_noise, scene.gt_offsets.shape)
@@ -627,10 +628,9 @@ class TestSecondStage:
         labels = np.ones(40, dtype=int)
         offsets = np.zeros((40, 5, 3))
         offsets[:, :, :] = -points[:, None, :]  # all votes collapse to the origin
+        cloud = PointCloud(points=points, attributes=np.full((40, 3), 0.5))
         with pytest.warns(UserWarning):
-            detections = run_pipeline(
-                PointCloud(points=points), None, registry, oracle=(labels, offsets)
-            )
+            detections = run_pipeline(cloud, None, registry, oracle=(labels, offsets))
         assert detections == []
 
 

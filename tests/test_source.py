@@ -57,6 +57,19 @@ def test_every_error_type_is_caught_somewhere():
     assert sorted(defined - caught) == []
 
 
+def test_shapes_are_checked_not_reshaped():
+    # PointCloud and ObjectModel check that points, colors, vertices and
+    # keypoints are (n, 3) and a center (3,) where they are built; a reshape
+    # to those shapes would quietly read any array of the right size as one
+    offenders = [
+        f"{path.name}:{n}"
+        for path in sorted(SRC.glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "reshape(-1, 3)" in line or ".reshape(3)" in line
+    ]
+    assert offenders == []
+
+
 # the SE(3) helpers the tests use as their reference: no library code needs
 # them, but a test of composed or parsed poses is written in their terms
 REFERENCE_HELPERS = ("geometry.compose", "geometry.geodesic_distance", "geometry.load_pose_json")

@@ -1,5 +1,7 @@
 """Tests for synthetic model generation, keypoint selection, and scenes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from equipose.geometry import RigidTransform, Rotation, compose, sample_uniform_
 from equipose.metrics import add_s
 from equipose.model import ModelConfig, PoseModel
 from equipose.synth import (
+    DEFAULT_SIZES,
     ObjectModel,
     Registry,
     SceneConfig,
@@ -27,8 +30,8 @@ RNG = np.random.default_rng
 
 class TestGenerateObject:
     def test_box_diameter_matches_analytic(self):
-        model = generate_object("box", 600, seed=0, size=(0.1, 0.2, 0.3))
-        expected = np.sqrt(0.1**2 + 0.2**2 + 0.3**2)
+        model = generate_object("box", 600, seed=0)
+        expected = np.linalg.norm(DEFAULT_SIZES["box"])
         assert abs(model.diameter - expected) <= 0.02 * expected
 
     def test_deterministic_per_seed(self):
@@ -61,7 +64,23 @@ class TestGenerateObject:
         # the NaN and non-finite keypoint/center cases run through `eval` in test_cli
         model = generate_object("box", 200, seed=0)
         with pytest.raises(InputError):
-            ObjectModel(1, model.vertices, model.keypoints, model.center, diameter)
+            ObjectModel(1, model.vertices, model.keypoints, model.center, diameter, model.colors)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("keypoints", np.zeros((6, 4)), "keypoints must have shape (6, 3), got (6, 4)"),
+            ("center", np.zeros((1, 3)), "center must have shape (3,), got (1, 3)"),
+            ("colors", np.zeros((199, 3)), "colors must have shape (200, 3), got (199, 3)"),
+            ("vertices", np.zeros((200, 4)), "vertices must have shape (200, 3), got (200, 4)"),
+        ],
+        ids=["keypoints_of_four_values", "center_as_a_row", "fewer_colors", "vertices_of_four_values"],
+    )
+    def test_shapes_are_checked_not_reshaped(self, field, value, message):
+        model = generate_object("box", 200, seed=0)
+        fields = dict(vertices=model.vertices, keypoints=model.keypoints, center=model.center, colors=model.colors)
+        with pytest.raises(InputError, match=re.escape(f"model 1 {message}")):
+            ObjectModel(1, diameter=model.diameter, **{**fields, field: value})
 
     def test_keypoints_inside_bounding_sphere(self):
         for model in make_default_models(seed=1, n_vertices=300):
@@ -119,7 +138,7 @@ class TestRenderScene:
         self.models = make_default_models(seed=0, n_vertices=400)
 
     def test_offset_consistency_at_zero_noise(self):
-        scene = render_scene(self.models, SceneConfig(noise_sigma=0.0, occlusion=0.3), seed=1)
+        scene = render_scene(self.models, SceneConfig(noise_sigma=0.0, occlusion=(0.3, 0.3)), seed=1)
         (cls, pose), = scene.gt_poses
         model = next(m for m in self.models if m.id == cls)
         targets = pose.apply(np.vstack([model.keypoints, model.center]))
@@ -128,8 +147,8 @@ class TestRenderScene:
         assert np.max(np.abs(votes - targets[None])) <= 1e-12
 
     def test_occlusion_removes_half(self):
-        base = render_scene(self.models, SceneConfig(occlusion=0.0), seed=2)
-        occluded = render_scene(self.models, SceneConfig(occlusion=0.5), seed=2)
+        base = render_scene(self.models, SceneConfig(occlusion=(0.0, 0.0)), seed=2)
+        occluded = render_scene(self.models, SceneConfig(occlusion=(0.5, 0.5)), seed=2)
         n_base = (base.labels > 0).sum()
         n_occ = (occluded.labels > 0).sum()
         assert abs(n_occ - 0.5 * n_base) <= 0.05 * 0.5 * n_base
@@ -144,7 +163,7 @@ class TestRenderScene:
 
     def test_labels_partition_points(self):
         scene = render_scene(
-            self.models, SceneConfig(n_background=25, occlusion=0.2), seed=4
+            self.models, SceneConfig(n_background=25, occlusion=(0.2, 0.2)), seed=4
         )
         assert scene.labels.shape == (len(scene.cloud),)
         assert set(np.unique(scene.labels)) <= {0, 1, 2, 3}
@@ -158,7 +177,7 @@ class TestRenderScene:
 
     def test_invalid_occlusion(self):
         with pytest.raises(InputError, match="occlusion fraction"):
-            SceneConfig(occlusion=0.95)
+            SceneConfig(occlusion=(0.95, 0.95))
         with pytest.raises(InputError, match="noise sigma must be finite and non-negative"):
             SceneConfig(noise_sigma=-1.0)
 
@@ -186,7 +205,7 @@ class TestOnDisk:
     def test_scene_roundtrip(self, tmp_path):
         models = make_default_models(seed=0, n_vertices=200)
         scene = render_scene(
-            models, SceneConfig(noise_sigma=0.002, occlusion=0.2, n_background=10), seed=7
+            models, SceneConfig(noise_sigma=0.002, occlusion=(0.2, 0.2), n_background=10), seed=7
         )
         save_scene(tmp_path / "scene_00000", scene)
         loaded = load_scene(tmp_path / "scene_00000")
@@ -263,7 +282,7 @@ class TestOnDisk:
 
         models = make_default_models(seed=0, n_vertices=300)
         registry = Registry(models)
-        scene = render_scene(models, SceneConfig(noise_sigma=0.0, occlusion=0.1), seed=8)
+        scene = render_scene(models, SceneConfig(noise_sigma=0.0, occlusion=(0.1, 0.1)), seed=8)
         save_scene(tmp_path / "scene_00000", scene)
         loaded = load_scene(tmp_path / "scene_00000")
         detections = run_pipeline(

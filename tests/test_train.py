@@ -126,7 +126,7 @@ class TestTrainLoop:
         scenes = small_scenes(1, seed=20)
         model = init_model(TINY_MODEL, seed=9)
         history = train(scenes, model, TrainConfig(epochs=500, seed=2))
-        totals = history.totals()
+        totals = [r.total for r in history.reports]
         assert totals[-1] <= 0.5 * totals[0]
         assert history.descent_ok
 
