@@ -28,8 +28,10 @@ class PointCloud:
         if self.points.shape != shape or self.attributes.shape != shape:
             shapes = f"{self.points.shape} and {self.attributes.shape}"
             raise InputError(f"a cloud is (n, 3) points and (n, 3) colors, got {shapes}")
-        if not (np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.attributes))):
-            raise InputError("point cloud contains a non-finite coordinate or color")
+        # written so that a NaN color fails too
+        in_range = (self.attributes >= 0.0) & (self.attributes <= 1.0)
+        if not (np.all(np.isfinite(self.points)) and np.all(in_range)):
+            raise InputError("point cloud contains a non-finite coordinate or a color outside [0, 1]")
 
     def __len__(self) -> int:
         return self.points.shape[0]

@@ -194,10 +194,12 @@ def cmd_train(args) -> int:
     scenes = _load_scenes(args.scenes_dir)
     n_keypoints = next(iter(scenes.values())).n_keypoints
     for name, scene in scenes.items():  # one network predicts one keypoint count
+        stem = os.path.join(args.scenes_dir, name)
+        if len(scene.cloud) == 0:  # pool-concat needs a point to pool
+            raise InputError(f"malformed {stem}.ply: a training scene needs at least one point")
         if scene.n_keypoints != n_keypoints:
-            path = os.path.join(args.scenes_dir, f"{name}.json")
             raise InputError(
-                f"malformed {path}: {scene.n_keypoints} keypoints, not the first scene's {n_keypoints}"
+                f"malformed {stem}.json: {scene.n_keypoints} keypoints, not the first scene's {n_keypoints}"
             )
     scenes = list(scenes.values())
     meta_path = os.path.join(os.path.dirname(os.path.abspath(args.scenes_dir)), "dataset.json")

@@ -57,18 +57,16 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Param:
-    """A named tensor with a gradient accumulator of identical shape."""
+    """A named tensor with a gradient accumulator of identical shape; only
+    trainable ones reach the optimizer and the gradient checks."""
 
-    __slots__ = ("name", "value", "grad", "kind")
+    __slots__ = ("name", "value", "grad", "trainable")
 
-    def __init__(self, name: str, value, kind: str = "weight"):
+    def __init__(self, name: str, value, trainable: bool = True):
         self.name = name
         self.value = np.array(value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
-        self.kind = kind  # weight | bias | gain | shift | stat
-
-    def zero_grad(self):
-        self.grad[...] = 0.0
+        self.trainable = trainable
 
 
 class Layer:
@@ -85,7 +83,7 @@ class Layer:
 
     def zero_grad(self):
         for p in self.params():
-            p.zero_grad()
+            p.grad[...] = 0.0
 
     def forward(self, v, train: bool = False, ctx: dict = None):
         raise NotImplementedError
@@ -248,10 +246,10 @@ class VNBatchNorm(Layer):
 
     def __init__(self, channels: int):
         self.channels = channels
-        self.gamma = Param("gamma", np.ones(channels), kind="gain")
-        self.beta = Param("beta", np.zeros(channels), kind="shift")
-        self.running_mean = Param("running_mean", np.zeros(channels), kind="stat")
-        self.running_var = Param("running_var", np.ones(channels), kind="stat")
+        self.gamma = Param("gamma", np.ones(channels))
+        self.beta = Param("beta", np.zeros(channels))
+        self.running_mean = Param("running_mean", np.zeros(channels), trainable=False)
+        self.running_var = Param("running_var", np.ones(channels), trainable=False)
 
     def own_params(self):
         return [self.gamma, self.beta, self.running_mean, self.running_var]
@@ -324,9 +322,9 @@ class Mlp2(Layer):
     def __init__(self, n_in: int, n_hidden: int, n_out: int):
         self.n_in = n_in
         self.w1 = Param("W1", np.zeros((n_hidden, n_in)))
-        self.b1 = Param("b1", np.zeros(n_hidden), kind="bias")
+        self.b1 = Param("b1", np.zeros(n_hidden))
         self.w2 = Param("W2", np.zeros((n_out, n_hidden)))
-        self.b2 = Param("b2", np.zeros(n_out), kind="bias")
+        self.b2 = Param("b2", np.zeros(n_out))
 
     def own_params(self):
         return [self.w1, self.b1, self.w2, self.b2]
@@ -438,16 +436,10 @@ class Sequential(Layer):
 
 
 def init_layer_params(layer: Layer, rng: np.random.Generator) -> None:
-    """Fan-in-scaled Gaussian weights, zero biases, unit batch-norm stats."""
+    """Fan-in-scaled Gaussian weight matrices, drawn in named_params order;
+    every 1-D parameter (bias, gain, shift, running stat) keeps the value its
+    constructor gave it."""
     for _, p in named_params(layer):
-        if p.kind == "weight":
+        if p.value.ndim == 2:
             fan_in = p.value.shape[-1]
             p.value[...] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=p.value.shape)
-        elif p.kind in ("bias", "shift"):
-            p.value[...] = 0.0
-        elif p.kind == "gain":
-            p.value[...] = 1.0
-        elif p.kind == "stat":
-            p.value[...] = 1.0 if p.name.endswith("var") else 0.0
-        p.zero_grad()
-

@@ -20,17 +20,9 @@ AUC_CAP_M = 0.1
 BLOCK_ROWS = 512
 
 
-def _vertices(model_or_vertices) -> np.ndarray:
-    v = getattr(model_or_vertices, "vertices", model_or_vertices)
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0:
-        raise EquiposeError("model has no vertices")
-    return v
-
-
 def add(gt: RigidTransform, pred: RigidTransform, model) -> float:
     """Mean distance between paired model vertices under the two poses."""
-    verts = _vertices(model)
+    verts = model.vertices
     return float(np.linalg.norm(gt.apply(verts) - pred.apply(verts), axis=1).mean())
 
 
@@ -38,7 +30,7 @@ def add_s(gt: RigidTransform, pred: RigidTransform, model) -> float:
     """Mean nearest-point distance from GT-posed vertices to predicted-posed
     ones, by KD-tree query; the tests check it against a brute-force
     reference."""
-    verts = _vertices(model)
+    verts = model.vertices
     dist, _ = cKDTree(pred.apply(verts)).query(gt.apply(verts), k=1)
     return float(np.mean(dist))
 
@@ -57,14 +49,13 @@ def auc(distances) -> float:
     return float(100.0 * mass.sum() / (d.size * AUC_CAP_M))
 
 
-def model_diameter(model_or_vertices) -> float:
-    """Exact max pairwise vertex distance.
+def model_diameter(verts: np.ndarray) -> float:
+    """Exact max pairwise distance between the rows of an (m, 3) vertex array.
 
     The farthest pair lies on the convex hull, so only the hull's vertices
     and the points Qhull set aside as coplanar with a facet are compared. A
     flat or too-small vertex set has no 3-D hull and compares every vertex.
     """
-    verts = _vertices(model_or_vertices)
     try:
         hull = ConvexHull(verts)
         verts = verts[np.union1d(hull.vertices, hull.coplanar[:, 0])]

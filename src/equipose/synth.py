@@ -32,7 +32,6 @@ class ObjectModel:
     diameter: float
     colors: np.ndarray  # (m, 3) in [0, 1]
     symmetric: bool = False
-    kind: str = ""
 
     def __post_init__(self):
         rows = np.shape(self.vertices)[:1]
@@ -53,11 +52,10 @@ class ObjectModel:
             raise InputError(f"model {self.id} diameter must be finite and positive, got {self.diameter}")
 
 
-def select_keypoints(model, m: int) -> np.ndarray:
-    """Farthest point sampling over the vertices, seeded at the vertex
-    farthest from the centroid; deterministic (ties resolve to the lowest
-    index)."""
-    verts = np.asarray(getattr(model, "vertices", model), dtype=np.float64)
+def select_keypoints(verts: np.ndarray, m: int) -> np.ndarray:
+    """Farthest point sampling over an (n, 3) vertex array, seeded at the
+    vertex farthest from the centroid; deterministic (ties resolve to the
+    lowest index)."""
     if m > len(verts):
         raise InputError(f"requested {m} keypoints from {len(verts)} vertices")
     if m < 1:
@@ -175,7 +173,6 @@ def generate_object(
         diameter=model_diameter(verts),
         colors=colors,
         symmetric=kind in ("box", "cylinder"),
-        kind=kind,
     )
 
 
@@ -351,7 +348,6 @@ def save_registry(registry: Registry, directory) -> None:
         write_ply(ply, list("xyzrgb"), np.hstack([model.vertices, model.colors]))
         meta = {
             "id": model.id,
-            "kind": model.kind,
             "symmetric": model.symmetric,
             "keypoints": model.keypoints.tolist(),
             "center": model.center.tolist(),
@@ -380,7 +376,6 @@ def load_registry(directory) -> Registry:
                     diameter=float(meta["diameter"]),
                     colors=xyzrgb[:, 3:],
                     symmetric=bool(meta["symmetric"]),
-                    kind=meta.get("kind", ""),
                 )
             )
     if not models:
@@ -424,11 +419,12 @@ def load_scene(path_stem) -> SceneSample:
             raise ValueError(f"the off_* columns are not those of the sidecar's {n_slots} slots")
         if np.any(labels != np.round(labels)):
             raise ValueError("label column holds a value that is not a whole number")
-    xyzrgb = table.columns(*"xyzrgb")
+        xyzrgb = table.columns(*"xyzrgb")
+        cloud = PointCloud(points=xyzrgb[:, :3], attributes=xyzrgb[:, 3:])
     return SceneSample(
-        cloud=PointCloud(points=xyzrgb[:, :3], attributes=xyzrgb[:, 3:]),
+        cloud=cloud,
         labels=labels.astype(int),
-        gt_offsets=table.columns(*offset_names).reshape(len(xyzrgb), n_slots, 3),
+        gt_offsets=table.columns(*offset_names).reshape(len(cloud), n_slots, 3),
         gt_poses=poses,
         scene_seed=scene_seed,
     )

@@ -28,7 +28,6 @@ from .losses import (
 )
 from .model import PoseModel
 
-TRAINABLE_KINDS = ("weight", "bias", "gain", "shift")
 LOSS_CSV_HEADER = LossReport.CSV_HEADER + ",step_ms,minflt"
 
 # Adam's published constants (Kingma & Ba, arXiv 1412.6980).
@@ -84,7 +83,7 @@ class Adam:
     """Standard bias-corrected Adam over the trainable parameter set."""
 
     def __init__(self, params, lr: float):
-        self.params = [p for p in params if p.kind in TRAINABLE_KINDS]
+        self.params = [p for p in params if p.trainable]
         self.lr = lr
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
@@ -252,7 +251,7 @@ def central_differences(loss, arr: np.ndarray, step: float) -> np.ndarray:
 def _stats_kept(model):
     """Restore the batch-norm running stats on exit: the train-mode objective
     does not read them, but every train-mode forward moves them."""
-    saved = [(p, p.value.copy()) for p in model.params() if p.kind == "stat"]
+    saved = [(p, p.value.copy()) for p in model.params() if not p.trainable]
     try:
         yield
     finally:
@@ -266,11 +265,7 @@ def analytic_gradients(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotat
     model.zero_grad()
     with _stats_kept(model):
         _, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation)
-    grads = {
-        name: p.grad.copy()
-        for name, p in named_params(model)
-        if p.kind in TRAINABLE_KINDS
-    }
+    grads = {name: p.grad.copy() for name, p in named_params(model) if p.trainable}
     grads["input.v"] = dv
     grads["input.app"] = d_app
     return grads
@@ -283,7 +278,7 @@ def numeric_gradients(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotati
     def loss() -> float:
         return sample_losses(model, t, cfg, rotation)[0].total
 
-    arrays = [(name, p.value) for name, p in named_params(model) if p.kind in TRAINABLE_KINDS]
+    arrays = [(name, p.value) for name, p in named_params(model) if p.trainable]
     arrays += [("input.v", t.v), ("input.app", t.app_in)]
     with _stats_kept(model):
         return {name: central_differences(loss, arr, step) for name, arr in arrays}

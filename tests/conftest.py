@@ -12,7 +12,7 @@ from scipy.spatial import cKDTree
 import equipose
 from equipose.geometry import RigidTransform
 from equipose.layers import named_params, rotate_feature
-from equipose.metrics import BLOCK_ROWS, _vertices
+from equipose.metrics import BLOCK_ROWS
 from equipose.model import LIFT_CHANNELS
 from equipose.train import central_differences, max_relative_error
 
@@ -39,7 +39,7 @@ def layer_fd_check(layer, x, train=False, step=1e-6, seed=99):
     analytic = {"input": layer.backward(upstream, ctx=ctx)}
     numeric = {"input": central_differences(loss, x, step)}
     for name, p in named_params(layer):
-        if p.kind != "stat":
+        if p.trainable:
             analytic[name] = p.grad
             numeric[name] = central_differences(loss, p.value, step)
     return max_relative_error(analytic, numeric)
@@ -56,7 +56,7 @@ def stack_pair(stack, v, r):
 
 def add_s_brute(gt: RigidTransform, pred: RigidTransform, model) -> float:
     """O(m^2) reference: explicit pairwise distances, min over the second pose."""
-    verts = _vertices(model)
+    verts = model.vertices
     a = gt.apply(verts)
     b = pred.apply(verts)
     mins = np.empty(len(a))

@@ -61,6 +61,12 @@ class TestFileFormats:
         with pytest.raises(InputError):
             PointCloud(points=np.zeros((2, 3)), attributes=[[0.1, 0.2, 0.3], [bad, 0.5, 0.5]])
 
+    @pytest.mark.parametrize("bad", [-1e-3, 1.0 + 1e-12, 7.0, 1e300])
+    def test_cloud_rejects_colors_outside_unit_range(self, bad):
+        PointCloud(points=np.zeros((2, 3)), attributes=[[0.0, 0.2, 1.0], [1.0, 0.5, 0.0]])
+        with pytest.raises(InputError, match=re.escape("a color outside [0, 1]")):
+            PointCloud(points=np.zeros((2, 3)), attributes=[[0.1, 0.2, 0.3], [bad, 0.5, 0.5]])
+
     @pytest.mark.parametrize(
         "points, colors",
         [((3, 4), (4, 3)), ((3, 3), (3, 4)), ((3, 3), (2, 3)), ((3,), (1, 3))],

@@ -340,6 +340,13 @@ class TestEvalAndMetrics:
     def test_nan_colour_exits_2(self, dataset, tmp_path):
         assert self.eval_with_first_value(dataset, tmp_path, np.nan, prop="r") == EXIT_BAD_INPUT
 
+    @pytest.mark.parametrize("value", [1e300, 7.0])
+    def test_colour_outside_unit_range_exits_2_naming_the_ply(self, dataset, tmp_path, capsys, value):
+        # both used to run without a word; with a network, 1e300 ended as exit 3 in the assignment
+        assert self.eval_with_first_value(dataset, tmp_path, value, prop="r") == EXIT_BAD_INPUT
+        ply = tmp_path / "scenes" / "scene_00000.ply"
+        assert f"malformed {ply}: point cloud contains" in capsys.readouterr().err
+
     def test_neither_params_nor_oracle_heads_exits_2(self, dataset, tmp_path, capsys):
         code = main(
             [
@@ -825,6 +832,7 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _eval_on_edited_registry_ply(_without_rgb),
         _eval_on_edited_model_json(lambda meta: meta.update(keypoints=np.zeros((6, 4)).tolist())),
         _eval_on_edited_model_json(lambda meta: meta.update(center=[meta["center"]])),
+        _on_edited_scene(".ply", _no_vertices, "train"),
     ],
     ids=[
         "no_source",
@@ -880,6 +888,7 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "registry_ply_without_rgb",
         "registry_keypoints_of_four_values",
         "registry_center_as_a_row",
+        "train_scene_without_points",
     ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):

@@ -58,7 +58,7 @@ class TestAppearanceEncoder:
     def test_rgb_columns_then_exact_zero_padding(self):
         # the converted checkpoint drops W1's last two columns and must keep
         # every logit bit for bit, which holds only while they read exact zeros
-        attrs = RNG(11).uniform(-1.0, 1.0, size=(7, 3))
+        attrs = RNG(11).uniform(0.0, 1.0, size=(7, 3))
         attrs[0] = [-0.0, 5e-324, 1e-300]
         x = appearance_input(PointCloud(points=np.zeros((7, 3)), attributes=attrs))
         assert x.shape == (7, 5) and x.dtype == np.float64

@@ -76,8 +76,8 @@ ENTRY_POINTS = {
         lambda s, t: fit_rigid_least_squares(Correspondences(source=s, target=t)),
         (VERTICES, GT.apply(VERTICES) + 1e-3 * np.sin(VERTICES)),
     ),
-    "add": (lambda v: add(GT, PRED, v), (VERTICES,)),
-    "add_s": (lambda v: add_s(GT, PRED, v), (VERTICES,)),
+    "add": (lambda v: add(GT, PRED, dataclasses.replace(MODELS[0], vertices=v)), (VERTICES,)),
+    "add_s": (lambda v: add_s(GT, PRED, dataclasses.replace(MODELS[0], vertices=v)), (VERTICES,)),
     "model_diameter": (model_diameter, (VERTICES,)),
 }
 

@@ -1,5 +1,6 @@
 """Tests for synthetic model generation, keypoint selection, and scenes."""
 
+import json
 import re
 
 import numpy as np
@@ -94,7 +95,7 @@ class TestGenerateObject:
 class TestSelectKeypoints:
     def test_all_vertices_is_permutation(self):
         model = generate_object("blob", 60, seed=2)
-        kps = select_keypoints(model, 60)
+        kps = select_keypoints(model.vertices, 60)
         assert kps.shape == (60, 3)
         # same multiset of rows
         a = np.lexsort(kps.T)
@@ -116,7 +117,7 @@ class TestSelectKeypoints:
             d = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
             return d[np.triu_indices(len(pts), k=1)].min()
 
-        fps_spread = min_pairwise(select_keypoints(model, m))
+        fps_spread = min_pairwise(select_keypoints(model.vertices, m))
         rng = RNG(4)
         best_random = max(
             min_pairwise(model.vertices[rng.choice(len(model.vertices), m, replace=False)])
@@ -274,6 +275,14 @@ class TestOnDisk:
             np.testing.assert_array_equal(a.keypoints, b.keypoints)
             assert a.symmetric == b.symmetric
             assert a.diameter == b.diameter
+
+    def test_registry_json_has_no_kind_and_older_ones_still_load(self, tmp_path):
+        save_registry(Registry(make_default_models(seed=0, n_vertices=150)), tmp_path)
+        path = tmp_path / "model_001.json"
+        meta = json.loads(path.read_text())
+        assert "kind" not in meta
+        path.write_text(json.dumps({**meta, "kind": "box"}))  # as older synth-gen runs wrote it
+        assert list(load_registry(tmp_path)) == [1, 2, 3]
 
     def test_oracle_pipeline_on_loaded_scene(self, tmp_path):
         # ties the on-disk format to the second stage

@@ -30,7 +30,6 @@ from equipose.train import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    TRAINABLE_KINDS,
     Adam,
     TrainConfig,
     analytic_gradients,
@@ -67,12 +66,23 @@ class TestInit:
         model = init_model(ModelConfig(n_classes=4), seed=4)
         checked = 0
         for name, p in named_params(model):
-            if p.kind != "weight" or p.value.size < 512:
+            if p.value.ndim != 2 or p.value.size < 512:
                 continue
             fan_in = p.value.shape[-1]
             assert abs(p.value.var() * fan_in - 1.0) <= 0.15
             checked += p.value.size
         assert checked >= 10_000
+
+    def test_draws_only_the_weight_matrices(self):
+        # every 1-D parameter keeps its constructor's value, and only the
+        # batch-norm running stats are left out of training
+        model = init_model(TINY_MODEL, seed=3)
+        built = dict(named_params(PoseModel(TINY_MODEL)))
+        for name, p in named_params(model):
+            if p.value.ndim == 1:
+                np.testing.assert_array_equal(p.value, built[name].value, err_msg=name)
+        stats = [name for name in built if name.endswith((".running_mean", ".running_var"))]
+        assert stats and [name for name, p in named_params(model) if not p.trainable] == stats
 
     def test_fresh_network_output_scale(self):
         model = init_model(ModelConfig(n_classes=4), seed=5)
@@ -108,7 +118,8 @@ class TestAdam:
     def test_stat_params_untouched(self):
         model = init_model(TINY_MODEL, seed=7)
         opt = Adam(model.params(), lr=0.1)
-        assert all(p.kind != "stat" for p in opt.params)
+        stats = {id(p) for n, p in named_params(model) if n.endswith((".running_mean", ".running_var"))}
+        assert stats and {id(p) for p in opt.params} == {id(p) for p in model.params()} - stats
 
 
 class TestTrainLoop:
@@ -118,7 +129,7 @@ class TestTrainLoop:
         before = {n: p.value.copy() for n, p in named_params(model)}
         train(scenes, model, TrainConfig(learning_rate=0.0, epochs=1, seed=1))
         for n, p in named_params(model):
-            if p.kind == "stat":
+            if not p.trainable:
                 continue  # running stats move in train mode by design
             np.testing.assert_array_equal(p.value, before[n])
 
@@ -199,7 +210,7 @@ class TestTrainLoop:
         train(scenes, one, TrainConfig(epochs=1, lr_decay=0.0, seed=8))
         train(scenes, two, TrainConfig(epochs=2, lr_decay=0.0, seed=8))
         for (name, a), (_, b) in zip(named_params(one), named_params(two)):
-            if a.kind in TRAINABLE_KINDS:
+            if a.trainable:
                 np.testing.assert_array_equal(a.value, b.value, err_msg=name)
 
     def test_invalid_config(self):
@@ -304,7 +315,7 @@ def stacked_pair_reference(model, t, cfg, rotation):
     d_logits[0] = w.seg * d_seg
     dv, d_app = model.backward(d_logits, d_offsets, ctx=ctx)
     report = total_loss((seg_value, kp_value, center_value, so3_value), w)
-    grads = {n: p.grad.copy() for n, p in named_params(model) if p.kind != "stat"}
+    grads = {n: p.grad.copy() for n, p in named_params(model) if p.trainable}
     return report, grads, dv[0] + rotate_feature(dv[1], rotation.m.T), d_app[0] + d_app[1]
 
 
@@ -367,7 +378,7 @@ def hand_folded_reference(model, t, cfg, rotation):
     dv = model.backbone.backward(d_equi, ctx=ctx["backbone"])
     d_app = model.appearance.backward(d_app_seg + d_app_kp, ctx=ctx["appearance"])
     report = total_loss((seg_value, kp_value, center_value, so3_value), w)
-    grads = {n: p.grad.copy() for n, p in named_params(model) if p.kind != "stat"}
+    grads = {n: p.grad.copy() for n, p in named_params(model) if p.trainable}
     return report, grads, dv[0] + rotate_feature(dv[1], rotation.m.T), d_app
 
 
@@ -381,7 +392,7 @@ def assert_matches_the_stacked_pair(model, reference, t, cfg, rotation):
     report, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation)
     for name in ("seg", "kp", "center", "so3", "total"):
         np.testing.assert_allclose(getattr(report, name), getattr(ref_report, name), rtol=1e-12, atol=0.0)
-    grads = {n: p.grad for n, p in named_params(model) if p.kind != "stat"}
+    grads = {n: p.grad for n, p in named_params(model) if p.trainable}
     grads["input.v"], grads["input.app"] = dv, d_app
     ref_grads["input.v"], ref_grads["input.app"] = ref_dv, ref_dapp
     assert grads.keys() == ref_grads.keys()
@@ -508,11 +519,11 @@ class TestGradcheck:
     def test_running_stats_left_alone(self):
         model = init_model(TINY_MODEL, seed=3)
         t = scene_tensors(tiny_scene(0, 8), model)
-        before = {n: p.value.copy() for n, p in named_params(model) if p.kind == "stat"}
+        before = {n: p.value.copy() for n, p in named_params(model) if not p.trainable}
         assert before
         gradcheck(model, t, TrainConfig(seed=0), sample_uniform_rotation(RNG(0)), step=1e-5)
         for n, p in named_params(model):
-            if p.kind == "stat":
+            if not p.trainable:
                 np.testing.assert_array_equal(p.value, before[n])
 
     def test_rejects_bad_step(self):
