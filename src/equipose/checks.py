@@ -7,7 +7,6 @@ import numpy as np
 
 from .backproject import PointCloud
 from .geometry import sample_uniform_rotation
-from .heads import appearance_input
 from .layers import (
     Sequential,
     VNBatchNorm,
@@ -142,9 +141,8 @@ def invariance_report(trials: int = 1000, seed: int = 0) -> dict:
     model = init_model(ModelConfig(n_classes=4, n_keypoints=4, vn_widths=(8, 8, 8)), seed=seed + 1)
     points = rng.uniform(-0.1, 0.1, size=(48, 3)) + np.array([0.0, 0.0, 0.6])
     colors = rng.uniform(0.0, 1.0, size=(48, 3))
-    cloud = PointCloud(points=points, attributes=colors)
-    app_in = appearance_input(cloud)
-    base_logits = model.forward(model.lift(points, colors), app_in, ctx={}).logits
+    v, app_in = model.inputs(PointCloud(points=points, attributes=colors))
+    base_logits = model.forward(v, app_in, ctx={}).logits
     base_labels = base_logits.argmax(axis=-1)
 
     for _ in range(trials):
@@ -154,7 +152,8 @@ def invariance_report(trials: int = 1000, seed: int = 0) -> dict:
         worst["invariant_head"] = max(worst["invariant_head"], invariance_residual(head, v, r))
 
         rot = sample_uniform_rotation(rng)
-        logits = model.forward(model.lift(rot.apply(points), colors), app_in, ctx={}).logits
+        v, _ = model.inputs(PointCloud(points=rot.apply(points), attributes=colors))
+        logits = model.forward(v, app_in, ctx={}).logits
         res = float(np.max(np.abs(logits - base_logits)) / (1.0 + np.max(np.abs(base_logits))))
         worst["seg_logits"] = max(worst["seg_logits"], res)
         flips += int((logits.argmax(axis=-1) != base_labels).sum())

@@ -237,8 +237,8 @@ def cmd_eval(args) -> int:
     from .pipeline import detections_to_json, run_pipeline
     from .synth import load_registry
 
-    if args.params is None and not args.oracle_heads:
-        raise InputError("eval needs --params (a parameter container from train) or --oracle-heads")
+    if (args.params is None) != args.oracle_heads:
+        raise InputError("eval takes exactly one of --params (a parameter container from train) and --oracle-heads")
     started = time.monotonic()
     scenes = _load_scenes(args.scenes_dir)
     registry = load_registry(args.registry_dir)

@@ -13,7 +13,7 @@ from scipy.spatial import cKDTree
 from .errors import InputError, check_field_types
 from .files import parsing, read_json, write_atomic, write_json
 from .geometry import Rotation
-from .heads import AppearanceEncoder, KpHead, SegHead
+from .heads import AppearanceEncoder, KpHead, SegHead, appearance_input
 from .layers import (
     Layer,
     Sequential,
@@ -173,10 +173,11 @@ class PoseModel(Layer):
             ("kp", self.kp_head),
         ]
 
-    def lift(self, points, attributes) -> np.ndarray:
-        return lift_cloud(
-            points, attributes, self.cfg.lift_neighbors, self.cfg.lift_scales, self.cfg.lift_cap
-        )
+    def inputs(self, cloud) -> tuple:
+        """forward's (v, app_in) for a cloud: the one place the lift meets the appearance rows."""
+        cfg = self.cfg
+        v = lift_cloud(cloud.points, cloud.attributes, cfg.lift_neighbors, cfg.lift_scales, cfg.lift_cap)
+        return v, appearance_input(cloud)
 
     def forward(self, v, app_in, train=False, ctx=None, rotation: Rotation = None) -> ModelOutputs:
         """v: lifted feature, component-major (..., 3, 8, N); app_in:

@@ -20,7 +20,6 @@ from .geometry import (
     pose_from_dict,
     pose_to_dict,
 )
-from .heads import appearance_input
 
 
 @dataclass(frozen=True)
@@ -226,8 +225,7 @@ def run_pipeline(cloud: PointCloud, model, registry, oracle=None):
     if oracle is not None:
         labels, offsets = oracle
     else:
-        v = model.lift(cloud.points, cloud.attributes)
-        out = model.forward(v, appearance_input(cloud))
+        out = model.forward(*model.inputs(cloud))
         labels, offsets = out.logits.argmax(axis=-1), out.offsets
     points, offsets = cloud.points, np.asarray(offsets, dtype=np.float64)
     detections = []

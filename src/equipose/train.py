@@ -17,7 +17,6 @@ except ImportError:  # Windows has no resource module: loss.csv's minflt stays e
 from .errors import InputError, NonFiniteLoss, check_field_types
 from .files import read_json
 from .geometry import Rotation, sample_uniform_rotation
-from .heads import appearance_input
 from .layers import named_params
 from .losses import (
     LossReport,
@@ -120,8 +119,7 @@ class SceneTensors:
 
 def scene_tensors(sample, model: PoseModel) -> SceneTensors:
     return SceneTensors(
-        v=model.lift(sample.cloud.points, sample.cloud.attributes),
-        app_in=appearance_input(sample.cloud),
+        *model.inputs(sample.cloud),
         labels=np.asarray(sample.labels, dtype=int),
         gt_offsets=np.asarray(sample.gt_offsets, dtype=np.float64),
         fg_mask=np.asarray(sample.labels) > 0,

@@ -16,7 +16,6 @@ from equipose.geometry import (
     geodesic_distance,
     sample_uniform_rotation,
 )
-from equipose.heads import appearance_input
 from equipose.layers import (
     Sequential,
     VNLinear,
@@ -121,8 +120,7 @@ def test_criterion_03_so3_loss_sanity():
     rng = RNG(1)
     points = rng.uniform(-0.1, 0.1, size=(200, 3)) + np.array([0.0, 0.0, 0.6])
     colors = rng.uniform(0.0, 1.0, size=(200, 3))
-    v = model.lift(points, colors)
-    app_in = appearance_input(PointCloud(points=points, attributes=colors))
+    v, app_in = model.inputs(PointCloud(points=points, attributes=colors))
     least_broken = np.inf
     for _ in range(10):
         rot = sample_uniform_rotation(rng)

@@ -363,6 +363,13 @@ class TestEvalAndMetrics:
         err = capsys.readouterr().err
         assert "--params" in err and "--oracle-heads" in err
 
+    def test_params_and_oracle_heads_together_exit_2(self, dataset, tmp_path, capsys):
+        # the oracle used to win without opening --params
+        flags = ("--oracle-heads", "--params", "/nonexistent/params.bin")
+        assert main(_eval_argv(dataset, tmp_path, dataset / "scenes", *flags)) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "exactly one of --params" in err and "--oracle-heads" in err
+
     def test_missing_scenes_dir_exits_2(self, tmp_path):
         code = main(
             [

@@ -101,11 +101,12 @@ class TestSegHead:
         rng = RNG(10)
         points = rng.uniform(-0.1, 0.1, size=(60, 3))
         colors = rng.uniform(size=(60, 3))
-        app_in = appearance_input(PointCloud(points=points, attributes=colors))
-        base = model.forward(model.lift(points, colors), app_in, ctx={})
+        v, app_in = model.inputs(PointCloud(points=points, attributes=colors))
+        base = model.forward(v, app_in, ctx={})
         for _ in range(100):
             rot = sample_uniform_rotation(rng)
-            logits = model.forward(model.lift(rot.apply(points), colors), app_in, ctx={}).logits
+            v, _ = model.inputs(PointCloud(points=rot.apply(points), attributes=colors))
+            logits = model.forward(v, app_in, ctx={}).logits
             denom = 1.0 + np.max(np.abs(base.logits))
             assert np.max(np.abs(logits - base.logits)) / denom <= 1e-10
             assert np.array_equal(logits.argmax(axis=-1), base.logits.argmax(axis=-1))

@@ -14,9 +14,8 @@ from equipose.geometry import (
     fit_rigid_least_squares,
     sample_uniform_rotation,
 )
-from equipose.heads import appearance_input
 from equipose.metrics import add, add_s, model_diameter
-from equipose.model import load_model
+from equipose.model import lift_cloud, load_model
 from equipose.pipeline import mean_shift_modes, run_pipeline, vote_keypoints
 from equipose.synth import Registry, make_default_models, render_scene
 from golden.make_golden import CHECKPOINT, SCENE_SEED0
@@ -49,15 +48,16 @@ def bits(x):
 
 CLOUD, ATTRS, OFFSETS = SCENE.cloud.points, SCENE.cloud.attributes, SCENE.gt_offsets
 MEMBERS = np.nonzero(SCENE.labels > 0)[0]
-V = MODEL.lift(CLOUD, ATTRS)
-APP_IN = appearance_input(SCENE.cloud)
+V, APP_IN = MODEL.inputs(SCENE.cloud)
+LIFT_KNOBS = (MODEL.cfg.lift_neighbors, MODEL.cfg.lift_scales, MODEL.cfg.lift_cap)
 VERTICES = MODELS[0].vertices
 GT, PRED = (
     RigidTransform(sample_uniform_rotation(np.random.default_rng(seed)), [0.01 * seed, 0.0, 0.5]) for seed in (1, 2)
 )
 
 ENTRY_POINTS = {
-    "lift_cloud": (lambda p, a: MODEL.lift(p, a), (CLOUD, ATTRS)),
+    # called directly: a PointCloud would make both arrays C-contiguous first
+    "lift_cloud": (lambda p, a: lift_cloud(p, a, *LIFT_KNOBS), (CLOUD, ATTRS)),
     "forward": (lambda v, app: MODEL.forward(v, app), (V, APP_IN)),
     "mean_shift_modes": (lambda x: mean_shift_modes(x, 0.02), (CLOUD + OFFSETS[:, -1],)),
     "mean_shift_modes_one_mode": (lambda x: mean_shift_modes(x, 10.0), (CLOUD,)),

@@ -7,7 +7,6 @@ from conftest import stack_pair
 from equipose.backproject import PointCloud
 from equipose.errors import InputError
 from equipose.geometry import Rotation, sample_uniform_rotation
-from equipose.heads import appearance_input
 from equipose.layers import Sequential, VNLinear, VNReLU, init_layer_params
 from equipose.losses import (
     LossReport,
@@ -165,9 +164,9 @@ class TestSo3Loss:
             model = init_model(SMALL_MODEL, seed=int(rng.integers(1 << 30)))
             points = rng.uniform(-0.1, 0.1, size=(40, 3))
             colors = rng.uniform(0.0, 1.0, size=(40, 3))
-            app_in = appearance_input(PointCloud(points=points, attributes=colors))
+            v, app_in = model.inputs(PointCloud(points=points, attributes=colors))
             rot = sample_uniform_rotation(rng)
-            offsets = model.forward(model.lift(points, colors), app_in, ctx={}, rotation=rot).offsets
+            offsets = model.forward(v, app_in, ctx={}, rotation=rot).offsets
             assert model.so3_term(offsets, rot)[0] > 1e-3
 
 

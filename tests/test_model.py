@@ -69,7 +69,7 @@ class TestLiftKnobs:
 
     @staticmethod
     def _lift(cloud, **knobs):
-        return PoseModel(ModelConfig(n_classes=4, **knobs)).lift(cloud.points, cloud.attributes)
+        return PoseModel(ModelConfig(n_classes=4, **knobs)).inputs(cloud)[0]
 
     def test_cap_bounds_every_channel_and_keeps_its_direction(self, cloud):
         cap = 0.5

@@ -100,3 +100,32 @@ def test_every_public_definition_is_reached():
         and named[node.name] <= names(node)[node.name]
     ]
     assert sorted(unreached) == sorted(REFERENCE_HELPERS)
+
+
+def test_the_lift_and_the_appearance_rows_are_paired_in_one_place():
+    # forward takes a cloud's lifted feature and its appearance rows together;
+    # PoseModel.inputs builds both, so another caller cannot pair them another way
+    def calls(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("lift_cloud", "appearance_input")
+        ]
+
+    model = ast.parse((SRC / "model.py").read_text())
+    paired = {
+        id(node)
+        for cls in model.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "PoseModel"
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name == "inputs"
+        for node in calls(method)
+    }
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in calls(model if path.name == "model.py" else ast.parse(path.read_text()))
+        if id(node) not in paired
+    ]
+    assert offenders == [] and len(paired) == 2
