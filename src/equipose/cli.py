@@ -243,6 +243,17 @@ def cmd_eval(args) -> int:
     scenes = _load_scenes(args.scenes_dir)
     registry = load_registry(args.registry_dir)
     model = None if args.oracle_heads else load_model(args.params)
+    # every fit pairs a model's keypoints with the voted ones: as many as the
+    # checkpoint predicts, or under the oracle as each scene's offsets carry
+    if model is None:
+        counts = {f"{os.path.join(args.scenes_dir, name)}.json's": s.n_keypoints for name, s in scenes.items()}
+    else:
+        counts = {f"{args.params}'s": model.cfg.n_keypoints}
+    for cls in registry:
+        have = len(registry.lookup(cls).keypoints)
+        for source, n in counts.items():
+            if have != n:
+                raise InputError(f"malformed {registry.files[cls]}: {have} keypoints, not {source} {n}")
     os.makedirs(args.out_dir, exist_ok=True)
     det_dir = os.path.join(args.out_dir, "detections")
     os.makedirs(det_dir, exist_ok=True)

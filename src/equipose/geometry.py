@@ -39,21 +39,6 @@ class Rotation:
         object.__setattr__(self, "m", m)
 
     @classmethod
-    def identity(cls) -> "Rotation":
-        return cls(np.eye(3))
-
-    @classmethod
-    def from_axis_angle(cls, axis, angle: float) -> "Rotation":
-        axis = _as_array(axis, (3,))
-        n = np.linalg.norm(axis)
-        if n == 0.0:
-            raise ValueError("axis must be nonzero")
-        x, y, z = axis / n
-        k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-        m = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-        return cls(m)
-
-    @classmethod
     def from_quaternion(cls, q) -> "Rotation":
         """Unit quaternion (w, x, y, z) to rotation matrix."""
         q = _as_array(q, (4,))
@@ -71,12 +56,6 @@ class Rotation:
         points = np.asarray(points, dtype=np.float64)
         return points @ self.m.T
 
-    def inverse(self) -> "Rotation":
-        return Rotation(self.m.T)
-
-    def trace(self) -> float:
-        return float(np.trace(self.m))
-
 
 @dataclass(frozen=True)
 class RigidTransform:
@@ -88,23 +67,8 @@ class RigidTransform:
     def __post_init__(self):
         object.__setattr__(self, "translation", _as_array(self.translation, (3,)))
 
-    @classmethod
-    def identity(cls) -> "RigidTransform":
-        return cls(Rotation.identity(), np.zeros(3))
-
     def apply(self, points) -> np.ndarray:
         return self.rotation.apply(points) + self.translation
-
-    def inverse(self) -> "RigidTransform":
-        rinv = self.rotation.inverse()
-        return RigidTransform(rinv, -rinv.apply(self.translation))
-
-
-def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
-    """Transform applying b first, then a: compose(a, b).apply(x) == a.apply(b.apply(x))."""
-    r = Rotation(a.rotation.m @ b.rotation.m)
-    t = a.rotation.apply(b.translation) + a.translation
-    return RigidTransform(r, t)
 
 
 def sample_uniform_rotation(rng: np.random.Generator) -> Rotation:
@@ -114,12 +78,6 @@ def sample_uniform_rotation(rng: np.random.Generator) -> Rotation:
     while np.linalg.norm(q) < 1e-12:
         q = rng.normal(size=4)
     return Rotation.from_quaternion(q)
-
-
-def geodesic_distance(a: Rotation, b: Rotation) -> float:
-    """Angle in radians of the relative rotation between a and b."""
-    cos = (np.trace(a.m.T @ b.m) - 1.0) / 2.0
-    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -208,8 +166,3 @@ def pose_from_dict(d: dict) -> RigidTransform:
 
 def save_pose_json(path, t: RigidTransform) -> None:
     write_json(path, pose_to_dict(t))
-
-
-def load_pose_json(path) -> RigidTransform:
-    with read_json(path) as d:
-        return pose_from_dict(d)

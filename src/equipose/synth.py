@@ -326,10 +326,12 @@ def render_scene(objects, config: SceneConfig, seed: int) -> SceneSample:
 
 
 class Registry:
-    """Object models keyed by class id."""
+    """Object models keyed by class id; `files` holds the model_*.json each
+    was read from, when load_registry built it."""
 
-    def __init__(self, models):
+    def __init__(self, models, files=()):
         self.models = {m.id: m for m in models}
+        self.files = {m.id: path for m, path in zip(models, files)}
 
     def lookup(self, class_id: int) -> ObjectModel:
         if class_id not in self.models:
@@ -357,7 +359,7 @@ def save_registry(registry: Registry, directory) -> None:
 
 
 def load_registry(directory) -> Registry:
-    models = []
+    models, files = [], []
     for name in sorted(os.listdir(directory)):
         if not (name.startswith("model_") and name.endswith(".json")):
             continue
@@ -366,7 +368,8 @@ def load_registry(directory) -> Registry:
         with parsing(ply):
             if len(xyzrgb) == 0:
                 raise InputError("model has no vertices")
-        with read_json(os.path.join(directory, name)) as meta:
+        files.append(os.path.join(directory, name))
+        with read_json(files[-1]) as meta:
             models.append(
                 ObjectModel(
                     id=int(meta["id"]),
@@ -380,7 +383,7 @@ def load_registry(directory) -> Registry:
             )
     if not models:
         raise InputError(f"no model files found in {directory}")
-    return Registry(models)
+    return Registry(models, files)
 
 
 def save_scene(path_stem, sample: SceneSample) -> None:

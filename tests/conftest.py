@@ -1,7 +1,8 @@
 """Shared helpers: a finite-difference gradient check for single layers, the
 output pair of a layer stack in the form PoseModel.so3_term takes, the
-brute-force ADD-S reference, the gather-formula lift reference, and an editor
-of binary PLY files."""
+brute-force ADD-S reference, the gather-formula lift reference, the SE(3)
+reference helpers (composition, geodesic angle, pose file reader), and an
+editor of binary PLY files."""
 
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import pytest
 from scipy.spatial import cKDTree
 
 import equipose
-from equipose.geometry import RigidTransform
+from equipose.files import read_json
+from equipose.geometry import RigidTransform, Rotation, pose_from_dict
 from equipose.layers import named_params, rotate_feature
 from equipose.metrics import BLOCK_ROWS
 from equipose.model import LIFT_CHANNELS
@@ -52,6 +54,25 @@ def stack_pair(stack, v, r):
     straight = stack.forward(v, ctx={})
     rotated = stack.forward(rotate_feature(v, r), ctx={})
     return np.stack([np.moveaxis(straight, 0, -1), np.moveaxis(rotated, 0, -1)])
+
+
+def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
+    """Transform applying b first, then a: compose(a, b).apply(x) == a.apply(b.apply(x))."""
+    r = Rotation(a.rotation.m @ b.rotation.m)
+    t = a.rotation.apply(b.translation) + a.translation
+    return RigidTransform(r, t)
+
+
+def geodesic_distance(a: Rotation, b: Rotation) -> float:
+    """Angle in radians of the relative rotation between a and b."""
+    cos = (np.trace(a.m.T @ b.m) - 1.0) / 2.0
+    return float(np.arccos(np.clip(cos, -1.0, 1.0)))
+
+
+def load_pose_json(path) -> RigidTransform:
+    """The pose a `fit-pose` run wrote with save_pose_json."""
+    with read_json(path) as d:
+        return pose_from_dict(d)
 
 
 def add_s_brute(gt: RigidTransform, pred: RigidTransform, model) -> float:

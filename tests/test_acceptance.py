@@ -6,14 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import add_s_brute, stack_pair
+from conftest import add_s_brute, geodesic_distance, stack_pair
 from equipose.backproject import PointCloud
 from equipose.checks import TINY_MODEL, equivariance_report, invariance_report, tiny_scene
 from equipose.geometry import (
     Correspondences,
     RigidTransform,
     fit_rigid_least_squares,
-    geodesic_distance,
     sample_uniform_rotation,
 )
 from equipose.layers import (

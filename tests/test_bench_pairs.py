@@ -36,6 +36,7 @@ def test_one_pair_against_head(tmp_path):
     for summary in report["metrics"].values():
         assert summary["pairs"] == 1 and summary["change_wins"] + summary["base_wins"] <= 1
         assert summary["base"]["q1"] <= summary["base"]["median"] <= summary["base"]["q3"]
+        assert summary["ratio"]["q1"] == summary["ratio"]["median"] == summary["ratio"]["q3"] > 0.0
     assert set(report["environment"]) == {"base", "change"}
 
 
@@ -52,3 +53,7 @@ def test_summary_follows_each_metrics_direction():
     assert (out["t"]["change_wins"], out["t"]["base_wins"]) == (3, 2)  # the tie counts for neither
     assert (out["r"]["change_wins"], out["r"]["base_wins"]) == (2, 3)
     assert out["t"]["pairs"] == 6
+    # change/base per pair: 2, 1, 0.8, 6/7, 10/9, 8/11, whatever the direction
+    ratio = {"median": (6 / 7 + 1.0) / 2, "q1": 0.8 + 0.25 * (6 / 7 - 0.8), "q3": 1.0 + 0.75 * (10 / 9 - 1.0)}
+    assert out["t"]["ratio"] == pytest.approx(ratio, rel=1e-15)
+    assert out["r"]["ratio"] == out["t"]["ratio"]

@@ -10,10 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import SRC, edit_ply
+from conftest import SRC, edit_ply, load_pose_json
 from equipose.backproject import PlyTable
 from equipose.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_OK, main
-from equipose.geometry import RigidTransform, load_pose_json, sample_uniform_rotation
+from equipose.geometry import RigidTransform, sample_uniform_rotation
 from equipose.model import ModelConfig, init_model, save_model
 
 RNG = np.random.default_rng
@@ -369,6 +369,27 @@ class TestEvalAndMetrics:
         assert main(_eval_argv(dataset, tmp_path, dataset / "scenes", *flags)) == EXIT_BAD_INPUT
         err = capsys.readouterr().err
         assert "exactly one of --params" in err and "--oracle-heads" in err
+
+    @pytest.mark.parametrize("heads", ["params", "oracle"])
+    def test_registry_keypoint_count_disagreeing_exits_2_naming_it(self, dataset, tmp_path, capsys, heads):
+        # the 8-keypoint checkpoint or scenes against a 4-keypoint registry used
+        # to fail at the first fitted instance, naming no file, after the
+        # output directory was made; a run that detected nothing exited 0
+        from equipose.synth import Registry, make_default_models, save_registry
+
+        registry = tmp_path / "registry"
+        save_registry(Registry(make_default_models(seed=9, n_vertices=300, n_keypoints=4)), registry)
+        if heads == "params":
+            params = tmp_path / "params.bin"
+            save_model(init_model(ModelConfig(n_classes=4), seed=0), params)
+            flags = ["--params", str(params)]
+        else:
+            flags = ["--oracle-heads"]
+        out = tmp_path / "out"
+        argv = ["eval", "--scenes-dir", str(dataset / "scenes"), "--registry-dir", str(registry), "--out-dir", str(out)]
+        assert main([*argv, *flags]) == EXIT_BAD_INPUT
+        assert f"error: bad input: malformed {registry / 'model_001.json'}: 4 keypoints, not " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scenes_dir_exits_2(self, tmp_path):
         code = main(

@@ -7,7 +7,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from equipose.backproject import PointCloud
 from equipose.geometry import (
     Correspondences,
     RigidTransform,
@@ -37,6 +36,18 @@ def layouts(a):
     return [np.ascontiguousarray(a), np.asfortranarray(a), big[:, 4]]
 
 
+def holding(obj, **arrays):
+    """A copy of the dataclass `obj` that holds each array of `arrays` itself,
+    in its own layout. PointCloud and ObjectModel make what they are built
+    from C-contiguous, so the copy is built from C arrays and the given ones
+    are assigned after."""
+    held = dataclasses.replace(obj, **{name: np.ascontiguousarray(a) for name, a in arrays.items()})
+    for name, a in arrays.items():
+        setattr(held, name, a)
+        assert getattr(held, name) is a
+    return held
+
+
 def bits(x):
     """Every number in `x`, a nest of dataclasses, sequences and arrays, as bytes."""
     if dataclasses.is_dataclass(x):
@@ -56,7 +67,7 @@ GT, PRED = (
 )
 
 ENTRY_POINTS = {
-    # called directly: a PointCloud would make both arrays C-contiguous first
+    # called directly, as are the arrays a PointCloud or ObjectModel holds
     "lift_cloud": (lambda p, a: lift_cloud(p, a, *LIFT_KNOBS), (CLOUD, ATTRS)),
     "forward": (lambda v, app: MODEL.forward(v, app), (V, APP_IN)),
     "mean_shift_modes": (lambda x: mean_shift_modes(x, 0.02), (CLOUD + OFFSETS[:, -1],)),
@@ -64,20 +75,20 @@ ENTRY_POINTS = {
     "vote_keypoints": (lambda p, o: vote_keypoints(p, o, MEMBERS), (CLOUD, OFFSETS)),
     "run_pipeline_oracle": (
         lambda p, a, o: run_pipeline(
-            PointCloud(points=p, attributes=a), None, Registry(MODELS), oracle=(SCENE.labels, o)
+            holding(SCENE.cloud, points=p, attributes=a), None, Registry(MODELS), oracle=(SCENE.labels, o)
         ),
         (CLOUD, ATTRS, OFFSETS),
     ),
     "run_pipeline_network": (
-        lambda p, a: run_pipeline(PointCloud(points=p, attributes=a), MODEL, Registry(MODELS)),
+        lambda p, a: run_pipeline(holding(SCENE.cloud, points=p, attributes=a), MODEL, Registry(MODELS)),
         (CLOUD, ATTRS),
     ),
     "fit_rigid_least_squares": (
         lambda s, t: fit_rigid_least_squares(Correspondences(source=s, target=t)),
         (VERTICES, GT.apply(VERTICES) + 1e-3 * np.sin(VERTICES)),
     ),
-    "add": (lambda v: add(GT, PRED, dataclasses.replace(MODELS[0], vertices=v)), (VERTICES,)),
-    "add_s": (lambda v: add_s(GT, PRED, dataclasses.replace(MODELS[0], vertices=v)), (VERTICES,)),
+    "add": (lambda v: add(GT, PRED, holding(MODELS[0], vertices=v)), (VERTICES,)),
+    "add_s": (lambda v: add_s(GT, PRED, holding(MODELS[0], vertices=v)), (VERTICES,)),
     "model_diameter": (model_diameter, (VERTICES,)),
 }
 

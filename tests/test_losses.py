@@ -145,7 +145,7 @@ class TestSo3Loss:
         stack = make_pure_stack(6)
         v = RNG(7).normal(size=(3, 4, 10))
         model = init_model(SMALL_MODEL, seed=0)
-        assert model.so3_term(stack_pair(stack, v, np.eye(3)), Rotation.identity())[0] == 0.0
+        assert model.so3_term(stack_pair(stack, v, np.eye(3)), Rotation(np.eye(3)))[0] == 0.0
 
     def test_vanishes_on_pure_stacks(self):
         model = init_model(SMALL_MODEL, seed=0)

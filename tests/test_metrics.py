@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import add_s_brute
+from conftest import add_s_brute, compose
 from equipose.errors import EquiposeError, InputError
 from equipose.geometry import (
     RigidTransform,
     Rotation,
-    compose,
     sample_uniform_rotation,
 )
 from equipose.metrics import (
@@ -131,7 +130,7 @@ class TestAddS:
         model = generate_object("cylinder", 2000, seed=9)
         rng = RNG(9)
         gt = random_pose(rng)
-        spin = RigidTransform(Rotation.from_axis_angle([0, 0, 1], 2.1), np.zeros(3))
+        spin = RigidTransform(Rotation.from_quaternion([np.cos(1.05), 0.0, 0.0, np.sin(1.05)]), np.zeros(3))
         pred = compose(gt, spin)
         spacing = mean_nn_spacing(model.vertices)
         assert add_s(gt, pred, model) <= 2.0 * spacing

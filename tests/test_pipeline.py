@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import compose, geodesic_distance
 from equipose import pipeline
 from equipose.backproject import PointCloud
 from equipose.geometry import (
     Correspondences,
     RigidTransform,
-    compose,
     fit_rigid_least_squares,
-    geodesic_distance,
     sample_uniform_rotation,
 )
 from equipose.metrics import add

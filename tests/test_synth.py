@@ -6,9 +6,10 @@ import re
 import numpy as np
 import pytest
 
+from conftest import compose
 from equipose.backproject import PlyTable, write_ply
 from equipose.errors import InputError
-from equipose.geometry import RigidTransform, Rotation, compose, sample_uniform_rotation
+from equipose.geometry import RigidTransform, Rotation, sample_uniform_rotation
 from equipose.metrics import add_s
 from equipose.model import ModelConfig, PoseModel
 from equipose.synth import (
@@ -49,7 +50,8 @@ class TestGenerateObject:
         spacing = float(cKDTree(model.vertices).query(model.vertices, k=2)[0][:, 1].mean())
         rng = RNG(7)
         gt = RigidTransform(sample_uniform_rotation(rng), rng.normal(size=3))
-        spin = RigidTransform(Rotation.from_axis_angle([0, 0, 1], rng.uniform(0, 2 * np.pi)), np.zeros(3))
+        half = rng.uniform(0, 2 * np.pi) / 2.0  # a spin about z, as a unit quaternion
+        spin = RigidTransform(Rotation.from_quaternion([np.cos(half), 0.0, 0.0, np.sin(half)]), np.zeros(3))
         assert add_s(gt, compose(gt, spin), model) <= 2.0 * spacing
 
     def test_min_vertices_enforced(self):
@@ -171,7 +173,7 @@ class TestRenderScene:
         assert (scene.labels == 0).sum() == 25
 
     def test_explicit_poses(self):
-        pose = RigidTransform(Rotation.identity(), np.array([0.0, 0.0, 0.6]))
+        pose = RigidTransform(Rotation(np.eye(3)), np.array([0.0, 0.0, 0.6]))
         scene = render_scene(self.models, SceneConfig(poses=[(2, pose)]), seed=5)
         assert scene.gt_poses == [(2, pose)]
         assert set(np.unique(scene.labels)) == {2}

@@ -15,8 +15,9 @@ The result goes to BENCH_<workload>.json at the repository root (or --out):
 both revisions, the change side's `git status --porcelain` digest, every
 pair's end-to-end values with its correct/attempted/failed record, each
 metric's median and quartiles per side with the pairs each side won (the
-direction is BENCHMARK.json's `better`; ties count for neither), and both
-sides' environment records. Ten pairs at 25 s take about ten minutes.
+direction is BENCHMARK.json's `better`; ties count for neither), the median
+and quartiles of each pair's change/base ratio, and both sides' environment
+records. Ten pairs at 25 s take about ten minutes.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ def summary(values: list) -> dict:
 
 
 def compare(pairs: list, end_to_end: list) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs each side won."""
+    """Per metric: each side's median and quartiles, the pairs each side won,
+    and the median and quartiles of the per-pair change/base ratio."""
     out = {}
     for metric in end_to_end:
         name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
@@ -82,6 +84,7 @@ def compare(pairs: list, end_to_end: list) -> dict:
             "change_wins": sum(d > 0 for d in deltas),
             "base_wins": sum(d < 0 for d in deltas),
             "pairs": len(pairs),
+            "ratio": summary([c / b for b, c in zip(values["base"], values["change"])]),
         }
     return out
 
