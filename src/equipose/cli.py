@@ -254,6 +254,16 @@ def cmd_eval(args) -> int:
         for source, n in counts.items():
             if have != n:
                 raise InputError(f"malformed {registry.files[cls]}: {have} keypoints, not {source} {n}")
+    # a fit looks up the model of every class the checkpoint can predict, or
+    # the oracle labels hold, and scoring that of every ground-truth class
+    if model is None:
+        needed = {int(c) for s in scenes.values() for c in np.unique(s.labels) if c != 0}
+    else:
+        needed = set(range(1, model.cfg.n_classes))
+    needed |= {cls for s in scenes.values() for cls, _ in s.gt_poses}
+    missing = sorted(needed - set(registry))
+    if missing:
+        raise InputError(f"{args.registry_dir} has no model for class {missing[0]}")
     os.makedirs(args.out_dir, exist_ok=True)
     det_dir = os.path.join(args.out_dir, "detections")
     os.makedirs(det_dir, exist_ok=True)

@@ -24,11 +24,12 @@ class DegenerateConfiguration(EquiposeError):
 
 def check_field_types(config) -> None:
     """Raise InputError naming the first field annotated "int" that does not
-    hold an integer, or "float" that does not hold a real number; a bool is
-    neither. The annotations are strings under `from __future__ import annotations`."""
+    hold an integer, "float" that does not hold a real number, or "bool" that
+    does not hold a bool; a bool is neither an integer nor a real number. The
+    annotations are strings under `from __future__ import annotations`."""
+    kinds = {"float": (Real, "a real number"), "int": (Integral, "an integer"), "bool": (bool, "a boolean")}
     for f in fields(config):
-        kind = {"float": Real, "int": Integral}.get(f.type)
+        kind, what = kinds.get(f.type, (None, None))
         value = getattr(config, f.name)
-        if kind and (isinstance(value, bool) or not isinstance(value, kind)):
-            what = "an integer" if kind is Integral else "a real number"
+        if kind and (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)):
             raise InputError(f"{f.name} must be {what}, got {value!r}")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backproject import PlyTable, PointCloud, write_ply
-from .errors import InputError
+from .errors import InputError, check_field_types
 from .files import parsing, read_json, write_json
 from .geometry import (
     RigidTransform,
@@ -34,6 +34,9 @@ class ObjectModel:
     symmetric: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
+        if self.id < 1:  # class 0 is the background
+            raise InputError(f"model id must be at least 1, got {self.id}")
         rows = np.shape(self.vertices)[:1]
         shapes = {
             "vertices": rows + (3,),
@@ -359,7 +362,10 @@ def save_registry(registry: Registry, directory) -> None:
 
 
 def load_registry(directory) -> Registry:
-    models, files = [], []
+    """The models of a save_registry directory. A model_*.json whose id is not
+    an integer of at least 1 or is an earlier file's, whose symmetric is not a
+    JSON boolean or whose diameter is not a number is an InputError naming it."""
+    models, files = {}, {}
     for name in sorted(os.listdir(directory)):
         if not (name.startswith("model_") and name.endswith(".json")):
             continue
@@ -368,22 +374,23 @@ def load_registry(directory) -> Registry:
         with parsing(ply):
             if len(xyzrgb) == 0:
                 raise InputError("model has no vertices")
-        files.append(os.path.join(directory, name))
-        with read_json(files[-1]) as meta:
-            models.append(
-                ObjectModel(
-                    id=int(meta["id"]),
-                    vertices=xyzrgb[:, :3],
-                    keypoints=meta["keypoints"],
-                    center=meta["center"],
-                    diameter=float(meta["diameter"]),
-                    colors=xyzrgb[:, 3:],
-                    symmetric=bool(meta["symmetric"]),
-                )
+        path = os.path.join(directory, name)
+        with read_json(path) as meta:
+            model = ObjectModel(
+                id=meta["id"],
+                vertices=xyzrgb[:, :3],
+                keypoints=meta["keypoints"],
+                center=meta["center"],
+                diameter=meta["diameter"],
+                colors=xyzrgb[:, 3:],
+                symmetric=meta["symmetric"],
             )
+            if model.id in files:
+                raise InputError(f"id {model.id} is also {files[model.id]}'s")
+        models[model.id], files[model.id] = model, path
     if not models:
         raise InputError(f"no model files found in {directory}")
-    return Registry(models, files)
+    return Registry(models.values(), files.values())
 
 
 def save_scene(path_stem, sample: SceneSample) -> None:

@@ -37,17 +37,29 @@ def test_one_pair_against_head(tmp_path):
         assert summary["pairs"] == 1 and summary["change_wins"] + summary["base_wins"] <= 1
         assert summary["base"]["q1"] <= summary["base"]["median"] <= summary["base"]["q3"]
         assert summary["ratio"]["q1"] == summary["ratio"]["median"] == summary["ratio"]["q3"] > 0.0
+        assert summary["gain_shown"] is False  # one pair shows nothing
     assert set(report["environment"]) == {"base", "change"}
 
 
-def test_summary_follows_each_metrics_direction():
+def _bench_pairs():
     spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
-    values = [(1.0, 2.0), (3.0, 3.0), (5.0, 4.0), (7.0, 6.0), (9.0, 10.0), (11.0, 8.0)]  # (base, change)
+    return bench_pairs
+
+
+END_TO_END = [{"name": "t", "unit": "ms", "better": "lower"}, {"name": "r", "unit": "/s", "better": "higher"}]
+
+
+def _compare(values):
+    """compare() on (base, change) pairs, the same values for a lower-is-better "t" and a higher-is-better "r"."""
     pairs = [{side: {"metrics": {"t": v, "r": v}} for side, v in zip(("base", "change"), pair)} for pair in values]
-    end_to_end = [{"name": "t", "unit": "ms", "better": "lower"}, {"name": "r", "unit": "/s", "better": "higher"}]
-    out = bench_pairs.compare(pairs, end_to_end)
+    return _bench_pairs().compare(pairs, END_TO_END)
+
+
+def test_summary_follows_each_metrics_direction():
+    values = [(1.0, 2.0), (3.0, 3.0), (5.0, 4.0), (7.0, 6.0), (9.0, 10.0), (11.0, 8.0)]  # (base, change)
+    out = _compare(values)
     assert out["t"]["base"] == {"median": 6.0, "q1": 3.5, "q3": 8.5}
     assert out["t"]["change"] == {"median": 5.0, "q1": 3.25, "q3": 7.5}
     assert (out["t"]["change_wins"], out["t"]["base_wins"]) == (3, 2)  # the tie counts for neither
@@ -57,3 +69,22 @@ def test_summary_follows_each_metrics_direction():
     ratio = {"median": (6 / 7 + 1.0) / 2, "q1": 0.8 + 0.25 * (6 / 7 - 0.8), "q3": 1.0 + 0.75 * (10 / 9 - 1.0)}
     assert out["t"]["ratio"] == pytest.approx(ratio, rel=1e-15)
     assert out["r"]["ratio"] == out["t"]["ratio"]
+    assert out["t"]["gain_shown"] is out["r"]["gain_shown"] is False
+
+
+BASE = [10.0 + 0.1 * i for i in range(10)]  # median 10.45, quartiles 10.225 and 10.675
+
+
+@pytest.mark.parametrize(
+    "change, t_shown",
+    [
+        ([b - 1.0 for b in BASE[:9]] + BASE[9:], True),  # 9 wins and a tie, median 1.0 better
+        ([b - 0.2 for b in BASE], False),  # 10 wins, median 0.2 better: inside the 0.45 IQR
+        ([b - 1.0 for b in BASE[:8]] + [b + 0.5 for b in BASE[8:]], False),  # 8 wins, median 1.0 better
+    ],
+    ids=["nine_of_ten_beyond_the_iqr", "ten_of_ten_inside_the_iqr", "eight_of_ten_beyond_the_iqr"],
+)
+def test_gain_shown_needs_nine_tenths_of_the_pairs_and_a_gap_beyond_the_base_iqr(change, t_shown):
+    out = _compare(list(zip(BASE, change)))
+    assert out["t"]["gain_shown"] is t_shown
+    assert out["r"]["gain_shown"] is False  # the same numbers read the other way

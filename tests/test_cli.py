@@ -391,6 +391,34 @@ class TestEvalAndMetrics:
         assert f"error: bad input: malformed {registry / 'model_001.json'}: 4 keypoints, not " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "n_classes, dropped, missing",
+        [(5, None, 4), (None, 3, 3), (3, 3, 3)],
+        ids=["checkpoint_class", "oracle_label", "ground_truth_class"],
+    )
+    def test_class_without_a_registry_model_exits_2_naming_it(
+        self, dataset, tmp_path, capsys, n_classes, dropped, missing
+    ):
+        # a class the checkpoint can predict, an oracle label or a ground-truth
+        # class without a model used to fail at its first instance or its
+        # scoring, naming no file, after detections were written
+        registry = tmp_path / "registry"
+        shutil.copytree(dataset / "registry", registry)
+        if dropped is not None:
+            for suffix in (".json", ".ply"):
+                (registry / f"model_{dropped:03d}{suffix}").unlink()
+        if n_classes is None:
+            flags = ["--oracle-heads"]
+        else:
+            params = tmp_path / "params.bin"
+            save_model(init_model(ModelConfig(n_classes=n_classes), seed=0), params)
+            flags = ["--params", str(params)]
+        out = tmp_path / "out"
+        argv = ["eval", "--scenes-dir", str(dataset / "scenes"), "--registry-dir", str(registry), "--out-dir", str(out)]
+        assert main([*argv, *flags]) == EXIT_BAD_INPUT
+        assert f"error: bad input: {registry} has no model for class {missing}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_scenes_dir_exits_2(self, tmp_path):
         code = main(
             [
@@ -688,8 +716,9 @@ def _as_ascii_ply(path):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _eval_on_edited_model_json(edit):
-    """`eval --oracle-heads` on a copy of the registry whose model_001.json is edited."""
+def _eval_on_edited_model_json(edit, named="model_001.json"):
+    """`eval --oracle-heads` on a copy of the registry whose model_001.json is
+    edited; the error names the registry's `named` file."""
 
     def case(dataset, tmp_path):
         registry = tmp_path / "registry"
@@ -699,7 +728,7 @@ def _eval_on_edited_model_json(edit):
         edit(meta)
         path.write_text(json.dumps(meta))
         argv = ["eval", "--scenes-dir", str(dataset / "scenes"), "--registry-dir", str(registry)]
-        return [*argv, "--out-dir", str(tmp_path / "out"), "--oracle-heads"], path
+        return [*argv, "--out-dir", str(tmp_path / "out"), "--oracle-heads"], registry / named
 
     return case
 
@@ -861,6 +890,14 @@ def _eval_on_truncated_params(dataset, tmp_path):
         _eval_on_edited_model_json(lambda meta: meta.update(keypoints=np.zeros((6, 4)).tolist())),
         _eval_on_edited_model_json(lambda meta: meta.update(center=[meta["center"]])),
         _on_edited_scene(".ply", _no_vertices, "train"),
+        _eval_on_edited_model_json(lambda meta: meta.update(id=1.5)),
+        _eval_on_edited_model_json(lambda meta: meta.update(id=True)),
+        _eval_on_edited_model_json(lambda meta: meta.update(id="1")),
+        _eval_on_edited_model_json(lambda meta: meta.update(id=0)),
+        _eval_on_edited_model_json(lambda meta: meta.update(id=2), named="model_002.json"),
+        _eval_on_edited_model_json(lambda meta: meta.update(symmetric="false")),
+        _eval_on_edited_model_json(lambda meta: meta.update(symmetric=0)),
+        _eval_on_edited_model_json(lambda meta: meta.update(diameter=str(meta["diameter"]))),
     ],
     ids=[
         "no_source",
@@ -917,6 +954,14 @@ def _eval_on_truncated_params(dataset, tmp_path):
         "registry_keypoints_of_four_values",
         "registry_center_as_a_row",
         "train_scene_without_points",
+        "registry_fractional_id",
+        "registry_bool_id",
+        "registry_string_id",
+        "registry_zero_id",
+        "registry_id_of_the_next_file",
+        "registry_string_symmetric",
+        "registry_integer_symmetric",
+        "registry_string_diameter",
     ],
 )
 def test_malformed_input_file_exits_2_naming_it(dataset, tmp_path, case, capsys):

@@ -1,10 +1,14 @@
 """Tests for the point-cloud lift: its neighbour means against the gather
-formula, bit for bit, and its two knobs, lift_cap and lift_scales."""
+formula, bit for bit, on both sides of the dense neighbour search's limit,
+and its two knobs, lift_cap and lift_scales."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from equipose.model import ModelConfig, PoseModel, lift_cloud
+from equipose import model
+from equipose.model import DENSE_NEIGHBOURS_MAX_POINTS, ModelConfig, PoseModel, lift_cloud
 from equipose.synth import make_default_models, render_scene
 from conftest import lift_cloud_gather
 from test_acceptance import SCENE_RECIPE
@@ -21,6 +25,15 @@ NO_CAP = 1e6
 def pool_clouds():
     objects = make_default_models(seed=0, n_vertices=600)
     return [render_scene(objects, SCENE_RECIPE, seed=POOL_SEED0 + i).cloud for i in range(64)]
+
+
+@pytest.fixture(scope="module")
+def crowded_cloud():
+    """A 3-instance acceptance scene, more points than the distance matrix takes."""
+    objects = make_default_models(seed=0, n_vertices=600)
+    cloud = render_scene(objects, dataclasses.replace(SCENE_RECIPE, n_instances=3), seed=POOL_SEED0).cloud
+    assert len(cloud) > DENSE_NEIGHBOURS_MAX_POINTS + 1
+    return cloud
 
 
 def _both(points, attributes, neighbors=DEFAULT.lift_neighbors):
@@ -59,6 +72,21 @@ class TestLiftMatchesGather:
         points = np.concatenate([half, half, half[:7]])
         got, ref = _both(points, rng.uniform(size=points.shape), 4)
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("n", [DENSE_NEIGHBOURS_MAX_POINTS, DENSE_NEIGHBOURS_MAX_POINTS + 1, None])
+    def test_either_side_of_the_dense_search_limit(self, crowded_cloud, n):
+        # the largest cloud the distance matrix takes, the smallest the tree
+        # takes, and the whole scene
+        got, ref = _both(crowded_cloud.points[:n], crowded_cloud.attributes[:n])
+        assert np.array_equal(got, ref)
+
+    def test_distance_matrix_only_up_to_the_limit(self, crowded_cloud, monkeypatch):
+        rows, cdist = [], model.cdist
+        monkeypatch.setattr(model, "cdist", lambda a, *rest: rows.append(len(a)) or cdist(a, *rest))
+        knobs = (DEFAULT.lift_neighbors, DEFAULT.lift_scales, DEFAULT.lift_cap)
+        for n in (DENSE_NEIGHBOURS_MAX_POINTS, DENSE_NEIGHBOURS_MAX_POINTS + 1, None):
+            lift_cloud(crowded_cloud.points[:n], crowded_cloud.attributes[:n], *knobs)
+        assert rows == [DENSE_NEIGHBOURS_MAX_POINTS]
 
 
 class TestLiftKnobs:

@@ -16,8 +16,12 @@ both revisions, the change side's `git status --porcelain` digest, every
 pair's end-to-end values with its correct/attempted/failed record, each
 metric's median and quartiles per side with the pairs each side won (the
 direction is BENCHMARK.json's `better`; ties count for neither), the median
-and quartiles of each pair's change/base ratio, and both sides' environment
-records. Ten pairs at 25 s take about ten minutes.
+and quartiles of each pair's change/base ratio, whether that shows a gain,
+and both sides' environment records. Ten pairs at 25 s take about ten minutes.
+
+A metric's `gain_shown` is true when at least ten pairs ran, the change won
+at least nine tenths of them, and its median is better than the base's by
+more than the distance between the base side's quartiles.
 """
 
 from __future__ import annotations
@@ -71,20 +75,27 @@ def summary(values: list) -> dict:
 
 def compare(pairs: list, end_to_end: list) -> dict:
     """Per metric: each side's median and quartiles, the pairs each side won,
-    and the median and quartiles of the per-pair change/base ratio."""
+    the median and quartiles of the per-pair change/base ratio, and whether
+    the pairs show a gain (the module docstring's rule)."""
     out = {}
     for metric in end_to_end:
         name, sign = metric["name"], (1 if metric["better"] == "higher" else -1)
         values = {side: [pair[side]["metrics"][name] for pair in pairs] for side in SIDES}
         deltas = [sign * (c - b) for b, c in zip(values["base"], values["change"])]
+        base, change = summary(values["base"]), summary(values["change"])
+        change_wins = sum(d > 0 for d in deltas)
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
-            **{side: summary(values[side]) for side in SIDES},
-            "change_wins": sum(d > 0 for d in deltas),
+            "base": base,
+            "change": change,
+            "change_wins": change_wins,
             "base_wins": sum(d < 0 for d in deltas),
             "pairs": len(pairs),
             "ratio": summary([c / b for b, c in zip(values["base"], values["change"])]),
+            "gain_shown": len(pairs) >= 10
+            and 10 * change_wins >= 9 * len(pairs)
+            and sign * (change["median"] - base["median"]) > base["q3"] - base["q1"],
         }
     return out
 
