@@ -21,8 +21,8 @@ from .files import read_json, write_json
 from .geometry import (
     load_correspondences_json,
     fit_rigid_least_squares,
+    pose_to_dict,
     sample_uniform_rotation,
-    save_pose_json,
 )
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -286,7 +286,7 @@ def cmd_fit_pose(args) -> int:
     started = time.monotonic()
     corr = load_correspondences_json(args.input)
     pose = fit_rigid_least_squares(corr)
-    save_pose_json(args.out, pose)
+    write_json(args.out, pose_to_dict(pose))
     _write_manifest(args.out, "fit-pose", args, None, [args.out], started)
     print(f"pose written to {args.out}")
     return EXIT_OK

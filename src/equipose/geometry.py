@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfiguration, InputError
-from .files import read_json, write_json
+from .files import read_json
 
 ORTHONORMAL_TOL = 1e-9
 
@@ -162,7 +162,3 @@ def pose_from_dict(d: dict) -> RigidTransform:
     if not (np.isfinite(rotation).all() and np.isfinite(translation).all()):
         raise ValueError("pose has a non-finite entry")
     return RigidTransform(Rotation(rotation), translation)
-
-
-def save_pose_json(path, t: RigidTransform) -> None:
-    write_json(path, pose_to_dict(t))

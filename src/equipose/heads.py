@@ -28,7 +28,7 @@ class AppearanceEncoder(Layer):
     Reads attributes only, so rotating the 3D points never changes its output.
     """
 
-    def __init__(self, n_hidden: int = 32, n_out: int = 32):
+    def __init__(self, n_hidden: int, n_out: int):
         self.mlp = Mlp2(APPEARANCE_INPUT_DIM, n_hidden, n_out)
         self.n_out = n_out
 

@@ -4,7 +4,7 @@ and the central-finite-difference gradient oracle."""
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -159,6 +159,27 @@ def sample_losses_and_grads(model, t: SceneTensors, cfg: TrainConfig, rotation: 
     return report, dv, d_app
 
 
+def train_step(model, opt: Adam, batch, cfg: TrainConfig, rotation: Rotation) -> LossReport:
+    """One optimizer step on a batch of SceneTensors under one rotation: zero
+    the gradients, accumulate each sample's scaled by 1/len(batch), then one
+    Adam update. Returns the batch-mean LossReport. Raises NonFiniteLoss,
+    numbered by opt.t, for a non-finite loss before the update and for a
+    non-finite parameter after it."""
+    model.zero_grad()
+    parts = np.zeros(4)
+    for t in batch:
+        report, _, _ = sample_losses_and_grads(model, t, cfg, rotation, scale=1.0 / len(batch))
+        parts += (report.seg, report.kp, report.center, report.so3)
+    report = total_loss(parts / len(batch), cfg.weights)
+    if not np.isfinite(report.total):
+        raise NonFiniteLoss(f"non-finite loss at step {opt.t}: {report}")
+    opt.step()
+    for p in opt.params:
+        if not np.all(np.isfinite(p.value)):
+            raise NonFiniteLoss(f"non-finite parameter {p.name} after step {opt.t - 1}")
+    return report
+
+
 @dataclass
 class TrainHistory:
     reports: list
@@ -166,7 +187,8 @@ class TrainHistory:
 
 
 def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHistory:
-    """Minimize the weighted objective over the scene list.
+    """Minimize the weighted objective over the scene list: per epoch a fresh
+    permutation, per batch one rotation and one train_step, then the lr decay.
 
     Emits one CSV row per optimizer step when csv_path is given: the losses,
     the step's wall time and its minor page faults (LOSS_CSV_HEADER). Raises
@@ -181,40 +203,22 @@ def train(scenes, model: PoseModel, cfg: TrainConfig, csv_path=None) -> TrainHis
     opt = make_optimizer(model, cfg)
     sample_uniform_rotation(rng)  # discarded; keeps the draw order, so a seed gives the same run
     reports = []
-    csv_file = open(csv_path, "w") if csv_path else None
-    if csv_file:
-        csv_file.write(LOSS_CSV_HEADER + "\n")
-    step = 0
-    try:
-        for epoch in range(cfg.epochs):
+    with open(csv_path, "w") if csv_path else nullcontext() as csv_file:
+        if csv_file:
+            csv_file.write(LOSS_CSV_HEADER + "\n")
+        for _ in range(cfg.epochs):
             order = rng.permutation(len(tensors))
             for start in range(0, len(order), cfg.batch_size):
                 batch = [tensors[i] for i in order[start : start + cfg.batch_size]]
                 rotation = sample_uniform_rotation(rng)
                 started, faults_before = time.perf_counter(), _minor_faults()
-                model.zero_grad()
-                scale = 1.0 / len(batch)
-                parts = np.zeros(4)
-                for t in batch:
-                    report, _, _ = sample_losses_and_grads(model, t, cfg, rotation, scale=scale)
-                    parts += np.array([report.seg, report.kp, report.center, report.so3])
-                report = total_loss(parts / len(batch), cfg.weights)
-                if not np.isfinite(report.total):
-                    raise NonFiniteLoss(f"non-finite loss at step {step}: {report}")
-                opt.step()
-                for p in opt.params:
-                    if not np.all(np.isfinite(p.value)):
-                        raise NonFiniteLoss(f"non-finite parameter {p.name} after step {step}")
-                reports.append(report)
+                report = train_step(model, opt, batch, cfg, rotation)
                 if csv_file:
                     step_ms = 1e3 * (time.perf_counter() - started)
                     faults = "" if faults_before is None else _minor_faults() - faults_before
-                    csv_file.write(f"{report.csv_row(step)},{step_ms:.3f},{faults}\n")
-                step += 1
+                    csv_file.write(f"{report.csv_row(len(reports))},{step_ms:.3f},{faults}\n")
+                reports.append(report)
             opt.lr *= cfg.lr_decay
-    finally:
-        if csv_file:
-            csv_file.close()
     totals = np.array([r.total for r in reports])
     tail = max(1, len(totals) // 10)
     descent_ok = bool(totals[-tail:].mean() < totals[:tail].mean())

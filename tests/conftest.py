@@ -70,7 +70,7 @@ def geodesic_distance(a: Rotation, b: Rotation) -> float:
 
 
 def load_pose_json(path) -> RigidTransform:
-    """The pose a `fit-pose` run wrote with save_pose_json."""
+    """The pose a `fit-pose` run wrote: pose_to_dict's JSON object."""
     with read_json(path) as d:
         return pose_from_dict(d)
 

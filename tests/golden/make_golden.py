@@ -5,10 +5,10 @@
   oracle heads on three-instance acceptance scenes, and the committed
   criterion-8 checkpoint (perfbench/checkpoint/crit8.params, only read) on
   single-instance ones.
-- training.json, training's: 25 optimizer steps of each perfbench train
-  workload's configuration at seed 1 on its seed-1 scene pool, as the
-  workload's op runs them: the total loss of each step, and each tensor's sum
-  and max |.| after the last step.
+- training.json, training's: 25 `train.train_step` calls of each perfbench
+  train workload's configuration at seed 1 on its seed-1 scene pool, in the
+  draw order of the workload's op: the total loss of each step, and each
+  tensor's sum and max |.| after the last step.
 
 tests/test_golden.py compares the code's numbers with both files.
 
@@ -43,11 +43,10 @@ for path in (ROOT / "tests", ROOT / "src"):
 from equipose.files import write_json  # noqa: E402
 from equipose.geometry import sample_uniform_rotation  # noqa: E402
 from equipose.layers import named_params  # noqa: E402
-from equipose.losses import total_loss  # noqa: E402
 from equipose.model import ModelConfig, PoseModel, init_model, load_model  # noqa: E402
 from equipose.pipeline import run_pipeline  # noqa: E402
 from equipose.synth import Registry, make_default_models, render_scene  # noqa: E402
-from equipose.train import TrainConfig, make_optimizer, sample_losses_and_grads, scene_tensors  # noqa: E402
+from equipose.train import TrainConfig, make_optimizer, scene_tensors, train_step  # noqa: E402
 from test_acceptance import SCENE_RECIPE  # noqa: E402
 
 GOLDEN = HERE / "detections.json"
@@ -104,14 +103,7 @@ def golden_training() -> dict:
         losses = []
         for _ in range(STEPS):
             batch = [tensors[i] for i in next(batches)]
-            rotation = sample_uniform_rotation(rng)
-            model.zero_grad()
-            parts = np.zeros(4)
-            for t in batch:
-                report, _, _ = sample_losses_and_grads(model, t, cfg, rotation, scale=1.0 / len(batch))
-                parts += (report.seg, report.kp, report.center, report.so3)
-            losses.append(float(total_loss(parts / len(batch), cfg.weights).total))
-            opt.step()
+            losses.append(float(train_step(model, opt, batch, cfg, sample_uniform_rotation(rng)).total))
         out[name] = {
             "loss": losses,
             "tensors": {

@@ -1,6 +1,7 @@
 """The paired-run tool: its per-metric summary, and the tool end to end on
 its smallest run, one pair of 1 s runs of the working tree against HEAD."""
 
+import hashlib
 import importlib.util
 import json
 import shutil
@@ -27,7 +28,9 @@ def test_one_pair_against_head(tmp_path):
     report = json.loads(out.read_text())
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True).stdout.strip()
     assert report["revisions"] == {"base": head, "change": head}
-    keys = {"workload", "seconds", "revisions", "change_status_porcelain_sha256"}
+    diff = subprocess.run(["git", "diff", "--binary", "HEAD"], cwd=ROOT, capture_output=True).stdout
+    assert report["change_diff_sha256"] == (hashlib.sha256(diff).hexdigest() if diff else None)
+    keys = {"workload", "seconds", "revisions", "change_status_porcelain_sha256", "change_diff_sha256"}
     assert keys | {"pairs", "metrics", "environment"} == set(report)
     (pair,) = report["pairs"]
     assert pair["base"]["correct"] and pair["change"]["correct"]

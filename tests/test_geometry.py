@@ -8,14 +8,15 @@ from scipy.spatial.distance import cdist
 
 from conftest import compose, geodesic_distance, load_pose_json
 from equipose.errors import DegenerateConfiguration, InputError
+from equipose.files import write_json
 from equipose.geometry import (
     Correspondences,
     RigidTransform,
     Rotation,
     fit_rigid_least_squares,
     load_correspondences_json,
+    pose_to_dict,
     sample_uniform_rotation,
-    save_pose_json,
 )
 
 
@@ -272,7 +273,7 @@ def test_json_roundtrip(tmp_path):
     corr = load_correspondences_json(corr_path)
     fit = fit_rigid_least_squares(corr)
     pose_path = tmp_path / "pose.json"
-    save_pose_json(pose_path, fit)
+    write_json(pose_path, pose_to_dict(fit))
     loaded = load_pose_json(pose_path)
     np.testing.assert_array_equal(loaded.rotation.m, fit.rotation.m)
     np.testing.assert_allclose(loaded.rotation.m, pose.rotation.m, atol=1e-8)

@@ -39,7 +39,7 @@ class TestAppearanceEncoder:
         np.testing.assert_allclose(out, np.tile([0.1, -0.2, 0.3], (6, 1)), atol=1e-15)
 
     def test_pointwise_permutation(self):
-        enc = fresh(AppearanceEncoder(), seed=1)
+        enc = fresh(AppearanceEncoder(n_hidden=32, n_out=32), seed=1)
         rng = RNG(2)
         cloud = PointCloud(points=rng.normal(size=(10, 3)), attributes=rng.uniform(size=(10, 3)))
         base = enc.forward(appearance_input(cloud))
@@ -66,7 +66,7 @@ class TestAppearanceEncoder:
         assert x[:, 3:].tobytes() == np.zeros((7, 2)).tobytes()
 
     def test_rotation_of_points_changes_nothing(self):
-        enc = fresh(AppearanceEncoder(), seed=5)
+        enc = fresh(AppearanceEncoder(n_hidden=32, n_out=32), seed=5)
         rng = RNG(6)
         attrs = rng.uniform(size=(8, 3))
         a = PointCloud(points=rng.normal(size=(8, 3)), attributes=attrs)

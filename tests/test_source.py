@@ -180,3 +180,30 @@ def test_the_lift_and_the_appearance_rows_are_paired_in_one_place():
         if id(node) not in paired
     ]
     assert offenders == [] and len(paired) == 2
+
+
+def test_an_optimizer_steps_only_in_train_step():
+    # train_step owns zero-grad, the per-sample losses and the update; a
+    # `.step()` anywhere else in the library or the golden generator is a
+    # second copy of that step, free to drift from the one training runs
+    def steps(tree):
+        return [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "step"
+        ]
+
+    train = ast.parse((SRC / "train.py").read_text())
+    owned = {
+        id(node)
+        for fn in train.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "train_step"
+        for node in steps(fn)
+    }
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) + sorted((TESTS / "golden").glob("*.py"))
+        for node in steps(train if path == SRC / "train.py" else ast.parse(path.read_text()))
+        if id(node) not in owned
+    ]
+    assert offenders == [] and len(owned) == 1

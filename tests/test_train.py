@@ -40,6 +40,7 @@ from equipose.train import (
     sample_losses_and_grads,
     scene_tensors,
     train,
+    train_step,
 )
 from conftest import layer_fd_check
 from test_acceptance import SCENE_RECIPE
@@ -120,6 +121,37 @@ class TestAdam:
         opt = Adam(model.params(), lr=0.1)
         stats = {id(p) for n, p in named_params(model) if n.endswith((".running_mean", ".running_var"))}
         assert stats and {id(p) for p in opt.params} == {id(p) for p in model.params()} - stats
+
+
+class TestTrainStep:
+    def _setup(self):
+        model = init_model(TINY_MODEL, seed=12)
+        batch = [scene_tensors(s, model) for s in small_scenes(2, seed=50)]
+        return model, Adam(model.params(), 1e-3), batch, TrainConfig(), sample_uniform_rotation(RNG(5))
+
+    def test_non_finite_loss_raises_before_the_update(self):
+        model, opt, batch, cfg, rotation = self._setup()
+        train_step(model, opt, batch, cfg, rotation)
+        model.kp_head.mlp.w1.value[0, 0] = np.nan
+        before = {n: p.value.copy() for n, p in named_params(model) if p.trainable}
+        moments = [m.copy() for m in opt.m + opt.v]
+        with pytest.raises(NonFiniteLoss, match="^non-finite loss at step 1: "):
+            train_step(model, opt, batch, cfg, rotation)
+        assert opt.t == 1
+        for n, p in named_params(model):
+            if p.trainable:  # running stats move in every train-mode forward
+                np.testing.assert_array_equal(p.value, before[n], err_msg=n)
+        for m, kept in zip(opt.m + opt.v, moments):
+            np.testing.assert_array_equal(m, kept)
+
+    def test_non_finite_parameter_raises_after_the_update(self):
+        # the loss is finite, so only the check after opt.step() can see it
+        model, opt, batch, cfg, rotation = self._setup()
+        opt.lr = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLoss) as raised:
+            train_step(model, opt, batch, cfg, rotation)
+        assert str(raised.value) == f"non-finite parameter {opt.params[0].name} after step 0"
+        assert opt.t == 1 and not np.all(np.isfinite(opt.params[0].value))
 
 
 class TestTrainLoop:
@@ -212,6 +244,31 @@ class TestTrainLoop:
         for (name, a), (_, b) in zip(named_params(one), named_params(two)):
             if a.trainable:
                 np.testing.assert_array_equal(a.value, b.value, err_msg=name)
+
+    def test_schedule_around_train_step(self):
+        # train() is a schedule around train_step: one discarded rotation, a
+        # permutation per epoch, a rotation per batch slice, the decay per
+        # epoch. Six scenes in batches of four leave a partial batch of two
+        scenes = small_scenes(6, seed=80)
+        cfg = TrainConfig(batch_size=4, epochs=2, lr_decay=0.5, seed=9)
+        model = init_model(TINY_MODEL, seed=16)
+        history = train(scenes, model, cfg)
+
+        replay = init_model(TINY_MODEL, seed=16)
+        tensors = [scene_tensors(s, replay) for s in scenes]
+        opt = Adam(replay.params(), cfg.learning_rate)
+        rng = RNG(cfg.seed)
+        sample_uniform_rotation(rng)
+        reports = []
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(tensors))
+            for batch in (order[:4], order[4:]):
+                rotation = sample_uniform_rotation(rng)
+                reports.append(train_step(replay, opt, [tensors[i] for i in batch], cfg, rotation))
+            opt.lr *= cfg.lr_decay
+        assert history.reports == reports
+        for (name, a), (_, b) in zip(named_params(model), named_params(replay)):
+            assert a.value.tobytes() == b.value.tobytes(), name
 
     def test_invalid_config(self):
         with pytest.raises(InputError, match="epochs must be at least 1"):

@@ -12,12 +12,15 @@ that exits non-zero or reports incorrect results stops the tool with exit 1
 naming that run.
 
 The result goes to BENCH_<workload>.json at the repository root (or --out):
-both revisions, the change side's `git status --porcelain` digest, every
-pair's end-to-end values with its correct/attempted/failed record, each
-metric's median and quartiles per side with the pairs each side won (the
-direction is BENCHMARK.json's `better`; ties count for neither), the median
-and quartiles of each pair's change/base ratio, whether that shows a gain,
-and both sides' environment records. Ten pairs at 25 s take about ten minutes.
+both revisions, the change side's `git status --porcelain` digest, the
+sha256 of the change side's `git diff --binary HEAD` (null for a clean tree,
+so that a change measured before its commit names the diff it measured),
+every pair's end-to-end values with its correct/attempted/failed record,
+each metric's median and quartiles per side with the pairs each side won
+(the direction is BENCHMARK.json's `better`; ties count for neither), the
+median and quartiles of each pair's change/base ratio, whether that shows a
+gain, and both sides' environment records. Ten pairs at 25 s take about ten
+minutes.
 
 A metric's `gain_shown` is true when at least ten pairs ran, the change won
 at least nine tenths of them, and its median is better than the base's by
@@ -40,11 +43,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 
 
-def git(*args: str) -> str:
-    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+def git(*args: str, raw: bool = False):
+    """git's stdout, decoded, or its bytes as they are when raw."""
+    proc = subprocess.run(["git", *args], cwd=ROOT, capture_output=True)
     if proc.returncode != 0:
-        raise SystemExit(f"bench_pairs: git {' '.join(args)} failed: {proc.stderr.strip()}")
-    return proc.stdout
+        raise SystemExit(f"bench_pairs: git {' '.join(args)} failed: {proc.stderr.decode(errors='replace').strip()}")
+    return proc.stdout if raw else proc.stdout.decode()
 
 
 def run_once(tree: Path, side: str, workload: str, seed: int, seconds: float) -> tuple:
@@ -116,7 +120,7 @@ def main(argv=None) -> int:
         "base": git("rev-parse", "--verify", f"{args.base}^{{commit}}").strip(),
         "change": git("rev-parse", "HEAD").strip(),
     }
-    status = git("status", "--porcelain")
+    status, diff = git("status", "--porcelain"), git("diff", "--binary", "HEAD", raw=True)
     pairs, environments = [], {}
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so that the worktree is still removed
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
@@ -139,6 +143,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "revisions": revisions,
         "change_status_porcelain_sha256": hashlib.sha256(status.encode()).hexdigest(),
+        "change_diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None,
         "pairs": pairs,
         "metrics": compare(pairs, benchmark["end_to_end"]),
         "environment": environments,
