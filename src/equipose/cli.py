@@ -193,6 +193,14 @@ def cmd_train(args) -> int:
     started = time.monotonic()
     scenes = _load_scenes(args.scenes_dir)
     n_keypoints = next(iter(scenes.values())).n_keypoints
+    meta_path = os.path.join(os.path.dirname(os.path.abspath(args.scenes_dir)), "dataset.json")
+    if os.path.exists(meta_path):
+        with read_json(meta_path) as meta:
+            n_classes = meta["n_classes"]
+            # the file's class count meets ModelConfig's checks under its name
+            ModelConfig(n_classes=n_classes)
+    else:  # the ground-truth classes, so a stray label stays out of range
+        n_classes = max((cls for s in scenes.values() for cls, _ in s.gt_poses), default=0) + 1
     for name, scene in scenes.items():  # one network predicts one keypoint count
         stem = os.path.join(args.scenes_dir, name)
         if len(scene.cloud) == 0:  # pool-concat needs a point to pool
@@ -201,15 +209,10 @@ def cmd_train(args) -> int:
             raise InputError(
                 f"malformed {stem}.json: {scene.n_keypoints} keypoints, not the first scene's {n_keypoints}"
             )
+        low, high = scene.labels.min(), scene.labels.max()
+        if low < 0 or high >= n_classes:  # here, not at the scene's first step, after loss.csv exists
+            raise InputError(f"malformed {stem}.ply: labels must lie in [0, {n_classes}), got range [{low}, {high}]")
     scenes = list(scenes.values())
-    meta_path = os.path.join(os.path.dirname(os.path.abspath(args.scenes_dir)), "dataset.json")
-    if os.path.exists(meta_path):
-        with read_json(meta_path) as meta:
-            n_classes = meta["n_classes"]
-            # the file's class count meets ModelConfig's checks under its name
-            ModelConfig(n_classes=n_classes)
-    else:  # the ground-truth classes, so a stray label stays out of range
-        n_classes = max((cls for s in scenes for cls, _ in s.gt_poses), default=0) + 1
     if args.config:
         cfg = TrainConfig.from_json(args.config)
     else:

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from common import HELD_OUT_SEED0, SCENE_RECIPE, TRAIN_SEED0, object_family
 from conftest import add_s_brute, geodesic_distance, stack_pair
 from equipose.backproject import PointCloud
 from equipose.checks import TINY_MODEL, equivariance_report, invariance_report, tiny_scene
@@ -32,33 +33,24 @@ from equipose.metrics import (
 )
 from equipose.model import ModelConfig, init_model
 from equipose.pipeline import run_pipeline, vote_keypoints
-from equipose.synth import Registry, SceneConfig, make_default_models, render_scene
+from equipose.synth import Registry, SceneConfig, render_scene
 from equipose.train import TrainConfig, gradcheck, sample_losses, scene_tensors, train
 
 RNG = np.random.default_rng
 
-SCENE_RECIPE = SceneConfig(
-    noise_sigma=0.002,
-    occlusion=(0.0, 0.3),
-    n_background=50,
-    max_object_points=450,
-    background_margin=0.10,
-)
-# Criterion 8 trains on scene seeds from TRAIN_SEED0 and scores the held-out
-# ones from HELD_OUT_SEED0; perfbench/make_checkpoint.py repeats that run.
-TRAIN_SEED0 = 10_000
-HELD_OUT_SEED0 = 90_000
-
 
 @pytest.fixture(scope="session")
 def object_models():
-    return make_default_models(seed=0, n_vertices=600)
+    """The benchmark's object family, whose scene recipe and seeds criteria 8
+    and 9 use too."""
+    return object_family()[0]
 
 
 @pytest.fixture(scope="session")
 def toy_run(object_models):
-    """Criterion 8 artifacts: 500 training scenes, trained default network,
-    full-pipeline evaluation on 100 held-out scenes."""
+    """Criterion 8 artifacts: 500 training scenes from TRAIN_SEED0, trained
+    default network, full-pipeline evaluation on 100 held-out scenes from
+    HELD_OUT_SEED0. perfbench/make_checkpoint.py repeats this run."""
     registry = Registry(object_models)
     started = time.monotonic()
     train_scenes = [render_scene(object_models, SCENE_RECIPE, seed=TRAIN_SEED0 + i) for i in range(500)]

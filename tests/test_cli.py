@@ -546,10 +546,15 @@ class TestTrainCommand:
         assert not out.exists()
 
     def test_label_out_of_range_exits_2(self, dataset, tmp_path, capsys):
-        scenes = scenes_with_first_value(dataset, tmp_path, 7.0, "label")
-        code = main(["train", "--scenes-dir", str(scenes), "--out-dir", str(tmp_path / "run"), "--epochs", "1"])
-        assert code == EXIT_BAD_INPUT
-        assert "labels must lie in [0, 4)" in capsys.readouterr().err
+        # every scene's labels are checked before --out-dir is created
+        for label in (7.0, -1.0):
+            scenes = scenes_with_first_value(dataset, tmp_path / str(label), label, "label")
+            run = tmp_path / str(label) / "run"
+            code = main(["train", "--scenes-dir", str(scenes), "--out-dir", str(run), "--epochs", "1"])
+            assert code == EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert f"malformed {scenes / 'scene_00000.ply'}: labels must lie in [0, 4)" in err, label
+            assert not run.exists(), label
 
     def test_without_dataset_json_classes_come_from_ground_truth(self, dataset, tmp_path, capsys):
         # n_classes is read from the sidecars' GT classes, not from max(label) + 1
@@ -557,7 +562,8 @@ class TestTrainCommand:
         assert not (tmp_path / "bad" / "dataset.json").exists()
         code = main(["train", "--scenes-dir", str(scenes), "--out-dir", str(tmp_path / "run"), "--epochs", "1"])
         assert code == EXIT_BAD_INPUT
-        assert "labels must lie in [0, 4)" in capsys.readouterr().err
+        assert f"malformed {scenes / 'scene_00000.ply'}: labels must lie in [0, 4)" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
         clean = tmp_path / "clean" / "scenes"
         shutil.copytree(dataset / "scenes", clean)
         code = main(["train", "--scenes-dir", str(clean), "--out-dir", str(tmp_path / "run2"), "--epochs", "1"])

@@ -3,8 +3,8 @@
 - the second stage's: the detections of 16 fixed scenes, 8 on oracle heads
   and 8 on the committed criterion-8 checkpoint, against
   tests/golden/detections.json;
-- training's: 25 steps of each perfbench train workload's configuration,
-  against tests/golden/training.json."""
+- training's: 25 steps from the state each perfbench train workload's own
+  set-up builds, against tests/golden/training.json."""
 
 import numpy as np
 

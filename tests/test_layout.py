@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from common import CHECKPOINT, SCENE_RECIPE, object_family
 from equipose.geometry import (
     Correspondences,
     RigidTransform,
@@ -16,14 +17,13 @@ from equipose.geometry import (
 from equipose.metrics import add, add_s, model_diameter
 from equipose.model import lift_cloud, load_model
 from equipose.pipeline import mean_shift_modes, run_pipeline, vote_keypoints
-from equipose.synth import Registry, make_default_models, render_scene
-from golden.make_golden import CHECKPOINT, SCENE_SEED0
-from test_acceptance import SCENE_RECIPE
+from equipose.synth import render_scene
+from harness import scene_seed
 
 # a scene of the golden network pool, on whose trained model the network
 # pipeline detects an instance
-MODELS = make_default_models(seed=0, n_vertices=600)
-SCENE = render_scene(MODELS, SCENE_RECIPE, seed=SCENE_SEED0)
+MODELS, REGISTRY = object_family()
+SCENE = render_scene(MODELS, SCENE_RECIPE, seed=scene_seed(1, 0))
 MODEL = load_model(CHECKPOINT)
 
 
@@ -75,12 +75,12 @@ ENTRY_POINTS = {
     "vote_keypoints": (lambda p, o: vote_keypoints(p, o, MEMBERS), (CLOUD, OFFSETS)),
     "run_pipeline_oracle": (
         lambda p, a, o: run_pipeline(
-            holding(SCENE.cloud, points=p, attributes=a), None, Registry(MODELS), oracle=(SCENE.labels, o)
+            holding(SCENE.cloud, points=p, attributes=a), None, REGISTRY, oracle=(SCENE.labels, o)
         ),
         (CLOUD, ATTRS, OFFSETS),
     ),
     "run_pipeline_network": (
-        lambda p, a: run_pipeline(holding(SCENE.cloud, points=p, attributes=a), MODEL, Registry(MODELS)),
+        lambda p, a: run_pipeline(holding(SCENE.cloud, points=p, attributes=a), MODEL, REGISTRY),
         (CLOUD, ATTRS),
     ),
     "fit_rigid_least_squares": (

@@ -7,31 +7,32 @@ import dataclasses
 import numpy as np
 import pytest
 
+from common import SCENE_RECIPE, object_family
+from conftest import lift_cloud_gather
 from equipose import model
 from equipose.model import DENSE_NEIGHBOURS_MAX_POINTS, ModelConfig, PoseModel, lift_cloud
-from equipose.synth import make_default_models, render_scene
-from conftest import lift_cloud_gather
-from test_acceptance import SCENE_RECIPE
+from equipose.synth import render_scene
+from harness import WORKLOADS, scene_seed
 
 RNG = np.random.default_rng
 DEFAULT = ModelConfig(n_classes=4)
-# perfbench's seed-1 scene pool of the train workloads: 64 scenes from this seed
-POOL_SEED0 = 1_001_000
 # a cap no channel of an acceptance scene comes near: the lift uncapped
 NO_CAP = 1e6
 
 
 @pytest.fixture(scope="module")
 def pool_clouds():
-    objects = make_default_models(seed=0, n_vertices=600)
-    return [render_scene(objects, SCENE_RECIPE, seed=POOL_SEED0 + i).cloud for i in range(64)]
+    """perfbench's seed-1 scene pool of the train workloads."""
+    objects, _ = object_family()
+    pool = range(WORKLOADS["train"].pool)
+    return [render_scene(objects, SCENE_RECIPE, seed=scene_seed(1, i)).cloud for i in pool]
 
 
 @pytest.fixture(scope="module")
 def crowded_cloud():
     """A 3-instance acceptance scene, more points than the distance matrix takes."""
-    objects = make_default_models(seed=0, n_vertices=600)
-    cloud = render_scene(objects, dataclasses.replace(SCENE_RECIPE, n_instances=3), seed=POOL_SEED0).cloud
+    objects, _ = object_family()
+    cloud = render_scene(objects, dataclasses.replace(SCENE_RECIPE, n_instances=3), seed=scene_seed(1, 0)).cloud
     assert len(cloud) > DENSE_NEIGHBOURS_MAX_POINTS + 1
     return cloud
 
@@ -45,7 +46,7 @@ class TestLiftMatchesGather:
     def test_train_pool_scenes(self, pool_clouds):
         for i, cloud in enumerate(pool_clouds):
             got, ref = _both(cloud.points, cloud.attributes)
-            assert np.array_equal(got, ref), f"scene {POOL_SEED0 + i}"
+            assert np.array_equal(got, ref), f"scene {scene_seed(1, i)}"
 
     @pytest.mark.parametrize(
         "n, neighbors",
@@ -92,8 +93,8 @@ class TestLiftMatchesGather:
 class TestLiftKnobs:
     @pytest.fixture(scope="class")
     def cloud(self):
-        objects = make_default_models(seed=0, n_vertices=600)
-        return render_scene(objects, SCENE_RECIPE, seed=POOL_SEED0).cloud
+        objects, _ = object_family()
+        return render_scene(objects, SCENE_RECIPE, seed=scene_seed(1, 0)).cloud
 
     @staticmethod
     def _lift(cloud, **knobs):

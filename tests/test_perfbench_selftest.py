@@ -1,9 +1,6 @@
 """The benchmark traces equipose functions and methods by name; its self-test
-fails when a refactor renames or re-signatures one of them. The golden
-generator and the acceptance suite keep their own copies of its scene recipe
-and seeds, pinned here to the benchmark's."""
+fails when a refactor renames or re-signatures one of them."""
 
-import importlib
 import inspect
 import subprocess
 import sys
@@ -12,9 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import test_acceptance
 from equipose import pipeline
-from golden import make_golden
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,21 +48,3 @@ def test_mean_shift_modes_keeps_the_traced_contract(x, k):
     assert modes.dtype == np.float64 and modes.shape == (k, 3)
     assert np.issubdtype(counts.dtype, np.integer) and counts.shape == (k,)
 
-
-def test_golden_and_acceptance_copies_match_the_benchmark(monkeypatch):
-    # make_golden reproduces perfbench's seed-1 pools, and criterion 8 is the
-    # run perfbench/make_checkpoint.py repeats; a copy that drifts from the
-    # benchmark pins or gates other scenes than it says
-    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
-    common, harness = importlib.import_module("common"), importlib.import_module("harness")
-    assert test_acceptance.SCENE_RECIPE == common.SCENE_RECIPE
-    assert test_acceptance.TRAIN_SEED0 == common.TRAIN_SEED0
-    assert test_acceptance.HELD_OUT_SEED0 == common.HELD_OUT_SEED0
-    assert make_golden.SCENE_SEED0 == harness.scene_seed(1, 0)
-    for name, (batch_norm, batch_size) in make_golden.TRAIN_WORKLOADS.items():
-        workload = harness.WORKLOADS[name]
-        assert (workload.batch_norm, workload.batch_size, workload.pool) == (
-            batch_norm,
-            batch_size,
-            make_golden.TRAIN_POOL,
-        ), name

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from common import SCENE_RECIPE, object_family
 from conftest import compose, geodesic_distance
 from equipose import pipeline
 from equipose.backproject import PointCloud
@@ -23,7 +24,6 @@ from equipose.pipeline import (
     vote_keypoints,
 )
 from equipose.synth import Registry, SceneConfig, make_default_models, render_scene
-from test_acceptance import SCENE_RECIPE
 
 RNG = np.random.default_rng
 
@@ -574,8 +574,7 @@ class TestSecondStage:
     def test_oracle_votes_take_no_seed_sort_and_no_row(self, monkeypatch):
         # every oracle vote of a single-instance scene fits within half a
         # bandwidth, so each call returns its mean at once
-        models = make_default_models(seed=0, n_vertices=600)
-        registry = Registry(models)
+        models, registry = object_family()
         sorts, rows = _seed_sorts(monkeypatch), _neighbour_row_builds(monkeypatch)
         for seed in range(500, 530):
             scene = render_scene(models, SCENE_RECIPE, seed=seed)

@@ -207,3 +207,24 @@ def test_an_optimizer_steps_only_in_train_step():
         if id(node) not in owned
     ]
     assert offenders == [] and len(owned) == 1
+
+
+# perfbench/common.py and perfbench/harness.py own these; tests import them
+BENCHMARK_NAMES = ("SCENE_RECIPE", "TRAIN_SEED0", "HELD_OUT_SEED0", "CHECKPOINT", "SCENE_SEED0", "POOL_SEED0")
+
+
+def test_the_benchmark_scenes_have_one_definition():
+    # the acceptance criteria, the golden files and the lift tests run on the
+    # benchmark's scenes, seeds and checkpoint; a test that binds its own copy
+    # of one can drift from the scenes the benchmark measures. With perfbench/
+    # on the test session's path, a test module named like a perfbench module
+    # would shadow it
+    bound = [
+        f"{path.relative_to(TESTS)}:{node.lineno}: {node.id}"
+        for path in sorted(TESTS.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and node.id in BENCHMARK_NAMES
+    ]
+    bench = {path.stem for path in (TESTS.parent / "perfbench").glob("*.py")}
+    shadowing = sorted(path.name for path in TESTS.rglob("*.py") if path.stem in bench)
+    assert bound == [] and shadowing == []

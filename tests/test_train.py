@@ -42,8 +42,8 @@ from equipose.train import (
     train,
     train_step,
 )
+from common import SCENE_RECIPE, TRAIN_SEED0, object_family
 from conftest import layer_fd_check
-from test_acceptance import SCENE_RECIPE
 
 RNG = np.random.default_rng
 
@@ -202,11 +202,13 @@ class TestTrainLoop:
         h2 = train(scenes, init_model(TINY_MODEL, seed=11), TrainConfig(epochs=2, seed=4))
         assert [r.total for r in h1.reports] == [r.total for r in h2.reports]
 
-    def test_non_finite_parameter_detected(self):
+    def test_nan_weight_stops_training_at_the_first_loss(self):
+        # a NaN weight makes step 0's loss NaN, before any update;
+        # TestTrainStep covers a parameter made non-finite by the update
         scenes = small_scenes(1, seed=50)
         model = init_model(TINY_MODEL, seed=12)
         model.kp_head.mlp.w1.value[0, 0] = np.nan
-        with pytest.raises(NonFiniteLoss):
+        with pytest.raises(NonFiniteLoss, match="^non-finite loss at step 0: "):
             train(scenes, model, TrainConfig(epochs=1, seed=5))
 
     def test_empty_dataset_rejected(self):
@@ -502,10 +504,10 @@ class TestOnePassPerSample:
         # concatenated first-layer input per point
         cfg = TrainConfig()
         model = init_model(ModelConfig(n_classes=4, batch_norm=batch_norm), seed=1)
-        object_models = make_default_models(seed=0, n_vertices=600)
+        object_models, _ = object_family()
         rng = RNG(6)
         for i in range(3):
-            t = scene_tensors(render_scene(object_models, SCENE_RECIPE, seed=10_000 + i), model)
+            t = scene_tensors(render_scene(object_models, SCENE_RECIPE, seed=TRAIN_SEED0 + i), model)
             assert_matches_the_stacked_pair(model, hand_folded_reference, t, cfg, sample_uniform_rotation(rng))
 
     def test_running_stats_move_once_per_sample(self):
