@@ -69,11 +69,6 @@ def invariance_residual(layer, v, r) -> float:
     return float(np.max(np.abs(rotated - straight)) / (1.0 + np.max(np.abs(straight))))
 
 
-def _fresh(layer, rng):
-    init_layer_params(layer, rng)
-    return layer
-
-
 def random_stack(rng: np.random.Generator) -> Sequential:
     """Random STACK_DEPTH-layer composition over STACK_CHANNELS input
     channels, drawn from the trunk's kit: linear, ReLU, batch-norm and
@@ -95,9 +90,7 @@ def random_stack(rng: np.random.Generator) -> Sequential:
         else:
             layers.append(VNPoolConcat())
             c *= 2
-    stack = Sequential(layers)
-    init_layer_params(stack, rng)
-    return stack
+    return init_layer_params(Sequential(layers), rng)
 
 
 def equivariance_report(trials: int = 1000, seed: int = 0) -> dict:
@@ -110,15 +103,15 @@ def equivariance_report(trials: int = 1000, seed: int = 0) -> dict:
         v = rng.normal(size=(3, c, n))
         r = sample_uniform_rotation(rng).m
         residuals = {
-            "vn_linear": equivariance_residual(_fresh(VNLinear(c, c + 2), rng), v, r),
-            "vn_relu": equivariance_residual(_fresh(VNReLU(c, c), rng), v, r),
+            "vn_linear": equivariance_residual(init_layer_params(VNLinear(c, c + 2), rng), v, r),
+            "vn_relu": equivariance_residual(init_layer_params(VNReLU(c, c), rng), v, r),
             "vn_pool_concat": equivariance_residual(VNPoolConcat(), v, r),
-            "vn_batch_norm": equivariance_residual(_fresh(VNBatchNorm(c), rng), v, r, train=True),
+            "vn_batch_norm": equivariance_residual(init_layer_params(VNBatchNorm(c), rng), v, r, train=True),
         }
         # a batch where every sample carries its own rotation
         batch = rng.normal(size=(3, 3, c, n))
         rot_each = np.stack([sample_uniform_rotation(rng).m for _ in range(3)])
-        bn = _fresh(VNBatchNorm(c), rng)
+        bn = init_layer_params(VNBatchNorm(c), rng)
         residuals["vn_batch_norm_per_sample"] = equivariance_residual(bn, batch, rot_each, train=True)
         stack = random_stack(rng)
         residuals["stack6"] = equivariance_residual(stack, v[:, :STACK_CHANNELS], r, train=True)
@@ -148,7 +141,7 @@ def invariance_report(trials: int = 1000, seed: int = 0) -> dict:
     for _ in range(trials):
         v = rng.normal(size=(3, REPORT_CHANNELS, REPORT_POINTS))
         r = sample_uniform_rotation(rng).m
-        head = _fresh(VNInvariant(REPORT_CHANNELS, branch=4, hidden=8, out=8), rng)
+        head = init_layer_params(VNInvariant(REPORT_CHANNELS, branch=4, hidden=8, out=8), rng)
         worst["invariant_head"] = max(worst["invariant_head"], invariance_residual(head, v, r))
 
         rot = sample_uniform_rotation(rng)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EquiposeError, InputError, NonFiniteLoss
-from .files import read_json, write_json
+from .files import parsing, read_json, write_json
 from .geometry import (
     load_correspondences_json,
     fit_rigid_least_squares,
@@ -181,6 +181,7 @@ TRAIN_FLAG_DEFAULTS = {"epochs": 2, "learning_rate": 1e-3, "seed": 0}
 
 
 def cmd_train(args) -> int:
+    from .losses import check_labels
     from .model import ModelConfig, init_model, save_model
     from .train import TrainConfig, train
 
@@ -209,9 +210,8 @@ def cmd_train(args) -> int:
             raise InputError(
                 f"malformed {stem}.json: {scene.n_keypoints} keypoints, not the first scene's {n_keypoints}"
             )
-        low, high = scene.labels.min(), scene.labels.max()
-        if low < 0 or high >= n_classes:  # here, not at the scene's first step, after loss.csv exists
-            raise InputError(f"malformed {stem}.ply: labels must lie in [0, {n_classes}), got range [{low}, {high}]")
+        with parsing(f"{stem}.ply"):  # here, not at the scene's first step, after loss.csv exists
+            check_labels(scene.labels, n_classes)
     scenes = list(scenes.values())
     if args.config:
         cfg = TrainConfig.from_json(args.config)

@@ -435,11 +435,12 @@ class Sequential(Layer):
         return grad
 
 
-def init_layer_params(layer: Layer, rng: np.random.Generator) -> None:
+def init_layer_params(layer: Layer, rng: np.random.Generator) -> Layer:
     """Fan-in-scaled Gaussian weight matrices, drawn in named_params order;
     every 1-D parameter (bias, gain, shift, running stat) keeps the value its
-    constructor gave it."""
+    constructor gave it. Returns the layer."""
     for _, p in named_params(layer):
         if p.value.ndim == 2:
             fan_in = p.value.shape[-1]
             p.value[...] = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=p.value.shape)
+    return layer

@@ -54,7 +54,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-def _check_labels(labels: np.ndarray, n_classes: int):
+def check_labels(labels: np.ndarray, n_classes: int):
+    """The labels as ints; InputError unless every one lies in [0, n_classes)."""
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise InputError(
@@ -68,7 +69,7 @@ def focal_loss_grad(logits, labels):
     -FOCAL_ALPHA * (1 - p_t)^FOCAL_GAMMA * log p_t."""
     logits = np.asarray(logits, dtype=np.float64)
     n, k = logits.shape
-    labels = _check_labels(labels, k)
+    labels = check_labels(labels, k)
     logp = log_softmax(logits)
     p = np.exp(logp)
     idx = np.arange(n)

@@ -273,9 +273,7 @@ class PoseModel(Layer):
 
 
 def init_model(cfg: ModelConfig, seed: int) -> PoseModel:
-    model = PoseModel(cfg)
-    init_layer_params(model, np.random.default_rng(seed))
-    return model
+    return init_layer_params(PoseModel(cfg), np.random.default_rng(seed))
 
 
 def save_model(model: PoseModel, path) -> None:

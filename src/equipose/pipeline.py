@@ -32,6 +32,9 @@ class PipelineConfig:
 # The second stage's bandwidths and minimum instance size; no caller varies them.
 CONFIG = PipelineConfig()
 
+# mean_shift_modes stops once no position moved this far in one iteration.
+MEAN_SHIFT_TOL = 1e-6
+
 
 def _neighbour_rows(m, x, h2):
     """Flat-kernel neighbour rows [|m_i - x_j|^2 <= h2] as float 0/1, shape
@@ -53,13 +56,7 @@ def _distinct_rows(a: np.ndarray):
     return rows[first], inverse
 
 
-def mean_shift_modes(
-    x: np.ndarray,
-    bandwidth: float,
-    max_iter: int = 50,
-    tol: float = 1e-6,
-    max_seeds: int = 256,
-):
+def mean_shift_modes(x: np.ndarray, bandwidth: float, max_iter: int = 50, max_seeds: int = 256):
     """Flat-kernel mode seeking over points x (n, d).
 
     Seeds are the points themselves, strided down to at most max_seeds so the
@@ -108,7 +105,7 @@ def mean_shift_modes(
             new_modes, step = _distinct_rows(new_modes)
             seed_at = step[seed_at]
         modes = new_modes
-        if shift < tol:
+        if shift < MEAN_SHIFT_TOL:
             break
     counts = (_neighbour_rows(modes, x, h2) @ ones).astype(int)
     if len(modes) == 1:

@@ -82,7 +82,6 @@ DEFAULT_SIZES = {
 BASE_COLORS = {
     "box": (0.80, 0.30, 0.20),
     "cylinder": (0.20, 0.70, 0.30),
-    "blob": (0.25, 0.35, 0.80),
 }
 
 
@@ -160,13 +159,12 @@ def generate_object(
     else:
         verts = _blob_surface(n_vertices, size, rng)
         scale = size
-    base = np.asarray(BASE_COLORS[kind])
-    if kind == "blob":
+    if kind == "blob":  # tinted by surface direction
         tint = Rotation(sample_uniform_rotation(rng).m)
         dirs = verts / np.linalg.norm(verts, axis=1, keepdims=True)
         colors = 0.5 + 0.5 * tint.apply(dirs)
     else:
-        colors = base + 0.25 * verts / scale
+        colors = np.asarray(BASE_COLORS[kind]) + 0.25 * verts / scale
     colors = np.clip(colors, 0.0, 1.0)
     return ObjectModel(
         id=class_id,

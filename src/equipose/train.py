@@ -261,31 +261,6 @@ def _stats_kept(model):
             p.value[...] = value
 
 
-def analytic_gradients(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation):
-    """name -> gradient of the total objective, plus "input.v" and "input.app".
-    Running stats are left as they were."""
-    model.zero_grad()
-    with _stats_kept(model):
-        _, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation)
-    grads = {name: p.grad.copy() for name, p in named_params(model) if p.trainable}
-    grads["input.v"] = dv
-    grads["input.app"] = d_app
-    return grads
-
-
-def numeric_gradients(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, step: float = 1e-5):
-    """Central finite differences of the total objective, matching the keys of
-    analytic_gradients. Running stats are left as they were."""
-
-    def loss() -> float:
-        return sample_losses(model, t, cfg, rotation)[0].total
-
-    arrays = [(name, p.value) for name, p in named_params(model) if p.trainable]
-    arrays += [("input.v", t.v), ("input.app", t.app_in)]
-    with _stats_kept(model):
-        return {name: central_differences(loss, arr, step) for name, arr in arrays}
-
-
 def max_relative_error(analytic: dict, numeric: dict) -> float:
     """Max of |a - n| / (|a| + |n|) over entries where |a| + |n| exceeds
     RELATIVE_ERROR_FLOOR; inf as soon as any analytic or numeric entry is not
@@ -305,9 +280,19 @@ def max_relative_error(analytic: dict, numeric: dict) -> float:
 
 def gradcheck(model, t: SceneTensors, cfg: TrainConfig, rotation: Rotation, step: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients of
-    the total objective with respect to every parameter and network input."""
+    the total objective with respect to the network inputs and every trainable
+    parameter. Running stats are left as they were."""
     if not (np.isfinite(step) and step > 0.0):
         raise InputError(f"finite-difference step must be finite and positive, got {step}")
-    analytic = analytic_gradients(model, t, cfg, rotation)
-    numeric = numeric_gradients(model, t, cfg, rotation, step)
+
+    def loss() -> float:
+        return sample_losses(model, t, cfg, rotation)[0].total
+
+    model.zero_grad()
+    with _stats_kept(model):
+        _, dv, d_app = sample_losses_and_grads(model, t, cfg, rotation)
+        checked = [("input.v", t.v, dv), ("input.app", t.app_in, d_app)]
+        checked += [(name, p.value, p.grad) for name, p in named_params(model) if p.trainable]
+        analytic = {name: grad for name, _, grad in checked}
+        numeric = {name: central_differences(loss, arr, step) for name, arr, _ in checked}
     return max_relative_error(analytic, numeric)

@@ -25,25 +25,27 @@ if Path(equipose.__file__).resolve().parent != SRC / "equipose":
     pytest.exit(f"tests: imported equipose from {equipose.__file__}, not {SRC}", returncode=4)
 
 
-def layer_fd_check(layer, x, train=False, step=1e-6, seed=99):
+def layer_fd_check(layer, *inputs, train=False, step=1e-6, seed=99):
     """Max relative error between analytic and central-difference gradients of
-    sum(forward(x) * fixed_random) over the layer's inputs and parameters."""
+    sum(forward(*inputs) * fixed_random) over the layer's inputs and trainable
+    parameters. A tuple from backward is one gradient per input, each of its
+    input's shape."""
     rng = np.random.default_rng(seed)
-    out0 = layer.forward(x, train=train, ctx={})
-    upstream = rng.normal(size=out0.shape)
+    upstream = rng.normal(size=layer.forward(*inputs, train=train, ctx={}).shape)
 
     def loss() -> float:
-        return float(np.sum(layer.forward(x, train=train, ctx={}) * upstream))
+        return float(np.sum(layer.forward(*inputs, train=train, ctx={}) * upstream))
 
     layer.zero_grad()
     ctx = {}
-    layer.forward(x, train=train, ctx=ctx)
-    analytic = {"input": layer.backward(upstream, ctx=ctx)}
-    numeric = {"input": central_differences(loss, x, step)}
-    for name, p in named_params(layer):
-        if p.trainable:
-            analytic[name] = p.grad
-            numeric[name] = central_differences(loss, p.value, step)
+    layer.forward(*inputs, train=train, ctx=ctx)
+    grads = layer.backward(upstream, ctx=ctx)
+    grads = grads if isinstance(grads, tuple) else (grads,)
+    assert [g.shape for g in grads] == [x.shape for x in inputs]
+    checked = [(f"input.{i}", x, g) for i, (x, g) in enumerate(zip(inputs, grads))]
+    checked += [(name, p.value, p.grad) for name, p in named_params(layer) if p.trainable]
+    analytic = {name: grad for name, _, grad in checked}
+    numeric = {name: central_differences(loss, arr, step) for name, arr, _ in checked}
     return max_relative_error(analytic, numeric)
 
 

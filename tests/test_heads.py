@@ -19,15 +19,10 @@ from equipose.heads import (
 )
 from equipose.layers import init_layer_params
 from equipose.model import ModelConfig, init_model
-from equipose.train import central_differences, max_relative_error
+from conftest import layer_fd_check
 
 RNG = np.random.default_rng
 SRC = Path(__file__).resolve().parent.parent / "src" / "equipose"
-
-
-def fresh(layer, seed=0):
-    init_layer_params(layer, RNG(seed))
-    return layer
 
 
 class TestAppearanceEncoder:
@@ -39,7 +34,7 @@ class TestAppearanceEncoder:
         np.testing.assert_allclose(out, np.tile([0.1, -0.2, 0.3], (6, 1)), atol=1e-15)
 
     def test_pointwise_permutation(self):
-        enc = fresh(AppearanceEncoder(n_hidden=32, n_out=32), seed=1)
+        enc = init_layer_params(AppearanceEncoder(n_hidden=32, n_out=32), RNG(1))
         rng = RNG(2)
         cloud = PointCloud(points=rng.normal(size=(10, 3)), attributes=rng.uniform(size=(10, 3)))
         base = enc.forward(appearance_input(cloud))
@@ -48,7 +43,7 @@ class TestAppearanceEncoder:
         np.testing.assert_array_equal(enc.forward(appearance_input(permuted)), base[perm])
 
     def test_matches_dense_oracle(self):
-        enc = fresh(AppearanceEncoder(n_hidden=7, n_out=5), seed=3)
+        enc = init_layer_params(AppearanceEncoder(n_hidden=7, n_out=5), RNG(3))
         x = RNG(4).uniform(size=(9, 5))
         out = enc.forward(x, ctx={})
         hidden = np.maximum(x @ enc.mlp.w1.value.T + enc.mlp.b1.value, 0.0)
@@ -66,7 +61,7 @@ class TestAppearanceEncoder:
         assert x[:, 3:].tobytes() == np.zeros((7, 2)).tobytes()
 
     def test_rotation_of_points_changes_nothing(self):
-        enc = fresh(AppearanceEncoder(n_hidden=32, n_out=32), seed=5)
+        enc = init_layer_params(AppearanceEncoder(n_hidden=32, n_out=32), RNG(5))
         rng = RNG(6)
         attrs = rng.uniform(size=(8, 3))
         a = PointCloud(points=rng.normal(size=(8, 3)), attributes=attrs)
@@ -89,7 +84,7 @@ class TestSegHead:
             head.forward(np.zeros((7, 6)), np.zeros((6, 4)), ctx={})
 
     def test_single_class_argmax_constant(self):
-        head = fresh(SegHead(6, 4, 8, 1), seed=7)
+        head = init_layer_params(SegHead(6, 4, 8, 1), RNG(7))
         rng = RNG(8)
         out = head.forward(rng.normal(size=(9, 6)), rng.normal(size=(9, 4)), ctx={})
         assert out.shape == (9, 1)
@@ -151,7 +146,7 @@ class TestKpHead:
         # to every point, flattened channel-major then xyz: the column order of
         # kp.mlp.W1 in saved parameters. The head gets the component-major
         # transposes of the same draw, the pooled half once
-        head = fresh(KpHead(6, 4, 9, n_keypoints=2), seed=12)
+        head = init_layer_params(KpHead(6, 4, 9, n_keypoints=2), RNG(12))
         rng = RNG(13)
         local = rng.normal(size=(7, 3, 3))
         pooled = rng.normal(size=(1, 3, 3))
@@ -166,7 +161,7 @@ class TestKpHead:
     def test_appearance_path_homogeneous_when_equi_zeroed(self):
         # zero biases + zero equivariant input: relu is positively homogeneous,
         # so doubling appearance doubles the output exactly
-        head = fresh(KpHead(6, 4, 9, n_keypoints=2), seed=14)
+        head = init_layer_params(KpHead(6, 4, 9, n_keypoints=2), RNG(14))
         head.mlp.b1.value[...] = 0.0
         head.mlp.b2.value[...] = 0.0
         app = RNG(15).normal(size=(6, 4))
@@ -176,7 +171,7 @@ class TestKpHead:
         np.testing.assert_allclose(twice, 2.0 * once, atol=1e-12)
 
     def test_permutation_equivariance_over_points(self):
-        head = fresh(KpHead(6, 4, 9, n_keypoints=2), seed=16)
+        head = init_layer_params(KpHead(6, 4, 9, n_keypoints=2), RNG(16))
         rng = RNG(17)
         local, pooled, app = kp_inputs(rng, 10, 3, 4)
         base = head.forward(local, pooled, app, ctx={})
@@ -186,7 +181,7 @@ class TestKpHead:
     def test_pair_matches_each_half(self):
         # a pair axis on the trunk halves gives each half's own offsets, the
         # appearance features shared
-        head = fresh(KpHead(6, 4, 9, n_keypoints=2), seed=18)
+        head = init_layer_params(KpHead(6, 4, 9, n_keypoints=2), RNG(18))
         local, pooled, app = kp_inputs(RNG(19), 8, 3, 4, pair=True)
         out = head.forward(local, pooled, app, ctx={})
         for i in range(2):
@@ -202,7 +197,7 @@ def dense_mlp2(mlp, x):
 
 class TestMlp2Blocks:
     def test_one_block_is_the_dense_layer_bit_for_bit(self):
-        mlp = fresh(Mlp2(7, 6, 5), seed=30)
+        mlp = init_layer_params(Mlp2(7, 6, 5), RNG(30))
         rng = RNG(31)
         x, upstream = rng.normal(size=(2, 8, 7)), rng.normal(size=(2, 8, 5))
         ctx = {}
@@ -224,7 +219,7 @@ class TestMlp2Blocks:
         return blocks, dense, rng.normal(size=(2, 7, 5))
 
     def test_blocks_match_the_dense_concatenation(self):
-        mlp = fresh(Mlp2(9, 6, 5), seed=32)
+        mlp = init_layer_params(Mlp2(9, 6, 5), RNG(32))
         blocks, dense, upstream = self.three_blocks(33)
         reference = copy.deepcopy(mlp)
         ctx, ref_ctx = {}, {}
@@ -255,61 +250,21 @@ class TestMlp2Blocks:
 
 
 class TestHeadGradients:
+    # every input and every parameter against central differences
     def test_mlp2_gradcheck(self):
-        # each block's gradient and every parameter's against central differences
-        mlp = fresh(Mlp2(9, 6, 5), seed=18)
-        blocks, _, upstream = TestMlp2Blocks().three_blocks(19)
-        mlp.zero_grad()
-        ctx = {}
-        mlp.forward(*blocks, ctx=ctx)
-        analytic = dict(zip(("x0", "x1", "x2"), mlp.backward(upstream, ctx=ctx)))
-        numeric = {}
-
-        def loss():
-            return float(np.sum(mlp.forward(*blocks, ctx={}) * upstream))
-
-        for name, block in zip(("x0", "x1", "x2"), blocks):
-            numeric[name] = central_differences(loss, block, 1e-6)
-        for p in mlp.own_params():
-            analytic[p.name], numeric[p.name] = p.grad, central_differences(loss, p.value, 1e-6)
-        assert max_relative_error(analytic, numeric) <= 1e-5
+        mlp = init_layer_params(Mlp2(9, 6, 5), RNG(18))
+        blocks, _, _ = TestMlp2Blocks().three_blocks(19)
+        assert layer_fd_check(mlp, *blocks) <= 1e-5
 
     def test_seg_head_gradcheck(self):
-        head = fresh(SegHead(5, 3, 6, 4), seed=20)
+        head = init_layer_params(SegHead(5, 3, 6, 4), RNG(20))
         rng = RNG(21)
-        inv = rng.normal(size=(6, 5))
-        app = rng.normal(size=(6, 3))
-        upstream = rng.normal(size=(6, 4))
-        head.zero_grad()
-        ctx = {}
-        head.forward(inv, app, ctx=ctx)
-        d_inv, d_app = head.backward(upstream, ctx=ctx)
-
-        def loss():
-            return float(np.sum(head.forward(inv, app, ctx={}) * upstream))
-
-        for arr, grad in ((inv, d_inv), (app, d_app)):
-            num = central_differences(loss, arr, 1e-6)
-            np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-9)
+        assert layer_fd_check(head, rng.normal(size=(6, 5)), rng.normal(size=(6, 3))) <= 5e-6
 
     def test_kp_head_gradcheck(self):
         # on the training pair: the appearance features shared by both halves
-        head = fresh(KpHead(4, 3, 6, n_keypoints=2), seed=22)
-        rng = RNG(23)
-        inputs = kp_inputs(rng, 5, 2, 3, pair=True)
-        upstream = rng.normal(size=(2, 5, 3, 3))
-        head.zero_grad()
-        ctx = {}
-        head.forward(*inputs, ctx=ctx)
-        grads = head.backward(upstream, ctx=ctx)
-
-        def loss():
-            return float(np.sum(head.forward(*inputs, ctx={}) * upstream))
-
-        for arr, grad in zip(inputs, grads):
-            assert grad.shape == arr.shape
-            num = central_differences(loss, arr, 1e-6)
-            np.testing.assert_allclose(grad, num, rtol=1e-5, atol=1e-9)
+        head = init_layer_params(KpHead(4, 3, 6, n_keypoints=2), RNG(22))
+        assert layer_fd_check(head, *kp_inputs(RNG(23), 5, 2, 3, pair=True)) <= 5e-6
 
 
 def test_heads_hand_mlp_inputs_over_as_blocks():

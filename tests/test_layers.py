@@ -69,11 +69,6 @@ def inline_invariant_reference(layer, v, grad):
     return out, dv, grads
 
 
-def fresh(layer, seed=0):
-    init_layer_params(layer, RNG(seed))
-    return layer
-
-
 class TestRotateFeature:
     def test_matches_einsum_reference(self):
         # each channel vector x becomes x @ r
@@ -115,13 +110,13 @@ class TestVNLinear:
     def test_equivariance(self):
         rng = RNG(1)
         for _ in range(100):
-            layer = fresh(VNLinear(5, 7), seed=int(rng.integers(1 << 30)))
+            layer = init_layer_params(VNLinear(5, 7), RNG(int(rng.integers(1 << 30))))
             v = rng.normal(size=(3, 5, 8))
             r = sample_uniform_rotation(rng).m
             assert equivariance_residual(layer, v, r) <= 1e-12
 
     def test_input_gradient_is_adjoint(self):
-        layer = fresh(VNLinear(4, 6), seed=2)
+        layer = init_layer_params(VNLinear(4, 6), RNG(2))
         v = RNG(3).normal(size=(3, 4, 5))
         ctx = {}
         out = layer.forward(v, ctx=ctx)
@@ -163,7 +158,7 @@ class TestVNReLU:
     def test_output_in_closed_half_space(self):
         rng = RNG(6)
         for _ in range(50):
-            layer = fresh(VNReLU(4, 5), seed=int(rng.integers(1 << 30)))
+            layer = init_layer_params(VNReLU(4, 5), RNG(int(rng.integers(1 << 30))))
             v = rng.normal(size=(3, 4, 12))
             out = layer.forward(v, ctx={})
             k = np.matmul(layer.u.value, v)
@@ -172,7 +167,7 @@ class TestVNReLU:
     def test_equivariance(self):
         rng = RNG(7)
         for _ in range(100):
-            layer = fresh(VNReLU(5, 5), seed=int(rng.integers(1 << 30)))
+            layer = init_layer_params(VNReLU(5, 5), RNG(int(rng.integers(1 << 30))))
             v = rng.normal(size=(3, 5, 8))
             r = sample_uniform_rotation(rng).m
             assert equivariance_residual(layer, v, r) <= 1e-12
@@ -249,7 +244,7 @@ class TestVNBatchNorm:
 
     def test_directions_collinear_in_train_mode(self):
         rng = RNG(13)
-        layer = fresh(VNBatchNorm(4), seed=14)
+        layer = init_layer_params(VNBatchNorm(4), RNG(14))
         v = rng.normal(size=(10, 4, 3))
         out = layer.forward(v.T, train=True, ctx={}).T
         cross = np.cross(out, v)
@@ -259,7 +254,7 @@ class TestVNBatchNorm:
 
     def test_per_sample_rotations(self):
         rng = RNG(14)
-        layer = fresh(VNBatchNorm(5), seed=15)
+        layer = init_layer_params(VNBatchNorm(5), RNG(15))
         batch = rng.normal(size=(4, 3, 5, 9))
         rots = np.stack([sample_uniform_rotation(rng).m for _ in range(4)])
         straight = layer.forward(batch, train=True, ctx={})
@@ -270,7 +265,7 @@ class TestVNBatchNorm:
 
     def test_constant_norms_give_constant_output_norms(self):
         rng = RNG(15)
-        layer = fresh(VNBatchNorm(2), seed=16)
+        layer = init_layer_params(VNBatchNorm(2), RNG(16))
         layer.beta.value[...] = 0.7
         dirs = rng.normal(size=(8, 2, 3))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
@@ -280,7 +275,7 @@ class TestVNBatchNorm:
         np.testing.assert_allclose(norms, 0.7, atol=1e-12)
 
     def test_running_stats_update(self):
-        layer = fresh(VNBatchNorm(2), seed=17)
+        layer = init_layer_params(VNBatchNorm(2), RNG(17))
         v = RNG(16).normal(size=(3, 2, 30))
         layer.forward(v, train=True, ctx={})
         assert not np.allclose(layer.running_mean.value, 0.0)
@@ -308,7 +303,7 @@ class TestVNInvariant:
     @pytest.mark.parametrize("shape", [(3, 4, 9), (2, 3, 4, 9)], ids=["cloud", "stacked"])
     def test_matches_inline_mlp_reference(self, shape):
         rng = RNG(21)
-        layer = fresh(VNInvariant(4, branch=3, hidden=6, out=5), seed=22)
+        layer = init_layer_params(VNInvariant(4, branch=3, hidden=6, out=5), RNG(22))
         v = rng.normal(size=shape)
         grad = rng.normal(size=shape[:-3] + (shape[-1], 5))
         ctx = {}
@@ -325,16 +320,13 @@ class TestVNInvariant:
     def test_invariance(self):
         rng = RNG(17)
         for _ in range(200):
-            layer = fresh(
-                VNInvariant(4, branch=3, hidden=6, out=5),
-                seed=int(rng.integers(1 << 30)),
-            )
+            layer = init_layer_params(VNInvariant(4, branch=3, hidden=6, out=5), RNG(int(rng.integers(1 << 30))))
             v = rng.normal(size=(3, 4, 7))
             r = sample_uniform_rotation(rng).m
             assert invariance_residual(layer, v, r) <= 1e-10
 
     def test_zero_input_yields_scalar_bias_path(self):
-        layer = fresh(VNInvariant(3, branch=3, hidden=6, out=4), seed=18)
+        layer = init_layer_params(VNInvariant(3, branch=3, hidden=6, out=4), RNG(18))
         mlp = layer.mlp
         mlp.b1.value[...] = RNG(18).normal(size=6)
         mlp.b2.value[...] = RNG(19).normal(size=4)
@@ -518,7 +510,7 @@ class TestLayoutReference:
             "bn_eval": (VNBatchNorm(4), False),
             "invariant": (VNInvariant(4, 3, hidden=6, out=5), False),
         }[name]
-        fresh(layer, seed=41)
+        init_layer_params(layer, RNG(41))
         if isinstance(layer, VNBatchNorm):  # away from the unit/zero init
             for p in layer.params():
                 p.value[...] = rng.uniform(0.5, 1.5, size=p.value.shape)
@@ -561,7 +553,7 @@ class TestGradients:
             "pool_concat": (VNPoolConcat(), {}),
             "invariant": (VNInvariant(4, 3, hidden=6, out=5), {}),
         }[name]
-        fresh(layer, seed=25)
+        init_layer_params(layer, RNG(25))
         assert layer_fd_check(layer, v, **kwargs) <= 1e-6
 
     def test_six_layer_stack_gradcheck(self):

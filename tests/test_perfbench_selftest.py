@@ -38,7 +38,7 @@ def test_mean_shift_modes_keeps_the_traced_contract(x, k):
     # the tracer binds the call's arguments by name, reads x and max_seeds,
     # and counts the modes as len(result[0]): the fast form of the self-test's check
     signature = inspect.signature(pipeline.mean_shift_modes)
-    assert list(signature.parameters) == ["x", "bandwidth", "max_iter", "tol", "max_seeds"]
+    assert list(signature.parameters) == ["x", "bandwidth", "max_iter", "max_seeds"]
     bound = signature.bind(x, 0.02)
     bound.apply_defaults()
     assert bound.arguments["x"] is x and isinstance(bound.arguments["max_seeds"], int)

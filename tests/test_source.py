@@ -228,3 +228,27 @@ def test_the_benchmark_scenes_have_one_definition():
     bench = {path.stem for path in (TESTS.parent / "perfbench").glob("*.py")}
     shadowing = sorted(path.name for path in TESTS.rglob("*.py") if path.stem in bench)
     assert bound == [] and shadowing == []
+
+
+def test_layer_gradients_meet_central_differences_in_one_place():
+    # train.gradcheck runs the model's backward through sample_losses_and_grads;
+    # every other comparison of a backward against central differences is
+    # conftest.layer_fd_check, so each layer and head is checked one way, over
+    # its inputs and its parameters alike
+    def calls(fn):
+        # ".name" for a call through an attribute, "name" for a plain one
+        return {
+            f".{node.func.attr}" if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+        }
+
+    both = [
+        f"{path.relative_to(TESTS.parent)}::{fn.name}"
+        for path in sorted(SRC.glob("*.py")) + sorted(TESTS.rglob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        and ".backward" in calls(fn)
+        and {name.lstrip(".") for name in calls(fn)} & {"central_differences", "max_relative_error"}
+    ]
+    assert both == ["tests/conftest.py::layer_fd_check"]
